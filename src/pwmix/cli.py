@@ -198,10 +198,28 @@ def _parse_query(text: str) -> tuple[tuple[str, str], ...]:
     return tuple(preds)
 
 
-def _load_ledger(path: Path) -> list[dict]:
+def _load_ledger(path: Path) -> tuple[list[dict], BudgetLedger]:
+    """The ledger file's entries, and their charges validated as ``compose`` does."""
     if not path.exists():
-        return []
-    return json.loads(path.read_text())
+        return [], BudgetLedger()
+    try:
+        entries = json.loads(path.read_text())
+    except (OSError, ValueError) as exc:
+        raise PwmixError(f"unreadable ledger {path}: {exc}") from None
+    if not isinstance(entries, list):
+        raise PwmixError(f"ledger {path} must hold a JSON list of entries")
+    ledger = BudgetLedger()
+    for i, e in enumerate(entries):
+        try:
+            if not isinstance(e, dict) or not isinstance(e.get("label"), str):
+                raise PwmixError("needs a string 'label'")
+            zeta = e.get("zeta")
+            if isinstance(zeta, bool) or not isinstance(zeta, (int, float)):
+                raise PwmixError(f"needs a numeric 'zeta', got {zeta!r}")
+            ledger = compose(ledger, float(zeta), e["label"])
+        except (PwmixError, OverflowError) as exc:
+            raise PwmixError(f"ledger {path} entry {i}: {exc}") from None
+    return entries, ledger
 
 
 def _store_ledger(path: Path, entries: list[dict]) -> None:
@@ -247,8 +265,7 @@ def _cmd_release(args) -> int:
 
     if args.ledger:
         path = Path(args.ledger)
-        entries = _load_ledger(path)
-        ledger = BudgetLedger(tuple((e["label"], float(e["zeta"])) for e in entries))
+        entries, ledger = _load_ledger(path)
         if not math.isfinite(charge):
             return _fail(
                 f"{mechanism_label(spec)} has unbounded budget; refusing to charge a ledger",
@@ -344,8 +361,7 @@ def _random_queries(ds, n_queries: int, rng) -> list[QuerySpec]:
         a, b = rng.choice(len(attrs), size=2, replace=False)
         preds = []
         for ai in (a, b):
-            col = ds.column(attrs[int(ai)])
-            values = sorted(set(col.tolist()))
+            values = ds.levels(attrs[int(ai)])
             preds.append((attrs[int(ai)], values[int(rng.integers(0, len(values)))]))
         queries.append(QuerySpec(predicates=tuple(preds), kind="count"))
     return queries

@@ -29,6 +29,7 @@ from .mechanisms import MechanismSpec, TruncatedLaplace, mechanism_label
 from .sampling import SeededStream, integer_output, sample
 
 __all__ = [
+    "ColumnCodes",
     "Dataset",
     "QuerySpec",
     "NoisyRelease",
@@ -42,13 +43,31 @@ __all__ = [
 ]
 
 
+@dataclass(frozen=True)
+class ColumnCodes:
+    """Dictionary encoding of one attribute.
+
+    ``levels`` are the distinct values in sorted order, ``index`` maps each
+    value to its position in ``levels``, and ``codes[i]`` is that position for
+    record ``i``.
+    """
+
+    levels: tuple[str, ...]
+    index: dict[str, int]
+    codes: np.ndarray
+
+
 @dataclass
 class Dataset:
-    """Immutable collection of categorical records with a named schema."""
+    """Immutable collection of categorical records with a named schema.
+
+    Each attribute is dictionary-encoded once, on first use, and every query
+    works on those integer codes.
+    """
 
     schema: tuple[str, ...]
     records: tuple[tuple[str, ...], ...]
-    _columns: dict = field(default=None, init=False, repr=False, compare=False)
+    _encodings: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         width = len(self.schema)
@@ -62,16 +81,42 @@ class Dataset:
     def row_count(self) -> int:
         return len(self.records)
 
+    def position(self, name: str) -> int:
+        """Index of an attribute in the schema."""
+        try:
+            return self.schema.index(name)
+        except ValueError:
+            raise QueryError(f"unknown attribute {name!r}; schema is {list(self.schema)}") from None
+
+    def encoding(self, name: str) -> ColumnCodes:
+        """Dictionary encoding of one attribute (built on first use, then cached).
+
+        One hashing pass numbers the values in order of first appearance;
+        the levels are then sorted and the codes remapped to sorted order.
+        """
+        if name not in self._encodings:
+            idx = self.position(name)
+            first: dict = {}
+            raw = np.fromiter(
+                (first.setdefault(rec[idx], len(first)) for rec in self.records),
+                dtype=np.intp,
+                count=self.row_count,
+            )
+            levels = tuple(sorted(first))
+            rank = np.empty(len(levels), dtype=np.min_scalar_type(len(levels)))
+            rank[[first[v] for v in levels]] = np.arange(len(levels))
+            index = {v: i for i, v in enumerate(levels)}
+            self._encodings[name] = ColumnCodes(levels=levels, index=index, codes=rank[raw])
+        return self._encodings[name]
+
+    def levels(self, name: str) -> tuple[str, ...]:
+        """Distinct values of one attribute, sorted."""
+        return self.encoding(name).levels
+
     def column(self, name: str) -> np.ndarray:
-        """Values of one attribute as an array (cached)."""
-        if name not in self.schema:
-            raise QueryError(f"unknown attribute {name!r}; schema is {list(self.schema)}")
-        if self._columns is None:
-            self._columns = {}
-        if name not in self._columns:
-            idx = self.schema.index(name)
-            self._columns[name] = np.array([rec[idx] for rec in self.records], dtype=object)
-        return self._columns[name]
+        """Values of one attribute as an object array."""
+        enc = self.encoding(name)
+        return np.array(enc.levels, dtype=object)[enc.codes]
 
 
 @dataclass(frozen=True)
@@ -146,9 +191,12 @@ def load_dataset(source, *, header: bool = True, delimiter: str = ",") -> Datase
 
 
 def _predicate_mask(ds: Dataset, predicates: Iterable[tuple[str, str]]) -> np.ndarray:
+    """Rows matching every predicate; a value the column lacks, or a non-str, matches none."""
     mask = np.ones(ds.row_count, dtype=bool)
     for attr, value in predicates:
-        mask &= ds.column(attr) == value
+        enc = ds.encoding(attr)
+        code = enc.index.get(value) if isinstance(value, str) else None
+        mask &= (enc.codes == code) if code is not None else False
     return mask
 
 
@@ -156,14 +204,14 @@ def count_query(ds: Dataset, q: QuerySpec) -> int:
     """Number of records matching every predicate."""
     if q.kind != "count":
         raise QueryError(f"count_query got a {q.kind!r} query")
-    return int(_predicate_mask(ds, q.predicates).sum())
+    return int(np.count_nonzero(_predicate_mask(ds, q.predicates)))
 
 
 def histogram_query(ds: Dataset, attribute: str) -> dict[str, int]:
     """Per-value counts of one attribute; the bins partition the records."""
-    col = ds.column(attribute)
-    values, counts = np.unique(col.astype(str), return_counts=True)
-    return {str(v): int(c) for v, c in zip(values, counts)}
+    enc = ds.encoding(attribute)
+    counts = np.bincount(enc.codes, minlength=len(enc.levels))
+    return dict(zip(enc.levels, counts.tolist()))
 
 
 def record_matches(ds: Dataset, index: int, q: QuerySpec) -> bool:
@@ -171,11 +219,8 @@ def record_matches(ds: Dataset, index: int, q: QuerySpec) -> bool:
     if not (0 <= index < ds.row_count):
         raise QueryError(f"record index {index} out of range [0, {ds.row_count})")
     rec = ds.records[index]
-    lookup = dict(zip(ds.schema, rec))
     for attr, value in q.predicates:
-        if attr not in lookup:
-            raise QueryError(f"unknown attribute {attr!r}")
-        if lookup[attr] != value:
+        if rec[ds.position(attr)] != value:
             return False
     return True
 

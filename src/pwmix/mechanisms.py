@@ -17,6 +17,7 @@ inner piece.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Union
@@ -247,7 +248,25 @@ class GeoMixtureConstants:
     k_c: float
 
 
-@lru_cache(maxsize=None)
+# Bounded, so that a stream of fresh parameter points cannot grow memory
+# without limit; one entry is a few hundred bytes.
+CONSTANTS_CACHE_SIZE = 1024
+
+
+def _underflow(params: MixtureParams) -> InvalidParameterError:
+    """The error for a point whose mixture mass underflows in double precision.
+
+    The normalizers divide by the mass, and the weights they divide are at
+    most 2, so a mass below the smallest normal double would divide by zero
+    or overflow.
+    """
+    return InvalidParameterError(
+        f"the mixture mass underflows at r*eps*c_t = {params.break_point / params.outer_scale:.6g}; "
+        "the mixture constants are not representable in double precision"
+    )
+
+
+@lru_cache(maxsize=CONSTANTS_CACHE_SIZE)
 def lapmix_constants(params: MixtureParams) -> LapMixtureConstants:
     """Normalizing constants (a1, a2, p1, p2, k_c) of the Laplace mixture.
 
@@ -259,16 +278,20 @@ def lapmix_constants(params: MixtureParams) -> LapMixtureConstants:
     e1 = math.exp(-ct / b1)
     e2 = math.exp(-ct / b2)
     half_density_sum = 0.5 * (e1 / b1 + e2 / b2)
+    if half_density_sum == 0.0:
+        raise _underflow(params)
     p1 = e2 / (b2 * half_density_sum)
     p2 = e1 / (b1 * half_density_sum)
     mass = p1 * e1 + p2 * (1.0 - e2)
+    if mass < sys.float_info.min:
+        raise _underflow(params)
     a1 = p1 / mass
     a2 = p2 / mass
     k_c = 0.5 * a1 * e1 - 0.5 * a2 * e2
     return LapMixtureConstants(a1=a1, a2=a2, p1=p1, p2=p2, k_c=k_c)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CONSTANTS_CACHE_SIZE)
 def geomix_constants(params: MixtureParams) -> GeoMixtureConstants:
     """Normalizing constants (a1g, a2g, g1, g2, k_c) of the geometric mixture.
 
@@ -282,9 +305,13 @@ def geomix_constants(params: MixtureParams) -> GeoMixtureConstants:
     q2 = 1.0 / params.inner_alpha
     pm1 = (1.0 - q1) / (1.0 + q1) * q1**ct
     pm2 = (1.0 - q2) / (1.0 + q2) * q2**ct
+    if pm1 + pm2 == 0.0:
+        raise _underflow(params)
     g1 = 2.0 * pm2 / (pm1 + pm2)
     g2 = 2.0 * pm1 / (pm1 + pm2)
     mass = g1 * q1**ct + g2 * (1.0 - q2**ct)
+    if mass < sys.float_info.min:
+        raise _underflow(params)
     a1g = g1 / mass
     a2g = g2 / mass
     k_c = 0.5 * a1g * q1**ct - 0.5 * a2g * q2**ct

@@ -1,3 +1,4 @@
+import io
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from pwmix.bench import (
     within_bound_fraction,
 )
 from pwmix.cli import _random_queries
+from pwmix.data import load_dataset
 from pwmix.errors import UndefinedMetricError
 from pwmix.mechanisms import (
     Geometric,
@@ -229,3 +231,35 @@ class TestAuditPrivacy:
         a = audit_privacy(ds, queries, GeometricMixture(PRESET_A), stream=SeededStream(5), **kw)
         b = audit_privacy(ds, queries, GeometricMixture(PRESET_A), stream=SeededStream(5), **kw)
         assert a.to_json_dict() == b.to_json_dict()
+
+
+class TestRandomQueries:
+    # Drawn by the version that took each attribute's values as
+    # sorted(set(column)) per predicate; the dictionary encoding must draw the
+    # same queries, since audit reports depend on them.
+    CSV = (
+        "work,edu,country\n"
+        "Private,HS-grad,United-States\n"
+        " Self-emp ,Bachelors,?\n"
+        "?,Masters,Mexico\n"
+        "Private,hs-grad,Holand-Netherlands\n"
+        "Federal-gov,10th,United-States\n"
+        "private,Bachelors, Mexico\n"
+        "Local-gov,?,Cuba\n"
+    )
+    GOLDEN = [
+        (("work", "Local-gov"), ("edu", "hs-grad")),
+        (("edu", "Bachelors"), ("work", "private")),
+        (("work", "Local-gov"), ("edu", "?")),
+        (("work", "Federal-gov"), ("edu", "Bachelors")),
+        (("edu", "hs-grad"), ("work", "Local-gov")),
+        (("edu", "HS-grad"), ("country", "Mexico")),
+        (("work", "Federal-gov"), ("edu", "Masters")),
+        (("country", "?"), ("edu", "HS-grad")),
+    ]
+
+    def test_golden_draw(self):
+        ds = load_dataset(io.StringIO(self.CSV))
+        queries = _random_queries(ds, 8, SeededStream(2024).derive(99).generator)
+        assert [q.predicates for q in queries] == self.GOLDEN
+        assert all(q.kind == "count" for q in queries)

@@ -84,6 +84,16 @@ class TestStats:
         assert code == 2
         assert "eps" in err
 
+    @pytest.mark.parametrize("mechanism", ["lapmix", "geomix"])
+    def test_underflow_exits_2(self, capsys, mechanism):
+        code, out, err = run_cli(
+            ["stats", "--mechanism", mechanism, "--eps", "2", "--reps", "20", "--ct", "40"],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert "underflows" in err
+
 
 class TestSweep:
     def test_table1_row_count(self, capsys, tmp_path):
@@ -151,6 +161,31 @@ class TestRelease:
         assert code == 3
         assert "cap" in err
         assert len(json.loads(ledger.read_text())) == 1  # refused charge not written
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            ('[{"label": "x", "zeta": -5}]', "positive and finite"),
+            ('[{"label": "x", "zeta": 1e999}]', "positive and finite"),
+            ('[{"label": "x", "zeta": "0.3"}]', "numeric 'zeta'"),
+            ('[{"zeta": 0.3}]', "string 'label'"),
+            ('[{"label": "x", "zeta": 0.3}', "unreadable ledger"),
+            ('{"label": "x", "zeta": 0.3}', "JSON list"),
+        ],
+    )
+    def test_invalid_ledger_refused(self, data_file, capsys, tmp_path, content, message):
+        ledger = tmp_path / "ledger.json"
+        ledger.write_text(content)
+        code, out, err = run_cli(
+            ["release", "--data", data_file, "--query", "age=25", "--mechanism", "geomix",
+             "--eps", "0.2", "--reps", "1", "--ct", "5", "--ledger", str(ledger),
+             "--budget-cap", "0.1", "--seed", "1"],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert message in err
+        assert ledger.read_text() == content  # nothing charged
 
     def test_trunclap_refused_without_unsafe(self, data_file, capsys):
         code, _, err = run_cli(

@@ -30,7 +30,7 @@ from pwmix.mechanisms import (
 )
 from pwmix.sampling import SeededStream, sample
 
-from conftest import PRESET_A
+from conftest import PRESET_A, make_synthetic_dataset
 
 CSV_FIXTURE = """age,work,sex
  25 , Private ,Male
@@ -83,6 +83,34 @@ class TestLoadDataset:
             load_dataset(io.StringIO("a,b\n"))
 
 
+class TestEncoding:
+    def test_levels_are_sorted_distinct_values(self, ds):
+        for attr in ds.schema:
+            column = [rec[ds.schema.index(attr)] for rec in ds.records]
+            assert ds.levels(attr) == tuple(sorted(set(column)))
+        # "?" is an ordinary category and " Private " was trimmed on load.
+        assert ds.levels("work") == ("?", "Gov", "Private")
+
+    def test_codes_index_the_levels(self, ds):
+        for attr in ds.schema:
+            enc = ds.encoding(attr)
+            assert [enc.levels[c] for c in enc.codes] == list(ds.column(attr))
+            assert all(enc.index[v] == i for i, v in enumerate(enc.levels))
+
+    def test_column_is_the_object_array(self, ds):
+        col = ds.column("age")
+        assert col.dtype == object
+        assert col.tolist() == ["25", "30", "25", "40", "25"]
+
+    def test_encoded_once(self, ds):
+        assert ds.encoding("sex") is ds.encoding("sex")
+
+    def test_unknown_attribute(self, ds):
+        for method in (ds.encoding, ds.levels, ds.column, ds.position):
+            with pytest.raises(QueryError):
+                method("salary")
+
+
 class TestCountQuery:
     def test_empty_predicates(self, ds):
         assert count_query(ds, QuerySpec()) == 5
@@ -93,6 +121,22 @@ class TestCountQuery:
 
     def test_missing_value(self, ds):
         assert count_query(ds, QuerySpec(predicates=(("age", "99"),))) == 0
+        assert count_query(ds, QuerySpec(predicates=(("age", "25"), ("work", "Gone")))) == 0
+
+    def test_non_str_value_matches_nothing(self, ds):
+        assert count_query(ds, QuerySpec(predicates=(("age", 25),))) == 0
+        assert count_query(ds, QuerySpec(predicates=(("age", None),))) == 0
+
+    def test_matches_string_comparison(self):
+        ds = make_synthetic_dataset(rows=300, seed=7)
+        columns = {a: [rec[i] for rec in ds.records] for i, a in enumerate(ds.schema)}
+        for color in ("red", "gray", "pink"):
+            for size in ("s", "l"):
+                q = QuerySpec(predicates=(("color", color), ("size", size)))
+                expected = sum(
+                    c == color and z == size for c, z in zip(columns["color"], columns["size"])
+                )
+                assert count_query(ds, q) == expected
 
     def test_unknown_attribute(self, ds):
         with pytest.raises(QueryError):
@@ -115,6 +159,11 @@ class TestHistogramQuery:
     def test_single_record(self):
         d = Dataset(schema=("a",), records=(("x",),))
         assert histogram_query(d, "a") == {"x": 1}
+
+    def test_sorted_bins(self, ds):
+        hist = histogram_query(ds, "work")
+        assert hist == {"?": 1, "Gov": 1, "Private": 3}
+        assert list(hist) == ["?", "Gov", "Private"]
 
     def test_unknown_attribute(self, ds):
         with pytest.raises(QueryError):
@@ -154,6 +203,14 @@ class TestNeighbors:
         q = QuerySpec(predicates=(("age", "25"),))
         assert record_matches(ds, 0, q)
         assert not record_matches(ds, 1, q)
+
+    def test_record_matches_agrees_with_count(self, ds):
+        q = QuerySpec(predicates=(("work", "Private"), ("sex", "Male")))
+        assert sum(record_matches(ds, i, q) for i in range(ds.row_count)) == count_query(ds, q)
+
+    def test_record_matches_unknown_attribute(self, ds):
+        with pytest.raises(QueryError):
+            record_matches(ds, 0, QuerySpec(predicates=(("salary", "1"),)))
 
 
 class TestRelease:

@@ -6,6 +6,7 @@ from scipy import integrate
 
 from pwmix.errors import InvalidParameterError
 from pwmix.mechanisms import (
+    CONSTANTS_CACHE_SIZE,
     Geometric,
     GeometricMixture,
     Laplace,
@@ -175,6 +176,38 @@ class TestGeoMixtureConstants:
         # the printed k_c equals the CDF-offset form
         alt = c.a1g * q1 ** (ct + 1) / (1 + q1) - c.a2g * q2 ** (ct + 1) / (1 + q2)
         assert c.k_c == pytest.approx(alt, rel=1e-10, abs=1e-14)
+
+
+class TestConstantsLimits:
+    @pytest.mark.parametrize("constants", [lapmix_constants, geomix_constants])
+    @pytest.mark.parametrize(
+        "params",
+        [
+            # outer tail exp(-800) underflows to 0
+            MixtureParams(epsilon=2.0, ratio=10.0, break_point=40.0),
+            # both tails underflow
+            MixtureParams(epsilon=20.0, ratio=1.0, break_point=40.0),
+        ],
+    )
+    def test_underflow_is_a_typed_error(self, constants, params):
+        with pytest.raises(InvalidParameterError, match="underflows"):
+            constants(params)
+
+    @pytest.mark.parametrize("constants", [lapmix_constants, geomix_constants])
+    def test_subnormal_outer_tail_still_works(self, constants):
+        # exp(-740) is subnormal, but the mass is dominated by the inner piece.
+        c = constants(MixtureParams(epsilon=2.0, ratio=9.25, break_point=40.0))
+        assert all(math.isfinite(v) for v in vars(c).values())
+
+    @pytest.mark.parametrize("constants", [lapmix_constants, geomix_constants])
+    def test_caches_are_bounded(self, constants):
+        constants.cache_clear()
+        for i in range(CONSTANTS_CACHE_SIZE + 10):
+            constants(MixtureParams(epsilon=0.1 + 1e-4 * i, ratio=2.0, break_point=3.0))
+        info = constants.cache_info()
+        assert info.maxsize == CONSTANTS_CACHE_SIZE
+        assert info.currsize == CONSTANTS_CACHE_SIZE
+        constants.cache_clear()
 
 
 class TestGeoMixturePmfCdf:
