@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
 
 from .errors import (
     BoundNotApplicableError,
@@ -258,6 +257,8 @@ def _rounded_laplace_cdf(x: float, eps: float) -> float:
 
 def _zeta_continuous_quadrature(spec: MechanismSpec, shift: int) -> float:
     """Definitional zeta for continuous mechanisms by adaptive quadrature."""
+    from scipy import integrate  # here, so that importing pwmix does not load scipy
+
     if isinstance(spec, LaplaceMixture):
         ct = spec.params.break_point
         rate = spec.params.eps_r / spec.params.sensitivity

@@ -8,13 +8,16 @@ fresh seed is drawn and printed so the run can be reproduced.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import fcntl
 import hashlib
 import json
 import math
 import os
 import secrets
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -222,10 +225,39 @@ def _load_ledger(path: Path) -> tuple[list[dict], BudgetLedger]:
     return entries, ledger
 
 
+@contextlib.contextmanager
+def _ledger_lock(path: Path):
+    """Hold an exclusive lock on the sidecar ``<ledger>.lock`` of a ledger.
+
+    Concurrent charges of one ledger then run one at a time from read to
+    replace, so none is lost.  The sidecar stays: the ledger itself is
+    replaced on every write, so a lock on it would not be shared.
+    """
+    lock = path.with_name(path.name + ".lock")
+    try:
+        fd = os.open(lock, os.O_RDWR | os.O_CREAT, 0o644)
+    except OSError as exc:
+        raise PwmixError(f"cannot lock ledger {path}: {exc}") from None
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX)
+        yield
+    finally:
+        os.close(fd)  # releases the lock
+
+
 def _store_ledger(path: Path, entries: list[dict]) -> None:
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(json.dumps(entries, indent=2, sort_keys=True) + "\n")
-    os.replace(tmp, path)
+    """Replace the ledger atomically through a temporary file of this process."""
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    try:
+        if path.exists():
+            os.fchmod(fd, path.stat().st_mode & 0o777)
+        with os.fdopen(fd, "w") as fh:
+            fh.write(json.dumps(entries, indent=2, sort_keys=True) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def _cmd_release(args) -> int:
@@ -265,24 +297,25 @@ def _cmd_release(args) -> int:
 
     if args.ledger:
         path = Path(args.ledger)
-        entries, ledger = _load_ledger(path)
-        if not math.isfinite(charge):
-            return _fail(
-                f"{mechanism_label(spec)} has unbounded budget; refusing to charge a ledger",
-                POLICY_REFUSAL,
-            )
-        if args.budget_cap is not None and ledger.total + charge > args.budget_cap:
-            return _fail(
-                f"budget cap {args.budget_cap} would be exceeded "
-                f"(spent {ledger.total:.6g}, charge {charge:.6g})",
-                POLICY_REFUSAL,
-            )
-        label = f"{mechanism_label(spec)} {query_desc}"
-        if args.hist:
-            label += f" [{args.charge_mode}]"
-        compose(ledger, charge, label)  # validates the charge
-        entries.append({"label": label, "zeta": charge, "timestamp": time.time()})
-        _store_ledger(path, entries)
+        with _ledger_lock(path):
+            entries, ledger = _load_ledger(path)
+            if not math.isfinite(charge):
+                return _fail(
+                    f"{mechanism_label(spec)} has unbounded budget; refusing to charge a ledger",
+                    POLICY_REFUSAL,
+                )
+            if args.budget_cap is not None and ledger.total + charge > args.budget_cap:
+                return _fail(
+                    f"budget cap {args.budget_cap} would be exceeded "
+                    f"(spent {ledger.total:.6g}, charge {charge:.6g})",
+                    POLICY_REFUSAL,
+                )
+            label = f"{mechanism_label(spec)} {query_desc}"
+            if args.hist:
+                label += f" [{args.charge_mode}]"
+            compose(ledger, charge, label)  # validates the charge
+            entries.append({"label": label, "zeta": charge, "timestamp": time.time()})
+            _store_ledger(path, entries)
         doc["ledger_total"] = sum(e["zeta"] for e in entries)
 
     print(json.dumps(doc, sort_keys=True))

@@ -90,26 +90,78 @@ def _laplace_from_uniform(u: np.ndarray, scale: float) -> np.ndarray:
     return np.where(u < 0.5, left, right)
 
 
+# Uniforms per pass of the mixture inverse transform: the pass's temporaries
+# (a few arrays of this length) stay in cache instead of streaming through memory.
+_CHUNK = 1 << 14
+
+
+def _mixture_from_uniform(
+    u: np.ndarray,
+    thresholds: tuple[float, float, float],
+    inner: tuple[float, float, float, float],
+    outer: tuple[float, float, float, float],
+    scale,
+    integer: bool,
+) -> np.ndarray:
+    """Branch-first inverse CDF of a two-piece mixture, one ``log`` per draw.
+
+    ``thresholds`` are ``(t_left, t_right, t_mid)``: a draw lies on the outer
+    piece below ``t_left`` or above ``t_right``, and on the right side above
+    ``t_right`` or, on the inner piece, above ``t_mid`` (first match wins, as
+    in the four-branch form).  Each piece is ``(m, a, s, k)``; a left draw is
+    ``scale(log(m * (u - k) / a), s)`` and a right draw is the same of
+    ``1 - u``, negated.  Integer output also subtracts 1 on the right and
+    takes the ceiling.  The steps that merge the branches (picking the side
+    as ``f*(1-u) + (1-f)*u``, subtracting ``k = 0.0`` on the outer piece,
+    multiplying by +-1) are exact, and every rounded step sees the operands
+    its branch of the four-branch form sees, so the output is bit-identical
+    to that form.
+    """
+    t_left, t_right, t_mid = thresholds
+    m, a, s, k = (np.array(pair) for pair in zip(inner, outer))
+    u = np.asarray(u, dtype=float)
+    flat = u.ravel()
+    out = np.empty(flat.size, dtype=np.int64 if integer else np.float64)
+    for i in range(0, flat.size, _CHUNK):
+        uc = flat[i : i + _CHUNK]
+        lo = uc < t_left
+        ro = (uc > t_right) & ~lo
+        of = lo | ro
+        f = (ro | (~of & (uc > t_mid))).astype(float)
+        # 1 - u on the right, u on the left; minus 0.0 on the outer piece is exact
+        x = f * (1.0 - uc) + (1.0 - f) * uc
+        x -= k.take(of)
+        x *= m.take(of)
+        x /= a.take(of)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            np.log(x, out=x)
+        scale(x, s.take(of), out=x)
+        # y * (1 - 2f) - f: -y - 1.0 on the right, y on the left; both exact
+        x *= 1.0 - 2.0 * f
+        if integer:
+            x -= f
+            np.ceil(x, out=x)
+        out[i : i + uc.size] = x
+    return out.reshape(u.shape)
+
+
 def _lapmix_from_uniform(u: np.ndarray, params: MixtureParams) -> np.ndarray:
-    """Four-branch inverse CDF of the Laplace mixture."""
+    """Inverse CDF of the Laplace mixture."""
     c = lapmix_constants(params)
     b1, b2, ct = params.outer_scale, params.inner_scale, params.break_point
     t_outer = 0.5 * c.a1 * np.exp(-ct / b1)
-    u = np.asarray(u, dtype=float)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        left_outer = b1 * np.log(2.0 * u / c.a1)
-        right_outer = -b1 * np.log(2.0 * (1.0 - u) / c.a1)
-        left_inner = b2 * np.log(2.0 * (u - c.k_c) / c.a2)
-        right_inner = -b2 * np.log(2.0 * (1.0 - u - c.k_c) / c.a2)
-    return np.select(
-        [u < t_outer, u > 1.0 - t_outer, u <= 0.5],
-        [left_outer, right_outer, left_inner],
-        default=right_inner,
+    return _mixture_from_uniform(
+        u,
+        (t_outer, 1.0 - t_outer, 0.5),
+        inner=(2.0, c.a2, b2, c.k_c),
+        outer=(2.0, c.a1, b1, 0.0),
+        scale=np.multiply,
+        integer=False,
     )
 
 
 def _geomix_from_uniform(u: np.ndarray, params: MixtureParams) -> np.ndarray:
-    """Four-branch inverse CDF of the geometric mixture (integer output)."""
+    """Inverse CDF of the geometric mixture (integer output)."""
     c = geomix_constants(params)
     ct = params.integer_break_point()
     q1 = 1.0 / params.outer_alpha
@@ -119,18 +171,14 @@ def _geomix_from_uniform(u: np.ndarray, params: MixtureParams) -> np.ndarray:
     t_left = c.a1g * q1**ct / (1.0 + q1)
     t_right = 1.0 - c.a1g * q1 ** (ct + 1) / (1.0 + q1)
     t_mid = c.a2g / (1.0 + q2) + c.k_c
-    u = np.asarray(u, dtype=float)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        left_outer = np.ceil(np.log((1.0 + q1) * u / c.a1g) / lam1)
-        right_outer = np.ceil(-np.log((1.0 - u) * (1.0 + q1) / c.a1g) / lam1 - 1.0)
-        left_inner = np.ceil(np.log((1.0 + q2) * (u - c.k_c) / c.a2g) / lam2)
-        right_inner = np.ceil(-np.log((1.0 - u - c.k_c) * (1.0 + q2) / c.a2g) / lam2 - 1.0)
-    out = np.select(
-        [u < t_left, u > t_right, u <= t_mid],
-        [left_outer, right_outer, left_inner],
-        default=right_inner,
+    return _mixture_from_uniform(
+        u,
+        (t_left, t_right, t_mid),
+        inner=(1.0 + q2, c.a2g, lam2, c.k_c),
+        outer=(1.0 + q1, c.a1g, lam1, 0.0),
+        scale=np.divide,
+        integer=True,
     )
-    return out.astype(np.int64)
 
 
 def sample_lapmix(params: MixtureParams, stream: SeededStream, size: int | None = None):

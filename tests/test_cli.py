@@ -162,6 +162,55 @@ class TestRelease:
         assert "cap" in err
         assert len(json.loads(ledger.read_text())) == 1  # refused charge not written
 
+    def test_concurrent_charges_all_recorded(self, data_file, tmp_path):
+        ledger = tmp_path / "ledger.json"
+        runs = 6
+        procs = [
+            subprocess.Popen(
+                [sys.executable, "-m", "pwmix.cli", "release", "--data", data_file,
+                 "--query", "age=25", "--mechanism", "geomix", "--eps", "0.2", "--reps", "1",
+                 "--ct", "5", "--seed", str(i), "--ledger", str(ledger)],
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+                text=True,
+                env=cli_env(),
+            )
+            for i in range(runs)
+        ]
+        outputs = [p.communicate(timeout=120) for p in procs]
+        assert [p.returncode for p in procs] == [0] * runs, [err for _, err in outputs]
+        entries = json.loads(ledger.read_text())
+        assert len(entries) == runs
+        total = sum(e["zeta"] for e in entries)
+        charge = entries[0]["zeta"]
+        assert total == pytest.approx(runs * charge)
+        # each run saw the charges of the runs before it, and only those
+        seen = sorted(json.loads(out)["ledger_total"] for out, _ in outputs)
+        assert seen == pytest.approx([k * charge for k in range(1, runs + 1)])
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "data.csv", "ledger.json", "ledger.json.lock"
+        ]
+
+    def test_ledger_rewrite_keeps_file_mode(self, data_file, capsys, tmp_path):
+        ledger = tmp_path / "ledger.json"
+        ledger.write_text("[]")
+        ledger.chmod(0o640)
+        args = ["release", "--data", data_file, "--query", "age=25", "--mechanism", "geomix",
+                "--eps", "0.2", "--reps", "1", "--ct", "5", "--seed", "1", "--ledger", str(ledger)]
+        assert run_cli(args, capsys)[0] == 0
+        assert len(json.loads(ledger.read_text())) == 1
+        assert ledger.stat().st_mode & 0o777 == 0o640
+
+    def test_unlockable_ledger_refused(self, data_file, capsys, tmp_path):
+        ledger = tmp_path / "missing" / "ledger.json"
+        code, _, err = run_cli(
+            ["release", "--data", data_file, "--query", "age=25", "--mechanism", "geomix",
+             "--eps", "0.2", "--reps", "1", "--ct", "5", "--seed", "1", "--ledger", str(ledger)],
+            capsys,
+        )
+        assert code == 2
+        assert "cannot lock ledger" in err
+
     @pytest.mark.parametrize(
         "content, message",
         [
@@ -310,3 +359,17 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert "pwmix" in proc.stdout
+
+    def test_cold_start_does_not_load_scipy(self):
+        # scipy serves only the quadrature oracle of zeta_empirical
+        code = (
+            "import sys, pwmix.cli\n"
+            "from pwmix.bench import sweep_point\n"
+            "sweep_point(5.0, 0.2, 1.0)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=cli_env()
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

@@ -1,11 +1,14 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from pwmix.analytics import lapmix_stats
-from pwmix.errors import UnsafeMechanismError
+from pwmix.errors import InvalidParameterError, UnsafeMechanismError
 from pwmix.mechanisms import (
     Geometric,
     GeometricMixture,
@@ -17,8 +20,10 @@ from pwmix.mechanisms import (
     ZeroNoise,
     geometric_pmf,
     geomix_cdf,
+    geomix_constants,
     geomix_pmf,
     lapmix_cdf,
+    lapmix_constants,
     rounded_laplace_pmf,
 )
 from pwmix.sampling import (
@@ -31,9 +36,137 @@ from pwmix.sampling import (
     sample_standard,
 )
 
-from conftest import PRESET_A, chi_square_pvalue
+from conftest import PRESET_A, PRESET_B, chi_square_pvalue
 
 N = 10**5
+
+
+# First 16 hex digits of sha256(draws.tobytes()) for the draws of
+# ``sample(spec, SeededStream(seed, i), size)``, where ``i`` is the index of
+# ``size`` in GOLDEN_SIZES; a scalar call is hashed as one int64 / float64.
+# Pinned from the four-branch np.select sampler, so any change to the mixture
+# inverse transform that moves a single draw by one ulp fails here.
+GOLDEN_PARAMS = {
+    "preset_a": PRESET_A,  # also bench_ct5's geomix and lapmix presets
+    "bench_ct6": PRESET_B,
+    "ct1": MixtureParams(epsilon=0.5, ratio=3.0, break_point=1.0),
+    "ct10": MixtureParams(epsilon=0.05, ratio=4.0, break_point=10.0),
+}
+GOLDEN_SIZES = (None, 1, 7, 2**14 - 1, 2**14 + 1, 10**5)
+GOLDEN_DIGESTS = {
+    ("geomix", "preset_a", 11, None): "7c9fa136d4413fa6",
+    ("geomix", "preset_a", 11, 1): "74d323611439a39d",
+    ("geomix", "preset_a", 11, 7): "ab961bf61b661ed9",
+    ("geomix", "preset_a", 11, 16383): "3a184eb798be452e",
+    ("geomix", "preset_a", 11, 16385): "60ef4961574dad6e",
+    ("geomix", "preset_a", 11, 100000): "98fcc686ac11298d",
+    ("geomix", "preset_a", 2024, None): "f13ee6ed54ea2aae",
+    ("geomix", "preset_a", 2024, 1): "d86e8112f3c4c444",
+    ("geomix", "preset_a", 2024, 7): "80dd7b62a4e4b8ed",
+    ("geomix", "preset_a", 2024, 16383): "a063741ed0d9b8ec",
+    ("geomix", "preset_a", 2024, 16385): "f61152282e2c614c",
+    ("geomix", "preset_a", 2024, 100000): "445436dd25c627d2",
+    ("geomix", "bench_ct6", 11, None): "7c9fa136d4413fa6",
+    ("geomix", "bench_ct6", 11, 1): "08a728219774e3c9",
+    ("geomix", "bench_ct6", 11, 7): "2ca3f0155f632933",
+    ("geomix", "bench_ct6", 11, 16383): "3722635a1fb89989",
+    ("geomix", "bench_ct6", 11, 16385): "d81701348276a743",
+    ("geomix", "bench_ct6", 11, 100000): "01edbaf5e4913b37",
+    ("geomix", "bench_ct6", 2024, None): "23d7f42b1cdc1f0d",
+    ("geomix", "bench_ct6", 2024, 1): "35be322d094f9d15",
+    ("geomix", "bench_ct6", 2024, 7): "9d45a14e55b5f481",
+    ("geomix", "bench_ct6", 2024, 16383): "0c35a0fc0cf00bf2",
+    ("geomix", "bench_ct6", 2024, 16385): "459156a16e6937d4",
+    ("geomix", "bench_ct6", 2024, 100000): "0b448f7fb509873d",
+    ("geomix", "ct1", 11, None): "af5570f5a1810b7a",
+    ("geomix", "ct1", 11, 1): "12a3ae445661ce5d",
+    ("geomix", "ct1", 11, 7): "b59740e21194a1c5",
+    ("geomix", "ct1", 11, 16383): "0db4a4569d51c2c7",
+    ("geomix", "ct1", 11, 16385): "231103c1dc33c2a6",
+    ("geomix", "ct1", 11, 100000): "cf8ea9ff32fc2985",
+    ("geomix", "ct1", 2024, None): "d86e8112f3c4c444",
+    ("geomix", "ct1", 2024, 1): "7c9fa136d4413fa6",
+    ("geomix", "ct1", 2024, 7): "c6113c20c1fda949",
+    ("geomix", "ct1", 2024, 16383): "ab956b787b792313",
+    ("geomix", "ct1", 2024, 16385): "25b7a0d8b0e8d7a0",
+    ("geomix", "ct1", 2024, 100000): "2bef7d7565aa4d4a",
+    ("geomix", "ct10", 11, None): "35be322d094f9d15",
+    ("geomix", "ct10", 11, 1): "7820681adb7f1912",
+    ("geomix", "ct10", 11, 7): "0a8a881bcd36d96b",
+    ("geomix", "ct10", 11, 16383): "91ffa37b9d8ae6e8",
+    ("geomix", "ct10", 11, 16385): "3cd9d20d1eec78d7",
+    ("geomix", "ct10", 11, 100000): "4388ec3c78e8d37f",
+    ("geomix", "ct10", 2024, None): "18d8d609947c6b82",
+    ("geomix", "ct10", 2024, 1): "23d7f42b1cdc1f0d",
+    ("geomix", "ct10", 2024, 7): "886829510e85f5be",
+    ("geomix", "ct10", 2024, 16383): "e148dd4a4572f87f",
+    ("geomix", "ct10", 2024, 16385): "4dfee63f1399a373",
+    ("geomix", "ct10", 2024, 100000): "e4d5eabd55aea402",
+    ("lapmix", "preset_a", 11, None): "11485c9d44a29847",
+    ("lapmix", "preset_a", 11, 1): "644cf342c065ee7f",
+    ("lapmix", "preset_a", 11, 7): "fa700be6ac48a255",
+    ("lapmix", "preset_a", 11, 16383): "55fad8da771900d6",
+    ("lapmix", "preset_a", 11, 16385): "1e69a426692f91f2",
+    ("lapmix", "preset_a", 11, 100000): "4f7517d48125ae14",
+    ("lapmix", "preset_a", 2024, None): "bfa730ba530d4f88",
+    ("lapmix", "preset_a", 2024, 1): "a2614c91aa5526b5",
+    ("lapmix", "preset_a", 2024, 7): "30863d4c936305fb",
+    ("lapmix", "preset_a", 2024, 16383): "e2027910f3b1fa1e",
+    ("lapmix", "preset_a", 2024, 16385): "29628653a1640b0a",
+    ("lapmix", "preset_a", 2024, 100000): "53620dad32c8b4c6",
+    ("lapmix", "bench_ct6", 11, None): "1ebdea16f1a6f4ad",
+    ("lapmix", "bench_ct6", 11, 1): "82c18cea7407ef09",
+    ("lapmix", "bench_ct6", 11, 7): "91b84fe42501a6e9",
+    ("lapmix", "bench_ct6", 11, 16383): "3e1bd61b3e9e0de8",
+    ("lapmix", "bench_ct6", 11, 16385): "bf1540860b1b7dba",
+    ("lapmix", "bench_ct6", 11, 100000): "434784c348e05c24",
+    ("lapmix", "bench_ct6", 2024, None): "fb9d6bf41fb1200e",
+    ("lapmix", "bench_ct6", 2024, 1): "85b5ef6147a3e562",
+    ("lapmix", "bench_ct6", 2024, 7): "158970e9d9b1b5a9",
+    ("lapmix", "bench_ct6", 2024, 16383): "47ac55bf6c5cdf8b",
+    ("lapmix", "bench_ct6", 2024, 16385): "d9d724463b435d06",
+    ("lapmix", "bench_ct6", 2024, 100000): "ea33583a6ae8f9c1",
+    ("lapmix", "ct1", 11, None): "34d7573e7d880323",
+    ("lapmix", "ct1", 11, 1): "f3450bcee24f9a68",
+    ("lapmix", "ct1", 11, 7): "c978c253b14814e0",
+    ("lapmix", "ct1", 11, 16383): "f848743fc7c677be",
+    ("lapmix", "ct1", 11, 16385): "dbcaa2d67781d5ab",
+    ("lapmix", "ct1", 11, 100000): "e3fc86aead53f863",
+    ("lapmix", "ct1", 2024, None): "747f89eab44cc529",
+    ("lapmix", "ct1", 2024, 1): "4a87f92911ba4aba",
+    ("lapmix", "ct1", 2024, 7): "afb33321a4b95674",
+    ("lapmix", "ct1", 2024, 16383): "fae2668d190f989c",
+    ("lapmix", "ct1", 2024, 16385): "2b8cace04d6b25d0",
+    ("lapmix", "ct1", 2024, 100000): "53e79f553dd46bba",
+    ("lapmix", "ct10", 11, None): "60cdb731b842f323",
+    ("lapmix", "ct10", 11, 1): "bcc387318d653617",
+    ("lapmix", "ct10", 11, 7): "b10df43b00c32016",
+    ("lapmix", "ct10", 11, 16383): "4a97fe2e4c5ab7d3",
+    ("lapmix", "ct10", 11, 16385): "161998dcc7face29",
+    ("lapmix", "ct10", 11, 100000): "74ff269c818ae358",
+    ("lapmix", "ct10", 2024, None): "47282994c0dc6f8c",
+    ("lapmix", "ct10", 2024, 1): "d83b4b8b70662650",
+    ("lapmix", "ct10", 2024, 7): "cfe5970f648622e9",
+    ("lapmix", "ct10", 2024, 16383): "ed96bf24b3769911",
+    ("lapmix", "ct10", 2024, 16385): "d9cdca5178dab58f",
+    ("lapmix", "ct10", 2024, 100000): "2bc1020565731561",
+}
+
+
+class TestGoldenDraws:
+    @pytest.mark.parametrize("key", sorted(GOLDEN_DIGESTS, key=repr), ids=repr)
+    def test_digest(self, key):
+        family, name, seed, size = key
+        spec_cls = GeometricMixture if family == "geomix" else LaplaceMixture
+        stream = SeededStream(seed, GOLDEN_SIZES.index(size))
+        y = sample(spec_cls(GOLDEN_PARAMS[name]), stream, size=size)
+        if size is None:
+            assert type(y) is (int if family == "geomix" else float)
+            y = np.array([y], dtype=np.int64 if family == "geomix" else np.float64)
+        else:
+            assert y.dtype == (np.int64 if family == "geomix" else np.float64)
+            assert y.shape == (size,)
+        assert hashlib.sha256(y.tobytes()).hexdigest()[:16] == GOLDEN_DIGESTS[key]
 
 
 class TestSeededStream:
@@ -95,6 +228,129 @@ class TestAlgorithmBranches:
 
     def test_geomix_median(self):
         assert int(_geomix_from_uniform(np.array([0.5]), PRESET_A)[0]) == 0
+
+
+# Reference oracle: the four-branch inverse transforms that evaluate every
+# branch's formula for every draw and pick one with np.select.  The samplers
+# must reproduce them bit for bit, including at the branch thresholds.
+
+
+def _oracle_lapmix_thresholds(params):
+    c = lapmix_constants(params)
+    t_outer = 0.5 * c.a1 * np.exp(-params.break_point / params.outer_scale)
+    return t_outer, 1.0 - t_outer, 0.5
+
+
+def _oracle_lapmix(u, params):
+    c = lapmix_constants(params)
+    b1, b2 = params.outer_scale, params.inner_scale
+    t_outer, t_upper, _ = _oracle_lapmix_thresholds(params)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        left_outer = b1 * np.log(2.0 * u / c.a1)
+        right_outer = -b1 * np.log(2.0 * (1.0 - u) / c.a1)
+        left_inner = b2 * np.log(2.0 * (u - c.k_c) / c.a2)
+        right_inner = -b2 * np.log(2.0 * (1.0 - u - c.k_c) / c.a2)
+    return np.select(
+        [u < t_outer, u > t_upper, u <= 0.5],
+        [left_outer, right_outer, left_inner],
+        default=right_inner,
+    )
+
+
+def _oracle_geomix_thresholds(params):
+    c = geomix_constants(params)
+    ct = params.integer_break_point()
+    q1 = 1.0 / params.outer_alpha
+    q2 = 1.0 / params.inner_alpha
+    t_left = c.a1g * q1**ct / (1.0 + q1)
+    t_right = 1.0 - c.a1g * q1 ** (ct + 1) / (1.0 + q1)
+    t_mid = c.a2g / (1.0 + q2) + c.k_c
+    return t_left, t_right, t_mid
+
+
+def _oracle_geomix(u, params):
+    c = geomix_constants(params)
+    q1 = 1.0 / params.outer_alpha
+    q2 = 1.0 / params.inner_alpha
+    lam1 = params.eps_r / params.sensitivity
+    lam2 = params.epsilon / params.sensitivity
+    t_left, t_right, t_mid = _oracle_geomix_thresholds(params)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        left_outer = np.ceil(np.log((1.0 + q1) * u / c.a1g) / lam1)
+        right_outer = np.ceil(-np.log((1.0 - u) * (1.0 + q1) / c.a1g) / lam1 - 1.0)
+        left_inner = np.ceil(np.log((1.0 + q2) * (u - c.k_c) / c.a2g) / lam2)
+        right_inner = np.ceil(-np.log((1.0 - u - c.k_c) * (1.0 + q2) / c.a2g) / lam2 - 1.0)
+    out = np.select(
+        [u < t_left, u > t_right, u <= t_mid],
+        [left_outer, right_outer, left_inner],
+        default=right_inner,
+    )
+    return out.astype(np.int64)
+
+
+def _oracle_uniforms(seed, n_random, thresholds):
+    """``n_random`` random uniforms, then every threshold in (0, 1) and its two
+    float neighbours."""
+    special = []
+    for t in thresholds:
+        special += [np.nextafter(t, 0.0), t, np.nextafter(t, 1.0)]
+    special = np.array([v for v in special if 0.0 < v < 1.0])
+    return np.concatenate([SeededStream(seed).uniforms(n_random), special])
+
+
+oracle_cases = settings(max_examples=150, deadline=None)
+eps_values = st.floats(1e-3, 10.0)
+ratio_values = st.floats(0.05, 50.0)
+# with 2**14 +- a few random uniforms, the thresholds land in a second chunk
+n_random_values = st.sampled_from([0, 1, 1000, 2**14 - 2, 2**14 + 3])
+
+
+class TestInverseOracle:
+    @oracle_cases
+    @given(
+        eps=eps_values,
+        ratio=ratio_values,
+        ct=st.integers(1, 60),
+        seed=st.integers(0, 2**32 - 1),
+        n_random=n_random_values,
+    )
+    def test_geomix_bit_identical(self, eps, ratio, ct, seed, n_random):
+        params = MixtureParams(epsilon=eps, ratio=ratio, break_point=float(ct))
+        try:
+            thresholds = _oracle_geomix_thresholds(params)
+        except InvalidParameterError:
+            assume(False)
+        u = _oracle_uniforms(seed, n_random, thresholds)
+        got = _geomix_from_uniform(u, params)
+        assert got.dtype == np.int64
+        assert got.tobytes() == _oracle_geomix(u, params).tobytes()
+
+    @oracle_cases
+    @given(
+        eps=eps_values,
+        ratio=ratio_values,
+        ct=st.floats(0.01, 60.0),
+        seed=st.integers(0, 2**32 - 1),
+        n_random=n_random_values,
+    )
+    def test_lapmix_bit_identical(self, eps, ratio, ct, seed, n_random):
+        params = MixtureParams(epsilon=eps, ratio=ratio, break_point=ct)
+        try:
+            thresholds = _oracle_lapmix_thresholds(params)
+        except InvalidParameterError:
+            assume(False)
+        u = _oracle_uniforms(seed, n_random, thresholds)
+        got = _lapmix_from_uniform(u, params)
+        assert got.dtype == np.float64
+        assert got.tobytes() == _oracle_lapmix(u, params).tobytes()
+
+    def test_thresholds_are_exercised(self):
+        # at PRESET_A every threshold and both neighbours are inside (0, 1)
+        for thresholds in (
+            _oracle_geomix_thresholds(PRESET_A),
+            _oracle_lapmix_thresholds(PRESET_A),
+        ):
+            assert _oracle_uniforms(0, 0, thresholds).size == 9
 
 
 class TestLapMixSampler:
