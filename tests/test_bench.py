@@ -7,6 +7,7 @@ import pytest
 from pwmix.analytics import geometric_series_x
 from pwmix.bench import (
     TABLE1_GRID,
+    _clamp_free_count,
     SimulationConfig,
     audit_mechanism,
     audit_privacy,
@@ -17,7 +18,7 @@ from pwmix.bench import (
     table_sweep,
     within_bound_fraction,
 )
-from pwmix.cli import _random_queries
+from pwmix.cli import _random_queries, spec_from_dict
 from pwmix.data import load_dataset
 from pwmix.errors import UndefinedMetricError
 from pwmix.mechanisms import (
@@ -263,3 +264,21 @@ class TestRandomQueries:
         queries = _random_queries(ds, 8, SeededStream(2024).derive(99).generator)
         assert [q.predicates for q in queries] == self.GOLDEN
         assert all(q.kind == "count" for q in queries)
+
+
+class TestClampFreeCount:
+    """The true count from which an audit treats clamping as unreachable."""
+
+    @pytest.mark.parametrize(
+        "doc, count",
+        [
+            ({"kind": "laplace", "eps": 0.332}, 128),
+            ({"kind": "rlaplace", "eps": 0.33180903378641224}, 128),
+            ({"kind": "geometric", "eps": 0.32810599476390334}, 128),
+            ({"kind": "geomix", "eps": 0.2, "reps": 1, "ct": 5}, 32),
+            ({"kind": "lapmix", "eps": 0.2, "reps": 1, "ct": 5}, 32),
+            ({"kind": "zero"}, 4),
+        ],
+    )
+    def test_golden_count(self, doc, count):
+        assert _clamp_free_count(spec_from_dict(doc)) == count

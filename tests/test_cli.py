@@ -79,6 +79,57 @@ class TestStats:
         for key in ("mean_abs_noise", "variance", "entropy", "zeta"):
             assert mix[key] == pytest.approx(std[key], rel=1e-9)
 
+    # The JSON row of each private kind, byte for byte.  rlaplace reports the
+    # continuous closed forms of the Laplace law it rounds.
+    @pytest.mark.parametrize(
+        "flags, row",
+        [
+            (
+                ["laplace", "--eps", "0.332"],
+                '{"entropy": 2.795767490625594, "mean_abs_noise": 3.012048192771084, '
+                '"mechanism": "laplace(b=3.01205)", "variance": 18.144868631151105, '
+                '"worst_case_eps": 0.332, "zeta": 0.332}',
+            ),
+            (
+                ["rlaplace", "--eps", "0.332"],
+                '{"entropy": 2.795767490625594, "mean_abs_noise": 3.012048192771084, '
+                '"mechanism": "rlaplace(b=3.01205)", "variance": 18.144868631151105, '
+                '"worst_case_eps": 0.332, "zeta": 0.3091669465188472}',
+            ),
+            (
+                ["geometric", "--eps", "0.332"],
+                '{"entropy": 2.7867570738300245, "mean_abs_noise": 2.957418239017584, '
+                '"mechanism": "geometric(alpha=1.39375)", "variance": 17.979116495626258, '
+                '"worst_case_eps": 0.33199999999999996, "zeta": 0.33199999999999996}',
+            ),
+            (
+                ["lapmix", "--eps", "0.2", "--reps", "1", "--ct", "5"],
+                '{"entropy": 2.536975129652684, "mean_abs_noise": 2.497760793649473, '
+                '"mechanism": "lapmix(eps=0.2,reps=1,ct=5)", "variance": 9.547132830666468, '
+                '"worst_case_eps": 1.0, "zeta": 0.309062728405327}',
+            ),
+            (
+                ["geomix", "--eps", "0.2", "--reps", "1", "--ct", "5"],
+                '{"entropy": 2.537405131153661, "mean_abs_noise": 2.4800462651852766, '
+                '"mechanism": "geomix(eps=0.2,reps=1,ct=5)", "variance": 9.609491315109436, '
+                '"worst_case_eps": 1.0, "zeta": 0.32810599476390334}',
+            ),
+        ],
+    )
+    def test_golden_json_row(self, capsys, flags, row):
+        code, out, _ = run_cli(["stats", "--format", "json", "--mechanism", *flags], capsys)
+        assert code == 0
+        assert out == row + "\n"
+
+    @pytest.mark.parametrize(
+        "flags", [["trunclap", "--eps", "1", "--ct", "3"], ["zero"]]
+    )
+    def test_no_stats_exits_2(self, capsys, flags):
+        code, out, err = run_cli(["stats", "--mechanism", *flags], capsys)
+        assert code == 2
+        assert out == ""
+        assert "no closed-form stats" in err
+
     def test_missing_eps(self, capsys):
         code, _, err = run_cli(["stats", "--mechanism", "laplace"], capsys)
         assert code == 2

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from pwmix.cli import spec_from_dict
+from pwmix.data import release, release_to_json
 from pwmix.errors import InvalidParameterError
 from pwmix.mechanisms import (
     CONSTANTS_CACHE_SIZE,
@@ -21,6 +23,7 @@ from pwmix.mechanisms import (
     lapmix_constants,
     lapmix_pdf,
 )
+from pwmix.sampling import SeededStream
 
 from conftest import INT_PARAM_GRID, PARAM_GRID, PRESET_A
 
@@ -284,3 +287,24 @@ class TestSpecValidation:
             Geometric(alpha=1.0)
         with pytest.raises(InvalidParameterError):
             TruncatedLaplace(scale=1.0, bound=0.0)
+
+
+# The label of each family as every report, ledger entry and CLI row shows it.
+GOLDEN_LABELS = [
+    ({"kind": "laplace", "eps": 0.332}, "laplace(b=3.01205)"),
+    ({"kind": "rlaplace", "eps": 0.332}, "rlaplace(b=3.01205)"),
+    ({"kind": "geometric", "eps": 0.332}, "geometric(alpha=1.39375)"),
+    ({"kind": "lapmix", "eps": 0.2, "reps": 1, "ct": 5}, "lapmix(eps=0.2,reps=1,ct=5)"),
+    ({"kind": "lapmix", "eps": 0.5, "reps": 1.5, "ct": 2.5, "sens": 2}, "lapmix(eps=0.5,reps=1.5,ct=2.5)"),
+    ({"kind": "geomix", "eps": 0.1, "reps": 1, "ct": 6}, "geomix(eps=0.1,reps=1,ct=6)"),
+    ({"kind": "trunclap", "eps": 0.5, "ct": 4, "unsafe": True}, "trunclap(b=2,c=4)"),
+    ({"kind": "zero"}, "zero"),
+]
+
+
+class TestLabels:
+    @pytest.mark.parametrize("doc, label", GOLDEN_LABELS)
+    def test_golden_label(self, doc, label):
+        spec = spec_from_dict(doc)
+        rel = release(3, spec, SeededStream(1))
+        assert release_to_json(rel, query="q", zeta_charged=1.0)["mechanism"] == label
