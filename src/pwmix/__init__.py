@@ -11,17 +11,15 @@ __version__ = "0.1.0"
 
 from .accounting import (
     BudgetLedger,
-    PrivacyReport,
     compose,
     equivalent_epsilon,
     privacy_loss,
-    privacy_report,
     usefulness_bound,
     worst_case_eps,
     zeta_closed_form,
     zeta_empirical,
 )
-from .analytics import MechanismStats, expected_cost, geomix_stats, lapmix_stats, standard_stats
+from .analytics import geomix_stats, lapmix_stats, standard_stats
 from .bench import (
     PrivacyAuditReport,
     SimulationConfig,
@@ -52,6 +50,7 @@ from .mechanisms import (
     LaplaceMixture,
     LapMixtureConstants,
     MechanismSpec,
+    MechanismStats,
     MixtureParams,
     RoundedLaplace,
     TruncatedLaplace,
@@ -64,6 +63,5 @@ from .mechanisms import (
     lapmix_cdf,
     lapmix_constants,
     lapmix_pdf,
-    mechanism_label,
 )
-from .sampling import SeededStream, sample, sample_geomix, sample_lapmix, sample_standard
+from .sampling import SeededStream, sample, sample_geomix, sample_lapmix

@@ -9,42 +9,21 @@ parameters for the mixtures, and adds under composition.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BoundNotApplicableError,
-    InvalidParameterError,
-    SolverError,
-    UnsupportedSpecError,
-)
+from .errors import BoundNotApplicableError, InvalidParameterError, SolverError
 from .mechanisms import (
-    Geometric,
-    GeometricMixture,
-    Laplace,
-    LaplaceMixture,
     MechanismSpec,
     MixtureParams,
-    RoundedLaplace,
-    TruncatedLaplace,
-    ZeroNoise,
-    geomix_cdf,
     geomix_constants,
-    geomix_pmf,
-    geometric_pmf,
-    laplace_cdf,
-    lapmix_cdf,
     lapmix_constants,
-    lapmix_pdf,
-    laplace_pdf,
-    mechanism_label,
-    rounded_laplace_pmf,
+    rounded_laplace_zeta,
 )
 
 __all__ = [
     "BudgetLedger",
-    "PrivacyReport",
     "privacy_loss",
     "worst_case_eps",
     "zeta_closed_form",
@@ -52,7 +31,6 @@ __all__ = [
     "compose",
     "equivalent_epsilon",
     "usefulness_bound",
-    "privacy_report",
 ]
 
 
@@ -74,37 +52,6 @@ def compose(ledger: BudgetLedger, zeta: float, label: str) -> BudgetLedger:
     return BudgetLedger(ledger.entries + ((label, float(zeta)),))
 
 
-def _noise_pmf(spec: MechanismSpec, k):
-    if isinstance(spec, Geometric):
-        return geometric_pmf(k, spec.alpha)
-    if isinstance(spec, GeometricMixture):
-        return geomix_pmf(k, spec.params)
-    if isinstance(spec, RoundedLaplace):
-        return rounded_laplace_pmf(k, spec.scale)
-    if isinstance(spec, ZeroNoise):
-        ks = np.asarray(k)
-        out = np.where(ks == 0, 1.0, 0.0)
-        return float(out) if np.ndim(k) == 0 else out
-    raise UnsupportedSpecError(f"{spec!r} has no integer mass function")
-
-
-def _noise_pdf(spec: MechanismSpec, x):
-    if isinstance(spec, Laplace):
-        return laplace_pdf(x, spec.scale)
-    if isinstance(spec, LaplaceMixture):
-        return lapmix_pdf(x, spec.params)
-    if isinstance(spec, TruncatedLaplace):
-        norm = 1.0 - math.exp(-spec.bound / spec.scale)
-        xs = np.asarray(x, dtype=float)
-        dens = np.where(np.abs(xs) <= spec.bound, laplace_pdf(xs, spec.scale) / norm, 0.0)
-        return float(dens) if np.ndim(x) == 0 else dens
-    raise UnsupportedSpecError(f"{spec!r} has no density")
-
-
-def _is_discrete(spec: MechanismSpec) -> bool:
-    return isinstance(spec, (Geometric, GeometricMixture, RoundedLaplace, ZeroNoise))
-
-
 def _log_ratio_abs(p_shifted: float, p_at: float) -> float:
     """|ln(p_shifted / p_at)| with the zero-probability conventions."""
     if p_at == 0.0 and p_shifted == 0.0:
@@ -122,11 +69,10 @@ def privacy_loss(spec: MechanismSpec, outcome_noise, shift: int = 1) -> float:
     infinite loss (the truncated-mechanism pathology); nan means the outcome
     is impossible under every involved distribution.
     """
-    prob = _noise_pmf if _is_discrete(spec) else _noise_pdf
-    p_here = float(prob(spec, outcome_noise))
+    p_here = float(spec.prob(outcome_noise))
     losses = [
-        _log_ratio_abs(float(prob(spec, outcome_noise - shift)), p_here),
-        _log_ratio_abs(float(prob(spec, outcome_noise + shift)), p_here),
+        _log_ratio_abs(float(spec.prob(outcome_noise - shift)), p_here),
+        _log_ratio_abs(float(spec.prob(outcome_noise + shift)), p_here),
     ]
     if all(math.isnan(v) for v in losses):
         return math.nan
@@ -135,65 +81,12 @@ def privacy_loss(spec: MechanismSpec, outcome_noise, shift: int = 1) -> float:
 
 def worst_case_eps(spec: MechanismSpec) -> float:
     """Differential-privacy level of the mechanism for unit-sensitivity queries."""
-    if isinstance(spec, (Laplace, RoundedLaplace)):
-        return 1.0 / spec.scale
-    if isinstance(spec, Geometric):
-        return math.log(spec.alpha)
-    if isinstance(spec, (LaplaceMixture, GeometricMixture)):
-        return max(spec.params.epsilon, spec.params.eps_r)
-    if isinstance(spec, (TruncatedLaplace, ZeroNoise)):
-        return math.inf
-    raise UnsupportedSpecError(f"no worst-case epsilon for {spec!r}")
-
-
-def _zeta_rounded_laplace(eps: float) -> float:
-    a = 1.0 - math.exp(-0.5 * eps)
-    b = 0.5 * (math.exp(-0.5 * eps) - math.exp(-1.5 * eps))
-    tails = 0.5 * math.exp(-1.5 * eps) + 0.5 * math.exp(-0.5 * eps)
-    return math.log(a * a / b + a + math.exp(eps) * tails)
-
-
-def _zeta_lapmix(params: MixtureParams) -> float:
-    c = lapmix_constants(params)
-    eps = params.epsilon / params.sensitivity
-    reps = params.eps_r / params.sensitivity
-    ct = params.break_point
-    a = 1.0 - c.a2 * math.exp(-0.5 * eps) - 2.0 * c.k_c
-    b = 0.5 * c.a2 * (math.exp(-0.5 * eps) - math.exp(-1.5 * eps))
-    inner = math.exp(eps) * c.a2 * (
-        0.5 * math.exp(-0.5 * eps) + 0.5 * math.exp(-1.5 * eps) - math.exp(-ct * eps)
-    )
-    outer = c.a1 * math.exp(-reps * (ct - 1.0))
-    return math.log(a * a / b + a + inner + outer)
-
-
-def _zeta_geomix(params: MixtureParams) -> float:
-    c = geomix_constants(params)
-    eps = params.epsilon / params.sensitivity
-    reps = params.eps_r / params.sensitivity
-    outer_tail = c.a1g * math.exp(-reps * params.break_point)
-    return math.log(math.exp(eps) * (1.0 - outer_tail) + math.exp(reps) * outer_tail)
+    return spec.worst_case_eps()
 
 
 def zeta_closed_form(spec: MechanismSpec) -> float:
-    """General privacy budget from the closed forms (unit-shift count setting).
-
-    The plain continuous Laplace mechanism has no rounding correction; its
-    budget is reported as epsilon = 1/b directly.
-    """
-    if isinstance(spec, Geometric):
-        return math.log(spec.alpha)
-    if isinstance(spec, Laplace):
-        return 1.0 / spec.scale
-    if isinstance(spec, RoundedLaplace):
-        return _zeta_rounded_laplace(1.0 / spec.scale)
-    if isinstance(spec, GeometricMixture):
-        return _zeta_geomix(spec.params)
-    if isinstance(spec, LaplaceMixture):
-        return _zeta_lapmix(spec.params)
-    if isinstance(spec, (TruncatedLaplace, ZeroNoise)):
-        return math.inf
-    raise UnsupportedSpecError(f"no closed-form zeta for {spec!r}")
+    """General privacy budget from the closed forms (unit-shift count setting)."""
+    return spec.zeta()
 
 
 def _zeta_discrete_exact(spec: MechanismSpec, shift: int) -> float:
@@ -203,85 +96,32 @@ def _zeta_discrete_exact(spec: MechanismSpec, shift: int) -> float:
     loss is the constant outer rate, so the two tails contribute analytically
     through the CDF (no truncation error).
     """
-    if isinstance(spec, GeometricMixture):
-        ct = spec.params.integer_break_point()
-        rate = spec.params.eps_r / spec.params.sensitivity
-
-        def cdf(x: float) -> float:
-            return float(geomix_cdf(x, spec.params))
-
-    elif isinstance(spec, Geometric):
-        ct = 0
-        rate = math.log(spec.alpha)
-        q = 1.0 / spec.alpha
-
-        def cdf(x: float) -> float:
-            return _geometric_cdf(x, q)
-
-    elif isinstance(spec, RoundedLaplace):
-        ct = 0
-        rate = 1.0 / spec.scale
-
-        def cdf(x: float) -> float:
-            return _rounded_laplace_cdf(x, 1.0 / spec.scale)
-
-    else:
-        raise UnsupportedSpecError(f"{spec!r} is not a discrete mechanism")
+    ct, rate = spec.loss_tail()
     lo, hi = -(ct + shift + 1), ct + shift + 1
     ks = np.arange(lo, hi + 1)
-    pk = np.asarray(_noise_pmf(spec, ks), dtype=float)
+    pk = np.asarray(spec.prob(ks), dtype=float)
     total = 0.0
     for k, p in zip(ks, pk):
         if p == 0.0:
             continue
-        loss = _log_ratio_abs(float(_noise_pmf(spec, k - shift)), p)
+        loss = _log_ratio_abs(float(spec.prob(k - shift)), p)
         total += math.exp(loss) * p
     outer = math.exp(shift * rate)
-    total += outer * (cdf(lo - 1) + (1.0 - cdf(hi)))
+    total += outer * (spec.cdf(lo - 1) + (1.0 - spec.cdf(hi)))
     return math.log(total)
-
-
-def _geometric_cdf(x: float, q: float) -> float:
-    k = math.floor(x)
-    if k < 0:
-        return q ** (-k) / (1.0 + q)
-    return 1.0 - q ** (k + 1) / (1.0 + q)
-
-
-def _rounded_laplace_cdf(x: float, eps: float) -> float:
-    k = math.floor(x)
-    if k < 0:
-        return 0.5 * math.exp((k + 0.5) * eps)
-    return 1.0 - 0.5 * math.exp(-(k + 0.5) * eps)
 
 
 def _zeta_continuous_quadrature(spec: MechanismSpec, shift: int) -> float:
     """Definitional zeta for continuous mechanisms by adaptive quadrature."""
     from scipy import integrate  # here, so that importing pwmix does not load scipy
 
-    if isinstance(spec, LaplaceMixture):
-        ct = spec.params.break_point
-        rate = spec.params.eps_r / spec.params.sensitivity
-        breakpoints = [-ct, -ct + shift, 0.0, float(shift), ct, ct + shift]
-
-        def cdf(x: float) -> float:
-            return float(lapmix_cdf(x, spec.params))
-
-    elif isinstance(spec, Laplace):
-        ct = 0.0
-        rate = 1.0 / spec.scale
-        breakpoints = [0.0, float(shift)]
-
-        def cdf(x: float) -> float:
-            return float(laplace_cdf(x, spec.scale))
-
-    else:
-        raise UnsupportedSpecError(f"{spec!r} is not a continuous private mechanism")
+    ct, rate = spec.loss_tail()
     lo, hi = -ct - shift, ct + shift
+    breakpoints = [-ct, -ct + shift, 0.0, float(shift), ct, ct + shift]
 
     def integrand(x: float) -> float:
-        p = float(_noise_pdf(spec, x))
-        ps = float(_noise_pdf(spec, x - shift))
+        p = float(spec.prob(x))
+        ps = float(spec.prob(x - shift))
         return math.exp(_log_ratio_abs(ps, p)) * p
 
     total = 0.0
@@ -289,7 +129,7 @@ def _zeta_continuous_quadrature(spec: MechanismSpec, shift: int) -> float:
     for a, b in zip(pts[:-1], pts[1:]):
         val, _ = integrate.quad(integrand, a, b, limit=200, epsabs=1e-12, epsrel=1e-11)
         total += val
-    total += math.exp(shift * rate) * (cdf(lo) + (1.0 - cdf(hi)))
+    total += math.exp(shift * rate) * (spec.cdf(lo) + (1.0 - spec.cdf(hi)))
     return math.log(total)
 
 
@@ -297,11 +137,12 @@ def zeta_empirical(spec: MechanismSpec, shift: int = 1) -> float:
     """General budget evaluated from its definition, ln sum exp(|L|) P.
 
     Integer-output mechanisms are summed exactly (constant-loss tails folded
-    in analytically); continuous mechanisms are integrated by quadrature.
+    in analytically); continuous mechanisms are integrated by quadrature.  A
+    mechanism with unbounded worst-case loss has an infinite budget.
     """
-    if isinstance(spec, (TruncatedLaplace, ZeroNoise)):
+    if math.isinf(spec.worst_case_eps()):
         return math.inf
-    if _is_discrete(spec):
+    if spec.integer:
         return _zeta_discrete_exact(spec, shift)
     return _zeta_continuous_quadrature(spec, shift)
 
@@ -321,20 +162,20 @@ def equivalent_epsilon(target_zeta: float, family: str) -> float:
         raise InvalidParameterError(f"unknown family {family!r}")
     lo, hi = target_zeta / 2.0, 2.0 * target_zeta
     for _ in range(80):
-        if _zeta_rounded_laplace(lo) <= target_zeta:
+        if rounded_laplace_zeta(lo) <= target_zeta:
             break
         lo /= 2.0
     else:
         raise SolverError(f"could not bracket below: zeta({lo}) > {target_zeta}")
     for _ in range(80):
-        if _zeta_rounded_laplace(hi) >= target_zeta:
+        if rounded_laplace_zeta(hi) >= target_zeta:
             break
         hi *= 2.0
     else:
         raise SolverError(f"could not bracket above: zeta({hi}) < {target_zeta}")
     while hi - lo > 1e-9:
         mid = 0.5 * (lo + hi)
-        if _zeta_rounded_laplace(mid) < target_zeta:
+        if rounded_laplace_zeta(mid) < target_zeta:
             lo = mid
         else:
             hi = mid
@@ -380,37 +221,3 @@ def usefulness_bound(
             m += 1
         return float(m)
     raise InvalidParameterError(f"unknown family {family!r}")
-
-
-@dataclass(frozen=True)
-class PrivacyReport:
-    """Worst-case epsilon, general budget and a window of per-outcome losses."""
-
-    mechanism: str
-    worst_case_eps: float
-    zeta: float
-    per_outcome_losses: dict = field(default_factory=dict)
-
-
-def privacy_report(spec: MechanismSpec, shift: int = 1, window: int | None = None) -> PrivacyReport:
-    """Summarize the privacy characteristics of a mechanism."""
-    if window is None:
-        ct = 0.0
-        if isinstance(spec, (LaplaceMixture, GeometricMixture)):
-            ct = spec.params.break_point
-        elif isinstance(spec, TruncatedLaplace):
-            ct = spec.bound
-        window = int(math.ceil(ct)) + shift + 2
-    losses = {
-        int(k): privacy_loss(spec, int(k), shift) for k in range(-window, window + 1)
-    }
-    try:
-        zeta = zeta_closed_form(spec)
-    except UnsupportedSpecError:
-        zeta = zeta_empirical(spec, shift)
-    return PrivacyReport(
-        mechanism=mechanism_label(spec),
-        worst_case_eps=worst_case_eps(spec),
-        zeta=zeta,
-        per_outcome_losses=losses,
-    )

@@ -1,15 +1,14 @@
-"""Closed-form first absolute moment, variance and entropy for every family.
+"""Closed-form first absolute moment, variance and entropy of the noise.
 
-The geometric-mixture formulas are assembled from the standard partial sums
+Each family's formulas are its spec's ``stats()``
+(:mod:`pwmix.mechanisms`); these are the entry points by parameters.  The
+geometric-mixture formulas are assembled from the standard partial sums
 ``sum_{x=1}^{c} x q^x``, ``sum_{x=m}^inf x q^x = q^m (m - (m-1) q)/(1-q)^2``
 and their second-moment analogues; they are validated against truncated
 series and quadrature oracles in the test suite.
 """
 
 from __future__ import annotations
-
-import math
-from dataclasses import dataclass
 
 from .errors import UnsupportedSpecError
 from .mechanisms import (
@@ -18,10 +17,8 @@ from .mechanisms import (
     Laplace,
     LaplaceMixture,
     MechanismSpec,
+    MechanismStats,
     MixtureParams,
-    RoundedLaplace,
-    geomix_constants,
-    lapmix_constants,
 )
 
 __all__ = [
@@ -29,80 +26,17 @@ __all__ = [
     "lapmix_stats",
     "geomix_stats",
     "standard_stats",
-    "expected_cost",
 ]
-
-
-@dataclass(frozen=True)
-class MechanismStats:
-    """Noise summary: E|x|, variance and entropy (nats)."""
-
-    mean_abs_noise: float
-    variance: float
-    entropy: float
-
-
-def geometric_series_x(q: float, first: int) -> float:
-    """sum_{x=first}^inf x q^x for 0 < q < 1."""
-    return q**first * (first - (first - 1) * q) / (1.0 - q) ** 2
-
-
-def geometric_series_x2(q: float, first: int) -> float:
-    """sum_{x=first}^inf x^2 q^x for 0 < q < 1."""
-    m = first
-    return q**m * (m * m - (2 * m * m - 2 * m - 1) * q + (m - 1) ** 2 * q * q) / (1.0 - q) ** 3
-
-
-def geometric_tail_mass(q: float, first: int) -> float:
-    """sum_{x=first}^inf q^x for 0 < q < 1."""
-    return q**first / (1.0 - q)
 
 
 def lapmix_stats(params: MixtureParams) -> MechanismStats:
     """Closed-form stats of the (continuous) Laplace mixture."""
-    c = lapmix_constants(params)
-    b1, b2, ct = params.outer_scale, params.inner_scale, params.break_point
-    e1 = math.exp(-ct / b1)
-    e2 = math.exp(-ct / b2)
-    mean_abs = c.a2 * (b2 - e2 * (b2 + ct)) + c.a1 * e1 * (b1 + ct)
-    variance = 2.0 * c.a2 * (b2 * b2 - e2 * (b2 * b2 + b2 * ct + 0.5 * ct * ct)) + 2.0 * c.a1 * e1 * (
-        b1 * b1 + b1 * ct + 0.5 * ct * ct
-    )
-    entropy = (
-        math.log(2.0 * b2 / c.a2) * (1.0 - c.a1 * e1)
-        + math.log(2.0 * b1 / c.a1) * (c.a1 * e1)
-        + c.a1 / b1 * e1 * (b1 + ct)
-        - c.a2 / b2 * e2 * (b2 + ct)
-        + c.a2
-    )
-    return MechanismStats(mean_abs, variance, entropy)
+    return LaplaceMixture(params).stats()
 
 
 def geomix_stats(params: MixtureParams) -> MechanismStats:
     """Closed-form stats of the geometric mixture (integer break-point)."""
-    ct = params.integer_break_point()
-    c = geomix_constants(params)
-    q1 = 1.0 / params.outer_alpha
-    q2 = 1.0 / params.inner_alpha
-    c1 = (1.0 - q1) / (1.0 + q1)
-    c2 = (1.0 - q2) / (1.0 + q2)
-    inner_abs = 2.0 * c.a2g * c2 * (geometric_series_x(q2, 1) - geometric_series_x(q2, ct + 1))
-    outer_abs = 2.0 * c.a1g * c1 * geometric_series_x(q1, ct + 1)
-    mean_abs = inner_abs + outer_abs
-    variance = 2.0 * c.a2g * c2 * (
-        geometric_series_x2(q2, 1) - geometric_series_x2(q2, ct + 1)
-    ) + 2.0 * c.a1g * c1 * geometric_series_x2(q1, ct + 1)
-    inner_mass = c.a2g * (1.0 - 2.0 * c2 * geometric_tail_mass(q2, ct + 1))
-    outer_mass = 1.0 - inner_mass
-    eps_in = params.epsilon / params.sensitivity
-    eps_out = params.eps_r / params.sensitivity
-    entropy = (
-        -inner_mass * math.log(c.a2g * c2)
-        - outer_mass * math.log(c.a1g * c1)
-        + eps_in * inner_abs
-        + eps_out * outer_abs
-    )
-    return MechanismStats(mean_abs, variance, entropy)
+    return GeometricMixture(params).stats()
 
 
 def standard_stats(spec: MechanismSpec) -> MechanismStats:
@@ -112,45 +46,6 @@ def standard_stats(spec: MechanismSpec) -> MechanismStats:
     the mass function with the series truncated once the analytic tail bound
     drops below 1e-12.
     """
-    if isinstance(spec, Laplace):
-        b = spec.scale
-        return MechanismStats(b, 2.0 * b * b, 1.0 + math.log(2.0 * b))
-    if isinstance(spec, Geometric):
-        q = 1.0 / spec.alpha
-        coeff = (1.0 - q) / (1.0 + q)
-        # Truncate where the remaining x^2-weighted tail is provably < 1e-12.
-        k_max = 2
-        while 2.0 * coeff * geometric_series_x2(q, k_max) > 1e-12:
-            k_max *= 2
-        mean_abs = variance = entropy = 0.0
-        p0 = coeff
-        entropy -= p0 * math.log(p0)
-        for k in range(1, k_max + 1):
-            p = coeff * q**k
-            mean_abs += 2.0 * k * p
-            variance += 2.0 * k * k * p
-            entropy -= 2.0 * p * math.log(p)
-        return MechanismStats(mean_abs, variance, entropy)
-    raise UnsupportedSpecError(f"standard_stats supports Laplace and Geometric, got {spec!r}")
-
-
-def _stats_for(spec: MechanismSpec) -> MechanismStats:
-    if isinstance(spec, LaplaceMixture):
-        return lapmix_stats(spec.params)
-    if isinstance(spec, GeometricMixture):
-        return geomix_stats(spec.params)
-    if isinstance(spec, (Laplace, Geometric)):
-        return standard_stats(spec)
-    if isinstance(spec, RoundedLaplace):
-        raise UnsupportedSpecError("rounded Laplace stats are not part of the closed-form surface")
-    raise UnsupportedSpecError(f"no stats defined for {spec!r}")
-
-
-def expected_cost(spec: MechanismSpec, loss: str) -> float:
-    """Expected cost of the added noise under an |x| or x^2 accuracy loss."""
-    stats = _stats_for(spec)
-    if loss == "abs":
-        return stats.mean_abs_noise
-    if loss == "square":
-        return stats.variance
-    raise ValueError(f"loss must be 'abs' or 'square', got {loss!r}")
+    if not isinstance(spec, (Laplace, Geometric)):
+        raise UnsupportedSpecError(f"standard_stats supports Laplace and Geometric, got {spec!r}")
+    return spec.stats()

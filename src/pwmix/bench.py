@@ -15,24 +15,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .accounting import equivalent_epsilon, worst_case_eps, zeta_closed_form
+from .accounting import equivalent_epsilon, zeta_closed_form
 from .analytics import geomix_stats, lapmix_stats, standard_stats
 from .data import Dataset, QuerySpec, count_query, record_matches
 from .errors import InvalidParameterError, UndefinedMetricError
 from .mechanisms import (
     Geometric,
     GeometricMixture,
-    Laplace,
     LaplaceMixture,
     MechanismSpec,
     MixtureParams,
-    RoundedLaplace,
-    TruncatedLaplace,
-    ZeroNoise,
-    geomix_cdf,
     laplace_cdf,
     lapmix_cdf,
-    mechanism_label,
 )
 from .sampling import SeededStream, sample
 
@@ -305,7 +299,7 @@ def _simulate_cell(config: SimulationConfig, mech_idx: int, count_idx: int) -> C
     clamped = float(np.mean(n + noise < 0))
     mre = mean_relative_error(errors, n, config.c_t_for_metrics) if n > 0 else math.nan
     return CellReport(
-        mechanism=mechanism_label(spec),
+        mechanism=spec.label,
         true_count=n,
         samples=int(config.samples_per_cell),
         within_bound=within_bound_fraction(errors, config.c_t_for_metrics),
@@ -333,7 +327,7 @@ def run_simulation(config: SimulationConfig, threads: int | None = None) -> Util
 
     pooled: dict = {}
     for spec in config.mechanisms:
-        label = mechanism_label(spec)
+        label = spec.label
         sub = [c for c in cells if c.mechanism == label]
         total = sum(c.samples for c in sub)
         pooled[label] = {
@@ -442,7 +436,7 @@ def audit_mechanism(
         np.asarray(y1), np.asarray(y2) + shift, trials, min_count
     )
     return MechanismAudit(
-        mechanism=mechanism_label(spec),
+        mechanism=spec.label,
         trials=int(trials),
         shift=int(shift),
         losses=losses,
@@ -452,28 +446,13 @@ def audit_mechanism(
     )
 
 
-def _left_tail(spec: MechanismSpec, t: float) -> float:
-    """P(noise < -t), used to find where clamping becomes irrelevant."""
-    if isinstance(spec, LaplaceMixture):
-        return float(lapmix_cdf(-t, spec.params))
-    if isinstance(spec, GeometricMixture):
-        return float(geomix_cdf(-t, spec.params))
-    if isinstance(spec, Laplace):
-        return float(laplace_cdf(-t, spec.scale))
-    if isinstance(spec, RoundedLaplace):
-        return float(laplace_cdf(-t + 0.5, spec.scale))
-    if isinstance(spec, Geometric):
-        q = 1.0 / spec.alpha
-        k = math.floor(-t)
-        return q ** (-k) / (1.0 + q) if k < 0 else 1.0
-    if isinstance(spec, (TruncatedLaplace, ZeroNoise)):
-        return 0.0
-    raise InvalidParameterError(f"no tail bound for {spec!r}")
-
-
 def _clamp_free_count(spec: MechanismSpec) -> int:
+    """The first n of 4, 8, 16, ... (at most 2^20) with P(noise <= 1 - n) <= 1e-12.
+
+    From that true count on, clamping at zero is unreachable in practice.
+    """
     n = 4
-    while _left_tail(spec, n - 1) > 1e-12 and n < 1 << 20:
+    while spec.cdf(1 - n) > 1e-12 and n < 1 << 20:
         n *= 2
     return n
 
@@ -564,7 +543,7 @@ def audit_privacy(
 
     group_keys = sorted(set(pairs))
     group_pairs = {key: pairs.count(key) for key in group_keys}
-    eps_bound = worst_case_eps(spec)
+    eps_bound = spec.worst_case_eps()
 
     groups = []
     same_max_mean = 0.0
@@ -610,7 +589,7 @@ def audit_privacy(
         )
 
     return PrivacyAuditReport(
-        mechanism=mechanism_label(spec),
+        mechanism=spec.label,
         trials=int(trials),
         n_pairs=len(pairs),
         fraction_same_answer=n_same / len(pairs),

@@ -22,28 +22,11 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .accounting import (
-    BudgetLedger,
-    compose,
-    worst_case_eps,
-    zeta_closed_form,
-)
-from .analytics import geomix_stats, lapmix_stats, standard_stats
+from .accounting import BudgetLedger, compose
 from .bench import SimulationConfig, SweepRow, audit_privacy, run_simulation, table_sweep
 from .data import QuerySpec, count_query, histogram_query, load_dataset, release, release_to_json
 from .errors import PwmixError, UnsafeMechanismError
-from .mechanisms import (
-    Geometric,
-    GeometricMixture,
-    Laplace,
-    LaplaceMixture,
-    MechanismSpec,
-    MixtureParams,
-    RoundedLaplace,
-    TruncatedLaplace,
-    ZeroNoise,
-    mechanism_label,
-)
+from .mechanisms import SPECS, MechanismSpec, spec_from_dict
 from .sampling import SeededStream
 
 USAGE_ERROR = 2
@@ -68,46 +51,11 @@ def _spec_from_args(args) -> MechanismSpec:
     )
 
 
-def spec_from_dict(doc: dict) -> MechanismSpec:
-    """Build a mechanism spec from the CLI/config representation.
-
-    Keys: kind (laplace|rlaplace|geometric|lapmix|geomix|trunclap|zero),
-    eps, reps (the outer parameter r*eps), ct, sens (default 1), unsafe.
-    """
-    kind = doc.get("kind")
-    eps = doc.get("eps")
-    sens = doc.get("sens") or 1.0
-    if kind == "zero":
-        return ZeroNoise()
-    if eps is None:
-        raise PwmixError(f"mechanism {kind!r} requires --eps")
-    if kind == "laplace":
-        return Laplace(scale=sens / eps)
-    if kind == "rlaplace":
-        return RoundedLaplace(scale=sens / eps)
-    if kind == "geometric":
-        return Geometric(alpha=math.exp(eps / sens))
-    if kind == "trunclap":
-        if doc.get("ct") is None:
-            raise PwmixError("trunclap requires --ct as the truncation bound")
-        return TruncatedLaplace(
-            scale=sens / eps, bound=float(doc["ct"]), allow_unsafe=bool(doc.get("unsafe"))
-        )
-    if kind in ("lapmix", "geomix"):
-        if doc.get("reps") is None or doc.get("ct") is None:
-            raise PwmixError(f"{kind} requires --reps and --ct")
-        params = MixtureParams(
-            epsilon=eps, ratio=float(doc["reps"]) / eps, break_point=float(doc["ct"]), sensitivity=sens
-        )
-        return LaplaceMixture(params) if kind == "lapmix" else GeometricMixture(params)
-    raise PwmixError(f"unknown mechanism kind {kind!r}")
-
-
 def _add_mechanism_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--mechanism",
         required=True,
-        choices=["laplace", "rlaplace", "geometric", "lapmix", "geomix", "trunclap", "zero"],
+        choices=[cls.kind for cls in SPECS],
     )
     p.add_argument("--eps", type=float, help="inner privacy parameter epsilon")
     p.add_argument("--reps", type=float, help="outer privacy parameter r*eps (mixtures)")
@@ -129,24 +77,14 @@ def _seed_from_args(args) -> int:
 
 def _cmd_stats(args) -> int:
     spec = _spec_from_args(args)
-    if isinstance(spec, LaplaceMixture):
-        stats = lapmix_stats(spec.params)
-    elif isinstance(spec, GeometricMixture):
-        stats = geomix_stats(spec.params)
-    elif isinstance(spec, (Laplace, Geometric)):
-        stats = standard_stats(spec)
-    elif isinstance(spec, RoundedLaplace):
-        stats = standard_stats(Laplace(spec.scale))
-    else:
-        return _fail(f"no closed-form stats for {mechanism_label(spec)}")
-    zeta = zeta_closed_form(spec)
+    stats = spec.stats()
     row = {
-        "mechanism": mechanism_label(spec),
+        "mechanism": spec.label,
         "mean_abs_noise": stats.mean_abs_noise,
         "variance": stats.variance,
         "entropy": stats.entropy,
-        "zeta": zeta,
-        "worst_case_eps": worst_case_eps(spec),
+        "zeta": spec.zeta(),
+        "worst_case_eps": spec.worst_case_eps(),
     }
     if args.format == "json":
         print(json.dumps(row, sort_keys=True))
@@ -266,12 +204,6 @@ def _cmd_release(args) -> int:
     except (OSError, PwmixError) as exc:
         return _fail(f"cannot load dataset: {exc}")
     spec = _spec_from_args(args)
-    if isinstance(spec, TruncatedLaplace) and not spec.allow_unsafe:
-        return _fail(
-            "trunclap has unbounded privacy loss and is not differentially private; "
-            "pass --unsafe to release anyway",
-            POLICY_REFUSAL,
-        )
     seed = _seed_from_args(args)
     stream = SeededStream(seed)
 
@@ -280,7 +212,7 @@ def _cmd_release(args) -> int:
         cells = sorted(hist)
         truth = [hist[c] for c in cells]
         query_desc = f"histogram({args.hist})"
-        zeta_unit = zeta_closed_form(spec)
+        zeta_unit = spec.zeta()
         charge = zeta_unit if args.charge_mode == "parallel" else zeta_unit * len(cells)
         rel = release(truth, spec, stream)
         doc = release_to_json(rel, query=query_desc, zeta_charged=charge, reveal_true=args.reveal_true)
@@ -290,7 +222,7 @@ def _cmd_release(args) -> int:
         q = QuerySpec(predicates=_parse_query(args.query or ""), kind="count")
         truth = count_query(ds, q)
         query_desc = args.query or "(all rows)"
-        charge = zeta_closed_form(spec)
+        charge = spec.zeta()
         rel = release(truth, spec, stream)
         doc = release_to_json(rel, query=query_desc, zeta_charged=charge, reveal_true=args.reveal_true)
     doc["seed"] = seed
@@ -301,7 +233,7 @@ def _cmd_release(args) -> int:
             entries, ledger = _load_ledger(path)
             if not math.isfinite(charge):
                 return _fail(
-                    f"{mechanism_label(spec)} has unbounded budget; refusing to charge a ledger",
+                    f"{spec.label} has unbounded budget; refusing to charge a ledger",
                     POLICY_REFUSAL,
                 )
             if args.budget_cap is not None and ledger.total + charge > args.budget_cap:
@@ -310,7 +242,7 @@ def _cmd_release(args) -> int:
                     f"(spent {ledger.total:.6g}, charge {charge:.6g})",
                     POLICY_REFUSAL,
                 )
-            label = f"{mechanism_label(spec)} {query_desc}"
+            label = f"{spec.label} {query_desc}"
             if args.hist:
                 label += f" [{args.charge_mode}]"
             compose(ledger, charge, label)  # validates the charge
@@ -412,19 +344,16 @@ def _cmd_audit(args) -> int:
         return _fail(f"unreadable audit config: {exc!r}")
     seed = _seed_from_args(args)
     stream = SeededStream(seed)
-    try:
-        queries = _random_queries(ds, int(doc.get("n_queries", 100)), stream.derive(99).generator)
-        report = audit_privacy(
-            ds,
-            queries,
-            spec,
-            trials,
-            stream,
-            max_records=int(doc.get("max_records", 200)),
-            queries_per_record=int(doc.get("queries_per_record", 100)),
-        )
-    except UnsafeMechanismError as exc:
-        return _fail(str(exc), POLICY_REFUSAL)
+    queries = _random_queries(ds, int(doc.get("n_queries", 100)), stream.derive(99).generator)
+    report = audit_privacy(
+        ds,
+        queries,
+        spec,
+        trials,
+        stream,
+        max_records=int(doc.get("max_records", 200)),
+        queries_per_record=int(doc.get("queries_per_record", 100)),
+    )
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     report_path = out_dir / "privacy_audit.json"

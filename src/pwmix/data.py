@@ -18,15 +18,9 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import (
-    EmptyDatasetError,
-    InvalidParameterError,
-    ParseError,
-    QueryError,
-    UnsafeMechanismError,
-)
-from .mechanisms import MechanismSpec, TruncatedLaplace, mechanism_label
-from .sampling import SeededStream, integer_output, sample
+from .errors import EmptyDatasetError, InvalidParameterError, ParseError, QueryError
+from .mechanisms import MechanismSpec
+from .sampling import SeededStream, sample
 
 __all__ = [
     "ColumnCodes",
@@ -239,11 +233,6 @@ def release(true_value, spec: MechanismSpec, stream: SeededStream) -> NoisyRelea
     mechanisms release integers; the continuous families release reals
     unrounded.  Truncated Laplace is refused without its unsafe flag.
     """
-    if isinstance(spec, TruncatedLaplace) and not spec.allow_unsafe:
-        raise UnsafeMechanismError(
-            "refusing to release with the truncated Laplace mechanism: "
-            "its privacy loss is unbounded (set the unsafe flag to override)"
-        )
     scalar = np.ndim(true_value) == 0
     truth = np.atleast_1d(np.asarray(true_value))
     if np.any(truth < 0):
@@ -252,18 +241,18 @@ def release(true_value, spec: MechanismSpec, stream: SeededStream) -> NoisyRelea
     raw = truth + noise
     clamped = raw < 0
     released = np.where(clamped, 0, raw)
-    if integer_output(spec):
+    if spec.integer:
         released = released.astype(np.int64)
     if scalar:
         rel = released[0]
-        rel = int(rel) if integer_output(spec) else float(rel)
+        rel = int(rel) if spec.integer else float(rel)
         return NoisyRelease(
             true_value=int(truth[0]),
             released_value=rel,
             mechanism=spec,
             clamped=bool(clamped[0]),
         )
-    rels = [int(v) if integer_output(spec) else float(v) for v in released]
+    rels = [int(v) if spec.integer else float(v) for v in released]
     return NoisyRelease(
         true_value=[int(v) for v in truth],
         released_value=rels,
@@ -282,7 +271,7 @@ def release_to_json(
     """Wire format of a release: {query, mechanism, released, clamped, zeta_charged}."""
     doc = {
         "query": query,
-        "mechanism": mechanism_label(rel.mechanism),
+        "mechanism": rel.mechanism.label,
         "released": rel.released_value,
         "clamped": rel.clamped,
         "zeta_charged": zeta_charged if math.isfinite(zeta_charged) else "inf",

@@ -43,7 +43,3 @@ class BoundNotApplicableError(PwmixError, ValueError):
 
 class UndefinedMetricError(PwmixError, ValueError):
     """The metric is undefined for the given inputs (e.g. zero true count)."""
-
-
-class BudgetExceededError(PwmixError, RuntimeError):
-    """Charging the ledger would exceed the configured budget cap."""

@@ -8,7 +8,6 @@ from pwmix.accounting import (
     compose,
     equivalent_epsilon,
     privacy_loss,
-    privacy_report,
     usefulness_bound,
     worst_case_eps,
     zeta_closed_form,
@@ -20,6 +19,7 @@ from pwmix.mechanisms import (
     GeometricMixture,
     Laplace,
     LaplaceMixture,
+    MixtureParams,
     RoundedLaplace,
     TruncatedLaplace,
     geomix_pmf,
@@ -114,6 +114,14 @@ class TestZetaEmpirical:
         for params in INT_PARAM_GRID[::2]:
             spec = GeometricMixture(params)
             assert zeta_empirical(spec) == pytest.approx(zeta_closed_form(spec), abs=1e-3)
+
+    def test_inner_dominated_extreme_point(self):
+        # a1g is about 1e300 here, so a1g * (alpha1 - 1) overflows; the exact
+        # zeta, summed in 60-digit decimal arithmetic, is 8.42272246402
+        spec = GeometricMixture(MixtureParams(epsilon=2.305, ratio=19.74, break_point=16.0))
+        assert math.isfinite(privacy_loss(spec, 17))
+        assert zeta_empirical(spec) == pytest.approx(zeta_closed_form(spec), rel=1e-8)
+        assert zeta_empirical(spec) == pytest.approx(8.42272246402, rel=1e-8)
 
     def test_rounded_laplace_matches_closed_form(self):
         for eps in (0.257, 0.332, 0.9):
@@ -254,18 +262,3 @@ class TestUsefulnessBound:
             usefulness_bound(PRESET_A, 1, 0.0, family="laplace")
         with pytest.raises(InvalidParameterError):
             usefulness_bound(PRESET_A, 1, 1.5, family="laplace")
-
-
-class TestPrivacyReport:
-    def test_geomix_report(self):
-        rep = privacy_report(GeometricMixture(PRESET_A))
-        assert rep.worst_case_eps == pytest.approx(1.0)
-        assert min(PRESET_A.epsilon, PRESET_A.eps_r) <= rep.zeta <= max(
-            PRESET_A.epsilon, PRESET_A.eps_r
-        )
-        assert rep.per_outcome_losses[0] == pytest.approx(0.2, rel=1e-9)
-        assert max(rep.per_outcome_losses.values()) <= 1.0 + 1e-9
-
-    def test_truncated_report_has_infinite_loss(self):
-        rep = privacy_report(TruncatedLaplace(scale=1.0, bound=3.0, allow_unsafe=True))
-        assert math.inf in rep.per_outcome_losses.values()

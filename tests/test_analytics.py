@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from pwmix.analytics import expected_cost, geomix_stats, lapmix_stats, standard_stats
+from pwmix.analytics import geomix_stats, lapmix_stats, standard_stats
 from pwmix.errors import UnsupportedSpecError
 from pwmix.mechanisms import (
     Geometric,
@@ -149,19 +149,6 @@ class TestStandardStats:
             standard_stats(GeometricMixture(PRESET_A))
         with pytest.raises(UnsupportedSpecError):
             standard_stats(RoundedLaplace(scale=2.0))
-
-
-class TestExpectedCost:
-    def test_laplace_costs(self):
-        assert expected_cost(Laplace(scale=5.0), "abs") == pytest.approx(5.0)
-        assert expected_cost(Laplace(scale=5.0), "square") == pytest.approx(50.0)
-
-    def test_mixture_cost(self):
-        assert expected_cost(LaplaceMixture(PRESET_A), "abs") == pytest.approx(2.49, abs=0.02)
-
-    def test_bad_loss(self):
-        with pytest.raises(ValueError):
-            expected_cost(Laplace(scale=1.0), "cubic")
 
 
 class TestMonotoneTradeoff:

@@ -1,10 +1,10 @@
 import io
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pwmix.analytics import geometric_series_x
 from pwmix.bench import (
     TABLE1_GRID,
     _clamp_free_count,
@@ -20,6 +20,7 @@ from pwmix.bench import (
 )
 from pwmix.cli import _random_queries, spec_from_dict
 from pwmix.data import load_dataset
+from pwmix import mechanisms
 from pwmix.errors import UndefinedMetricError
 from pwmix.mechanisms import (
     Geometric,
@@ -27,6 +28,7 @@ from pwmix.mechanisms import (
     TruncatedLaplace,
     ZeroNoise,
     geomix_constants,
+    geometric_series_x,
 )
 from pwmix.sampling import SeededStream
 
@@ -282,3 +284,22 @@ class TestClampFreeCount:
     )
     def test_golden_count(self, doc, count):
         assert _clamp_free_count(spec_from_dict(doc)) == count
+
+    def test_truncated_counts_clamping_inside_the_bound(self):
+        # clamping is reachable up to the bound, so the count must pass it
+        assert _clamp_free_count(TruncatedLaplace(scale=1.0, bound=10.0, allow_unsafe=True)) > 10
+
+
+class TestBenchmarkHooks:
+    """perfbench's tracer wraps pwmix functions by name; a rename breaks ``--trace 1``."""
+
+    def test_tracer_targets_and_constant_caches_exist(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+        import spans
+
+        tracer = spans.Tracer()
+        tracer.install()
+        tracer.uninstall()
+        for cache in (mechanisms.lapmix_constants, mechanisms.geomix_constants):
+            assert callable(cache.cache_clear)
+            assert callable(cache.cache_info)

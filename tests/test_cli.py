@@ -151,7 +151,8 @@ class TestSweep:
         out_file = tmp_path / "sweep.csv"
         code, _, _ = run_cli(["sweep", "--table1", "--out", str(out_file)], capsys)
         assert code == 0
-        rows = list(csv.DictReader(out_file.open()))
+        with out_file.open() as fh:
+            rows = list(csv.DictReader(fh))
         assert len(rows) == 69
 
     def test_single_triple_grid(self, capsys, tmp_path):

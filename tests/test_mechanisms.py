@@ -202,6 +202,19 @@ class TestConstantsLimits:
         c = constants(MixtureParams(epsilon=2.0, ratio=9.25, break_point=40.0))
         assert all(math.isfinite(v) for v in vars(c).values())
 
+    def test_inner_dominated_geomix_has_no_nan(self):
+        # a1g is about 1e300 and alpha1**-17 underflows: the direct product
+        # gave inf * 0 = nan.  pmf(17) is 1.366e-36 in 60-digit arithmetic.
+        params = MixtureParams(epsilon=2.305, ratio=19.74, break_point=16.0)
+        ks = np.arange(-400, 401)
+        pmf = geomix_pmf(ks, params)
+        assert not np.any(np.isnan(pmf))
+        assert geomix_pmf(17, params) == pytest.approx(1.3664005e-36, rel=1e-6)
+        assert pmf.sum() == pytest.approx(1.0, abs=1e-12)
+        cdf = geomix_cdf(ks, params)
+        assert not np.any(np.isnan(cdf))
+        assert np.allclose(cdf, np.cumsum(pmf), rtol=0, atol=1e-12)
+
     @pytest.mark.parametrize("constants", [lapmix_constants, geomix_constants])
     def test_caches_are_bounded(self, constants):
         constants.cache_clear()
@@ -295,7 +308,10 @@ GOLDEN_LABELS = [
     ({"kind": "rlaplace", "eps": 0.332}, "rlaplace(b=3.01205)"),
     ({"kind": "geometric", "eps": 0.332}, "geometric(alpha=1.39375)"),
     ({"kind": "lapmix", "eps": 0.2, "reps": 1, "ct": 5}, "lapmix(eps=0.2,reps=1,ct=5)"),
-    ({"kind": "lapmix", "eps": 0.5, "reps": 1.5, "ct": 2.5, "sens": 2}, "lapmix(eps=0.5,reps=1.5,ct=2.5)"),
+    (
+        {"kind": "lapmix", "eps": 0.5, "reps": 1.5, "ct": 2.5, "sens": 2},
+        "lapmix(eps=0.5,reps=1.5,ct=2.5)",
+    ),
     ({"kind": "geomix", "eps": 0.1, "reps": 1, "ct": 6}, "geomix(eps=0.1,reps=1,ct=6)"),
     ({"kind": "trunclap", "eps": 0.5, "ct": 4, "unsafe": True}, "trunclap(b=2,c=4)"),
     ({"kind": "zero"}, "zero"),
@@ -306,5 +322,6 @@ class TestLabels:
     @pytest.mark.parametrize("doc, label", GOLDEN_LABELS)
     def test_golden_label(self, doc, label):
         spec = spec_from_dict(doc)
+        assert spec.label == label
         rel = release(3, spec, SeededStream(1))
         assert release_to_json(rel, query="q", zeta_charged=1.0)["mechanism"] == label

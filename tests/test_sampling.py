@@ -18,6 +18,8 @@ from pwmix.mechanisms import (
     RoundedLaplace,
     TruncatedLaplace,
     ZeroNoise,
+    _geomix_from_uniform,
+    _lapmix_from_uniform,
     geometric_pmf,
     geomix_cdf,
     geomix_constants,
@@ -26,15 +28,7 @@ from pwmix.mechanisms import (
     lapmix_constants,
     rounded_laplace_pmf,
 )
-from pwmix.sampling import (
-    SeededStream,
-    _geomix_from_uniform,
-    _lapmix_from_uniform,
-    sample,
-    sample_geomix,
-    sample_lapmix,
-    sample_standard,
-)
+from pwmix.sampling import SeededStream, sample, sample_geomix, sample_lapmix
 
 from conftest import PRESET_A, PRESET_B, chi_square_pvalue
 
@@ -405,16 +399,16 @@ class TestGeoMixSampler:
 
 class TestStandardSamplers:
     def test_laplace_mean_abs(self):
-        y = sample_standard(Laplace(scale=3.0), SeededStream(108), 10**6)
+        y = sample(Laplace(scale=3.0), SeededStream(108), 10**6)
         assert np.abs(y).mean() == pytest.approx(3.0, rel=0.01)
 
     def test_geometric_center_mass(self):
-        y = sample_standard(Geometric(alpha=math.e), SeededStream(109), 10**6)
+        y = sample(Geometric(alpha=math.e), SeededStream(109), 10**6)
         assert np.mean(y == 0) == pytest.approx(0.4621, abs=0.003)
 
     def test_geometric_chi_square(self):
         alpha = math.exp(0.5)
-        y = sample_standard(Geometric(alpha=alpha), SeededStream(110), N)
+        y = sample(Geometric(alpha=alpha), SeededStream(110), N)
         q = 1 / alpha
 
         def cdf(k):
@@ -424,7 +418,7 @@ class TestStandardSamplers:
         assert p > 1e-3
 
     def test_rounded_laplace_pmf(self):
-        y = sample_standard(RoundedLaplace(scale=1.0), SeededStream(111), 10**6)
+        y = sample(RoundedLaplace(scale=1.0), SeededStream(111), 10**6)
         for k in (0, 1, -2):
             assert np.mean(y == k) == pytest.approx(
                 float(rounded_laplace_pmf(k, 1.0)), abs=0.002
@@ -433,8 +427,8 @@ class TestStandardSamplers:
     def test_rounded_laplace_differs_from_geometric(self):
         # same eps = 1: the two integer mechanisms are close but distinct at 0
         n = 10**6
-        rl = sample_standard(RoundedLaplace(scale=1.0), SeededStream(112), n)
-        geo = sample_standard(Geometric(alpha=math.e), SeededStream(113), n)
+        rl = sample(RoundedLaplace(scale=1.0), SeededStream(112), n)
+        geo = sample(Geometric(alpha=math.e), SeededStream(113), n)
         p_rl = np.mean(rl == 0)
         p_geo = np.mean(geo == 0)
         sigma = math.sqrt(p_rl * (1 - p_rl) / n + p_geo * (1 - p_geo) / n)
@@ -442,16 +436,16 @@ class TestStandardSamplers:
 
     def test_truncated_requires_unsafe(self):
         with pytest.raises(UnsafeMechanismError):
-            sample_standard(TruncatedLaplace(scale=2.0, bound=4.0), SeededStream(114), 10)
+            sample(TruncatedLaplace(scale=2.0, bound=4.0), SeededStream(114), 10)
 
     def test_truncated_respects_bound(self):
         spec = TruncatedLaplace(scale=2.0, bound=4.0, allow_unsafe=True)
-        y = sample_standard(spec, SeededStream(115), N)
+        y = sample(spec, SeededStream(115), N)
         assert np.abs(y).max() <= 4.0
         assert np.abs(y).max() > 3.5
 
     def test_zero_noise(self):
-        y = sample_standard(ZeroNoise(), SeededStream(116), 100)
+        y = sample(ZeroNoise(), SeededStream(116), 100)
         assert np.all(y == 0)
 
     def test_dispatch(self):
