@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from pwmix import mechanisms
 from pwmix.bench import (
     TABLE1_GRID,
     _clamp_free_count,
@@ -20,7 +21,6 @@ from pwmix.bench import (
 )
 from pwmix.cli import _random_queries, spec_from_dict
 from pwmix.data import load_dataset
-from pwmix import mechanisms
 from pwmix.errors import UndefinedMetricError
 from pwmix.mechanisms import (
     Geometric,

@@ -203,8 +203,9 @@ class TestConstantsLimits:
         assert all(math.isfinite(v) for v in vars(c).values())
 
     def test_inner_dominated_geomix_has_no_nan(self):
-        # a1g is about 1e300 and alpha1**-17 underflows: the direct product
-        # gave inf * 0 = nan.  pmf(17) is 1.366e-36 in 60-digit arithmetic.
+        # a1g is about 1e300 and alpha1**-17 underflows, so the direct product
+        # a1g * (alpha1 - 1) * alpha1**-17 is inf * 0 = nan; pmf(17) is
+        # 1.366e-36 in 60-digit arithmetic.
         params = MixtureParams(epsilon=2.305, ratio=19.74, break_point=16.0)
         ks = np.arange(-400, 401)
         pmf = geomix_pmf(ks, params)
