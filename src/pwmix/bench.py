@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import math
 import os
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -137,29 +138,12 @@ class SweepRow:
     entropy_geo: float
     entropy_lap: float
 
-    FIELDS = (
-        "c_t",
-        "eps",
-        "r_eps",
-        "zeta_gm",
-        "zeta_lm",
-        "eps_lap",
-        "e_abs_gm",
-        "e_abs_lm",
-        "e_abs_geo",
-        "e_abs_lap",
-        "var_gm",
-        "var_lm",
-        "var_geo",
-        "var_lap",
-        "entropy_gm",
-        "entropy_lm",
-        "entropy_geo",
-        "entropy_lap",
-    )
-
     def as_tuple(self) -> tuple:
-        return tuple(getattr(self, f) for f in self.FIELDS)
+        return astuple(self)
+
+
+# The `pwmix sweep` header: the field names in declaration order.
+SweepRow.FIELDS = tuple(f.name for f in fields(SweepRow))
 
 
 def _rounded_abs_moments(cdf, args) -> tuple[float, float]:
@@ -526,23 +510,17 @@ def audit_privacy(
     true_counts = [count_query(ds, q) for q in queries]
     big_n = _clamp_free_count(spec)
 
-    pairs = []  # (kind, n1) with n1 canonicalized for clamp-free counts
-    n_same = 0
+    group_pairs = Counter()  # (kind, n1) with n1 canonicalized for clamp-free counts
     for r in rec_idx:
         if len(queries) > queries_per_record:
             q_sel = rng.choice(len(queries), size=queries_per_record, replace=False)
         else:
             q_sel = np.arange(len(queries))
         for qi in q_sel:
-            n1 = true_counts[int(qi)]
-            same = not record_matches(ds, int(r), queries[int(qi)])
-            if same:
-                n_same += 1
-            n_canon = n1 if n1 < big_n else big_n
-            pairs.append(("same" if same else "diff", n_canon))
-
-    group_keys = sorted(set(pairs))
-    group_pairs = {key: pairs.count(key) for key in group_keys}
+            kind = "diff" if record_matches(ds, int(r), queries[int(qi)]) else "same"
+            group_pairs[kind, min(true_counts[int(qi)], big_n)] += 1
+    n_pairs = sum(group_pairs.values())
+    n_same = sum(n for (kind, _), n in group_pairs.items() if kind == "same")
     eps_bound = spec.worst_case_eps()
 
     groups = []
@@ -551,31 +529,26 @@ def audit_privacy(
     diff_max_outcome = -math.inf
     diff_max_excess = -math.inf
     unbounded = False
-    for gi, (kind, n1) in enumerate(group_keys):
+    for gi, (kind, n1) in enumerate(sorted(group_pairs)):
         n2 = n1 - 1 if kind == "diff" else n1
         d1 = np.atleast_1d(sample(spec, stream.derive(1, gi, 0), size=trials))
         d2 = np.atleast_1d(sample(spec, stream.derive(1, gi, 1), size=trials))
         out1 = np.maximum(n1 + d1, 0)
         out2 = np.maximum(n2 + d2, 0)
-        losses, sigmas, weights, one_sided = _frequency_losses(out1, out2, trials, min_count)
-        covered = sum(weights.values())
-        mean_loss = (
-            sum(weights[o] * losses[o] for o in losses) / covered if covered else math.nan
+        audit = MechanismAudit(
+            spec.label, int(trials), n1 - n2, *_frequency_losses(out1, out2, trials, min_count)
         )
-        max_outcome = max(losses.values(), default=-math.inf)
-        excess = (
-            max((losses[o] - (eps_bound + 3.0 * sigmas[o]) for o in losses), default=-math.inf)
-            if math.isfinite(eps_bound)
-            else -math.inf
-        )
-        if one_sided:
+        mean_loss = audit.mean_abs_loss
+        # -inf, not max_abs_loss's 0, for a group that resolves no outcome
+        max_outcome = audit.max_abs_loss if audit.losses or audit.one_sided else -math.inf
+        if audit.one_sided:
             unbounded = True
         if kind == "same":
             same_max_mean = max(same_max_mean, mean_loss)
         else:
             diff_max_mean = max(diff_max_mean, mean_loss)
-            diff_max_outcome = max(diff_max_outcome, math.inf if one_sided else max_outcome)
-            diff_max_excess = max(diff_max_excess, math.inf if one_sided else excess)
+            diff_max_outcome = max(diff_max_outcome, max_outcome)
+            diff_max_excess = max(diff_max_excess, audit.max_excess_over(eps_bound))
         groups.append(
             {
                 "kind": kind,
@@ -583,17 +556,17 @@ def audit_privacy(
                 "canonical_large": bool(n1 == big_n),
                 "pairs": group_pairs[(kind, n1)],
                 "mean_abs_loss": _json_float(mean_loss),
-                "max_outcome_loss": _json_float(math.inf if one_sided else max_outcome),
-                "one_sided_mass": sum(one_sided.values()),
+                "max_outcome_loss": _json_float(max_outcome),
+                "one_sided_mass": sum(audit.one_sided.values()),
             }
         )
 
     return PrivacyAuditReport(
         mechanism=spec.label,
         trials=int(trials),
-        n_pairs=len(pairs),
-        fraction_same_answer=n_same / len(pairs),
-        max_count_difference=max((1 if kind == "diff" else 0) for kind, _ in pairs),
+        n_pairs=n_pairs,
+        fraction_same_answer=n_same / n_pairs,
+        max_count_difference=int(n_same < n_pairs),
         same_answer_max_mean_loss=same_max_mean,
         diff_answer_max_mean_loss=diff_max_mean,
         diff_answer_max_outcome_loss=diff_max_outcome,

@@ -295,25 +295,21 @@ def _cmd_bench(args) -> int:
     report_path = out_dir / "utility_report.json"
     report_path.write_text(json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n")
     outputs = [report_path.name]
-    with open(out_dir / "error_cdf.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["mechanism", "true_count", "threshold", "probability"])
-        for cell in report.cells:
-            for t, p in cell.error_cdf.items():
-                w.writerow([cell.mechanism, cell.true_count, t, f"{p:.6g}"])
-    outputs.append("error_cdf.csv")
-    with open(out_dir / "within_bound.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["mechanism", "true_count", "within_bound_fraction"])
-        for cell in report.cells:
-            w.writerow([cell.mechanism, cell.true_count, f"{cell.within_bound:.6g}"])
-    outputs.append("within_bound.csv")
-    with open(out_dir / "mre.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["mechanism", "true_count", "mean_relative_error"])
-        for cell in report.cells:
-            w.writerow([cell.mechanism, cell.true_count, f"{cell.mre:.6g}"])
-    outputs.append("mre.csv")
+    for name, columns, cell_rows in (
+        (
+            "error_cdf.csv",
+            ["threshold", "probability"],
+            lambda cell: [[t, f"{p:.6g}"] for t, p in cell.error_cdf.items()],
+        ),
+        ("within_bound.csv", ["within_bound_fraction"], lambda cell: [[f"{cell.within_bound:.6g}"]]),
+        ("mre.csv", ["mean_relative_error"], lambda cell: [[f"{cell.mre:.6g}"]]),
+    ):
+        with open(out_dir / name, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["mechanism", "true_count", *columns])
+            for cell in report.cells:
+                w.writerows([cell.mechanism, cell.true_count, *row] for row in cell_rows(cell))
+        outputs.append(name)
     _write_manifest(out_dir, "bench", config_path, config.master_seed, outputs)
     return 0
 

@@ -1,10 +1,10 @@
 """Tabular dataset ingestion, conjunctive count/histogram queries, noisy release.
 
-Datasets are categorical: every cell is kept as trimmed text (continuous
-columns count as text categories, and the literal token "?" is an ordinary
-category).  Count and histogram queries both have l1 sensitivity 1, since
-removing one record changes a count by at most one and histogram bins are
-disjoint.
+Datasets are categorical: every cell is trimmed text (continuous columns
+count as text categories, and the literal token "?" is an ordinary
+category).  A dataset keeps each attribute only as its dictionary encoding.
+Count and histogram queries both have l1 sensitivity 1, since removing one
+record changes a count by at most one and histogram bins are disjoint.
 """
 
 from __future__ import annotations
@@ -12,9 +12,9 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -50,30 +50,52 @@ class ColumnCodes:
     index: dict[str, int]
     codes: np.ndarray
 
+    @classmethod
+    def encode(cls, column) -> ColumnCodes:
+        """Encode one column of text, trimming each distinct value once.
 
-@dataclass
+        Values that trim to the same text share one level.
+        """
+        code_of = dict.fromkeys(column)
+        if not all(isinstance(value, str) for value in code_of):
+            raise ParseError("every cell must be text")
+        levels = tuple(sorted({value.strip() for value in code_of}))
+        index = {v: i for i, v in enumerate(levels)}
+        for value in code_of:
+            code_of[value] = index[value.strip()]
+        dtype = np.min_scalar_type(len(levels))
+        codes = np.fromiter(map(code_of.__getitem__, column), dtype=dtype, count=len(column))
+        return cls(levels=levels, index=index, codes=codes)
+
+    def code(self, value) -> int | None:
+        """Code of a value; None if the column lacks it or it is not a str."""
+        return self.index.get(value) if isinstance(value, str) else None
+
+
 class Dataset:
     """Immutable collection of categorical records with a named schema.
 
-    Each attribute is dictionary-encoded once, on first use, and every query
-    works on those integer codes.
+    ``records`` are rows of text, one value per attribute.  Each attribute is
+    dictionary-encoded when the dataset is built, and only those codes are
+    kept; every query works on them.
     """
 
-    schema: tuple[str, ...]
-    records: tuple[tuple[str, ...], ...]
-    _encodings: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
+    def __init__(self, schema: Iterable[str], records: Sequence[Sequence[str]]) -> None:
+        self.schema = tuple(schema)
         width = len(self.schema)
-        for i, rec in enumerate(self.records):
+        for i, rec in enumerate(records):
             if len(rec) != width:
-                raise ParseError(
-                    f"record {i} has {len(rec)} values, schema expects {width}", row_index=i
-                )
+                raise ParseError(f"row {i} has {len(rec)} fields, expected {width}", row_index=i)
+        self.row_count = len(records)
+        columns = zip(*records) if records else [()] * width
+        self._columns = tuple(ColumnCodes.encode(col) for col in columns)
 
     @property
-    def row_count(self) -> int:
-        return len(self.records)
+    def records(self) -> tuple[tuple[str, ...], ...]:
+        """The records as tuples of values, rebuilt from the columns."""
+        if not self.schema:
+            return ((),) * self.row_count
+        return tuple(zip(*(self.column(name) for name in self.schema)))
 
     def position(self, name: str) -> int:
         """Index of an attribute in the schema."""
@@ -83,25 +105,8 @@ class Dataset:
             raise QueryError(f"unknown attribute {name!r}; schema is {list(self.schema)}") from None
 
     def encoding(self, name: str) -> ColumnCodes:
-        """Dictionary encoding of one attribute (built on first use, then cached).
-
-        One hashing pass numbers the values in order of first appearance;
-        the levels are then sorted and the codes remapped to sorted order.
-        """
-        if name not in self._encodings:
-            idx = self.position(name)
-            first: dict = {}
-            raw = np.fromiter(
-                (first.setdefault(rec[idx], len(first)) for rec in self.records),
-                dtype=np.intp,
-                count=self.row_count,
-            )
-            levels = tuple(sorted(first))
-            rank = np.empty(len(levels), dtype=np.min_scalar_type(len(levels)))
-            rank[[first[v] for v in levels]] = np.arange(len(levels))
-            index = {v: i for i, v in enumerate(levels)}
-            self._encodings[name] = ColumnCodes(levels=levels, index=index, codes=rank[raw])
-        return self._encodings[name]
+        """Dictionary encoding of one attribute."""
+        return self._columns[self.position(name)]
 
     def levels(self, name: str) -> tuple[str, ...]:
         """Distinct values of one attribute, sorted."""
@@ -163,25 +168,16 @@ def load_dataset(source, *, header: bool = True, delimiter: str = ",") -> Datase
     if isinstance(source, (bytes, bytearray)):
         return load_dataset(io.StringIO(source.decode("utf-8")), header=header, delimiter=delimiter)
 
-    reader = csv.reader(source, delimiter=delimiter)
-    rows = [[cell.strip() for cell in row] for row in reader if row]
+    rows = [row for row in csv.reader(source, delimiter=delimiter) if row]
     if not rows:
         raise EmptyDatasetError("no rows in input")
     if header:
-        schema = tuple(rows[0])
-        body = rows[1:]
+        schema, rows = [name.strip() for name in rows[0]], rows[1:]
     else:
-        schema = tuple(f"col{i}" for i in range(len(rows[0])))
-        body = rows
-    if not body:
+        schema = [f"col{i}" for i in range(len(rows[0]))]
+    if not rows:
         raise EmptyDatasetError("no records after the header row")
-    width = len(schema)
-    records = []
-    for i, row in enumerate(body):
-        if len(row) != width:
-            raise ParseError(f"row {i} has {len(row)} fields, expected {width}", row_index=i)
-        records.append(tuple(row))
-    return Dataset(schema=schema, records=tuple(records))
+    return Dataset(schema, rows)
 
 
 def _predicate_mask(ds: Dataset, predicates: Iterable[tuple[str, str]]) -> np.ndarray:
@@ -189,7 +185,7 @@ def _predicate_mask(ds: Dataset, predicates: Iterable[tuple[str, str]]) -> np.nd
     mask = np.ones(ds.row_count, dtype=bool)
     for attr, value in predicates:
         enc = ds.encoding(attr)
-        code = enc.index.get(value) if isinstance(value, str) else None
+        code = enc.code(value)
         mask &= (enc.codes == code) if code is not None else False
     return mask
 
@@ -212,9 +208,10 @@ def record_matches(ds: Dataset, index: int, q: QuerySpec) -> bool:
     """Whether one record satisfies all predicates of a count query."""
     if not (0 <= index < ds.row_count):
         raise QueryError(f"record index {index} out of range [0, {ds.row_count})")
-    rec = ds.records[index]
     for attr, value in q.predicates:
-        if rec[ds.position(attr)] != value:
+        enc = ds.encoding(attr)
+        code = enc.code(value)
+        if code is None or enc.codes[index] != code:
             return False
     return True
 
@@ -223,7 +220,8 @@ def neighbors(ds: Dataset, index: int) -> Dataset:
     """Copy of the dataset with exactly one record removed."""
     if not (0 <= index < ds.row_count):
         raise QueryError(f"record index {index} out of range [0, {ds.row_count})")
-    return Dataset(schema=ds.schema, records=ds.records[:index] + ds.records[index + 1 :])
+    records = ds.records
+    return Dataset(ds.schema, records[:index] + records[index + 1 :])
 
 
 def release(true_value, spec: MechanismSpec, stream: SeededStream) -> NoisyRelease:

@@ -270,13 +270,24 @@ def laplace_cdf(x, b: float):
     return _wrap(x, np.where(xs < 0.0, lower, upper))
 
 
+def _outer_weight(a, decay):
+    """a * exp(-decay) for a mixture's outer-piece weight ``a``, taken through logs.
+
+    Where the inner piece carries nearly all the mass, ``a`` is near the
+    overflow limit and exp(-decay) underflows: the direct product is then 0
+    or, through a * (alpha1 - 1) = inf, inf * 0 = nan.
+    """
+    with np.errstate(divide="ignore"):  # a == 0 when the outer piece underflows
+        return np.exp(np.log(a) - decay)
+
+
 def lapmix_pdf(x, params: MixtureParams):
     """Density of the Laplace mixture: inner scale b2 up to c_t, outer b1 beyond."""
     c = lapmix_constants(params)
     b1, b2, ct = params.outer_scale, params.inner_scale, params.break_point
     ax = np.abs(np.asarray(x, dtype=float))
     inner = c.a2 / (2.0 * b2) * np.exp(-ax / b2)
-    outer = c.a1 / (2.0 * b1) * np.exp(-ax / b1)
+    outer = _outer_weight(c.a1, ax / b1) / (2.0 * b1)
     return _wrap(x, np.where(ax <= ct, inner, outer))
 
 
@@ -287,7 +298,7 @@ def lapmix_cdf(x, params: MixtureParams):
     xs = np.asarray(x, dtype=float)
     ax = np.abs(xs)
     # Evaluate the lower-half expression at -|x| and mirror for x > 0.
-    lower_outer = 0.5 * c.a1 * np.exp(-ax / b1)
+    lower_outer = 0.5 * _outer_weight(c.a1, ax / b1)
     lower_inner = 0.5 * c.a2 * np.exp(-ax / b2) + c.k_c
     lower = np.where(ax > ct, lower_outer, lower_inner)
     out = np.where(xs <= 0.0, lower, 1.0 - lower)
@@ -305,17 +316,6 @@ def geometric_pmf(k, alpha: float):
     return _wrap(k, coeff * np.power(alpha, -ak))
 
 
-def _outer_weight(c: GeoMixtureConstants, params: MixtureParams, k):
-    """a1g * alpha1**-k, taken through logs.
-
-    Where the inner piece carries nearly all the mass, a1g is near the
-    overflow limit and alpha1**-k underflows: the direct product is then
-    0 or, through a1g * (alpha1 - 1) = inf, inf * 0 = nan.
-    """
-    with np.errstate(divide="ignore"):  # a1g == 0 when the outer piece underflows
-        return np.exp(np.log(c.a1g) - k * (params.eps_r / params.sensitivity))
-
-
 def geomix_pmf(k, params: MixtureParams):
     """Mass function of the geometric mixture: alpha2 decay up to c_t, alpha1 beyond."""
     c = geomix_constants(params)
@@ -325,7 +325,8 @@ def geomix_pmf(k, params: MixtureParams):
     if not np.all(ak == np.floor(ak)):
         raise InvalidParameterError("geomix_pmf is defined on integers only")
     inner = c.a2g * (a2_ - 1.0) / (a2_ + 1.0) * np.power(a2_, -ak)
-    outer = (a1_ - 1.0) / (a1_ + 1.0) * _outer_weight(c, params, ak)
+    decay = ak * (params.eps_r / params.sensitivity)
+    outer = (a1_ - 1.0) / (a1_ + 1.0) * _outer_weight(c.a1g, decay)
     return _wrap(k, np.where(ak <= ct, inner, outer))
 
 
@@ -344,7 +345,7 @@ def geomix_cdf(x, params: MixtureParams):
     # P(Y <= k) for k < 0 equals P(Y >= -k) subtracted from 1 on the mirror side.
     neg = ks < 0
     m = np.where(neg, -ks, ks + 1.0)  # P(Y <= k) = P(Y >= m) on the negative side
-    tail_outer = _outer_weight(c, params, m) / (1.0 + q1)
+    tail_outer = _outer_weight(c.a1g, m * (params.eps_r / params.sensitivity)) / (1.0 + q1)
     tail_inner = c.a2g * np.power(q2, m) / (1.0 + q2) + c.k_c
     tail = np.where(m > ct, tail_outer, tail_inner)
     out = np.where(neg, tail, 1.0 - tail)

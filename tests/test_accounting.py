@@ -123,6 +123,14 @@ class TestZetaEmpirical:
         assert zeta_empirical(spec) == pytest.approx(zeta_closed_form(spec), rel=1e-8)
         assert zeta_empirical(spec) == pytest.approx(8.42272246402, rel=1e-8)
 
+    def test_inner_dominated_lapmix_is_finite(self):
+        # a1 is 7.2e298 here: the outer density must be taken through logs,
+        # or it reads 0 beyond c_t and the loss there is infinite
+        params = MixtureParams(epsilon=2.305, ratio=19.74, break_point=16.0)
+        spec = LaplaceMixture(params)
+        assert 0 < privacy_loss(spec, 16.5) <= params.eps_r
+        assert 0 < zeta_empirical(spec) <= params.eps_r
+
     def test_rounded_laplace_matches_closed_form(self):
         for eps in (0.257, 0.332, 0.9):
             spec = RoundedLaplace(scale=1 / eps)

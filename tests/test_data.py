@@ -1,5 +1,6 @@
 import io
 import json
+import tracemalloc
 
 import pytest
 
@@ -76,6 +77,19 @@ class TestLoadDataset:
             load_dataset(io.StringIO("a,b\n1,2\n3\n"))
         assert exc.value.row_index == 1
 
+    def test_keeps_only_codes(self):
+        # 10^4 rows of 4 cells: the cell strings alone take megabytes, the
+        # uint8 codes 40 kB
+        text = "a,b,c,d\n" + "".join(f"v{i % 7},w{i % 3},x{i % 5},y{i % 2}\n" for i in range(10_000))
+        tracemalloc.start()
+        try:
+            ds = load_dataset(io.StringIO(text))
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ds.row_count == 10_000
+        assert held < 200_000
+
     def test_empty(self):
         with pytest.raises(EmptyDatasetError):
             load_dataset(io.StringIO(""))
@@ -104,6 +118,16 @@ class TestEncoding:
 
     def test_encoded_once(self, ds):
         assert ds.encoding("sex") is ds.encoding("sex")
+
+    def test_values_that_trim_alike_share_a_level(self):
+        d = Dataset(schema=("a",), records=((" x",), ("x ",), ("y",), ("x",)))
+        assert d.levels("a") == ("x", "y")
+        assert d.encoding("a").codes.tolist() == [0, 0, 1, 0]
+        assert histogram_query(d, "a") == {"x": 3, "y": 1}
+
+    def test_non_text_cell_refused(self):
+        with pytest.raises(ParseError):
+            Dataset(schema=("a", "b"), records=(("x", "1"), ("y", 2)))
 
     def test_unknown_attribute(self, ds):
         for method in (ds.encoding, ds.levels, ds.column, ds.position):

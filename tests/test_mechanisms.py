@@ -216,6 +216,17 @@ class TestConstantsLimits:
         assert not np.any(np.isnan(cdf))
         assert np.allclose(cdf, np.cumsum(pmf), rtol=0, atol=1e-12)
 
+    def test_inner_dominated_lapmix_outer_piece(self):
+        # a1 is 7.2e298 and exp(-17/b1) underflows, so the direct product
+        # a1 * exp(-17/b1) reads 0; the density is 1.92378933344e-36 in
+        # 60-digit arithmetic.
+        params = MixtureParams(epsilon=2.305, ratio=19.74, break_point=16.0)
+        assert lapmix_pdf(17, params) == pytest.approx(1.92378933343978557e-36, rel=1e-9, abs=0)
+        assert lapmix_cdf(-17, params) == pytest.approx(4.2280433783e-38, rel=1e-9, abs=0)
+        xs = np.linspace(-40, 40, 801)
+        assert not np.any(np.isnan(lapmix_pdf(xs, params)))
+        assert np.all(np.diff(lapmix_cdf(xs, params)) >= 0)
+
     @pytest.mark.parametrize("constants", [lapmix_constants, geomix_constants])
     def test_caches_are_bounded(self, constants):
         constants.cache_clear()
