@@ -9,17 +9,17 @@ parameters for the mixtures, and adds under composition.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundNotApplicableError, InvalidParameterError, SolverError
+from .errors import BoundNotApplicableError, InvalidParameterError
 from .mechanisms import (
     MechanismSpec,
     MixtureParams,
     geomix_constants,
     lapmix_constants,
-    rounded_laplace_zeta,
 )
 
 __all__ = [
@@ -32,6 +32,9 @@ __all__ = [
     "equivalent_epsilon",
     "usefulness_bound",
 ]
+
+# Largest rounded-Laplace target: the first Newton denominator, ~6 e^target, stays finite.
+_RLAP_MAX_ZETA = math.log(sys.float_info.max) - 2.0
 
 
 @dataclass(frozen=True)
@@ -150,9 +153,12 @@ def zeta_empirical(spec: MechanismSpec, shift: int = 1) -> float:
 def equivalent_epsilon(target_zeta: float, family: str) -> float:
     """Standard-mechanism epsilon whose zeta matches the target.
 
-    For the geometric mechanism zeta equals epsilon.  For the rounded Laplace
-    mechanism the (strictly increasing) closed form is inverted by bisection
-    to 1e-9, widening the initial [target/2, 2 target] bracket if needed.
+    For the geometric mechanism zeta equals epsilon.  The rounded-Laplace
+    closed form is inverted exactly: it is ln((5 - z + z^2 - z^3) / (2z(1+z)))
+    in z = exp(-eps/2), so z is the root in (0, 1) of the increasing, convex
+    cubic z^3 + (2Z-1) z^2 + (2Z+1) z - 5, Z = exp(target), onto which
+    Newton's method from z = 1 falls monotonically.  Targets in
+    (1.1e-16, ln(DBL_MAX) - 2] are inverted; others raise InvalidParameterError.
     """
     if not (target_zeta > 0 and math.isfinite(target_zeta)):
         raise InvalidParameterError(f"target_zeta must be positive, got {target_zeta!r}")
@@ -160,26 +166,22 @@ def equivalent_epsilon(target_zeta: float, family: str) -> float:
         return float(target_zeta)
     if family != "rounded_laplace":
         raise InvalidParameterError(f"unknown family {family!r}")
-    lo, hi = target_zeta / 2.0, 2.0 * target_zeta
-    for _ in range(80):
-        if rounded_laplace_zeta(lo) <= target_zeta:
+    if target_zeta > _RLAP_MAX_ZETA:
+        raise InvalidParameterError(f"target_zeta {target_zeta!r} exceeds {_RLAP_MAX_ZETA:.6g}")
+    two_big_z = 2.0 * math.exp(target_zeta)
+    z = 1.0
+    while True:  # until z stops falling; every term is positive, so nothing cancels
+        step = (2.0 * z**3 + (two_big_z - 1.0) * z * z + 5.0) / (
+            3.0 * z * z + 2.0 * (two_big_z - 1.0) * z + two_big_z + 1.0
+        )
+        if step >= z:
             break
-        lo /= 2.0
-    else:
-        raise SolverError(f"could not bracket below: zeta({lo}) > {target_zeta}")
-    for _ in range(80):
-        if rounded_laplace_zeta(hi) >= target_zeta:
-            break
-        hi *= 2.0
-    else:
-        raise SolverError(f"could not bracket above: zeta({hi}) < {target_zeta}")
-    while hi - lo > 1e-9:
-        mid = 0.5 * (lo + hi)
-        if rounded_laplace_zeta(mid) < target_zeta:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+        z = step
+    if z == 1.0:
+        raise InvalidParameterError(
+            f"target_zeta {target_zeta!r} is too small: exp(-eps/2) rounds to 1"
+        )
+    return -2.0 * math.log(z)
 
 
 def usefulness_bound(

@@ -2,10 +2,10 @@
 
 Each family's formulas are its spec's ``stats()``
 (:mod:`pwmix.mechanisms`); these are the entry points by parameters.  The
-geometric-mixture formulas are assembled from the standard partial sums
-``sum_{x=1}^{c} x q^x``, ``sum_{x=m}^inf x q^x = q^m (m - (m-1) q)/(1-q)^2``
-and their second-moment analogues; they are validated against truncated
-series and quadrature oracles in the test suite.
+geometric mechanism and its mixture are summed exactly, with no truncated
+series, from ``sum_{x=m}^inf x q^x = q^m (m - (m-1) q)/(1-q)^2`` and its
+second-moment analogue; the test suite checks them against brute-force sums
+and the Laplace mixture against quadrature.
 """
 
 from __future__ import annotations
@@ -40,12 +40,7 @@ def geomix_stats(params: MixtureParams) -> MechanismStats:
 
 
 def standard_stats(spec: MechanismSpec) -> MechanismStats:
-    """Stats of the plain Laplace or geometric mechanism.
-
-    Laplace has (b, 2 b^2, 1 + ln 2b); the geometric values are summed from
-    the mass function with the series truncated once the analytic tail bound
-    drops below 1e-12.
-    """
+    """Closed-form stats of the plain Laplace or geometric mechanism."""
     if not isinstance(spec, (Laplace, Geometric)):
         raise UnsupportedSpecError(f"standard_stats supports Laplace and Geometric, got {spec!r}")
     return spec.stats()

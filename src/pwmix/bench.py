@@ -23,6 +23,7 @@ from .errors import InvalidParameterError, UndefinedMetricError
 from .mechanisms import (
     Geometric,
     GeometricMixture,
+    Laplace,
     LaplaceMixture,
     MechanismSpec,
     MixtureParams,
@@ -165,7 +166,7 @@ def sweep_point(c_t: float, eps: float, r_eps: float) -> SweepRow:
     gm = geomix_stats(params)
     lm = lapmix_stats(params)
     geo = standard_stats(Geometric(math.exp(zeta_gm)))
-    lap_entropy = 1.0 + math.log(2.0 / eps_lap)
+    lap = standard_stats(Laplace(1.0 / eps_lap))
     e_lm, v_lm = _rounded_abs_moments(lapmix_cdf, (params,))
     e_lap, v_lap = _rounded_abs_moments(laplace_cdf, (1.0 / eps_lap,))
     return SweepRow(
@@ -186,7 +187,7 @@ def sweep_point(c_t: float, eps: float, r_eps: float) -> SweepRow:
         entropy_gm=gm.entropy,
         entropy_lm=lm.entropy,
         entropy_geo=geo.entropy,
-        entropy_lap=lap_entropy,
+        entropy_lap=lap.entropy,
     )
 
 

@@ -1,8 +1,10 @@
 """Command-line surface: stats, sweep, release, bench and audit.
 
 Exit codes: 0 success, 2 usage/config error, 3 policy refusal (unsafe
-mechanism or budget cap).  Randomized commands take --seed; without one a
-fresh seed is drawn and printed so the run can be reproduced.
+mechanism or budget cap), 141 (as for SIGPIPE) when stdout's reader has gone:
+the output is cut short, without a traceback.  Randomized commands take
+--seed; without one a fresh seed is drawn and printed so the run can be
+reproduced.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .sampling import SeededStream
 
 USAGE_ERROR = 2
 POLICY_REFUSAL = 3
+BROKEN_PIPE = 141
 
 
 def _fail(message: str, code: int = USAGE_ERROR) -> int:
@@ -219,7 +222,7 @@ def _cmd_release(args) -> int:
         doc["cells"] = cells
         doc["charge_mode"] = args.charge_mode
     else:
-        q = QuerySpec(predicates=_parse_query(args.query or ""), kind="count")
+        q = QuerySpec(predicates=_parse_query(args.query or ""))
         truth = count_query(ds, q)
         query_desc = args.query or "(all rows)"
         charge = spec.zeta()
@@ -324,7 +327,7 @@ def _random_queries(ds, n_queries: int, rng) -> list[QuerySpec]:
         for ai in (a, b):
             values = ds.levels(attrs[int(ai)])
             preds.append((attrs[int(ai)], values[int(rng.integers(0, len(values)))]))
-        queries.append(QuerySpec(predicates=tuple(preds), kind="count"))
+        queries.append(QuerySpec(predicates=tuple(preds)))
     return queries
 
 
@@ -411,11 +414,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+        return code
     except UnsafeMechanismError as exc:
         return _fail(str(exc), POLICY_REFUSAL)
     except PwmixError as exc:
         return _fail(str(exc))
+    except BrokenPipeError:
+        # stdout's reader has gone: devnull takes the rest, so the flush at exit cannot raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return BROKEN_PIPE
 
 
 if __name__ == "__main__":

@@ -120,22 +120,14 @@ class Dataset:
 
 @dataclass(frozen=True)
 class QuerySpec:
-    """Conjunctive predicate query: every (attribute, value) pair must match.
+    """Conjunctive count query: every (attribute, value) pair must match.
 
-    ``kind`` is "count" or "histogram"; histogram queries additionally name
-    the attribute whose value counts are released.  At most one predicate per
-    attribute.
+    At most one predicate per attribute.
     """
 
     predicates: tuple[tuple[str, str], ...] = ()
-    kind: str = "count"
-    attribute: str | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("count", "histogram"):
-            raise InvalidParameterError(f"kind must be 'count' or 'histogram', got {self.kind!r}")
-        if self.kind == "histogram" and not self.attribute:
-            raise InvalidParameterError("histogram queries need an attribute")
         seen = [a for a, _ in self.predicates]
         if len(seen) != len(set(seen)):
             raise InvalidParameterError("at most one predicate per attribute")
@@ -192,8 +184,6 @@ def _predicate_mask(ds: Dataset, predicates: Iterable[tuple[str, str]]) -> np.nd
 
 def count_query(ds: Dataset, q: QuerySpec) -> int:
     """Number of records matching every predicate."""
-    if q.kind != "count":
-        raise QueryError(f"count_query got a {q.kind!r} query")
     return int(np.count_nonzero(_predicate_mask(ds, q.predicates)))
 
 

@@ -33,10 +33,6 @@ class EmptyDatasetError(ParseError):
     """The input contained no records."""
 
 
-class SolverError(PwmixError, RuntimeError):
-    """A numerical solve failed; the message carries diagnostics."""
-
-
 class BoundNotApplicableError(PwmixError, ValueError):
     """The requested accuracy bound falls inside the break-point region."""
 

@@ -63,6 +63,10 @@ __all__ = [
 ]
 
 
+# exp overflows a double above this.
+_LOG_MAX = math.log(sys.float_info.max)
+
+
 def _require_positive(name: str, value: float) -> None:
     if not (value > 0 and math.isfinite(value)):
         raise InvalidParameterError(f"{name} must be a positive finite number, got {value!r}")
@@ -576,7 +580,13 @@ class RoundedLaplace:
         return 1.0 / self.scale
 
     def zeta(self) -> float:
-        return rounded_laplace_zeta(1.0 / self.scale)
+        """Refused where exp(eps) overflows or exp(-eps/2) rounds to 1 (eps below ~1.1e-16)."""
+        eps = 1.0 / self.scale
+        if not (math.exp(-0.5 * eps) < 1.0 and eps <= _LOG_MAX):
+            raise InvalidParameterError(
+                f"{self.label}: zeta needs eps in (1.1e-16, {_LOG_MAX:.6g}], got {eps!r}"
+            )
+        return rounded_laplace_zeta(eps)
 
     def prob(self, x):
         return rounded_laplace_pmf(x, self.scale)
@@ -640,21 +650,12 @@ class Geometric:
         return (np.floor(e1) - np.floor(e2)).astype(np.int64)
 
     def stats(self) -> MechanismStats:
-        """Summed from the mass function, truncated once the tail bound is below 1e-12."""
+        """Closed-form sums of the mass c q^|x|; -ln c is log1p(q) - log1p(-q), exact as c -> 1."""
         q = 1.0 / self.alpha
         coeff = (1.0 - q) / (1.0 + q)
-        # Truncate where the remaining x^2-weighted tail is provably < 1e-12.
-        k_max = 2
-        while 2.0 * coeff * geometric_series_x2(q, k_max) > 1e-12:
-            k_max *= 2
-        mean_abs = variance = entropy = 0.0
-        p0 = coeff
-        entropy -= p0 * math.log(p0)
-        for k in range(1, k_max + 1):
-            p = coeff * q**k
-            mean_abs += 2.0 * k * p
-            variance += 2.0 * k * k * p
-            entropy -= 2.0 * p * math.log(p)
+        mean_abs = 2.0 * coeff * geometric_series_x(q, 1)
+        variance = 2.0 * coeff * geometric_series_x2(q, 1)
+        entropy = math.log(self.alpha) * mean_abs + math.log1p(q) - math.log1p(-q)
         return MechanismStats(mean_abs, variance, entropy)
 
 
@@ -912,6 +913,10 @@ def spec_from_dict(doc: dict) -> MechanismSpec:
     if kind == "rlaplace":
         return RoundedLaplace(scale=sens / eps)
     if kind == "geometric":
+        if eps / sens > _LOG_MAX:
+            raise InvalidParameterError(
+                f"alpha = exp(eps/sens) overflows a double at eps/sens = {eps / sens:g}"
+            )
         return Geometric(alpha=math.exp(eps / sens))
     if kind == "trunclap":
         if doc.get("ct") is None:

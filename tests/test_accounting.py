@@ -131,6 +131,12 @@ class TestZetaEmpirical:
         assert 0 < privacy_loss(spec, 16.5) <= params.eps_r
         assert 0 < zeta_empirical(spec) <= params.eps_r
 
+    @pytest.mark.parametrize("eps", [1e-17, 1e-16, 709.8, 800.0])
+    def test_rounded_laplace_zeta_out_of_range(self, eps):
+        # exp(-eps/2) rounds to 1 below about 1.1e-16; exp(eps) overflows above 709.78
+        with pytest.raises(InvalidParameterError):
+            RoundedLaplace(scale=1 / eps).zeta()
+
     def test_rounded_laplace_matches_closed_form(self):
         for eps in (0.257, 0.332, 0.9):
             spec = RoundedLaplace(scale=1 / eps)
@@ -218,6 +224,26 @@ class TestEquivalentEpsilon:
         for eps in (0.1, 0.332, 0.8, 2.0):
             z = zeta_closed_form(RoundedLaplace(scale=1 / eps))
             assert equivalent_epsilon(z, "rounded_laplace") == pytest.approx(eps, abs=1e-8)
+
+    def test_exact_round_trip(self):
+        for eps in np.geomspace(1e-3, 350.0, 400):
+            z = RoundedLaplace(scale=1 / eps).zeta()
+            assert equivalent_epsilon(z, "rounded_laplace") == pytest.approx(eps, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("target", [360.0, 700.0])
+    def test_targets_beyond_the_spec_range(self, target):
+        # the matched eps exceeds 709.78, where RoundedLaplace.zeta refuses;
+        # check it against the closed form in z = exp(-eps/2)
+        eps = equivalent_epsilon(target, "rounded_laplace")
+        z = math.exp(-0.5 * eps)
+        assert math.log((5 - z + z * z - z**3) / (2 * z * (1 + z))) == pytest.approx(
+            target, rel=1e-15
+        )
+
+    @pytest.mark.parametrize("target", [1e-17, 1e-16, 708.0, 709.5, 800.0])
+    def test_targets_out_of_range(self, target):
+        with pytest.raises(InvalidParameterError):
+            equivalent_epsilon(target, "rounded_laplace")
 
     def test_validation(self):
         with pytest.raises(InvalidParameterError):

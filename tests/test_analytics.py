@@ -13,6 +13,7 @@ from pwmix.mechanisms import (
     LaplaceMixture,
     MixtureParams,
     RoundedLaplace,
+    geometric_series_x2,
     geomix_pmf,
     lapmix_pdf,
 )
@@ -28,6 +29,27 @@ def series_oracle(params):
     mean_abs = float((np.abs(ks) * p).sum())
     variance = float((ks.astype(float) ** 2 * p).sum())
     entropy = float(-(p * np.log(p)).sum())
+    return mean_abs, variance, entropy
+
+
+def truncated_geometric_series(alpha):
+    """Stats of the geometric mechanism summed from its mass function.
+
+    The sum stops where the x^2-weighted tail, bounded in closed form, is
+    below 1e-12.
+    """
+    q = 1.0 / alpha
+    coeff = (1.0 - q) / (1.0 + q)
+    k_max = 2
+    while 2.0 * coeff * geometric_series_x2(q, k_max) > 1e-12:
+        k_max *= 2
+    mean_abs = variance = 0.0
+    entropy = -coeff * math.log(coeff)
+    for k in range(1, k_max + 1):
+        p = coeff * q**k
+        mean_abs += 2.0 * k * p
+        variance += 2.0 * k * k * p
+        entropy -= 2.0 * p * math.log(p)
     return mean_abs, variance, entropy
 
 
@@ -141,6 +163,31 @@ class TestStandardStats:
             s = standard_stats(Geometric(alpha=math.exp(eps)))
             assert s.mean_abs_noise == pytest.approx(2 * q / (1 - q * q), rel=1e-10)
             assert s.variance == pytest.approx(2 * q / (1 - q) ** 2, rel=1e-10)
+
+    @pytest.mark.parametrize("eps", [0.05, 0.1, 0.332, 1.0, 3.0, 10.0])
+    def test_geometric_against_truncated_series(self, eps):
+        alpha = math.exp(eps)
+        s = standard_stats(Geometric(alpha=alpha))
+        mean_abs, variance, entropy = truncated_geometric_series(alpha)
+        assert s.mean_abs_noise == pytest.approx(mean_abs, rel=1e-12, abs=0)
+        assert s.variance == pytest.approx(variance, rel=1e-12, abs=0)
+        assert s.entropy == pytest.approx(entropy, rel=1e-12, abs=0)
+
+    def test_geometric_entropy_where_the_coefficient_rounds_to_one(self):
+        # c = (1 - q)/(1 + q) rounds to 1.0 at eps 50, where -ln c is 2% of
+        # the entropy; the 60-digit value is
+        # 1.96732484492319629456057394323168056546658276373775514967823e-20
+        s = standard_stats(Geometric(alpha=math.exp(50.0)))
+        assert s.entropy == pytest.approx(1.96732484492319629456057394323e-20, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("eps", [380.0, 700.0])
+    def test_geometric_finite_at_large_eps(self, eps):
+        # the masses at +-1 (about q = e^-eps each) carry all of it
+        s = standard_stats(Geometric(alpha=math.exp(eps)))
+        q = math.exp(-eps)
+        assert s.mean_abs_noise == pytest.approx(2 * q, rel=1e-12, abs=0)
+        assert s.variance == pytest.approx(2 * q, rel=1e-12, abs=0)
+        assert s.entropy == pytest.approx(2 * q * (eps + 1), rel=1e-12, abs=0)
 
     def test_unsupported(self):
         with pytest.raises(UnsupportedSpecError):

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from pwmix.bench import TABLE1_GRID
 from pwmix.cli import main, spec_from_dict
 from pwmix.mechanisms import GeometricMixture, RoundedLaplace, TruncatedLaplace
 
@@ -98,8 +99,8 @@ class TestStats:
             ),
             (
                 ["geometric", "--eps", "0.332"],
-                '{"entropy": 2.7867570738300245, "mean_abs_noise": 2.957418239017584, '
-                '"mechanism": "geometric(alpha=1.39375)", "variance": 17.979116495626258, '
+                '{"entropy": 2.786757073830027, "mean_abs_noise": 2.9574182390175836, '
+                '"mechanism": "geometric(alpha=1.39375)", "variance": 17.97911649562625, '
                 '"worst_case_eps": 0.33199999999999996, "zeta": 0.33199999999999996}',
             ),
             (
@@ -129,6 +130,35 @@ class TestStats:
         assert code == 2
         assert out == ""
         assert "no closed-form stats" in err
+
+    def test_geometric_at_large_eps(self, capsys):
+        # the mass at |x| >= 2 underflows to 0 from eps 372.5 on
+        code, out, _ = run_cli(
+            ["stats", "--mechanism", "geometric", "--eps", "380", "--format", "json"], capsys
+        )
+        assert code == 0
+        assert json.loads(out)["entropy"] == pytest.approx(2 * 381 * math.exp(-380), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["geometric", "--eps", "800"],
+            ["rlaplace", "--eps", "800"],
+            ["rlaplace", "--eps", "1e-17"],
+        ],
+    )
+    def test_eps_beyond_double_range_exits_2(self, capsys, flags):
+        code, out, err = run_cli(["stats", "--mechanism", *flags], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("pwmix: error:")
+
+    def test_laplace_at_large_eps(self, capsys):
+        code, out, _ = run_cli(
+            ["stats", "--mechanism", "laplace", "--eps", "800", "--format", "json"], capsys
+        )
+        assert code == 0
+        assert json.loads(out)["zeta"] == 800.0
 
     def test_missing_eps(self, capsys):
         code, _, err = run_cli(["stats", "--mechanism", "laplace"], capsys)
@@ -425,3 +455,20 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_closed_pipe_ends_quietly(self, tmp_path):
+        # The Table-1 grid 15 times over prints about 140 kB, more than a pipe
+        # holds, so the sweep is still writing when the reader goes.
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps([list(point) for point in TABLE1_GRID] * 15))
+        with subprocess.Popen(
+            [sys.executable, "-m", "pwmix.cli", "sweep", "--grid", str(grid)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=cli_env(),
+        ) as proc:
+            assert proc.stdout.readline().startswith(b"c_t,eps,r_eps")
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+            assert proc.wait(timeout=120) == 141
+        assert err == ""  # no traceback, no "Exception ignored" at exit

@@ -210,7 +210,7 @@ class TestConstantsLimits:
         ks = np.arange(-400, 401)
         pmf = geomix_pmf(ks, params)
         assert not np.any(np.isnan(pmf))
-        assert geomix_pmf(17, params) == pytest.approx(1.3664005e-36, rel=1e-6)
+        assert geomix_pmf(17, params) == pytest.approx(1.3664005e-36, rel=1e-6, abs=0)
         assert pmf.sum() == pytest.approx(1.0, abs=1e-12)
         cdf = geomix_cdf(ks, params)
         assert not np.any(np.isnan(cdf))
