@@ -45,12 +45,11 @@ from .data import (
 from .mechanisms import (
     Geometric,
     GeometricMixture,
-    GeoMixtureConstants,
     Laplace,
     LaplaceMixture,
-    LapMixtureConstants,
     MechanismSpec,
     MechanismStats,
+    MixtureConstants,
     MixtureParams,
     RoundedLaplace,
     TruncatedLaplace,
@@ -64,4 +63,4 @@ from .mechanisms import (
     lapmix_constants,
     lapmix_pdf,
 )
-from .sampling import SeededStream, sample, sample_geomix, sample_lapmix
+from .sampling import SeededStream, sample

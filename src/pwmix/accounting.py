@@ -15,12 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundNotApplicableError, InvalidParameterError
-from .mechanisms import (
-    MechanismSpec,
-    MixtureParams,
-    geomix_constants,
-    lapmix_constants,
-)
+from .mechanisms import GeometricMixture, MechanismSpec, MixtureParams, lapmix_constants
 
 __all__ = [
     "BudgetLedger",
@@ -210,16 +205,14 @@ def usefulness_bound(
         return radius
     if family == "geometric":
         ct = params.integer_break_point()
-        c = geomix_constants(params)
-        q1 = 1.0 / params.outer_alpha
-        rate = params.eps_r / params.sensitivity
-        nominal = math.log(k * c.a1g / delta) / rate
+        spec = GeometricMixture(params)
+        nominal = math.log(k * spec.constants().a1 / delta) / params.rates[0]
         if nominal <= ct:
             raise BoundNotApplicableError(
                 f"radius {nominal:.4g} does not clear the break-point {ct}"
             )
         m = math.ceil(nominal)
-        while 2.0 * c.a1g * q1**m / (1.0 + q1) > delta / k:
+        while 2.0 * spec.cdf(-m) > delta / k:
             m += 1
         return float(m)
     raise InvalidParameterError(f"unknown family {family!r}")

@@ -11,12 +11,15 @@ mass function or density, CDF, worst-case epsilon, general budget, sampler
 and closed-form statistics are members of that class, so the rest of the
 toolkit asks the spec instead of switching on its type.
 
-The mixtures fuse an inner distribution with privacy parameter ``epsilon``
-(applied for ``|x| <= break_point``) and an outer one with parameter
-``ratio * epsilon`` (beyond the break-point), with normalizing constants
-chosen so the total mass is 1 and the density/step heights match at the
-break-point.  Boundary convention: ``|x| == break_point`` belongs to the
-inner piece.
+The two mixtures are one law: an inner piece with privacy parameter
+``epsilon`` (for ``|x| <= break_point``; the boundary belongs to it) and an
+outer one with ``ratio * epsilon`` beyond, fused by ``_fuse`` into weights
+(:class:`MixtureConstants`) that make the total mass 1 and the heights meet
+at the break-point.  Their label, budgets, loss tail, mass function or
+density, CDF and sampler are written once.  Each mixture states only its
+lattice (each piece's tail beyond c_t and height divisor, ``2 b_i`` or
+``(1 + q_i)/(1 - q_i)``; where its CDF tail starts and the tail's divisors;
+its inverse-CDF pieces) and keeps the paper's closed-form zeta and stats.
 
 Every sampler is an inverse transform of uniforms from a
 :class:`~pwmix.sampling.SeededStream`.
@@ -47,8 +50,7 @@ __all__ = [
     "ZeroNoise",
     "SPECS",
     "spec_from_dict",
-    "LapMixtureConstants",
-    "GeoMixtureConstants",
+    "MixtureConstants",
     "laplace_pdf",
     "laplace_cdf",
     "lapmix_constants",
@@ -110,14 +112,9 @@ class MixtureParams:
         return self.sensitivity / self.eps_r
 
     @property
-    def inner_alpha(self) -> float:
-        """Geometric decay alpha2 = exp(epsilon / sensitivity)."""
-        return math.exp(self.epsilon / self.sensitivity)
-
-    @property
-    def outer_alpha(self) -> float:
-        """Geometric decay alpha1 = exp(r * epsilon / sensitivity)."""
-        return math.exp(self.eps_r / self.sensitivity)
+    def rates(self) -> tuple[float, float]:
+        """Decay rates (r * epsilon, epsilon) / sensitivity of the outer and inner piece."""
+        return self.eps_r / self.sensitivity, self.epsilon / self.sensitivity
 
     def integer_break_point(self) -> int:
         """Break-point as an integer; raises for the geometric family otherwise."""
@@ -131,11 +128,15 @@ class MixtureParams:
 
 @dataclass(frozen=True)
 class MechanismStats:
-    """Noise summary: E|x|, variance and entropy (nats)."""
+    """Noise summary: E|x|, variance and entropy (nats), each a finite double."""
 
     mean_abs_noise: float
     variance: float
     entropy: float
+
+    def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.mean_abs_noise, self.variance, self.entropy))):
+            raise InvalidParameterError(f"a closed-form statistic is not a finite double: {self}")
 
 
 def geometric_series_x(q: float, first: int) -> float:
@@ -155,29 +156,15 @@ def geometric_tail_mass(q: float, first: int) -> float:
 
 
 @dataclass(frozen=True)
-class LapMixtureConstants:
-    """Derived normalizers of the Laplace mixture.
+class MixtureConstants:
+    """Weights of a two-piece mixture.
 
-    ``a1``/``a2`` scale the outer/inner density pieces, ``p1 + p2 == 2`` by
-    construction, and ``k_c`` is the CDF offset that keeps the closed-form
-    CDF continuous at the break-point.
+    ``a1``/``a2`` scale the outer/inner piece, and ``k_c`` is the CDF offset
+    that keeps the closed-form CDF continuous at the break-point.
     """
 
     a1: float
     a2: float
-    p1: float
-    p2: float
-    k_c: float
-
-
-@dataclass(frozen=True)
-class GeoMixtureConstants:
-    """Derived normalizers of the geometric mixture (see LapMixtureConstants)."""
-
-    a1g: float
-    a2g: float
-    g1: float
-    g2: float
     k_c: float
 
 
@@ -189,9 +176,9 @@ CONSTANTS_CACHE_SIZE = 1024
 def _underflow(params: MixtureParams) -> InvalidParameterError:
     """The error for a point whose mixture mass underflows in double precision.
 
-    The normalizers divide by the mass, and the weights they divide are at
-    most 2, so a mass below the smallest normal double would divide by zero
-    or overflow.
+    The weights divide by the mass, and the terms they divide are at most 2,
+    so a mass below the smallest normal double would divide by zero or
+    overflow.
     """
     return InvalidParameterError(
         f"the mixture mass underflows at r*eps*c_t = {params.break_point / params.outer_scale:.6g}; "
@@ -199,56 +186,39 @@ def _underflow(params: MixtureParams) -> InvalidParameterError:
     )
 
 
-@lru_cache(maxsize=CONSTANTS_CACHE_SIZE)
-def lapmix_constants(params: MixtureParams) -> LapMixtureConstants:
-    """Normalizing constants (a1, a2, p1, p2, k_c) of the Laplace mixture.
+def _fuse(params: MixtureParams, t1: float, t2: float, d1: float, d2: float) -> MixtureConstants:
+    """Weights that fuse an outer piece 1 and an inner piece 2 at c_t.
 
-    Satisfies the identities
-    ``a1*exp(-ct/b1) + a2*(1 - exp(-ct/b2)) == 1`` (unit mass) and
-    ``a1/(2 b1) * exp(-ct/b1) == a2/(2 b2) * exp(-ct/b2)`` (continuity).
+    Piece i alone has height exp(-rate_i |x|) / d_i at x (``d_i`` is its
+    height divisor) and mass ``t_i`` = exp(-rate_i c_t) beyond c_t, counting
+    the lattice's break-point cell half in, half out.  The weights satisfy
+    ``a1 t1 + a2 (1 - t2) == 1`` (unit mass) and ``a1 t1 / d1 == a2 t2 / d2``
+    (the heights meet at c_t).
     """
-    b1, b2, ct = params.outer_scale, params.inner_scale, params.break_point
-    e1 = math.exp(-ct / b1)
-    e2 = math.exp(-ct / b2)
-    half_density_sum = 0.5 * (e1 / b1 + e2 / b2)
-    if half_density_sum == 0.0:
+    height_sum = t1 / d1 + t2 / d2
+    den1, den2 = d1 * height_sum, d2 * height_sum
+    if den1 == 0.0 or den2 == 0.0:
         raise _underflow(params)
-    p1 = e2 / (b2 * half_density_sum)
-    p2 = e1 / (b1 * half_density_sum)
-    mass = p1 * e1 + p2 * (1.0 - e2)
+    p1 = 2.0 * t2 / den2
+    p2 = 2.0 * t1 / den1
+    mass = p1 * t1 + p2 * (1.0 - t2)
     if mass < sys.float_info.min:
         raise _underflow(params)
     a1 = p1 / mass
     a2 = p2 / mass
-    k_c = 0.5 * a1 * e1 - 0.5 * a2 * e2
-    return LapMixtureConstants(a1=a1, a2=a2, p1=p1, p2=p2, k_c=k_c)
+    return MixtureConstants(a1=a1, a2=a2, k_c=0.5 * a1 * t1 - 0.5 * a2 * t2)
 
 
 @lru_cache(maxsize=CONSTANTS_CACHE_SIZE)
-def geomix_constants(params: MixtureParams) -> GeoMixtureConstants:
-    """Normalizing constants (a1g, a2g, g1, g2, k_c) of the geometric mixture.
+def lapmix_constants(params: MixtureParams) -> MixtureConstants:
+    """Weights of the Laplace mixture (see :func:`_fuse`)."""
+    return _fuse(params, *LaplaceMixture(params)._pieces())
 
-    Requires an integer break-point.  The constants satisfy
-    ``a1g * alpha1**-ct + a2g * (1 - alpha2**-ct) == 1`` and make the inverse
-    transform exact at the break-point because
-    ``a1g * Geo(alpha1, ct) == a2g * Geo(alpha2, ct)``.
-    """
-    ct = params.integer_break_point()
-    q1 = 1.0 / params.outer_alpha
-    q2 = 1.0 / params.inner_alpha
-    pm1 = (1.0 - q1) / (1.0 + q1) * q1**ct
-    pm2 = (1.0 - q2) / (1.0 + q2) * q2**ct
-    if pm1 + pm2 == 0.0:
-        raise _underflow(params)
-    g1 = 2.0 * pm2 / (pm1 + pm2)
-    g2 = 2.0 * pm1 / (pm1 + pm2)
-    mass = g1 * q1**ct + g2 * (1.0 - q2**ct)
-    if mass < sys.float_info.min:
-        raise _underflow(params)
-    a1g = g1 / mass
-    a2g = g2 / mass
-    k_c = 0.5 * a1g * q1**ct - 0.5 * a2g * q2**ct
-    return GeoMixtureConstants(a1g=a1g, a2g=a2g, g1=g1, g2=g2, k_c=k_c)
+
+@lru_cache(maxsize=CONSTANTS_CACHE_SIZE)
+def geomix_constants(params: MixtureParams) -> MixtureConstants:
+    """Weights of the geometric mixture (see :func:`_fuse`); needs an integer break-point."""
+    return _fuse(params, *GeometricMixture(params)._pieces())
 
 
 def _wrap(x, values):
@@ -274,39 +244,13 @@ def laplace_cdf(x, b: float):
     return _wrap(x, np.where(xs < 0.0, lower, upper))
 
 
-def _outer_weight(a, decay):
+def _outer_weight(a: float, decay):
     """a * exp(-decay) for a mixture's outer-piece weight ``a``, taken through logs.
 
     Where the inner piece carries nearly all the mass, ``a`` is near the
-    overflow limit and exp(-decay) underflows: the direct product is then 0
-    or, through a * (alpha1 - 1) = inf, inf * 0 = nan.
+    overflow limit and exp(-decay) underflows, so the direct product reads 0.
     """
-    with np.errstate(divide="ignore"):  # a == 0 when the outer piece underflows
-        return np.exp(np.log(a) - decay)
-
-
-def lapmix_pdf(x, params: MixtureParams):
-    """Density of the Laplace mixture: inner scale b2 up to c_t, outer b1 beyond."""
-    c = lapmix_constants(params)
-    b1, b2, ct = params.outer_scale, params.inner_scale, params.break_point
-    ax = np.abs(np.asarray(x, dtype=float))
-    inner = c.a2 / (2.0 * b2) * np.exp(-ax / b2)
-    outer = _outer_weight(c.a1, ax / b1) / (2.0 * b1)
-    return _wrap(x, np.where(ax <= ct, inner, outer))
-
-
-def lapmix_cdf(x, params: MixtureParams):
-    """Closed-form CDF of the Laplace mixture; continuous everywhere."""
-    c = lapmix_constants(params)
-    b1, b2, ct = params.outer_scale, params.inner_scale, params.break_point
-    xs = np.asarray(x, dtype=float)
-    ax = np.abs(xs)
-    # Evaluate the lower-half expression at -|x| and mirror for x > 0.
-    lower_outer = 0.5 * _outer_weight(c.a1, ax / b1)
-    lower_inner = 0.5 * c.a2 * np.exp(-ax / b2) + c.k_c
-    lower = np.where(ax > ct, lower_outer, lower_inner)
-    out = np.where(xs <= 0.0, lower, 1.0 - lower)
-    return _wrap(x, out)
+    return np.exp((math.log(a) if a > 0.0 else -math.inf) - decay)
 
 
 def geometric_pmf(k, alpha: float):
@@ -318,42 +262,6 @@ def geometric_pmf(k, alpha: float):
         raise InvalidParameterError("geometric_pmf is defined on integers only")
     coeff = (alpha - 1.0) / (alpha + 1.0)
     return _wrap(k, coeff * np.power(alpha, -ak))
-
-
-def geomix_pmf(k, params: MixtureParams):
-    """Mass function of the geometric mixture: alpha2 decay up to c_t, alpha1 beyond."""
-    c = geomix_constants(params)
-    ct = params.integer_break_point()
-    a1_, a2_ = params.outer_alpha, params.inner_alpha
-    ak = np.abs(np.asarray(k, dtype=float))
-    if not np.all(ak == np.floor(ak)):
-        raise InvalidParameterError("geomix_pmf is defined on integers only")
-    inner = c.a2g * (a2_ - 1.0) / (a2_ + 1.0) * np.power(a2_, -ak)
-    decay = ak * (params.eps_r / params.sensitivity)
-    outer = (a1_ - 1.0) / (a1_ + 1.0) * _outer_weight(c.a1g, decay)
-    return _wrap(k, np.where(ak <= ct, inner, outer))
-
-
-def geomix_cdf(x, params: MixtureParams):
-    """CDF of the geometric mixture: right-continuous step function on the reals.
-
-    Derived as the running sum of the mass function; equal by construction to
-    the cumulative sum of :func:`geomix_pmf` over integers <= x.
-    """
-    c = geomix_constants(params)
-    ct = params.integer_break_point()
-    q1 = 1.0 / params.outer_alpha
-    q2 = 1.0 / params.inner_alpha
-    ks = np.floor(np.asarray(x, dtype=float))
-    # Lower-half formulas evaluated at -|k|-ish positions, mirrored for k >= 0:
-    # P(Y <= k) for k < 0 equals P(Y >= -k) subtracted from 1 on the mirror side.
-    neg = ks < 0
-    m = np.where(neg, -ks, ks + 1.0)  # P(Y <= k) = P(Y >= m) on the negative side
-    tail_outer = _outer_weight(c.a1g, m * (params.eps_r / params.sensitivity)) / (1.0 + q1)
-    tail_inner = c.a2g * np.power(q2, m) / (1.0 + q2) + c.k_c
-    tail = np.where(m > ct, tail_outer, tail_inner)
-    out = np.where(neg, tail, 1.0 - tail)
-    return _wrap(x, out)
 
 
 def rounded_laplace_pmf(k, scale: float):
@@ -442,42 +350,6 @@ def _mixture_from_uniform(
     return out.reshape(u.shape)
 
 
-def _lapmix_from_uniform(u: np.ndarray, params: MixtureParams) -> np.ndarray:
-    """Inverse CDF of the Laplace mixture."""
-    c = lapmix_constants(params)
-    b1, b2, ct = params.outer_scale, params.inner_scale, params.break_point
-    t_outer = 0.5 * c.a1 * np.exp(-ct / b1)
-    return _mixture_from_uniform(
-        u,
-        (t_outer, 1.0 - t_outer, 0.5),
-        inner=(2.0, c.a2, b2, c.k_c),
-        outer=(2.0, c.a1, b1, 0.0),
-        scale=np.multiply,
-        integer=False,
-    )
-
-
-def _geomix_from_uniform(u: np.ndarray, params: MixtureParams) -> np.ndarray:
-    """Inverse CDF of the geometric mixture (integer output)."""
-    c = geomix_constants(params)
-    ct = params.integer_break_point()
-    q1 = 1.0 / params.outer_alpha
-    q2 = 1.0 / params.inner_alpha
-    lam1 = params.eps_r / params.sensitivity
-    lam2 = params.epsilon / params.sensitivity
-    t_left = c.a1g * q1**ct / (1.0 + q1)
-    t_right = 1.0 - c.a1g * q1 ** (ct + 1) / (1.0 + q1)
-    t_mid = c.a2g / (1.0 + q2) + c.k_c
-    return _mixture_from_uniform(
-        u,
-        (t_left, t_right, t_mid),
-        inner=(1.0 + q2, c.a2g, lam2, c.k_c),
-        outer=(1.0 + q1, c.a1g, lam1, 0.0),
-        scale=np.divide,
-        integer=True,
-    )
-
-
 class MechanismSpec(Protocol):
     """What every mechanism family states about itself.
 
@@ -516,10 +388,6 @@ class MechanismSpec(Protocol):
 
     def stats(self) -> MechanismStats:
         """Closed-form E|x|, variance and entropy."""
-
-
-def _mixture_label(kind: str, p: MixtureParams) -> str:
-    return f"{kind}(eps={p.epsilon:g},reps={p.eps_r:g},ct={p.break_point:g})"
 
 
 @dataclass(frozen=True)
@@ -660,26 +528,104 @@ class Geometric:
 
 
 @dataclass(frozen=True)
-class LaplaceMixture:
-    """Two-piece Laplace mixture mechanism (continuous output)."""
+class _TwoPieceMixture:
+    """The law both mixtures share: piece i has weight a_i and decays as exp(-|x| / b_i),
+    with b_1, b_2 the params' ``outer_scale``, ``inner_scale``.  A subclass states its
+    lattice (``constants``, ``_pieces``, ``_lower_tail``, ``_inverse_pieces``) and the
+    paper's closed forms (``_zeta``, ``stats``).
+    """
 
     params: MixtureParams
-    kind: ClassVar[str] = "lapmix"
-    integer: ClassVar[bool] = False
+    kind: ClassVar[str]
+    integer: ClassVar[bool]
 
     @property
     def label(self) -> str:
-        return _mixture_label(self.kind, self.params)
+        p = self.params
+        return f"{self.kind}(eps={p.epsilon:g},reps={p.eps_r:g},ct={p.break_point:g})"
 
     def worst_case_eps(self) -> float:
         return max(self.params.epsilon, self.params.eps_r)
 
     def zeta(self) -> float:
-        params = self.params
-        c = lapmix_constants(params)
-        eps = params.epsilon / params.sensitivity
-        reps = params.eps_r / params.sensitivity
-        ct = params.break_point
+        """The paper's closed form; refused where it is not a finite positive double."""
+        c = self.constants()
+        try:
+            zeta = self._zeta(c)
+        except (OverflowError, ZeroDivisionError, ValueError):  # ValueError: log of a non-positive
+            zeta = math.nan
+        if not (zeta > 0.0 and math.isfinite(zeta)):
+            raise InvalidParameterError(
+                f"{self.label}: the closed-form zeta is not a finite positive double"
+            )
+        return zeta
+
+    def loss_tail(self) -> tuple[float, float]:
+        ct = self.params.break_point
+        return (int(ct) if self.integer else ct), self.params.rates[0]
+
+    def prob(self, x):
+        c = self.constants()
+        ct, b1, b2 = self.params.break_point, self.params.outer_scale, self.params.inner_scale
+        _, _, d1, d2 = self._pieces()
+        m = np.abs(np.asarray(x, dtype=float))
+        if self.integer and not np.all(m == np.floor(m)):
+            raise InvalidParameterError(f"the {self.kind} mass function takes integers only")
+        inner = c.a2 / d2 * np.exp(-m / b2)
+        # taken at c_t inside it, where the discarded a1 / d1 can overflow
+        outer = _outer_weight(c.a1, np.maximum(m, ct) / b1) / d1
+        return _wrap(x, np.where(m <= ct, inner, outer))
+
+    def cdf(self, x):
+        c = self.constants()
+        b1, b2 = self.params.outer_scale, self.params.inner_scale
+        lower, m, start, g1, g2 = self._lower_tail(np.asarray(x, dtype=float))
+        # The outer tail from max(m, start), plus the inner mass between m and start:
+        # no rounding lets the tail rise with m, nor a lower tail pass one half.
+        outer = _outer_weight(c.a1, np.maximum(m, start) / b1) / g1
+        inner_mass = c.a2 / g2 * np.maximum(np.exp(m / -b2) - math.exp(-start / b2), 0.0)
+        tail = np.minimum(outer + inner_mass, 0.5)
+        return _wrap(x, np.where(lower, tail, 1.0 - tail))
+
+    def inverse_cdf(self, u) -> np.ndarray:
+        """Noise at each uniform u in (0, 1): int64 when ``integer``, else float64."""
+        return _mixture_from_uniform(u, *self._inverse_pieces(), integer=self.integer)
+
+    def draw(self, stream, n: int) -> np.ndarray:
+        return self.inverse_cdf(stream.uniforms(n))
+
+
+@dataclass(frozen=True)
+class LaplaceMixture(_TwoPieceMixture):
+    """Two-piece Laplace mixture mechanism (continuous output)."""
+
+    kind: ClassVar[str] = "lapmix"
+    integer: ClassVar[bool] = False
+
+    def constants(self) -> MixtureConstants:
+        return lapmix_constants(self.params)
+
+    def _pieces(self) -> tuple[float, float, float, float]:
+        """Tails exp(-c_t / b_i) and height divisors 2 b_i."""
+        b1, b2, ct = self.params.outer_scale, self.params.inner_scale, self.params.break_point
+        return math.exp(-ct / b1), math.exp(-ct / b2), 2.0 * b1, 2.0 * b2
+
+    def _lower_tail(self, xs):
+        """(lower, m, start, g1, g2): P(noise <= x) is the lower tail P(noise <= -m) at
+        m = |x| for x <= 0, mirrored above; the outer piece starts at c_t, and piece
+        i's tail from m is a_i exp(-m / b_i) / g_i with g_i = 2."""
+        return xs <= 0.0, np.abs(xs), self.params.break_point, 2.0, 2.0
+
+    def _inverse_pieces(self):
+        c = self.constants()
+        b1, b2, ct = self.params.outer_scale, self.params.inner_scale, self.params.break_point
+        t_outer = 0.5 * c.a1 * np.exp(-ct / b1)
+        inner, outer = (2.0, c.a2, b2, c.k_c), (2.0, c.a1, b1, 0.0)
+        return (t_outer, 1.0 - t_outer, 0.5), inner, outer, np.multiply
+
+    def _zeta(self, c: MixtureConstants) -> float:
+        reps, eps = self.params.rates
+        ct = self.params.break_point
         a = 1.0 - c.a2 * math.exp(-0.5 * eps) - 2.0 * c.k_c
         b = 0.5 * c.a2 * (math.exp(-0.5 * eps) - math.exp(-1.5 * eps))
         inner = math.exp(eps) * c.a2 * (
@@ -688,21 +634,9 @@ class LaplaceMixture:
         outer = c.a1 * math.exp(-reps * (ct - 1.0))
         return math.log(a * a / b + a + inner + outer)
 
-    def prob(self, x):
-        return lapmix_pdf(x, self.params)
-
-    def cdf(self, x):
-        return lapmix_cdf(x, self.params)
-
-    def loss_tail(self) -> tuple[float, float]:
-        return self.params.break_point, self.params.eps_r / self.params.sensitivity
-
-    def draw(self, stream, n: int) -> np.ndarray:
-        return _lapmix_from_uniform(stream.uniforms(n), self.params)
-
     def stats(self) -> MechanismStats:
         params = self.params
-        c = lapmix_constants(params)
+        c = self.constants()
         b1, b2, ct = params.outer_scale, params.inner_scale, params.break_point
         e1 = math.exp(-ct / b1)
         e2 = math.exp(-ct / b2)
@@ -712,7 +646,7 @@ class LaplaceMixture:
         ) + 2.0 * c.a1 * e1 * (b1 * b1 + b1 * ct + 0.5 * ct * ct)
         entropy = (
             math.log(2.0 * b2 / c.a2) * (1.0 - c.a1 * e1)
-            + math.log(2.0 * b1 / c.a1) * (c.a1 * e1)
+            + (math.log(2.0 * b1 / c.a1) * (c.a1 * e1) if c.a1 else 0.0)  # 0 log 0 = 0
             + c.a1 / b1 * e1 * (b1 + ct)
             - c.a2 / b2 * e2 * (b2 + ct)
             + c.a2
@@ -721,69 +655,101 @@ class LaplaceMixture:
 
 
 @dataclass(frozen=True)
-class GeometricMixture:
+class GeometricMixture(_TwoPieceMixture):
     """Two-piece geometric mixture mechanism (integer output)."""
 
-    params: MixtureParams
     kind: ClassVar[str] = "geomix"
     integer: ClassVar[bool] = True
 
     def __post_init__(self) -> None:
         self.params.integer_break_point()
 
-    @property
-    def label(self) -> str:
-        return _mixture_label(self.kind, self.params)
+    def constants(self) -> MixtureConstants:
+        return geomix_constants(self.params)
 
-    def worst_case_eps(self) -> float:
-        return max(self.params.epsilon, self.params.eps_r)
+    def _decays(self) -> tuple[float, float]:
+        """q_i = exp(-rate_i), each piece's decay per lattice step."""
+        rate1, rate2 = self.params.rates
+        q1, q2 = math.exp(-rate1), math.exp(-rate2)
+        if max(q1, q2) == 1.0:
+            raise InvalidParameterError(f"{self.label}: exp(-rate) rounds to 1 below rate 1.1e-16")
+        return q1, q2
 
-    def zeta(self) -> float:
-        params = self.params
-        c = geomix_constants(params)
-        eps = params.epsilon / params.sensitivity
-        reps = params.eps_r / params.sensitivity
-        outer_tail = c.a1g * math.exp(-reps * params.break_point)
+    def _pieces(self) -> tuple[float, float, float, float]:
+        """Tails q_i^c_t and height divisors (1 + q_i) / (1 - q_i)."""
+        q1, q2 = self._decays()
+        ct = int(self.params.break_point)
+        return q1**ct, q2**ct, (1.0 + q1) / (1.0 - q1), (1.0 + q2) / (1.0 - q2)
+
+    def _lower_tail(self, xs):
+        """(lower, m, start, g1, g2): P(noise <= k) is the lower tail P(noise >= m) at
+        m = -k for k < 0, mirrored from m = k + 1 for k >= 0; the outer piece starts
+        at c_t + 1, and piece i's tail from m is a_i q_i^m / g_i with g_i = 1 + q_i."""
+        q1, q2 = self._decays()
+        ks = np.floor(xs)
+        lower = ks < 0
+        m = np.where(lower, -ks, ks + 1.0)
+        return lower, m, self.params.break_point + 1.0, 1.0 + q1, 1.0 + q2
+
+    def _inverse_pieces(self):
+        c = self.constants()
+        q1, q2 = self._decays()
+        lam1, lam2 = self.params.rates
+        ct = int(self.params.break_point)
+        t_left = c.a1 * q1**ct / (1.0 + q1)
+        t_right = 1.0 - c.a1 * q1 ** (ct + 1) / (1.0 + q1)
+        t_mid = c.a2 / (1.0 + q2) + c.k_c
+        inner, outer = (1.0 + q2, c.a2, lam2, c.k_c), (1.0 + q1, c.a1, lam1, 0.0)
+        return (t_left, t_right, t_mid), inner, outer, np.divide
+
+    def _zeta(self, c: MixtureConstants) -> float:
+        reps, eps = self.params.rates
+        outer_tail = c.a1 * math.exp(-reps * self.params.break_point)
         return math.log(math.exp(eps) * (1.0 - outer_tail) + math.exp(reps) * outer_tail)
 
-    def prob(self, x):
-        return geomix_pmf(x, self.params)
-
-    def cdf(self, x):
-        return geomix_cdf(x, self.params)
-
-    def loss_tail(self) -> tuple[float, float]:
-        return self.params.integer_break_point(), self.params.eps_r / self.params.sensitivity
-
-    def draw(self, stream, n: int) -> np.ndarray:
-        return _geomix_from_uniform(stream.uniforms(n), self.params)
-
     def stats(self) -> MechanismStats:
-        params = self.params
-        ct = params.integer_break_point()
-        c = geomix_constants(params)
-        q1 = 1.0 / params.outer_alpha
-        q2 = 1.0 / params.inner_alpha
+        ct = int(self.params.break_point)
+        c = self.constants()
+        q1, q2 = self._decays()
         c1 = (1.0 - q1) / (1.0 + q1)
         c2 = (1.0 - q2) / (1.0 + q2)
-        inner_abs = 2.0 * c.a2g * c2 * (geometric_series_x(q2, 1) - geometric_series_x(q2, ct + 1))
-        outer_abs = 2.0 * c.a1g * c1 * geometric_series_x(q1, ct + 1)
+        inner_abs = 2.0 * c.a2 * c2 * (geometric_series_x(q2, 1) - geometric_series_x(q2, ct + 1))
+        outer_abs = 2.0 * c.a1 * c1 * geometric_series_x(q1, ct + 1)
         mean_abs = inner_abs + outer_abs
-        variance = 2.0 * c.a2g * c2 * (
+        variance = 2.0 * c.a2 * c2 * (
             geometric_series_x2(q2, 1) - geometric_series_x2(q2, ct + 1)
-        ) + 2.0 * c.a1g * c1 * geometric_series_x2(q1, ct + 1)
-        inner_mass = c.a2g * (1.0 - 2.0 * c2 * geometric_tail_mass(q2, ct + 1))
+        ) + 2.0 * c.a1 * c1 * geometric_series_x2(q1, ct + 1)
+        inner_mass = c.a2 * (1.0 - 2.0 * c2 * geometric_tail_mass(q2, ct + 1))
         outer_mass = 1.0 - inner_mass
-        eps_in = params.epsilon / params.sensitivity
-        eps_out = params.eps_r / params.sensitivity
+        eps_out, eps_in = self.params.rates
+        outer_height = c.a1 * c1
         entropy = (
-            -inner_mass * math.log(c.a2g * c2)
-            - outer_mass * math.log(c.a1g * c1)
+            -inner_mass * math.log(c.a2 * c2)
+            - (outer_mass * math.log(outer_height) if outer_height else 0.0)  # 0 log 0 = 0
             + eps_in * inner_abs
             + eps_out * outer_abs
         )
         return MechanismStats(mean_abs, variance, entropy)
 
+
+def lapmix_pdf(x, params: MixtureParams):
+    """Density of the Laplace mixture: inner scale b2 up to c_t, outer b1 beyond."""
+    return LaplaceMixture(params).prob(x)
+
+
+def lapmix_cdf(x, params: MixtureParams):
+    """Closed-form CDF of the Laplace mixture; continuous everywhere."""
+    return LaplaceMixture(params).cdf(x)
+
+
+def geomix_pmf(k, params: MixtureParams):
+    """Mass function of the geometric mixture: decay q2 up to c_t, q1 beyond."""
+    return GeometricMixture(params).prob(k)
+
+
+def geomix_cdf(x, params: MixtureParams):
+    """CDF of the geometric mixture: a right-continuous step function on the reals."""
+    return GeometricMixture(params).cdf(x)
 
 @dataclass(frozen=True)
 class TruncatedLaplace:

@@ -13,9 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mechanisms import GeometricMixture, LaplaceMixture, MechanismSpec, MixtureParams
+from .mechanisms import MechanismSpec
 
-__all__ = ["SeededStream", "sample_lapmix", "sample_geomix", "sample"]
+__all__ = ["SeededStream", "sample"]
 
 _MASK64 = (1 << 64) - 1
 
@@ -76,13 +76,3 @@ def sample(spec: MechanismSpec, stream: SeededStream, size: int | None = None):
     if size is None:
         return int(y[0]) if spec.integer else float(y[0])
     return y
-
-
-def sample_lapmix(params: MixtureParams, stream: SeededStream, size: int | None = None):
-    """Draw from the Laplace mixture; float for scalar calls, ndarray otherwise."""
-    return sample(LaplaceMixture(params), stream, size)
-
-
-def sample_geomix(params: MixtureParams, stream: SeededStream, size: int | None = None):
-    """Draw from the geometric mixture; int for scalar calls, int64 array otherwise."""
-    return sample(GeometricMixture(params), stream, size)

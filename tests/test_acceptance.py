@@ -45,7 +45,7 @@ from pwmix.mechanisms import (
     laplace_cdf,
     rounded_laplace_pmf,
 )
-from pwmix.sampling import SeededStream, sample, sample_geomix, sample_lapmix
+from pwmix.sampling import SeededStream, sample
 
 import conftest
 from conftest import PRESET_A, PRESET_B, chi_square_pvalue, cli_env, make_synthetic_dataset
@@ -208,14 +208,14 @@ class TestCriterion3SamplerFidelity:
 
         for i, (eps, reps, ct) in enumerate(LAPMIX_SETS):
             params = MixtureParams(epsilon=eps, ratio=reps / eps, break_point=ct)
-            y = sample_lapmix(params, SeededStream(9000, i), self.GOF_N)
+            y = sample(LaplaceMixture(params), SeededStream(9000, i), self.GOF_N)
             p = stats.kstest(y, lambda x: lapmix_cdf(x, params)).pvalue
             if p <= self.ALPHA:
                 failures.append(("lapmix-ks", (eps, reps, ct), p))
 
         for i, (eps, reps, ct) in enumerate(GEOMIX_SETS):
             params = MixtureParams(epsilon=eps, ratio=reps / eps, break_point=float(ct))
-            y = sample_geomix(params, SeededStream(9100, i), self.GOF_N)
+            y = sample(GeometricMixture(params), SeededStream(9100, i), self.GOF_N)
             reach = ct + int(9 / min(eps, reps)) + 3
             p = chi_square_pvalue(
                 y,
@@ -261,8 +261,8 @@ class TestCriterion3SamplerFidelity:
         # moment agreement at 1e7 draws, within 1%
         big = 10**7
         checks = [
-            ("lapmix", sample_lapmix(PRESET_A, SeededStream(9500), big), lapmix_stats(PRESET_A)),
-            ("geomix", sample_geomix(PRESET_A, SeededStream(9501), big), geomix_stats(PRESET_A)),
+            ("lapmix", sample(LaplaceMixture(PRESET_A), SeededStream(9500), big), lapmix_stats(PRESET_A)),
+            ("geomix", sample(GeometricMixture(PRESET_A), SeededStream(9501), big), geomix_stats(PRESET_A)),
             (
                 "laplace",
                 sample(Laplace(scale=3.0), SeededStream(9502), big),
@@ -349,8 +349,8 @@ class TestCriterion6UsefulnessBounds:
     def test_tail_probabilities(self):
         t0 = time.monotonic()
         failures = []
-        y_lap = np.abs(sample_lapmix(PRESET_A, SeededStream(6100), self.DRAWS))
-        y_geo = np.abs(sample_geomix(PRESET_A, SeededStream(6200), self.DRAWS))
+        y_lap = np.abs(sample(LaplaceMixture(PRESET_A), SeededStream(6100), self.DRAWS))
+        y_geo = np.abs(sample(GeometricMixture(PRESET_A), SeededStream(6200), self.DRAWS))
         for delta in (0.01, 0.001):
             for k in (1, 10):
                 r = usefulness_bound(PRESET_A, k, delta, family="laplace")

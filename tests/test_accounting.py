@@ -116,7 +116,7 @@ class TestZetaEmpirical:
             assert zeta_empirical(spec) == pytest.approx(zeta_closed_form(spec), abs=1e-3)
 
     def test_inner_dominated_extreme_point(self):
-        # a1g is about 1e300 here, so a1g * (alpha1 - 1) overflows; the exact
+        # a1 is about 1e300 here, so a1 * (alpha1 - 1) overflows; the exact
         # zeta, summed in 60-digit decimal arithmetic, is 8.42272246402
         spec = GeometricMixture(MixtureParams(epsilon=2.305, ratio=19.74, break_point=16.0))
         assert math.isfinite(privacy_loss(spec, 17))
@@ -277,14 +277,14 @@ class TestUsefulnessBound:
         from pwmix.mechanisms import geomix_constants
 
         c = geomix_constants(PRESET_A)
-        q1 = 1 / PRESET_A.outer_alpha
+        q1 = math.exp(-PRESET_A.eps_r)
         for delta, k in ((0.01, 1), (0.001, 1), (0.01, 10), (0.001, 10)):
             r = usefulness_bound(PRESET_A, k, delta, family="geometric")
             assert r == int(r) and r > PRESET_A.break_point
-            tail = 2 * c.a1g * q1**r / (1 + q1)
+            tail = 2 * c.a1 * q1**r / (1 + q1)
             assert tail <= delta / k
             # and one step tighter would break the guarantee
-            tail_prev = 2 * c.a1g * q1 ** (r - 1) / (1 + q1)
+            tail_prev = 2 * c.a1 * q1 ** (r - 1) / (1 + q1)
             assert tail_prev > delta / k
 
     def test_not_applicable_inside_break(self):

@@ -154,10 +154,10 @@ class TestRunSimulation:
         ratios = []
         for params in (PRESET_A, PRESET_B):
             c = geomix_constants(params)
-            q1 = 1 / params.outer_alpha
+            q1 = math.exp(-params.eps_r)
             c1 = (1 - q1) / (1 + q1)
             ct = params.integer_break_point()
-            ratios.append(2 * c.a1g * c1 * geometric_series_x(q1, ct + 1))
+            ratios.append(2 * c.a1 * c1 * geometric_series_x(q1, ct + 1))
         analytic_inflation = ratios[1] / ratios[0]
         assert analytic_inflation == pytest.approx(1.2, abs=0.05)
         cfg_a = self._config(true_counts=(1000,), samples_per_cell=400_000)

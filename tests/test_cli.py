@@ -9,9 +9,23 @@ import pytest
 
 from pwmix.bench import TABLE1_GRID
 from pwmix.cli import main, spec_from_dict
-from pwmix.mechanisms import GeometricMixture, RoundedLaplace, TruncatedLaplace
+from pwmix.mechanisms import (
+    Geometric,
+    GeometricMixture,
+    Laplace,
+    RoundedLaplace,
+    TruncatedLaplace,
+)
 
 from conftest import cli_env
+
+# Points where the paper's closed-form zeta is not a finite positive double.
+NON_FINITE_ZETA = [
+    ["lapmix", "--eps", "182.6", "--reps", "159.6", "--ct", "0.1964"],  # log of a negative
+    ["lapmix", "--eps", "23.24", "--reps", "7.745", "--ct", "0.154"],
+    ["geomix", "--eps", "40.48", "--reps", "715.1", "--ct", "1"],  # exp(r eps) overflows
+    ["lapmix", "--eps", "1", "--reps", "800", "--ct", "0.5"],  # inf
+]
 
 FIXTURE = "age,work\n25,Private\n30,Private\n25,Gov\n40,?\n25,Private\n"
 
@@ -176,6 +190,49 @@ class TestStats:
         assert "underflows" in err
 
 
+    def test_height_sum_underflow_exits_2(self, capsys):
+        # b1 times the summed heights at c_t rounds to 0
+        code, out, err = run_cli(
+            ["stats", "--mechanism", "lapmix", "--eps", "29.3", "--reps", "849.5", "--ct", "25.31"],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert "underflows" in err
+
+    @pytest.mark.parametrize(
+        "flags, inner",
+        [
+            # exp(-eps c_t) underflows, so the outer piece's weight a1 is 0
+            (
+                ["geomix", "--eps", "43.88", "--reps", "13.18", "--ct", "18"],
+                Geometric(math.exp(43.88)),
+            ),
+            (["lapmix", "--eps", "48.9", "--reps", "2.153", "--ct", "21.56"], Laplace(1 / 48.9)),
+        ],
+    )
+    def test_piece_of_zero_weight_adds_nothing(self, capsys, flags, inner):
+        code, out, _ = run_cli(["stats", "--format", "json", "--mechanism", *flags], capsys)
+        assert code == 0
+        doc = json.loads(out)
+        for key, value in vars(inner.stats()).items():
+            assert doc[key] == pytest.approx(value, rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "flags",
+        NON_FINITE_ZETA
+        + [
+            ["laplace", "--eps", "1e-300"],  # variance inf
+            ["lapmix", "--eps", "3.4247", "--reps", "161.38", "--ct", "4.5118"],  # entropy inf
+        ],
+    )
+    def test_non_finite_closed_form_exits_2(self, capsys, flags):
+        code, out, err = run_cli(["stats", "--format", "json", "--mechanism", *flags], capsys)
+        assert code == 2
+        assert out == ""
+        assert "not a finite" in err
+
+
 class TestSweep:
     def test_table1_row_count(self, capsys, tmp_path):
         out_file = tmp_path / "sweep.csv"
@@ -232,6 +289,20 @@ class TestRelease:
         total = sum(e["zeta"] for e in entries)
         assert total == pytest.approx(2 * 0.3281, abs=0.001)
         assert json.loads(out2)["ledger_total"] == pytest.approx(total)
+
+    @pytest.mark.parametrize("flags", NON_FINITE_ZETA)
+    def test_non_finite_zeta_charges_nothing(self, data_file, capsys, tmp_path, flags):
+        ledger = tmp_path / "ledger.json"
+        ledger.write_text("[]")
+        code, out, err = run_cli(
+            ["release", "--data", data_file, "--query", "age=25", "--seed", "1",
+             "--ledger", str(ledger), "--mechanism", *flags],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert "not a finite" in err
+        assert ledger.read_text() == "[]"
 
     def test_budget_cap_refusal(self, data_file, capsys, tmp_path):
         ledger = tmp_path / "ledger.json"

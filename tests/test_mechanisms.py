@@ -2,16 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from pwmix.cli import spec_from_dict
 from pwmix.data import release, release_to_json
-from pwmix.errors import InvalidParameterError
+from pwmix.errors import InvalidParameterError, PwmixError
 from pwmix.mechanisms import (
     CONSTANTS_CACHE_SIZE,
     Geometric,
     GeometricMixture,
     Laplace,
+    LaplaceMixture,
     MixtureParams,
     TruncatedLaplace,
     geometric_pmf,
@@ -61,7 +64,6 @@ class TestLapMixtureConstants:
     def test_identities(self, params):
         c = lapmix_constants(params)
         b1, b2, ct = params.outer_scale, params.inner_scale, params.break_point
-        assert c.p1 + c.p2 == pytest.approx(2.0, abs=1e-12)
         mass = c.a1 * math.exp(-ct / b1) + c.a2 * (1 - math.exp(-ct / b2))
         assert mass == pytest.approx(1.0, abs=1e-12)
         left = c.a1 / (2 * b1) * math.exp(-ct / b1)
@@ -151,14 +153,13 @@ class TestGeometricPmf:
 class TestGeoMixtureConstants:
     def test_preset_values(self):
         c = geomix_constants(PRESET_A)
-        assert c.a1g == pytest.approx(16.551175180428622, rel=1e-12)
-        assert c.a2g == pytest.approx(1.4055531756603794, rel=1e-12)
-        assert c.g1 + c.g2 == pytest.approx(2.0, abs=1e-12)
+        assert c.a1 == pytest.approx(16.551175180428622, rel=1e-12)
+        assert c.a2 == pytest.approx(1.4055531756603794, rel=1e-12)
 
     def test_collapse(self):
         c = geomix_constants(MixtureParams(epsilon=0.4, ratio=1.0, break_point=3.0))
-        assert c.a1g == pytest.approx(1.0, abs=1e-14)
-        assert c.a2g == pytest.approx(1.0, abs=1e-14)
+        assert c.a1 == pytest.approx(1.0, abs=1e-14)
+        assert c.a2 == pytest.approx(1.0, abs=1e-14)
 
     def test_non_integer_break_point_rejected(self):
         with pytest.raises(InvalidParameterError):
@@ -170,14 +171,14 @@ class TestGeoMixtureConstants:
     def test_mass_and_boundary_identities(self, params):
         c = geomix_constants(params)
         ct = params.integer_break_point()
-        q1, q2 = 1 / params.outer_alpha, 1 / params.inner_alpha
-        assert c.a1g * q1**ct + c.a2g * (1 - q2**ct) == pytest.approx(1.0, abs=1e-12)
+        q1, q2 = math.exp(-params.eps_r), math.exp(-params.epsilon)
+        assert c.a1 * q1**ct + c.a2 * (1 - q2**ct) == pytest.approx(1.0, abs=1e-12)
         # break-point step heights agree between the two pieces
-        lhs = c.a1g * (1 - q1) / (1 + q1) * q1**ct
-        rhs = c.a2g * (1 - q2) / (1 + q2) * q2**ct
+        lhs = c.a1 * (1 - q1) / (1 + q1) * q1**ct
+        rhs = c.a2 * (1 - q2) / (1 + q2) * q2**ct
         assert lhs == pytest.approx(rhs, rel=1e-12)
         # the printed k_c equals the CDF-offset form
-        alt = c.a1g * q1 ** (ct + 1) / (1 + q1) - c.a2g * q2 ** (ct + 1) / (1 + q2)
+        alt = c.a1 * q1 ** (ct + 1) / (1 + q1) - c.a2 * q2 ** (ct + 1) / (1 + q2)
         assert c.k_c == pytest.approx(alt, rel=1e-10, abs=1e-14)
 
 
@@ -202,9 +203,13 @@ class TestConstantsLimits:
         c = constants(MixtureParams(epsilon=2.0, ratio=9.25, break_point=40.0))
         assert all(math.isfinite(v) for v in vars(c).values())
 
+    def test_lattice_decay_rounding_to_one_is_a_typed_error(self):
+        with pytest.raises(InvalidParameterError, match="rounds to 1"):
+            geomix_constants(MixtureParams(epsilon=1e-17, ratio=2.0, break_point=3.0))
+
     def test_inner_dominated_geomix_has_no_nan(self):
-        # a1g is about 1e300 and alpha1**-17 underflows, so the direct product
-        # a1g * (alpha1 - 1) * alpha1**-17 is inf * 0 = nan; pmf(17) is
+        # a1 is about 1e300 and alpha1**-17 underflows, so the direct product
+        # a1 * (alpha1 - 1) * alpha1**-17 is inf * 0 = nan; pmf(17) is
         # 1.366e-36 in 60-digit arithmetic.
         params = MixtureParams(epsilon=2.305, ratio=19.74, break_point=16.0)
         ks = np.arange(-400, 401)
@@ -294,6 +299,67 @@ class TestGeoMixturePmfCdf:
         xs = np.linspace(-60, 60, 10_000)
         vals = geomix_cdf(xs, params)
         assert np.all(np.diff(vals) >= -1e-15)
+
+
+def _or_refused(call):
+    """call(), or None where it refuses with a PwmixError."""
+    try:
+        return call()
+    except PwmixError:
+        return None
+
+
+def _check_mixture(spec):
+    """Each member of a mixture spec refuses with a PwmixError or gives a sound answer.
+
+    No warning escapes either: the suite turns every RuntimeWarning into an error.
+    """
+    p = spec.params
+    ct = p.break_point
+    reach = ct + 40.0 / min(p.epsilon, p.eps_r)
+    if spec.integer:
+        xs = np.arange(-math.ceil(reach), math.ceil(reach) + 1, dtype=float)
+    else:
+        near_ct = [ct, np.nextafter(ct, 0.0), np.nextafter(ct, np.inf)]
+        near_ct += [-x for x in near_ct]
+        xs = np.union1d(np.linspace(-reach, reach, 4001), near_ct)
+    prob = _or_refused(lambda: spec.prob(xs))
+    if prob is not None:
+        assert not np.any(np.isnan(prob)) and np.all(prob >= 0.0)
+        if spec.integer:
+            assert prob.sum() == pytest.approx(1.0, abs=1e-9)
+    cdf = _or_refused(lambda: spec.cdf(xs))
+    if cdf is not None:
+        assert not np.any(np.isnan(cdf))
+        assert np.all((cdf >= 0.0) & (cdf <= 1.0))
+        assert np.all(np.diff(cdf) >= 0.0)
+    stats = _or_refused(spec.stats)
+    if stats is not None:
+        assert all(math.isfinite(v) for v in vars(stats).values())
+    zeta = _or_refused(spec.zeta)
+    if zeta is not None:
+        assert math.isfinite(zeta)
+    draws = _or_refused(lambda: spec.draw(SeededStream(1), 1000))
+    if draws is not None:
+        assert not np.any(np.isnan(draws))
+
+
+mixture_points = settings(max_examples=200, deadline=None)
+mixture_eps = st.floats(1e-3, 50.0)
+mixture_ratio = st.floats(0.05, 50.0)
+
+
+class TestMixtureProperties:
+    @mixture_points
+    @given(eps=mixture_eps, ratio=mixture_ratio, ct=st.floats(0.1, 40.0))
+    def test_laplace_mixture(self, eps, ratio, ct):
+        _check_mixture(LaplaceMixture(MixtureParams(epsilon=eps, ratio=ratio, break_point=ct)))
+
+    @mixture_points
+    @given(eps=mixture_eps, ratio=mixture_ratio, ct=st.integers(1, 40))
+    def test_geometric_mixture(self, eps, ratio, ct):
+        params = MixtureParams(epsilon=eps, ratio=ratio, break_point=float(ct))
+        _check_mixture(GeometricMixture(params))
 
 
 class TestSpecValidation:

@@ -18,8 +18,6 @@ from pwmix.mechanisms import (
     RoundedLaplace,
     TruncatedLaplace,
     ZeroNoise,
-    _geomix_from_uniform,
-    _lapmix_from_uniform,
     geometric_pmf,
     geomix_cdf,
     geomix_constants,
@@ -28,7 +26,7 @@ from pwmix.mechanisms import (
     lapmix_constants,
     rounded_laplace_pmf,
 )
-from pwmix.sampling import SeededStream, sample, sample_geomix, sample_lapmix
+from pwmix.sampling import SeededStream, sample
 
 from conftest import PRESET_A, PRESET_B, chi_square_pvalue
 
@@ -198,17 +196,17 @@ class TestSeededStream:
 
 class TestAlgorithmBranches:
     def test_lapmix_median_is_zero(self):
-        y = _lapmix_from_uniform(np.array([0.5]), PRESET_A)
+        y = LaplaceMixture(PRESET_A).inverse_cdf(np.array([0.5]))
         assert abs(y[0]) < 1e-12
 
     def test_lapmix_median_collapse(self):
         params = MixtureParams(epsilon=0.5, ratio=1.0, break_point=3.0)
-        assert abs(_lapmix_from_uniform(np.array([0.5]), params)[0]) < 1e-12
+        assert abs(LaplaceMixture(params).inverse_cdf(np.array([0.5]))[0]) < 1e-12
 
     def test_lapmix_branch_values_match_cdf_inversion(self):
         # u chosen inside each of the four branches
         for u in (0.01, 0.2, 0.5, 0.8, 0.99):
-            y = float(_lapmix_from_uniform(np.array([u]), PRESET_A)[0])
+            y = float(LaplaceMixture(PRESET_A).inverse_cdf(np.array([u]))[0])
             assert float(lapmix_cdf(y, PRESET_A)) == pytest.approx(u, abs=1e-12)
 
     def test_geomix_inverse_matches_cdf_steps(self):
@@ -217,11 +215,11 @@ class TestAlgorithmBranches:
             below = float(geomix_cdf(k - 1, PRESET_A))
             above = float(geomix_cdf(k, PRESET_A))
             for u in (below + 1e-9, 0.5 * (below + above), above - 1e-9):
-                y = int(_geomix_from_uniform(np.array([u]), PRESET_A)[0])
+                y = int(GeometricMixture(PRESET_A).inverse_cdf(np.array([u]))[0])
                 assert y == k
 
     def test_geomix_median(self):
-        assert int(_geomix_from_uniform(np.array([0.5]), PRESET_A)[0]) == 0
+        assert int(GeometricMixture(PRESET_A).inverse_cdf(np.array([0.5]))[0]) == 0
 
 
 # Reference oracle: the four-branch inverse transforms that evaluate every
@@ -254,26 +252,26 @@ def _oracle_lapmix(u, params):
 def _oracle_geomix_thresholds(params):
     c = geomix_constants(params)
     ct = params.integer_break_point()
-    q1 = 1.0 / params.outer_alpha
-    q2 = 1.0 / params.inner_alpha
-    t_left = c.a1g * q1**ct / (1.0 + q1)
-    t_right = 1.0 - c.a1g * q1 ** (ct + 1) / (1.0 + q1)
-    t_mid = c.a2g / (1.0 + q2) + c.k_c
+    q1 = math.exp(-params.eps_r / params.sensitivity)
+    q2 = math.exp(-params.epsilon / params.sensitivity)
+    t_left = c.a1 * q1**ct / (1.0 + q1)
+    t_right = 1.0 - c.a1 * q1 ** (ct + 1) / (1.0 + q1)
+    t_mid = c.a2 / (1.0 + q2) + c.k_c
     return t_left, t_right, t_mid
 
 
 def _oracle_geomix(u, params):
     c = geomix_constants(params)
-    q1 = 1.0 / params.outer_alpha
-    q2 = 1.0 / params.inner_alpha
+    q1 = math.exp(-params.eps_r / params.sensitivity)
+    q2 = math.exp(-params.epsilon / params.sensitivity)
     lam1 = params.eps_r / params.sensitivity
     lam2 = params.epsilon / params.sensitivity
     t_left, t_right, t_mid = _oracle_geomix_thresholds(params)
     with np.errstate(invalid="ignore", divide="ignore"):
-        left_outer = np.ceil(np.log((1.0 + q1) * u / c.a1g) / lam1)
-        right_outer = np.ceil(-np.log((1.0 - u) * (1.0 + q1) / c.a1g) / lam1 - 1.0)
-        left_inner = np.ceil(np.log((1.0 + q2) * (u - c.k_c) / c.a2g) / lam2)
-        right_inner = np.ceil(-np.log((1.0 - u - c.k_c) * (1.0 + q2) / c.a2g) / lam2 - 1.0)
+        left_outer = np.ceil(np.log((1.0 + q1) * u / c.a1) / lam1)
+        right_outer = np.ceil(-np.log((1.0 - u) * (1.0 + q1) / c.a1) / lam1 - 1.0)
+        left_inner = np.ceil(np.log((1.0 + q2) * (u - c.k_c) / c.a2) / lam2)
+        right_inner = np.ceil(-np.log((1.0 - u - c.k_c) * (1.0 + q2) / c.a2) / lam2 - 1.0)
     out = np.select(
         [u < t_left, u > t_right, u <= t_mid],
         [left_outer, right_outer, left_inner],
@@ -315,7 +313,7 @@ class TestInverseOracle:
         except InvalidParameterError:
             assume(False)
         u = _oracle_uniforms(seed, n_random, thresholds)
-        got = _geomix_from_uniform(u, params)
+        got = GeometricMixture(params).inverse_cdf(u)
         assert got.dtype == np.int64
         assert got.tobytes() == _oracle_geomix(u, params).tobytes()
 
@@ -334,7 +332,7 @@ class TestInverseOracle:
         except InvalidParameterError:
             assume(False)
         u = _oracle_uniforms(seed, n_random, thresholds)
-        got = _lapmix_from_uniform(u, params)
+        got = LaplaceMixture(params).inverse_cdf(u)
         assert got.dtype == np.float64
         assert got.tobytes() == _oracle_lapmix(u, params).tobytes()
 
@@ -349,24 +347,24 @@ class TestInverseOracle:
 
 class TestLapMixSampler:
     def test_ks_against_cdf(self):
-        y = sample_lapmix(PRESET_A, SeededStream(101), N)
+        y = sample(LaplaceMixture(PRESET_A), SeededStream(101), N)
         res = stats.kstest(y, lambda x: lapmix_cdf(x, PRESET_A))
         assert res.pvalue > 1e-3
 
     def test_moments(self):
-        y = sample_lapmix(PRESET_A, SeededStream(102), 10**6)
+        y = sample(LaplaceMixture(PRESET_A), SeededStream(102), 10**6)
         s = lapmix_stats(PRESET_A)
         assert np.abs(y).mean() == pytest.approx(s.mean_abs_noise, rel=0.01)
         assert y.var() == pytest.approx(s.variance, rel=0.02)
 
     def test_scalar_call(self):
-        y = sample_lapmix(PRESET_A, SeededStream(103))
+        y = sample(LaplaceMixture(PRESET_A), SeededStream(103))
         assert isinstance(y, float)
 
 
 class TestGeoMixSampler:
     def test_chi_square(self):
-        y = sample_geomix(PRESET_A, SeededStream(104), N)
+        y = sample(GeometricMixture(PRESET_A), SeededStream(104), N)
         p = chi_square_pvalue(
             y,
             lambda k: float(geomix_pmf(k, PRESET_A)),
@@ -377,16 +375,16 @@ class TestGeoMixSampler:
         assert p > 1e-3
 
     def test_within_break_mass(self):
-        y = sample_geomix(PRESET_A, SeededStream(105), 10**6)
+        y = sample(GeometricMixture(PRESET_A), SeededStream(105), 10**6)
         assert np.mean(np.abs(y) <= 5) == pytest.approx(0.93992, abs=0.002)
 
     def test_symmetry(self):
-        y = sample_geomix(PRESET_A, SeededStream(106), 10**6)
+        y = sample(GeometricMixture(PRESET_A), SeededStream(106), 10**6)
         assert abs(y.mean()) < 0.01
 
     def test_collapse_to_geometric(self):
         params = MixtureParams(epsilon=0.4, ratio=1.0, break_point=4.0)
-        y = sample_geomix(params, SeededStream(107), N)
+        y = sample(GeometricMixture(params), SeededStream(107), N)
         alpha = math.exp(0.4)
         q = 1 / alpha
 
