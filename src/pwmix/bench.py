@@ -337,22 +337,44 @@ def run_simulation(config: SimulationConfig, threads: int | None = None) -> Util
 
 def _binned(values: np.ndarray) -> np.ndarray:
     if values.dtype.kind in "iu":
-        return values.astype(np.int64)
+        return values.astype(np.int64, copy=False)
     return np.round(values).astype(np.int64)
 
 
-def _frequency_losses(out1: np.ndarray, out2: np.ndarray, trials: int, min_count: int):
-    """Per-outcome |log frequency ratio| between two output samples.
+# Draws per pass of an audit arm: an arm holds its outcome counts and one
+# chunk of draws, not all of its draws.
+_AUDIT_CHUNK = 1 << 16
+
+
+def _outcome_counts(
+    spec: MechanismSpec, stream: SeededStream, trials: int, offset: int, clamp: bool
+) -> dict[int, int]:
+    """Count each binned outcome of ``offset + noise`` over ``trials`` draws.
+
+    With ``clamp`` an outcome below zero counts as zero, clamped before it is
+    rounded, as a release clamps it.  The draws are taken ``_AUDIT_CHUNK`` at a
+    time from ``stream``; for a family that takes one uniform per draw the
+    stream yields the same draws read in pieces as in one call, so the counts
+    do not depend on the chunk size.
+    """
+    trials = int(trials)
+    counts: Counter = Counter()
+    for start in range(0, trials, _AUDIT_CHUNK):
+        noise = sample(spec, stream, size=min(_AUDIT_CHUNK, trials - start))
+        out = _binned(np.maximum(offset + noise, 0) if clamp else offset + noise)
+        values, chunk_counts = np.unique(out, return_counts=True)
+        counts.update(dict(zip(values.tolist(), chunk_counts.tolist())))
+    return dict(counts)
+
+
+def _frequency_losses(counts1: dict, counts2: dict, trials: int, min_count: int):
+    """Per-outcome |log frequency ratio| between the outcome counts of two arms.
 
     Only outcomes observed at least ``min_count`` times in both arms get a
     loss estimate (add-nothing ratios).  Outcomes meeting the threshold in
     exactly one arm while absent from the other are reported separately as
     one-sided: they are the signature of a truncated mechanism.
     """
-    v1, c1 = np.unique(_binned(out1), return_counts=True)
-    v2, c2 = np.unique(_binned(out2), return_counts=True)
-    counts1 = dict(zip(v1.tolist(), c1.tolist()))
-    counts2 = dict(zip(v2.tolist(), c2.tolist()))
     losses: dict[int, float] = {}
     sigmas: dict[int, float] = {}
     weights: dict[int, float] = {}
@@ -415,10 +437,11 @@ def audit_mechanism(
     """Estimate per-outcome losses between noise laws shifted by ``shift``."""
     if trials < 1:
         raise InvalidParameterError("trials must be >= 1")
-    y1 = np.atleast_1d(sample(spec, stream.derive(0), size=trials))
-    y2 = np.atleast_1d(sample(spec, stream.derive(1), size=trials))
     losses, sigmas, weights, one_sided = _frequency_losses(
-        np.asarray(y1), np.asarray(y2) + shift, trials, min_count
+        _outcome_counts(spec, stream.derive(0), trials, 0, clamp=False),
+        _outcome_counts(spec, stream.derive(1), trials, shift, clamp=False),
+        trials,
+        min_count,
     )
     return MechanismAudit(
         mechanism=spec.label,
@@ -532,13 +555,10 @@ def audit_privacy(
     unbounded = False
     for gi, (kind, n1) in enumerate(sorted(group_pairs)):
         n2 = n1 - 1 if kind == "diff" else n1
-        d1 = np.atleast_1d(sample(spec, stream.derive(1, gi, 0), size=trials))
-        d2 = np.atleast_1d(sample(spec, stream.derive(1, gi, 1), size=trials))
-        out1 = np.maximum(n1 + d1, 0)
-        out2 = np.maximum(n2 + d2, 0)
-        audit = MechanismAudit(
-            spec.label, int(trials), n1 - n2, *_frequency_losses(out1, out2, trials, min_count)
-        )
+        counts1 = _outcome_counts(spec, stream.derive(1, gi, 0), trials, n1, clamp=True)
+        counts2 = _outcome_counts(spec, stream.derive(1, gi, 1), trials, n2, clamp=True)
+        losses = _frequency_losses(counts1, counts2, trials, min_count)
+        audit = MechanismAudit(spec.label, int(trials), n1 - n2, *losses)
         mean_loss = audit.mean_abs_loss
         # -inf, not max_abs_loss's 0, for a group that resolves no outcome
         max_outcome = audit.max_abs_loss if audit.losses or audit.one_sided else -math.inf

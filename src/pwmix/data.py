@@ -13,6 +13,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass
+from itertools import chain, count, islice
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -50,45 +51,66 @@ class ColumnCodes:
     index: dict[str, int]
     codes: np.ndarray
 
-    @classmethod
-    def encode(cls, column) -> ColumnCodes:
-        """Encode one column of text, trimming each distinct value once.
-
-        Values that trim to the same text share one level.
-        """
-        code_of = dict.fromkeys(column)
-        if not all(isinstance(value, str) for value in code_of):
-            raise ParseError("every cell must be text")
-        levels = tuple(sorted({value.strip() for value in code_of}))
-        index = {v: i for i, v in enumerate(levels)}
-        for value in code_of:
-            code_of[value] = index[value.strip()]
-        dtype = np.min_scalar_type(len(levels))
-        codes = np.fromiter(map(code_of.__getitem__, column), dtype=dtype, count=len(column))
-        return cls(levels=levels, index=index, codes=codes)
-
     def code(self, value) -> int | None:
         """Code of a value; None if the column lacks it or it is not a str."""
         return self.index.get(value) if isinstance(value, str) else None
 
 
+# Records read per pass of the encoder: only this many rows of cell text are
+# held at once, besides each column's distinct values and the codes.
+_BLOCK = 1024
+
+
+def _encode_columns(
+    records: Iterable[Sequence[str]], width: int
+) -> tuple[int, tuple[ColumnCodes, ...]]:
+    """Row count and per-column encodings of ``records``, read ``_BLOCK`` rows at a time.
+
+    Each column maps the values seen so far to provisional codes in order of
+    first sight.  At the end the values are trimmed, the sorted distinct trims
+    become the levels (values that trim alike share one), and one array index
+    maps the provisional codes to level codes.
+    """
+    rows = iter(records)
+    seen: list[dict] = [{} for _ in range(width)]
+    blocks: list[list[np.ndarray]] = [[] for _ in range(width)]
+    row_count = 0
+    while block := list(islice(rows, _BLOCK)):
+        for i, rec in enumerate(block, row_count):
+            if len(rec) != width:
+                raise ParseError(f"row {i} has {len(rec)} fields, expected {width}", row_index=i)
+        row_count += len(block)
+        for code_of, coded, column in zip(seen, blocks, zip(*block)):
+            fresh = [v for v in dict.fromkeys(column) if v not in code_of]
+            code_of.update(zip(fresh, count(len(code_of))))
+            dtype = np.min_scalar_type(len(code_of))
+            coded.append(np.fromiter(map(code_of.__getitem__, column), dtype, len(column)))
+    columns = []
+    for code_of, coded in zip(seen, blocks):
+        if not all(isinstance(value, str) for value in code_of):
+            raise ParseError("every cell must be text")
+        trimmed = [value.strip() for value in code_of]
+        levels = tuple(sorted(set(trimmed)))
+        index = {v: i for i, v in enumerate(levels)}
+        dtype = np.min_scalar_type(len(levels))
+        level_of = np.fromiter(map(index.__getitem__, trimmed), dtype, len(trimmed))
+        codes = level_of[np.concatenate(coded)] if coded else level_of
+        columns.append(ColumnCodes(levels=levels, index=index, codes=codes))
+    return row_count, tuple(columns)
+
+
 class Dataset:
     """Immutable collection of categorical records with a named schema.
 
-    ``records`` are rows of text, one value per attribute.  Each attribute is
-    dictionary-encoded when the dataset is built, and only those codes are
+    ``records`` are rows of text, one value per attribute; any iterable of
+    rows will do, and it is read once, a block of rows at a time.  Each
+    attribute is dictionary-encoded as it is read, and only those codes are
     kept; every query works on them.
     """
 
-    def __init__(self, schema: Iterable[str], records: Sequence[Sequence[str]]) -> None:
+    def __init__(self, schema: Iterable[str], records: Iterable[Sequence[str]]) -> None:
         self.schema = tuple(schema)
-        width = len(self.schema)
-        for i, rec in enumerate(records):
-            if len(rec) != width:
-                raise ParseError(f"row {i} has {len(rec)} fields, expected {width}", row_index=i)
-        self.row_count = len(records)
-        columns = zip(*records) if records else [()] * width
-        self._columns = tuple(ColumnCodes.encode(col) for col in columns)
+        self.row_count, self._columns = _encode_columns(records, len(self.schema))
 
     @property
     def records(self) -> tuple[tuple[str, ...], ...]:
@@ -160,16 +182,23 @@ def load_dataset(source, *, header: bool = True, delimiter: str = ",") -> Datase
     if isinstance(source, (bytes, bytearray)):
         return load_dataset(io.StringIO(source.decode("utf-8")), header=header, delimiter=delimiter)
 
-    rows = [row for row in csv.reader(source, delimiter=delimiter) if row]
-    if not rows:
-        raise EmptyDatasetError("no rows in input")
-    if header:
-        schema, rows = [name.strip() for name in rows[0]], rows[1:]
-    else:
-        schema = [f"col{i}" for i in range(len(rows[0]))]
-    if not rows:
+    reader = csv.reader(source, delimiter=delimiter)
+    rows = filter(None, reader)  # blank lines are skipped
+    try:
+        first = next(rows, None)
+        if first is None:
+            raise EmptyDatasetError("no rows in input")
+        if header:
+            schema = [name.strip() for name in first]
+        else:
+            schema = [f"col{i}" for i in range(len(first))]
+            rows = chain([first], rows)
+        ds = Dataset(schema, rows)
+    except csv.Error as exc:  # e.g. a cell longer than csv.field_size_limit()
+        raise ParseError(f"line {reader.line_num}: {exc}") from None
+    if ds.row_count == 0:
         raise EmptyDatasetError("no records after the header row")
-    return Dataset(schema, rows)
+    return ds
 
 
 def _predicate_mask(ds: Dataset, predicates: Iterable[tuple[str, str]]) -> np.ndarray:

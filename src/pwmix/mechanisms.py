@@ -22,7 +22,8 @@ lattice (each piece's tail beyond c_t and height divisor, ``2 b_i`` or
 its inverse-CDF pieces) and keeps the paper's closed-form zeta and stats.
 
 Every sampler is an inverse transform of uniforms from a
-:class:`~pwmix.sampling.SeededStream`.
+:class:`~pwmix.sampling.SeededStream`, one per draw except for the geometric
+mechanism's two.
 """
 
 from __future__ import annotations
@@ -307,6 +308,7 @@ def _mixture_from_uniform(
     outer: tuple[float, float, float, float],
     scale,
     integer: bool,
+    ct: float,
 ) -> np.ndarray:
     """Branch-first inverse CDF of a two-piece mixture, one ``log`` per draw.
 
@@ -321,6 +323,11 @@ def _mixture_from_uniform(
     multiplying by +-1) are exact, and every rounded step sees the operands
     its branch of the four-branch form sees, so the output is bit-identical
     to that form.
+
+    Where an inner piece's tail beyond ``c_t`` is below half an ulp of the
+    uniform, ``u - k`` (or ``1 - u - k``) at the threshold rounds to zero or
+    below and the formula has no value; the draw there is the piece's edge,
+    ``-c_t`` on the left and ``c_t`` on the right, as at its float neighbours.
     """
     t_left, t_right, t_mid = thresholds
     m, a, s, k = (np.array(pair) for pair in zip(inner, outer))
@@ -336,6 +343,7 @@ def _mixture_from_uniform(
         # 1 - u on the right, u on the left; minus 0.0 on the outer piece is exact
         x = f * (1.0 - uc) + (1.0 - f) * uc
         x -= k.take(of)
+        edge = x <= 0.0
         x *= m.take(of)
         x /= a.take(of)
         with np.errstate(invalid="ignore", divide="ignore"):
@@ -346,6 +354,8 @@ def _mixture_from_uniform(
         if integer:
             x -= f
             np.ceil(x, out=x)
+        if edge.any():
+            x[edge] = ct * (2.0 * f[edge] - 1.0)
         out[i : i + uc.size] = x
     return out.reshape(u.shape)
 
@@ -589,7 +599,9 @@ class _TwoPieceMixture:
 
     def inverse_cdf(self, u) -> np.ndarray:
         """Noise at each uniform u in (0, 1): int64 when ``integer``, else float64."""
-        return _mixture_from_uniform(u, *self._inverse_pieces(), integer=self.integer)
+        return _mixture_from_uniform(
+            u, *self._inverse_pieces(), integer=self.integer, ct=self.params.break_point
+        )
 
     def draw(self, stream, n: int) -> np.ndarray:
         return self.inverse_cdf(stream.uniforms(n))
@@ -753,7 +765,7 @@ def geomix_cdf(x, params: MixtureParams):
 
 @dataclass(frozen=True)
 class TruncatedLaplace:
-    """Laplace noise rejected outside [-bound, bound].
+    """Laplace noise conditioned on [-bound, bound].
 
     Not differentially private: neighboring counts can produce outcomes of
     zero probability under one of them, so the loss is unbounded.  Kept for
@@ -794,23 +806,23 @@ class TruncatedLaplace:
         raise UnsupportedSpecError(f"{self.label} has unbounded loss, no constant-loss tail")
 
     def draw(self, stream, n: int) -> np.ndarray:
-        """Rejection of Laplace draws with |y| > bound; refused unless ``allow_unsafe``."""
+        """Inverse CDF of the Laplace law on [-bound, bound]; refused unless ``allow_unsafe``.
+
+        u maps to the Laplace CDF value F(-bound) + u (F(bound) - F(-bound)),
+        taken through the tail mass on its side so that both sides keep their
+        precision.
+        """
         if not self.allow_unsafe:
             raise UnsafeMechanismError(
                 f"{self.label} has unbounded privacy loss and is not differentially private; "
                 "allow it with the unsafe flag (--unsafe on the command line)"
             )
-        accept = 1.0 - np.exp(-self.bound / self.scale)
-        out = np.empty(n, dtype=float)
-        filled = 0
-        while filled < n:
-            want = n - filled
-            batch = max(32, int(want / accept * 1.1) + 8)
-            y = _laplace_from_uniform(stream.uniforms(batch), self.scale)
-            kept = y[np.abs(y) <= self.bound][:want]
-            out[filled : filled + kept.size] = kept
-            filled += kept.size
-        return out
+        below = 0.5 * math.exp(-self.bound / self.scale)  # F(-bound)
+        u = stream.uniforms(n)
+        right = u >= 0.5
+        tail = below + np.where(right, 1.0 - u, u) * (1.0 - 2.0 * below)
+        y = self.scale * np.log(2.0 * tail)
+        return np.clip(np.where(right, -y, y), -self.bound, self.bound)
 
     def stats(self) -> MechanismStats:
         raise UnsupportedSpecError(f"no closed-form stats for {self.label}")

@@ -4,7 +4,11 @@ Each family's sampler (``draw``) is an inverse transform driven by uniforms
 from a counter-based generator (Philox keyed by ``(seed, stream_id)``), so a
 given stream always reproduces the same sequence and distinct stream ids are
 independent.  Uniforms are drawn from the open interval (0, 1) — midpoints
-of a 2**53 lattice — so logarithms of both u and 1-u are always finite.
+of a 2**53 lattice, the top one capped below 1 — so logarithms of both u and
+1-u are always finite.  Every family but the geometric mechanism takes
+exactly one uniform per draw, so a stream read in pieces gives the same draws
+as read in one call; the geometric sampler takes two arrays of n uniforms per
+call, so its draws depend on the split.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from .mechanisms import MechanismSpec
 __all__ = ["SeededStream", "sample"]
 
 _MASK64 = (1 << 64) - 1
+_BELOW_ONE = np.nextafter(1.0, 0.0)
 
 
 def _mix64(*values: int) -> int:
@@ -63,6 +68,8 @@ class SeededStream:
         n = 1 if size is None else int(size)
         lattice = self.generator.integers(0, 1 << 53, size=n, dtype=np.int64)
         u = (lattice.astype(np.float64) + 0.5) * 2.0**-53
+        # the top midpoint, 1 - 2^-54, rounds to 1.0: take the largest double below 1
+        np.minimum(u, _BELOW_ONE, out=u)
         return float(u[0]) if size is None else u
 
 

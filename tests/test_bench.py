@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ from pwmix import mechanisms
 from pwmix.bench import (
     TABLE1_GRID,
     _clamp_free_count,
+    _outcome_counts,
     SimulationConfig,
     audit_mechanism,
     audit_privacy,
@@ -25,12 +27,14 @@ from pwmix.errors import UndefinedMetricError
 from pwmix.mechanisms import (
     Geometric,
     GeometricMixture,
+    Laplace,
+    LaplaceMixture,
     TruncatedLaplace,
     ZeroNoise,
     geomix_constants,
     geometric_series_x,
 )
-from pwmix.sampling import SeededStream
+from pwmix.sampling import SeededStream, sample
 
 from conftest import PRESET_A, PRESET_B, make_synthetic_dataset
 
@@ -193,6 +197,65 @@ class TestAuditMechanism:
         assert audit.one_sided
         assert audit.max_abs_loss == math.inf
         assert 6 in audit.one_sided  # outcome just past the shifted support edge
+
+    def test_memory_scales_with_outcomes_not_trials(self):
+        # 10^6 draws per arm would take 8 MB each; the arms keep only their counts
+        tracemalloc.start()
+        try:
+            audit_mechanism(GeometricMixture(PRESET_A), 10**6, SeededStream(407))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8_000_000
+
+    def test_float_trials(self):
+        spec = Laplace(scale=2.0)
+        audit = audit_mechanism(spec, 1e4, SeededStream(409))
+        assert audit == audit_mechanism(spec, 10**4, SeededStream(409))
+
+
+class TestOutcomeCounts:
+    """An arm counted a chunk at a time matches the counts of one call's draws."""
+
+    @pytest.mark.parametrize(
+        "spec, offset, clamp",
+        [
+            (GeometricMixture(PRESET_A), 3, True),
+            (LaplaceMixture(PRESET_A), 0, True),
+            (Laplace(scale=2.0), -4, False),
+            # outcomes spread over billions of integers
+            (Laplace(scale=1e9), 5, False),
+            (Laplace(scale=1e9), 5, True),
+            (ZeroNoise(), 2, False),
+        ],
+    )
+    def test_matches_one_call(self, spec, offset, clamp):
+        trials = 2 * (1 << 16) + 17
+        noise = sample(spec, SeededStream(408), size=trials)
+        outcomes = offset + noise
+        if clamp:
+            outcomes = np.maximum(outcomes, 0)
+        values, counts = np.unique(np.round(outcomes).astype(np.int64), return_counts=True)
+        got = _outcome_counts(spec, SeededStream(408), trials, offset, clamp)
+        assert got == dict(zip(values.tolist(), counts.tolist()))
+
+    def test_clamp_before_rounding(self):
+        # n + d is clamped, then rounded (halves to even): n + round(d) would
+        # give {0: 1, 1: 2, 3: 1} here
+        spec = _FixedNoise([0.5, -1.5, -0.5, 1.5])
+        assert _outcome_counts(spec, SeededStream(0), 4, 1, True) == {0: 2, 2: 2}
+
+
+class _FixedNoise:
+    """A continuous spec whose draws are the given values, in order."""
+
+    integer = False
+
+    def __init__(self, values):
+        self.values = np.array(values, dtype=float)
+
+    def draw(self, stream, n):
+        return self.values[:n]
 
 
 @pytest.fixture(scope="module")

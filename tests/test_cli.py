@@ -502,6 +502,37 @@ class TestBenchAudit:
         assert (out_dir / "manifest.json").exists()
 
 
+class TestOversizedCell:
+    """A cell past csv.field_size_limit() is a parse error: exit 2, no traceback."""
+
+    @pytest.fixture
+    def big_csv(self, tmp_path):
+        path = tmp_path / "big.csv"
+        path.write_text("age,work\n25,Private\n30," + "x" * 131_073 + "\n")
+        return str(path)
+
+    def test_release(self, capsys, big_csv):
+        code, out, err = run_cli(
+            ["release", "--data", big_csv, "--query", "work=Private", "--mechanism", "zero"], capsys
+        )
+        assert code == 2 and out == ""
+        assert "field larger than field limit" in err and "Traceback" not in err
+
+    def test_audit(self, capsys, tmp_path, big_csv):
+        cfg = tmp_path / "audit.json"
+        cfg.write_text(json.dumps({
+            "data": big_csv,
+            "mechanism": {"kind": "geomix", "eps": 0.2, "reps": 1, "ct": 5},
+            "trials": 100,
+        }))
+        out_dir = tmp_path / "audit_out"
+        code, _, err = run_cli(
+            ["audit", "--config", str(cfg), "--out", str(out_dir), "--seed", "6"], capsys
+        )
+        assert code == 2 and not out_dir.exists()
+        assert "field larger than field limit" in err and "Traceback" not in err
+
+
 class TestEntryPoint:
     def test_module_invocation(self):
         proc = subprocess.run(

@@ -1,7 +1,9 @@
+import csv
 import io
 import json
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from pwmix.data import (
@@ -79,16 +81,31 @@ class TestLoadDataset:
 
     def test_keeps_only_codes(self):
         # 10^4 rows of 4 cells: the cell strings alone take megabytes, the
-        # uint8 codes 40 kB
+        # uint8 codes 40 kB.  Rows are encoded a block at a time, so the peak
+        # stays far below the 4.2 MB that a list of all the rows reaches.
         text = "a,b,c,d\n" + "".join(f"v{i % 7},w{i % 3},x{i % 5},y{i % 2}\n" for i in range(10_000))
         tracemalloc.start()
         try:
             ds = load_dataset(io.StringIO(text))
-            held, _ = tracemalloc.get_traced_memory()
+            held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert ds.row_count == 10_000
         assert held < 200_000
+        assert peak < 2_000_000
+
+    def test_ragged_row_in_a_later_block(self):
+        text = "a,b\n" + "x,y\n" * 5000 + "\n" + "z\n"
+        with pytest.raises(ParseError) as exc:
+            load_dataset(io.StringIO(text))
+        assert exc.value.row_index == 5000
+        assert str(exc.value) == "row 5000 has 1 fields, expected 2"
+
+    def test_oversized_cell_is_a_parse_error(self):
+        limit = csv.field_size_limit()
+        for text in (f"a,b\n1,{'x' * (limit + 1)}\n", f"{'h' * (limit + 1)},b\n1,2\n"):
+            with pytest.raises(ParseError, match="field larger than field limit"):
+                load_dataset(io.StringIO(text))
 
     def test_empty(self):
         with pytest.raises(EmptyDatasetError):
@@ -124,6 +141,19 @@ class TestEncoding:
         assert d.levels("a") == ("x", "y")
         assert d.encoding("a").codes.tolist() == [0, 0, 1, 0]
         assert histogram_query(d, "a") == {"x": 3, "y": 1}
+
+    def test_records_read_once_from_any_iterable(self):
+        rows = [("r%d" % (i % 3), " s ") for i in range(3000)]
+        d = Dataset(schema=("a", "b"), records=iter(rows))
+        assert d.row_count == 3000
+        assert d.levels("a") == ("r0", "r1", "r2") and d.levels("b") == ("s",)
+        assert d.encoding("a").codes.dtype == np.uint8
+        assert d.records == tuple((a, b.strip()) for a, b in rows)
+
+    def test_no_records(self):
+        d = Dataset(schema=("a", "b"), records=())
+        assert d.row_count == 0 and d.levels("a") == ()
+        assert d.encoding("b").codes.dtype == np.uint8 and d.encoding("b").codes.size == 0
 
     def test_non_text_cell_refused(self):
         with pytest.raises(ParseError):

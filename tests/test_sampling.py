@@ -3,13 +3,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
 from pwmix.analytics import lapmix_stats
 from pwmix.errors import InvalidParameterError, UnsafeMechanismError
 from pwmix.mechanisms import (
+    SPECS,
     Geometric,
     GeometricMixture,
     Laplace,
@@ -161,6 +162,17 @@ class TestGoldenDraws:
         assert hashlib.sha256(y.tobytes()).hexdigest()[:16] == GOLDEN_DIGESTS[key]
 
 
+class _Lattice:
+    """Stands in for a generator: ``integers`` returns the given lattice values."""
+
+    def __init__(self, values):
+        self.values = values
+
+    def integers(self, low, high, size, dtype):
+        assert (low, high) == (0, 2**53) and size == len(self.values)
+        return np.array(self.values, dtype=dtype)
+
+
 class TestSeededStream:
     def test_determinism(self):
         a = SeededStream(5, 3).uniforms(64)
@@ -180,6 +192,18 @@ class TestSeededStream:
         assert u.min() > 0.0
         assert u.max() < 1.0
 
+    def test_top_lattice_value_stays_below_one(self):
+        # the top midpoint (2^53 - 1 + 0.5) * 2^-53 rounds to 1.0 in float64
+        stream = SeededStream(0)
+        stream._gen = _Lattice([0, 2**53 - 2, 2**53 - 1])
+        u = stream.uniforms(3)
+        assert u.tolist() == [2.0**-54, 1.0 - 2.0**-52, 1.0 - 2.0**-53]
+        for spec in (GeometricMixture(PRESET_A), LaplaceMixture(PRESET_A)):
+            stream._gen = _Lattice([2**53 - 1, 0])
+            y = sample(spec, stream, 2)
+            assert np.all(np.isfinite(y.astype(float)))
+            assert np.all(np.abs(y) < 10**4) and y[0] > 0 > y[1]
+
     def test_derive_stable(self):
         s = SeededStream(9, 1)
         assert s.derive(2, 3).stream_id == s.derive(2, 3).stream_id
@@ -192,6 +216,50 @@ class TestSeededStream:
         assert not np.array_equal(first, second)
         both = SeededStream(7).uniforms(8)
         assert np.array_equal(np.concatenate([first, second]), both)
+
+
+# One spec per family that takes one uniform per draw, in the order of
+# mechanisms.SPECS.  Geometric takes two arrays of n uniforms per call, so its
+# draws depend on how the stream is split.
+FAMILY_SPECS = (
+    Laplace(scale=2.0),
+    RoundedLaplace(scale=3.0),
+    LaplaceMixture(PRESET_A),
+    GeometricMixture(PRESET_A),
+    TruncatedLaplace(scale=2.0, bound=3.0, allow_unsafe=True),
+    ZeroNoise(),
+)
+
+
+class TestDrawsInPieces:
+    """A family that takes one uniform per draw gives the same draws from a
+    stream read in pieces as from one call; the audit counts its arms a chunk
+    at a time."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        family=st.sampled_from(range(len(FAMILY_SPECS))),
+        seed=st.integers(0, 2**32 - 1),
+        pieces=st.lists(st.sampled_from([0, 1, 2, 3, 7, 100, 2**14 - 1, 2**14 + 5]), max_size=5),
+    )
+    def test_pieces_concatenate_to_one_call(self, family, seed, pieces):
+        spec = FAMILY_SPECS[family]
+        whole = sample(spec, SeededStream(seed, 3), sum(pieces))
+        stream = SeededStream(seed, 3)
+        parts = [sample(spec, stream, size) for size in pieces]
+        joined = np.concatenate([whole[:0], *parts])
+        assert joined.dtype == whole.dtype
+        assert joined.tobytes() == whole.tobytes()
+
+    def test_every_family_but_geometric(self):
+        assert set(SPECS) - {type(spec) for spec in FAMILY_SPECS} == {Geometric}
+
+    def test_geometric_depends_on_the_split(self):
+        spec = Geometric(alpha=math.exp(0.3))
+        whole = sample(spec, SeededStream(7, 3), 100)
+        stream = SeededStream(7, 3)
+        parts = np.concatenate([sample(spec, stream, size) for size in (3, 30, 67)])
+        assert not np.array_equal(parts, whole)
 
 
 class TestAlgorithmBranches:
@@ -242,6 +310,10 @@ def _oracle_lapmix(u, params):
         right_outer = -b1 * np.log(2.0 * (1.0 - u) / c.a1)
         left_inner = b2 * np.log(2.0 * (u - c.k_c) / c.a2)
         right_inner = -b2 * np.log(2.0 * (1.0 - u - c.k_c) / c.a2)
+    # an inner tail rounded away at the threshold: the draw is the piece's edge
+    ct = params.break_point
+    left_inner = np.where(u - c.k_c <= 0.0, -ct, left_inner)
+    right_inner = np.where(1.0 - u - c.k_c <= 0.0, ct, right_inner)
     return np.select(
         [u < t_outer, u > t_upper, u <= 0.5],
         [left_outer, right_outer, left_inner],
@@ -272,6 +344,10 @@ def _oracle_geomix(u, params):
         right_outer = np.ceil(-np.log((1.0 - u) * (1.0 + q1) / c.a1) / lam1 - 1.0)
         left_inner = np.ceil(np.log((1.0 + q2) * (u - c.k_c) / c.a2) / lam2)
         right_inner = np.ceil(-np.log((1.0 - u - c.k_c) * (1.0 + q2) / c.a2) / lam2 - 1.0)
+    # an inner tail rounded away at the threshold: the draw is the piece's edge
+    ct = params.integer_break_point()
+    left_inner = np.where(u - c.k_c <= 0.0, -ct, left_inner)
+    right_inner = np.where(1.0 - u - c.k_c <= 0.0, ct, right_inner)
     out = np.select(
         [u < t_left, u > t_right, u <= t_mid],
         [left_outer, right_outer, left_inner],
@@ -306,6 +382,8 @@ class TestInverseOracle:
         seed=st.integers(0, 2**32 - 1),
         n_random=n_random_values,
     )
+    # t_right = 0.9999999999999998 and 1 - t_right - k_c rounds below zero
+    @example(eps=3.7890625, ratio=0.5, ct=9, seed=0, n_random=0)
     def test_geomix_bit_identical(self, eps, ratio, ct, seed, n_random):
         params = MixtureParams(epsilon=eps, ratio=ratio, break_point=float(ct))
         try:
@@ -335,6 +413,15 @@ class TestInverseOracle:
         got = LaplaceMixture(params).inverse_cdf(u)
         assert got.dtype == np.float64
         assert got.tobytes() == _oracle_lapmix(u, params).tobytes()
+
+    def test_draw_at_a_rounded_away_inner_tail(self):
+        # the stream gives u = t_right here (lattice value 2^53 - 2); the draw is
+        # c_t, between its float neighbours' c_t and c_t + 1
+        spec = GeometricMixture(MixtureParams(epsilon=3.7890625, ratio=0.5, break_point=9.0))
+        t_right = _oracle_geomix_thresholds(spec.params)[1]
+        assert t_right == (2**53 - 2 + 0.5) * 2.0**-53
+        u = np.array([np.nextafter(t_right, 0.0), t_right, np.nextafter(t_right, 1.0)])
+        assert spec.inverse_cdf(u).tolist() == [9, 9, 10]
 
     def test_thresholds_are_exercised(self):
         # at PRESET_A every threshold and both neighbours are inside (0, 1)
@@ -441,6 +528,12 @@ class TestStandardSamplers:
         y = sample(spec, SeededStream(115), N)
         assert np.abs(y).max() <= 4.0
         assert np.abs(y).max() > 3.5
+
+    def test_truncated_ks_against_cdf(self):
+        for bound in (0.5, 4.0, 30.0):
+            spec = TruncatedLaplace(scale=2.0, bound=bound, allow_unsafe=True)
+            y = sample(spec, SeededStream(120, int(bound * 2)), N)
+            assert stats.kstest(y, spec.cdf).pvalue > 1e-3
 
     def test_zero_noise(self):
         y = sample(ZeroNoise(), SeededStream(116), 100)
