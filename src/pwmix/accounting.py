@@ -186,7 +186,7 @@ def usefulness_bound(
 
     Valid in the regime where the radius clears the break-point (raises
     BoundNotApplicableError otherwise).  The Laplace-mixture radius is
-    ``ln(k a1 / delta) * sensitivity / (r eps)`` and is tight per coordinate.
+    ``ln(k a1 / delta) / (r eps)`` and is tight per coordinate.
     For the geometric mixture the radius must land on an integer; it is
     raised to the smallest integer whose exact two-sided tail mass is below
     delta / k, which is the nearest point at which the guarantee holds.
@@ -197,7 +197,7 @@ def usefulness_bound(
         raise InvalidParameterError(f"k must be a positive integer, got {k!r}")
     if family == "laplace":
         a1 = lapmix_constants(params).a1
-        radius = math.log(k * a1 / delta) * params.sensitivity / params.eps_r
+        radius = math.log(k * a1 / delta) / params.eps_r
         if radius <= params.break_point:
             raise BoundNotApplicableError(
                 f"radius {radius:.4g} does not clear the break-point {params.break_point:g}"
@@ -206,7 +206,7 @@ def usefulness_bound(
     if family == "geometric":
         ct = params.integer_break_point()
         spec = GeometricMixture(params)
-        nominal = math.log(k * spec.constants().a1 / delta) / params.rates[0]
+        nominal = math.log(k * spec.constants().a1 / delta) / params.eps_r
         if nominal <= ct:
             raise BoundNotApplicableError(
                 f"radius {nominal:.4g} does not clear the break-point {ct}"

@@ -48,7 +48,6 @@ def _spec_from_args(args) -> MechanismSpec:
             "eps": args.eps,
             "reps": args.reps,
             "ct": args.ct,
-            "sens": args.sens,
             "unsafe": getattr(args, "unsafe", False),
         }
     )
@@ -63,7 +62,6 @@ def _add_mechanism_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--eps", type=float, help="inner privacy parameter epsilon")
     p.add_argument("--reps", type=float, help="outer privacy parameter r*eps (mixtures)")
     p.add_argument("--ct", type=float, help="break-point (mixtures) or truncation bound")
-    p.add_argument("--sens", type=float, default=1.0, help="l1 sensitivity (default 1)")
 
 
 def _seed_from_args(args) -> int:

@@ -68,11 +68,15 @@ __all__ = [
 
 # exp overflows a double above this.
 _LOG_MAX = math.log(sys.float_info.max)
+_REALS = (float, int, np.floating, np.integer)
 
 
-def _require_positive(name: str, value: float) -> None:
-    if not (value > 0 and math.isfinite(value)):
+def _require_positive(name: str, value) -> float:
+    """``value`` as a float, refused unless it is a positive finite number (a bool is not one)."""
+    real = isinstance(value, _REALS) and not isinstance(value, bool)
+    if not (real and 0 < value <= sys.float_info.max):
         raise InvalidParameterError(f"{name} must be a positive finite number, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -80,42 +84,34 @@ class MixtureParams:
     """Parameters of a two-piece noise mixture.
 
     ``epsilon`` is the inner privacy parameter, ``ratio`` the factor r such
-    that the outer parameter is ``r * epsilon``, ``break_point`` the fusing
-    point c_t, and ``sensitivity`` the query's l1 sensitivity (1 for count
-    and histogram queries).  The geometric family additionally requires an
-    integer break-point.
+    that the outer parameter is ``r * epsilon``, and ``break_point`` the
+    fusing point c_t; budgets are for a unit shift.  The geometric family
+    additionally requires an integer break-point.
     """
 
     epsilon: float
     ratio: float
     break_point: float
-    sensitivity: float = 1.0
 
     def __post_init__(self) -> None:
         _require_positive("epsilon", self.epsilon)
         _require_positive("ratio", self.ratio)
         _require_positive("break_point", self.break_point)
-        _require_positive("sensitivity", self.sensitivity)
 
     @property
     def eps_r(self) -> float:
-        """Outer privacy parameter r * epsilon."""
+        """Outer privacy parameter r * epsilon, the outer piece's decay rate."""
         return self.ratio * self.epsilon
 
     @property
     def inner_scale(self) -> float:
-        """Laplace scale b2 = sensitivity / epsilon used for |x| <= c_t."""
-        return self.sensitivity / self.epsilon
+        """Laplace scale b2 = 1 / epsilon used for |x| <= c_t."""
+        return 1.0 / self.epsilon
 
     @property
     def outer_scale(self) -> float:
-        """Laplace scale b1 = sensitivity / (r * epsilon) used beyond c_t."""
-        return self.sensitivity / self.eps_r
-
-    @property
-    def rates(self) -> tuple[float, float]:
-        """Decay rates (r * epsilon, epsilon) / sensitivity of the outer and inner piece."""
-        return self.eps_r / self.sensitivity, self.epsilon / self.sensitivity
+        """Laplace scale b1 = 1 / (r * epsilon) used beyond c_t."""
+        return 1.0 / self.eps_r
 
     def integer_break_point(self) -> int:
         """Break-point as an integer; raises for the geometric family otherwise."""
@@ -149,11 +145,6 @@ def geometric_series_x2(q: float, first: int) -> float:
     """sum_{x=first}^inf x^2 q^x for 0 < q < 1."""
     m = first
     return q**m * (m * m - (2 * m * m - 2 * m - 1) * q + (m - 1) ** 2 * q * q) / (1.0 - q) ** 3
-
-
-def geometric_tail_mass(q: float, first: int) -> float:
-    """sum_{x=first}^inf q^x for 0 < q < 1."""
-    return q**first / (1.0 - q)
 
 
 @dataclass(frozen=True)
@@ -285,11 +276,6 @@ def rounded_laplace_zeta(eps: float) -> float:
     return math.log(a * a / b + a + math.exp(eps) * tails)
 
 
-def _round_half_away(values: np.ndarray) -> np.ndarray:
-    """Round to nearest integer, halves away from zero (keeps symmetry)."""
-    return np.sign(values) * np.floor(np.abs(values) + 0.5)
-
-
 def _laplace_from_uniform(u: np.ndarray, scale: float) -> np.ndarray:
     left = scale * np.log(2.0 * u)
     right = -scale * np.log(2.0 * (1.0 - u))
@@ -402,7 +388,7 @@ class MechanismSpec(Protocol):
 
 @dataclass(frozen=True)
 class Laplace:
-    """Continuous Laplace mechanism with scale b (= sensitivity / epsilon)."""
+    """Continuous Laplace mechanism with scale b (= 1 / epsilon)."""
 
     scale: float
     kind: ClassVar[str] = "laplace"
@@ -478,7 +464,8 @@ class RoundedLaplace:
 
     def draw(self, stream, n: int) -> np.ndarray:
         y = _laplace_from_uniform(stream.uniforms(n), self.scale)
-        return _round_half_away(y).astype(np.int64)
+        # to the nearest integer, halves away from zero (keeps symmetry)
+        return (np.sign(y) * np.floor(np.abs(y) + 0.5)).astype(np.int64)
 
     def stats(self) -> MechanismStats:
         """The continuous closed forms of the Laplace law that is rounded."""
@@ -572,7 +559,7 @@ class _TwoPieceMixture:
 
     def loss_tail(self) -> tuple[float, float]:
         ct = self.params.break_point
-        return (int(ct) if self.integer else ct), self.params.rates[0]
+        return (int(ct) if self.integer else ct), self.params.eps_r
 
     def prob(self, x):
         c = self.constants()
@@ -636,8 +623,7 @@ class LaplaceMixture(_TwoPieceMixture):
         return (t_outer, 1.0 - t_outer, 0.5), inner, outer, np.multiply
 
     def _zeta(self, c: MixtureConstants) -> float:
-        reps, eps = self.params.rates
-        ct = self.params.break_point
+        reps, eps, ct = self.params.eps_r, self.params.epsilon, self.params.break_point
         a = 1.0 - c.a2 * math.exp(-0.5 * eps) - 2.0 * c.k_c
         b = 0.5 * c.a2 * (math.exp(-0.5 * eps) - math.exp(-1.5 * eps))
         inner = math.exp(eps) * c.a2 * (
@@ -650,16 +636,17 @@ class LaplaceMixture(_TwoPieceMixture):
         params = self.params
         c = self.constants()
         b1, b2, ct = params.outer_scale, params.inner_scale, params.break_point
-        e1 = math.exp(-ct / b1)
+        # the outer piece's mass a1 exp(-c_t / b1), where a1 alone can overflow a term
+        w1 = float(_outer_weight(c.a1, ct / b1))
         e2 = math.exp(-ct / b2)
-        mean_abs = c.a2 * (b2 - e2 * (b2 + ct)) + c.a1 * e1 * (b1 + ct)
+        mean_abs = c.a2 * (b2 - e2 * (b2 + ct)) + w1 * (b1 + ct)
         variance = 2.0 * c.a2 * (
             b2 * b2 - e2 * (b2 * b2 + b2 * ct + 0.5 * ct * ct)
-        ) + 2.0 * c.a1 * e1 * (b1 * b1 + b1 * ct + 0.5 * ct * ct)
+        ) + 2.0 * w1 * (b1 * b1 + b1 * ct + 0.5 * ct * ct)
         entropy = (
-            math.log(2.0 * b2 / c.a2) * (1.0 - c.a1 * e1)
-            + (math.log(2.0 * b1 / c.a1) * (c.a1 * e1) if c.a1 else 0.0)  # 0 log 0 = 0
-            + c.a1 / b1 * e1 * (b1 + ct)
+            math.log(2.0 * b2 / c.a2) * (1.0 - w1)
+            + ((math.log(2.0 * b1) - math.log(c.a1)) * w1 if w1 else 0.0)  # 0 log 0 = 0
+            + w1 / b1 * (b1 + ct)
             - c.a2 / b2 * e2 * (b2 + ct)
             + c.a2
         )
@@ -681,8 +668,7 @@ class GeometricMixture(_TwoPieceMixture):
 
     def _decays(self) -> tuple[float, float]:
         """q_i = exp(-rate_i), each piece's decay per lattice step."""
-        rate1, rate2 = self.params.rates
-        q1, q2 = math.exp(-rate1), math.exp(-rate2)
+        q1, q2 = math.exp(-self.params.eps_r), math.exp(-self.params.epsilon)
         if max(q1, q2) == 1.0:
             raise InvalidParameterError(f"{self.label}: exp(-rate) rounds to 1 below rate 1.1e-16")
         return q1, q2
@@ -706,16 +692,16 @@ class GeometricMixture(_TwoPieceMixture):
     def _inverse_pieces(self):
         c = self.constants()
         q1, q2 = self._decays()
-        lam1, lam2 = self.params.rates
-        ct = int(self.params.break_point)
+        p = self.params
+        ct = int(p.break_point)
         t_left = c.a1 * q1**ct / (1.0 + q1)
         t_right = 1.0 - c.a1 * q1 ** (ct + 1) / (1.0 + q1)
         t_mid = c.a2 / (1.0 + q2) + c.k_c
-        inner, outer = (1.0 + q2, c.a2, lam2, c.k_c), (1.0 + q1, c.a1, lam1, 0.0)
+        inner, outer = (1.0 + q2, c.a2, p.epsilon, c.k_c), (1.0 + q1, c.a1, p.eps_r, 0.0)
         return (t_left, t_right, t_mid), inner, outer, np.divide
 
     def _zeta(self, c: MixtureConstants) -> float:
-        reps, eps = self.params.rates
+        reps, eps = self.params.eps_r, self.params.epsilon
         outer_tail = c.a1 * math.exp(-reps * self.params.break_point)
         return math.log(math.exp(eps) * (1.0 - outer_tail) + math.exp(reps) * outer_tail)
 
@@ -731,15 +717,14 @@ class GeometricMixture(_TwoPieceMixture):
         variance = 2.0 * c.a2 * c2 * (
             geometric_series_x2(q2, 1) - geometric_series_x2(q2, ct + 1)
         ) + 2.0 * c.a1 * c1 * geometric_series_x2(q1, ct + 1)
-        inner_mass = c.a2 * (1.0 - 2.0 * c2 * geometric_tail_mass(q2, ct + 1))
+        inner_mass = c.a2 * (1.0 - 2.0 * c2 * (q2 ** (ct + 1) / (1.0 - q2)))  # less both tails
         outer_mass = 1.0 - inner_mass
-        eps_out, eps_in = self.params.rates
         outer_height = c.a1 * c1
         entropy = (
             -inner_mass * math.log(c.a2 * c2)
             - (outer_mass * math.log(outer_height) if outer_height else 0.0)  # 0 log 0 = 0
-            + eps_in * inner_abs
-            + eps_out * outer_abs
+            + self.params.epsilon * inner_abs
+            + self.params.eps_r * outer_abs
         )
         return MechanismStats(mean_abs, variance, entropy)
 
@@ -800,7 +785,9 @@ class TruncatedLaplace:
     def cdf(self, x):
         xs = np.clip(np.asarray(x, dtype=float), -self.bound, self.bound)
         below = laplace_cdf(-self.bound, self.scale)
-        return _wrap(x, (laplace_cdf(xs, self.scale) - below) / (1.0 - 2.0 * below))
+        # F(bound) - F(-bound) can round above 1 - 2 F(-bound)
+        mass = (laplace_cdf(xs, self.scale) - below) / (1.0 - 2.0 * below)
+        return _wrap(x, np.minimum(mass, 1.0))
 
     def loss_tail(self) -> tuple[float, float]:
         raise UnsupportedSpecError(f"{self.label} has unbounded loss, no constant-loss tail")
@@ -873,40 +860,47 @@ SPECS = (
 )
 
 
+# The keys of a mechanism in its CLI/config form; any other key is refused.
+_KEYS = ("kind", "eps", "reps", "ct", "unsafe")
+
+
 def spec_from_dict(doc: dict) -> MechanismSpec:
     """Build a mechanism spec from the CLI/config representation.
 
     Keys: kind (laplace|rlaplace|geometric|lapmix|geomix|trunclap|zero),
-    eps, reps (the outer parameter r*eps), ct, sens (default 1), unsafe.
+    eps, reps (the outer parameter r*eps), ct, unsafe; budgets are for a unit shift.
     """
+    if not isinstance(doc, dict):
+        raise PwmixError(f"a mechanism must be a JSON object, got {doc!r}")
+    unknown = ", ".join(sorted(map(repr, set(doc) - set(_KEYS))))
+    if unknown:
+        raise PwmixError(f"unknown mechanism key {unknown}; the keys are {', '.join(_KEYS)}")
     kind = doc.get("kind")
-    eps = doc.get("eps")
-    sens = doc.get("sens") or 1.0
     if kind == "zero":
         return ZeroNoise()
-    if eps is None:
+    if doc.get("eps") is None:
         raise PwmixError(f"mechanism {kind!r} requires --eps")
+    eps = _require_positive("eps", doc["eps"])
     if kind == "laplace":
-        return Laplace(scale=sens / eps)
+        return Laplace(scale=1.0 / eps)
     if kind == "rlaplace":
-        return RoundedLaplace(scale=sens / eps)
+        return RoundedLaplace(scale=1.0 / eps)
     if kind == "geometric":
-        if eps / sens > _LOG_MAX:
-            raise InvalidParameterError(
-                f"alpha = exp(eps/sens) overflows a double at eps/sens = {eps / sens:g}"
-            )
-        return Geometric(alpha=math.exp(eps / sens))
+        if eps > _LOG_MAX:
+            raise InvalidParameterError(f"alpha = exp(eps) overflows a double at eps = {eps:g}")
+        return Geometric(alpha=math.exp(eps))
     if kind == "trunclap":
         if doc.get("ct") is None:
             raise PwmixError("trunclap requires --ct as the truncation bound")
-        return TruncatedLaplace(
-            scale=sens / eps, bound=float(doc["ct"]), allow_unsafe=bool(doc.get("unsafe"))
-        )
+        bound = _require_positive("ct", doc["ct"])
+        return TruncatedLaplace(scale=1.0 / eps, bound=bound, allow_unsafe=bool(doc.get("unsafe")))
     if kind in ("lapmix", "geomix"):
         if doc.get("reps") is None or doc.get("ct") is None:
             raise PwmixError(f"{kind} requires --reps and --ct")
         params = MixtureParams(
-            epsilon=eps, ratio=float(doc["reps"]) / eps, break_point=float(doc["ct"]), sensitivity=sens
+            epsilon=eps,
+            ratio=_require_positive("reps", doc["reps"]) / eps,
+            break_point=_require_positive("ct", doc["ct"]),
         )
         return LaplaceMixture(params) if kind == "lapmix" else GeometricMixture(params)
     raise PwmixError(f"unknown mechanism kind {kind!r}")

@@ -102,6 +102,13 @@ class TestLapMixStats:
         assert s.variance == pytest.approx(variance, abs=1e-7)
         assert s.entropy == pytest.approx(entropy, abs=1e-6)
 
+    def test_outer_weight_near_overflow(self):
+        # a1 is about 1e306: the outer piece's terms must not pass through a1 / b1
+        params = MixtureParams(epsilon=3.4247, ratio=161.38 / 3.4247, break_point=4.5118)
+        s = lapmix_stats(params)
+        for value, oracle in zip(vars(s).values(), quadrature_oracle(params)):
+            assert value == pytest.approx(oracle, rel=1e-6)
+
     def test_jensen(self):
         for params in (PRESET_A, PRESET_B):
             s = lapmix_stats(params)

@@ -9,6 +9,7 @@ import pytest
 
 from pwmix.bench import TABLE1_GRID
 from pwmix.cli import main, spec_from_dict
+from pwmix.errors import InvalidParameterError, PwmixError
 from pwmix.mechanisms import (
     Geometric,
     GeometricMixture,
@@ -58,6 +59,34 @@ class TestSpecFromDict:
         spec = spec_from_dict({"kind": "trunclap", "eps": 0.5, "ct": 4, "unsafe": True})
         assert isinstance(spec, TruncatedLaplace)
         assert spec.allow_unsafe
+
+    @pytest.mark.parametrize(
+        "doc, key",
+        [
+            ({"kind": "lapmix", "eps": 0.5, "reps": 1.5, "ct": 2.5, "sens": 2}, "sens"),
+            ({"kind": "laplace", "eps": 0.2, "sens": 1}, "sens"),
+            ({"kind": "geomix", "eps": 0.2, "reps": 1, "c_t": 5}, "c_t"),
+            ({"kind": "zero", "scale": 2}, "scale"),
+        ],
+    )
+    def test_unknown_key_refused(self, doc, key):
+        with pytest.raises(PwmixError, match=f"unknown mechanism key '{key}'"):
+            spec_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "doc, key",
+        [
+            ({"kind": "laplace", "eps": True}, "eps"),
+            ({"kind": "laplace", "eps": "0.2"}, "eps"),
+            ({"kind": "geometric", "eps": 10**400}, "eps"),
+            ({"kind": "trunclap", "eps": 0.5, "ct": 0}, "ct"),
+            ({"kind": "geomix", "eps": 0.2, "reps": -1, "ct": 5}, "reps"),
+            ({"kind": "lapmix", "eps": 0.2, "reps": 1, "ct": float("inf")}, "ct"),
+        ],
+    )
+    def test_parameter_not_positive_finite_number(self, doc, key):
+        with pytest.raises(InvalidParameterError, match=f"^{key} must be a positive finite number"):
+            spec_from_dict(doc)
 
 
 class TestStats:
@@ -223,7 +252,7 @@ class TestStats:
         NON_FINITE_ZETA
         + [
             ["laplace", "--eps", "1e-300"],  # variance inf
-            ["lapmix", "--eps", "3.4247", "--reps", "161.38", "--ct", "4.5118"],  # entropy inf
+            ["lapmix", "--eps", "1e-160", "--reps", "2e-160", "--ct", "3"],  # variance inf - inf
         ],
     )
     def test_non_finite_closed_form_exits_2(self, capsys, flags):
@@ -231,6 +260,39 @@ class TestStats:
         assert code == 2
         assert out == ""
         assert "not a finite" in err
+
+    def test_outer_weight_near_overflow(self, capsys):
+        # a1 is about 1e306, so a1 / b1 alone overflows; a1 exp(-c_t / b1) is taken through logs
+        flags = ["lapmix", "--eps", "3.4247", "--reps", "161.38", "--ct", "4.5118"]
+        code, out, _ = run_cli(["stats", "--format", "json", "--mechanism", *flags], capsys)
+        assert code == 0
+        # -int p ln p by scipy.integrate.quad on [0, c_t] and [c_t, inf), doubled
+        assert json.loads(out)["entropy"] == pytest.approx(0.46213016801133117, rel=1e-6)
+
+    def test_sens_flag_is_gone(self, capsys):
+        flags = ["geomix", "--eps", "0.2", "--reps", "1", "--ct", "40", "--sens", "8"]
+        with pytest.raises(SystemExit) as exc:
+            main(["stats", "--mechanism", *flags])
+        assert exc.value.code == 2
+        assert "--sens" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("eps", ["0", "-1", "nan", "inf"])
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["laplace"],
+            ["rlaplace"],
+            ["geometric"],
+            ["trunclap", "--ct", "3"],
+            ["lapmix", "--reps", "1", "--ct", "3"],
+            ["geomix", "--reps", "1", "--ct", "3"],
+        ],
+    )
+    def test_eps_not_positive_finite_exits_2(self, capsys, flags, eps):
+        code, out, err = run_cli(["stats", "--mechanism", *flags, f"--eps={eps}"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "eps must be a positive finite number" in err and "Traceback" not in err
 
 
 class TestSweep:
@@ -481,6 +543,38 @@ class TestBenchAudit:
             capsys,
         )
         assert code == 2
+
+    # a mechanism the config states wrongly exits 2 and names the key, for bench and audit alike
+    BAD_MECHANISMS = [
+        ({"kind": "geomix", "eps": 0.2, "reps": 1, "ct": 5, "sens": 8}, "'sens'"),
+        ({"kind": "laplace", "eps": 0}, "eps must be"),
+        ({"kind": "lapmix", "eps": 0.2, "reps": 1, "ct": 0}, "ct must be"),
+    ]
+
+    @pytest.mark.parametrize("mechanism, named", BAD_MECHANISMS)
+    def test_bench_bad_mechanism(self, capsys, tmp_path, mechanism, named):
+        cfg = tmp_path / "bench.json"
+        cfg.write_text(json.dumps({
+            "true_counts": [1],
+            "mechanisms": [mechanism],
+            "samples_per_cell": 100,
+            "c_t_for_metrics": 5,
+        }))
+        code, _, err = run_cli(
+            ["bench", "--config", str(cfg), "--out", str(tmp_path / "x"), "--seed", "5"], capsys
+        )
+        assert code == 2 and not (tmp_path / "x").exists()
+        assert named in err
+
+    @pytest.mark.parametrize("mechanism, named", BAD_MECHANISMS)
+    def test_audit_bad_mechanism(self, capsys, tmp_path, data_file, mechanism, named):
+        cfg = tmp_path / "audit.json"
+        cfg.write_text(json.dumps({"data": data_file, "mechanism": mechanism, "trials": 100}))
+        code, _, err = run_cli(
+            ["audit", "--config", str(cfg), "--out", str(tmp_path / "x"), "--seed", "6"], capsys
+        )
+        assert code == 2 and not (tmp_path / "x").exists()
+        assert named in err
 
     def test_audit_outputs(self, capsys, tmp_path, data_file):
         cfg = tmp_path / "audit.json"

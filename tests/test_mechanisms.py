@@ -8,7 +8,7 @@ from scipy import integrate
 
 from pwmix.cli import spec_from_dict
 from pwmix.data import release, release_to_json
-from pwmix.errors import InvalidParameterError, PwmixError
+from pwmix.errors import InvalidParameterError, PwmixError, UnsupportedSpecError
 from pwmix.mechanisms import (
     CONSTANTS_CACHE_SIZE,
     Geometric,
@@ -309,6 +309,13 @@ def _or_refused(call):
         return None
 
 
+def _check_cdf_values(cdf):
+    """CDF values on an increasing grid: no NaN, within [0, 1], never decreasing."""
+    assert not np.any(np.isnan(cdf))
+    assert np.all((cdf >= 0.0) & (cdf <= 1.0))
+    assert np.all(np.diff(cdf) >= 0.0)
+
+
 def _check_mixture(spec):
     """Each member of a mixture spec refuses with a PwmixError or gives a sound answer.
 
@@ -330,18 +337,40 @@ def _check_mixture(spec):
             assert prob.sum() == pytest.approx(1.0, abs=1e-9)
     cdf = _or_refused(lambda: spec.cdf(xs))
     if cdf is not None:
-        assert not np.any(np.isnan(cdf))
-        assert np.all((cdf >= 0.0) & (cdf <= 1.0))
-        assert np.all(np.diff(cdf) >= 0.0)
+        _check_cdf_values(cdf)
     stats = _or_refused(spec.stats)
     if stats is not None:
         assert all(math.isfinite(v) for v in vars(stats).values())
     zeta = _or_refused(spec.zeta)
     if zeta is not None:
         assert math.isfinite(zeta)
+        if spec.integer:
+            assert min(p.epsilon, p.eps_r) <= zeta <= max(p.epsilon, p.eps_r)
     draws = _or_refused(lambda: spec.draw(SeededStream(1), 1000))
     if draws is not None:
         assert not np.any(np.isnan(draws))
+    u = SeededStream(2).uniforms(1000)
+    noise = _or_refused(lambda: spec.inverse_cdf(u))
+    if noise is not None:
+        if spec.integer:  # the inverse of a step CDF, exactly
+            assert np.all(spec.cdf(noise - 1.0) < u) and np.all(u <= spec.cdf(noise))
+        else:
+            assert np.max(np.abs(spec.cdf(noise) - u)) <= 1e-12
+
+
+def _check_one_piece(spec, reach):
+    """The mass, CDF and draws of a one-piece family; its mass beyond ``reach`` is below e^-40."""
+    if spec.integer:
+        xs = np.arange(-math.ceil(reach), math.ceil(reach) + 1, dtype=float)
+        assert spec.prob(xs).sum() == pytest.approx(1.0, abs=1e-9)
+    else:
+        xs = np.linspace(-1.5 * reach, 1.5 * reach, 4001)
+        mass = sum(integrate.quad(spec.prob, a, b, limit=200)[0] for a, b in ((-reach, 0), (0, reach)))
+        assert mass == pytest.approx(1.0, abs=1e-9)
+    _check_cdf_values(spec.cdf(xs))
+    draws = spec.draw(SeededStream(1), 1000)
+    assert draws.dtype == (np.int64 if spec.integer else np.float64)
+    assert not np.any(np.isnan(draws))
 
 
 mixture_points = settings(max_examples=200, deadline=None)
@@ -360,6 +389,26 @@ class TestMixtureProperties:
     def test_geometric_mixture(self, eps, ratio, ct):
         params = MixtureParams(epsilon=eps, ratio=ratio, break_point=float(ct))
         _check_mixture(GeometricMixture(params))
+
+
+class TestStandardProperties:
+    """What TestMixtureProperties checks, for the standard families."""
+
+    @mixture_points
+    @given(eps=mixture_eps, kind=st.sampled_from(["laplace", "rlaplace", "geometric"]))
+    def test_private_family(self, eps, kind):
+        spec = spec_from_dict({"kind": kind, "eps": eps})
+        _check_one_piece(spec, 40.0 / eps + 40.0)
+        assert all(math.isfinite(v) for v in vars(spec.stats()).values())
+        assert math.isfinite(spec.zeta())
+
+    @mixture_points
+    @given(eps=mixture_eps, bound=st.floats(0.1, 40.0))
+    def test_truncated_laplace(self, eps, bound):
+        spec = TruncatedLaplace(scale=1.0 / eps, bound=bound, allow_unsafe=True)
+        _check_one_piece(spec, bound)
+        with pytest.raises(UnsupportedSpecError):
+            spec.stats()
 
 
 class TestSpecValidation:
@@ -386,10 +435,7 @@ GOLDEN_LABELS = [
     ({"kind": "rlaplace", "eps": 0.332}, "rlaplace(b=3.01205)"),
     ({"kind": "geometric", "eps": 0.332}, "geometric(alpha=1.39375)"),
     ({"kind": "lapmix", "eps": 0.2, "reps": 1, "ct": 5}, "lapmix(eps=0.2,reps=1,ct=5)"),
-    (
-        {"kind": "lapmix", "eps": 0.5, "reps": 1.5, "ct": 2.5, "sens": 2},
-        "lapmix(eps=0.5,reps=1.5,ct=2.5)",
-    ),
+    ({"kind": "lapmix", "eps": 0.5, "reps": 1.5, "ct": 2.5}, "lapmix(eps=0.5,reps=1.5,ct=2.5)"),
     ({"kind": "geomix", "eps": 0.1, "reps": 1, "ct": 6}, "geomix(eps=0.1,reps=1,ct=6)"),
     ({"kind": "trunclap", "eps": 0.5, "ct": 4, "unsafe": True}, "trunclap(b=2,c=4)"),
     ({"kind": "zero"}, "zero"),

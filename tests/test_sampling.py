@@ -324,8 +324,8 @@ def _oracle_lapmix(u, params):
 def _oracle_geomix_thresholds(params):
     c = geomix_constants(params)
     ct = params.integer_break_point()
-    q1 = math.exp(-params.eps_r / params.sensitivity)
-    q2 = math.exp(-params.epsilon / params.sensitivity)
+    q1 = math.exp(-params.eps_r)
+    q2 = math.exp(-params.epsilon)
     t_left = c.a1 * q1**ct / (1.0 + q1)
     t_right = 1.0 - c.a1 * q1 ** (ct + 1) / (1.0 + q1)
     t_mid = c.a2 / (1.0 + q2) + c.k_c
@@ -334,10 +334,10 @@ def _oracle_geomix_thresholds(params):
 
 def _oracle_geomix(u, params):
     c = geomix_constants(params)
-    q1 = math.exp(-params.eps_r / params.sensitivity)
-    q2 = math.exp(-params.epsilon / params.sensitivity)
-    lam1 = params.eps_r / params.sensitivity
-    lam2 = params.epsilon / params.sensitivity
+    q1 = math.exp(-params.eps_r)
+    q2 = math.exp(-params.epsilon)
+    lam1 = params.eps_r
+    lam2 = params.epsilon
     t_left, t_right, t_mid = _oracle_geomix_thresholds(params)
     with np.errstate(invalid="ignore", divide="ignore"):
         left_outer = np.ceil(np.log((1.0 + q1) * u / c.a1) / lam1)
