@@ -30,7 +30,7 @@ from .mechanisms import (
     laplace_cdf,
     lapmix_cdf,
 )
-from .sampling import SeededStream, sample
+from .sampling import SeededStream, lattice_uniforms, sample
 
 __all__ = [
     "error_cdf",
@@ -54,24 +54,35 @@ __all__ = [
 # metrics
 
 
-def error_cdf(errors, thresholds) -> dict:
-    """Fraction of |errors| at or below each threshold."""
+def _abs_errors(errors, metric: str) -> np.ndarray:
     errs = np.abs(np.asarray(errors, dtype=float))
     if errs.size == 0:
-        raise InvalidParameterError("error_cdf needs at least one error")
-    errs = np.sort(errs)
-    out = {}
-    for t in thresholds:
-        out[t] = float(np.searchsorted(errs, float(t), side="right") / errs.size)
-    return out
+        raise InvalidParameterError(f"{metric} needs at least one error")
+    return errs
+
+
+def _fraction_at_most(ranked: np.ndarray, t) -> float:
+    """Fraction of a sorted array at or below t."""
+    return float(np.searchsorted(ranked, float(t), side="right") / ranked.size)
+
+
+def _tail_weight(errs: np.ndarray, n_i: float, c_t: float) -> float:
+    """sum(|errors| beyond c_t) / len / n_i, summed in the order of ``errs``."""
+    tail = errs[errs > c_t]
+    if tail.size == 0:
+        return 0.0
+    return float(tail.sum() / errs.size / n_i)
+
+
+def error_cdf(errors, thresholds) -> dict:
+    """Fraction of |errors| at or below each threshold."""
+    ranked = np.sort(_abs_errors(errors, "error_cdf"))
+    return {t: _fraction_at_most(ranked, t) for t in thresholds}
 
 
 def within_bound_fraction(errors, c_t: float) -> float:
     """Fraction of |errors| within the break-point bound."""
-    errs = np.abs(np.asarray(errors, dtype=float))
-    if errs.size == 0:
-        raise InvalidParameterError("within_bound_fraction needs at least one error")
-    return float(np.mean(errs <= c_t))
+    return float(np.mean(_abs_errors(errors, "within_bound_fraction") <= c_t))
 
 
 def mean_relative_error(errors, n_i: float, c_t: float) -> float:
@@ -82,13 +93,7 @@ def mean_relative_error(errors, n_i: float, c_t: float) -> float:
     """
     if not n_i > 0:
         raise UndefinedMetricError(f"mean_relative_error needs a positive true count, got {n_i!r}")
-    errs = np.abs(np.asarray(errors, dtype=float))
-    if errs.size == 0:
-        raise InvalidParameterError("mean_relative_error needs at least one error")
-    tail = errs[errs > c_t]
-    if tail.size == 0:
-        return 0.0
-    return float(tail.sum() / errs.size / n_i)
+    return _tail_weight(_abs_errors(errors, "mean_relative_error"), n_i, c_t)
 
 
 # ---------------------------------------------------------------------------
@@ -280,17 +285,19 @@ def _simulate_cell(config: SimulationConfig, mech_idx: int, count_idx: int) -> C
     stream = SeededStream(config.master_seed).derive(mech_idx, count_idx, 0)
     noise = np.atleast_1d(sample(spec, stream, size=config.samples_per_cell))
     released = np.maximum(n + noise, 0)
-    errors = np.abs(released - n)
-    clamped = float(np.mean(n + noise < 0))
-    mre = mean_relative_error(errors, n, config.c_t_for_metrics) if n > 0 else math.nan
+    # One float |errors| array for the three metrics, and one sorted copy: the
+    # tail weight sums in draw order, the fractions count from the sorted copy.
+    errors = np.abs(released - n, dtype=float)
+    ranked = np.sort(errors)
+    c_t = config.c_t_for_metrics
     return CellReport(
         mechanism=spec.label,
         true_count=n,
         samples=int(config.samples_per_cell),
-        within_bound=within_bound_fraction(errors, config.c_t_for_metrics),
-        mre=mre,
-        clamped_fraction=clamped,
-        error_cdf=error_cdf(errors, config.error_thresholds),
+        within_bound=_fraction_at_most(ranked, c_t),
+        mre=_tail_weight(errors, n, c_t) if n > 0 else math.nan,
+        clamped_fraction=float(np.mean(n + noise < 0)),
+        error_cdf={t: _fraction_at_most(ranked, t) for t in config.error_thresholds},
     )
 
 
@@ -345,9 +352,98 @@ def _binned(values: np.ndarray) -> np.ndarray:
 # chunk of draws, not all of its draws.
 _AUDIT_CHUNK = 1 << 16
 
+# An arm of a two-piece mixture counts its draws per bucket of the uniform
+# lattice, a bucket being the top _BUCKET_BITS bits of the 53-bit value, and
+# reads each bucket's binned noise from a table (``_bucket_table``).  Arms of
+# fewer trials than the table has buckets draw one by one instead.
+_BUCKET_BITS = 16
+_BUCKET_SHIFT = 53 - _BUCKET_BITS
+_TABLE_MIN_TRIALS = 1 << _BUCKET_BITS
+# How far inside its rounding step each edge's value must lie, per unit of
+# 1 + |x| + the largest offset + the larger piece scale; the float error of
+# ``pre_rounding`` and of adding the offset is about 1e-15 of the same.
+_MARGIN = 1e-9
+# Buckets per pass of the table build, so its temporaries stay small.
+_TABLE_BLOCK = 1 << 14
+
+
+@dataclass(frozen=True)
+class _BucketTable:
+    """The binned noise of each lattice bucket that one value covers."""
+
+    straddles: np.ndarray  # per bucket: no one value covers it, so its draws go one by one
+    order: np.ndarray  # the covered buckets, sorted by their noise
+    starts: np.ndarray  # where each distinct noise value begins in ``order``
+    noise: np.ndarray  # the distinct noise values
+
+
+def _binned_edge(spec, lattice: np.ndarray, base: float):
+    """(noise, branch, clear) at bucket edges: the binned noise, the kernel
+    branch, and whether the value x lies the margin, ``_MARGIN (base + |x|)``,
+    inside its step."""
+    x, branch = spec.pre_rounding(lattice_uniforms(lattice))
+    with np.errstate(invalid="ignore"):  # an infinite x is never clear of its step
+        if spec.integer:
+            noise = np.ceil(x)
+            inside = np.minimum(noise - x, x - (noise - 1.0))
+        else:
+            noise = np.round(x)
+            inside = 0.5 - np.abs(x - noise)
+        return noise, branch, inside >= _MARGIN * (base + np.abs(x))
+
+
+def _bucket_table(spec: MechanismSpec, max_offset: int) -> _BucketTable | None:
+    """The bucket table of ``spec`` for arms offset by at most ``max_offset``.
+
+    A bucket is covered when its first and last lattice values take the same
+    branch of the mixture kernel, their noise bins alike (rounded up for
+    geomix, to nearest for lapmix), and each value before binning lies at
+    least the margin inside that bin's step.  Within a branch the value is a
+    non-decreasing function of u, computed with an error far below the
+    margin, so every draw of a covered bucket bins to its noise, and so does
+    ``offset + noise``.  None for a family without ``pre_rounding``, or when
+    no bucket is covered.
+    """
+    if not hasattr(spec, "pre_rounding"):
+        return None
+    scale = max(spec.params.inner_scale, spec.params.outer_scale)
+    base = 1.0 + abs(max_offset) + scale
+    n = 1 << _BUCKET_BITS
+    noise = np.empty(n)
+    straddles = np.empty(n, dtype=bool)
+    for i in range(0, n, _TABLE_BLOCK):
+        first = np.arange(i, i + _TABLE_BLOCK, dtype=np.int64) << _BUCKET_SHIFT
+        lo, lo_branch, lo_clear = _binned_edge(spec, first, base)
+        hi, hi_branch, hi_clear = _binned_edge(spec, first + ((1 << _BUCKET_SHIFT) - 1), base)
+        noise[i : i + first.size] = lo
+        straddles[i : i + first.size] = ~(lo_clear & hi_clear & (lo_branch == hi_branch) & (lo == hi))
+    covered = np.flatnonzero(~straddles)
+    if covered.size == 0:
+        return None
+    values = noise[covered].astype(np.int64)
+    order = np.argsort(values)
+    values = values[order]
+    starts = np.concatenate(([0], np.flatnonzero(values[1:] != values[:-1]) + 1))
+    return _BucketTable(straddles, covered[order], starts, values[starts])
+
+
+class _Drawn:
+    """Stands in for a stream whose uniforms are already drawn."""
+
+    def __init__(self, u: np.ndarray) -> None:
+        self.u = u
+
+    def uniforms(self, n: int) -> np.ndarray:
+        return self.u[:n]
+
 
 def _outcome_counts(
-    spec: MechanismSpec, stream: SeededStream, trials: int, offset: int, clamp: bool
+    spec: MechanismSpec,
+    stream: SeededStream,
+    trials: int,
+    offset: int,
+    clamp: bool,
+    table: _BucketTable | None = None,
 ) -> dict[int, int]:
     """Count each binned outcome of ``offset + noise`` over ``trials`` draws.
 
@@ -355,15 +451,36 @@ def _outcome_counts(
     rounded, as a release clamps it.  The draws are taken ``_AUDIT_CHUNK`` at a
     time from ``stream``; for a family that takes one uniform per draw the
     stream yields the same draws read in pieces as in one call, so the counts
-    do not depend on the chunk size.
+    do not depend on the chunk size.  With a ``table`` (from ``_bucket_table``
+    for ``spec``, offsets up to at least ``|offset|``) a chunk's lattice values
+    are counted per bucket, and only those in straddling buckets are drawn one
+    by one; the counts are the same.
     """
     trials = int(trials)
     counts: Counter = Counter()
+    if table is not None:
+        per_bucket = np.zeros(table.straddles.size, dtype=np.int64)
     for start in range(0, trials, _AUDIT_CHUNK):
-        noise = sample(spec, stream, size=min(_AUDIT_CHUNK, trials - start))
+        n = min(_AUDIT_CHUNK, trials - start)
+        if table is None:
+            noise = sample(spec, stream, size=n)
+        else:
+            lattice = stream.lattice(n)
+            buckets = lattice >> _BUCKET_SHIFT
+            per_bucket += np.bincount(buckets, minlength=per_bucket.size)
+            cut = lattice[table.straddles[buckets]]
+            noise = sample(spec, _Drawn(lattice_uniforms(cut)), size=cut.size)
         out = _binned(np.maximum(offset + noise, 0) if clamp else offset + noise)
         values, chunk_counts = np.unique(out, return_counts=True)
         counts.update(dict(zip(values.tolist(), chunk_counts.tolist())))
+    if table is not None:
+        covered = np.add.reduceat(per_bucket[table.order], table.starts)
+        outcomes = offset + table.noise
+        if clamp:
+            outcomes = np.maximum(outcomes, 0)
+        for outcome, count in zip(outcomes.tolist(), covered.tolist()):
+            if count:
+                counts[outcome] += count
     return dict(counts)
 
 
@@ -437,9 +554,10 @@ def audit_mechanism(
     """Estimate per-outcome losses between noise laws shifted by ``shift``."""
     if trials < 1:
         raise InvalidParameterError("trials must be >= 1")
+    table = _bucket_table(spec, shift) if trials >= _TABLE_MIN_TRIALS else None
     losses, sigmas, weights, one_sided = _frequency_losses(
-        _outcome_counts(spec, stream.derive(0), trials, 0, clamp=False),
-        _outcome_counts(spec, stream.derive(1), trials, shift, clamp=False),
+        _outcome_counts(spec, stream.derive(0), trials, 0, False, table),
+        _outcome_counts(spec, stream.derive(1), trials, shift, False, table),
         trials,
         min_count,
     )
@@ -524,6 +642,10 @@ def audit_privacy(
     count-invariant — and each group gets a two-arm frequency audit with
     ``trials`` draws per arm.
     """
+    for name, size in (("trials", trials), ("max_records", max_records),
+                       ("queries_per_record", queries_per_record)):
+        if not size >= 1:
+            raise InvalidParameterError(f"{name} must be >= 1, got {size!r}")
     if not queries:
         raise InvalidParameterError("audit needs at least one query")
     if ds.row_count == 0:
@@ -553,10 +675,13 @@ def audit_privacy(
     diff_max_outcome = -math.inf
     diff_max_excess = -math.inf
     unbounded = False
+    table = None
+    if trials >= _TABLE_MIN_TRIALS:
+        table = _bucket_table(spec, max(n1 for _, n1 in group_pairs))
     for gi, (kind, n1) in enumerate(sorted(group_pairs)):
         n2 = n1 - 1 if kind == "diff" else n1
-        counts1 = _outcome_counts(spec, stream.derive(1, gi, 0), trials, n1, clamp=True)
-        counts2 = _outcome_counts(spec, stream.derive(1, gi, 1), trials, n2, clamp=True)
+        counts1 = _outcome_counts(spec, stream.derive(1, gi, 0), trials, n1, True, table)
+        counts2 = _outcome_counts(spec, stream.derive(1, gi, 1), trials, n2, True, table)
         losses = _frequency_losses(counts1, counts2, trials, min_count)
         audit = MechanismAudit(spec.label, int(trials), n1 - n2, *losses)
         mean_loss = audit.mean_abs_loss

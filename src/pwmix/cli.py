@@ -27,7 +27,7 @@ from . import __version__
 from .accounting import BudgetLedger, compose
 from .bench import SimulationConfig, SweepRow, audit_privacy, run_simulation, table_sweep
 from .data import QuerySpec, count_query, histogram_query, load_dataset, release, release_to_json
-from .errors import PwmixError, UnsafeMechanismError
+from .errors import InvalidParameterError, PwmixError, UnsafeMechanismError
 from .mechanisms import SPECS, MechanismSpec, spec_from_dict
 from .sampling import SeededStream
 
@@ -274,12 +274,22 @@ def _write_manifest(out_dir: Path, command: str, config_path: Path, seed: int, o
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
+def _config_int(doc: dict, key: str, default: int) -> int:
+    """A whole-number config value: an int, or an integral float such as 1e6; not a bool."""
+    value = doc.get(key, default)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InvalidParameterError(f"{key} must be a whole number, got {value!r}")
+    return value
+
+
 def _cmd_bench(args) -> int:
     config_path = Path(args.config)
     try:
         doc = json.loads(config_path.read_text())
         mechanisms = tuple(spec_from_dict(m) for m in doc["mechanisms"])
-        samples = int(doc.get("samples_per_cell", 10**6))
+        samples = _config_int(doc, "samples_per_cell", 10**6)
         config = SimulationConfig(
             true_counts=tuple(int(n) for n in doc["true_counts"]),
             mechanisms=mechanisms,
@@ -335,21 +345,24 @@ def _cmd_audit(args) -> int:
         doc = json.loads(config_path.read_text())
         data_path = doc["data"]
         spec = spec_from_dict(doc["mechanism"])
-        trials = int(doc.get("trials", 10**6))
+        trials = _config_int(doc, "trials", 10**6)
+        n_queries = _config_int(doc, "n_queries", 100)
+        max_records = _config_int(doc, "max_records", 200)
+        queries_per_record = _config_int(doc, "queries_per_record", 100)
         ds = load_dataset(data_path, header=bool(doc.get("header", True)))
     except (OSError, KeyError, ValueError, TypeError, PwmixError) as exc:
         return _fail(f"unreadable audit config: {exc!r}")
     seed = _seed_from_args(args)
     stream = SeededStream(seed)
-    queries = _random_queries(ds, int(doc.get("n_queries", 100)), stream.derive(99).generator)
+    queries = _random_queries(ds, n_queries, stream.derive(99).generator)
     report = audit_privacy(
         ds,
         queries,
         spec,
         trials,
         stream,
-        max_records=int(doc.get("max_records", 200)),
-        queries_per_record=int(doc.get("queries_per_record", 100)),
+        max_records=max_records,
+        queries_per_record=queries_per_record,
     )
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

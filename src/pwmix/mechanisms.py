@@ -287,6 +287,36 @@ def _laplace_from_uniform(u: np.ndarray, scale: float) -> np.ndarray:
 _CHUNK = 1 << 14
 
 
+def _mixture_pre_rounding(uc: np.ndarray, thresholds, m, a, s, k, scale, integer: bool, ct: float):
+    """The branch-first inverse CDF of ``_mixture_from_uniform`` before its rounding up.
+
+    Returns ``(x, outer, right, edge)``: the value, and per uniform whether it
+    is on the outer piece, on the right side (as 0.0 or 1.0), and at a piece's
+    edge where ``u - k`` has no value.
+    """
+    t_left, t_right, t_mid = thresholds
+    lo = uc < t_left
+    ro = (uc > t_right) & ~lo
+    of = lo | ro
+    f = (ro | (~of & (uc > t_mid))).astype(float)
+    # 1 - u on the right, u on the left; minus 0.0 on the outer piece is exact
+    x = f * (1.0 - uc) + (1.0 - f) * uc
+    x -= k.take(of)
+    edge = x <= 0.0
+    x *= m.take(of)
+    x /= a.take(of)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        np.log(x, out=x)
+    scale(x, s.take(of), out=x)
+    # y * (1 - 2f) - f: -y - 1.0 on the right, y on the left; both exact
+    x *= 1.0 - 2.0 * f
+    if integer:
+        x -= f
+    if edge.any():
+        x[edge] = ct * (2.0 * f[edge] - 1.0)
+    return x, of, f, edge
+
+
 def _mixture_from_uniform(
     u: np.ndarray,
     thresholds: tuple[float, float, float],
@@ -315,33 +345,15 @@ def _mixture_from_uniform(
     below and the formula has no value; the draw there is the piece's edge,
     ``-c_t`` on the left and ``c_t`` on the right, as at its float neighbours.
     """
-    t_left, t_right, t_mid = thresholds
-    m, a, s, k = (np.array(pair) for pair in zip(inner, outer))
+    pieces = tuple(np.array(pair) for pair in zip(inner, outer))
     u = np.asarray(u, dtype=float)
     flat = u.ravel()
     out = np.empty(flat.size, dtype=np.int64 if integer else np.float64)
     for i in range(0, flat.size, _CHUNK):
         uc = flat[i : i + _CHUNK]
-        lo = uc < t_left
-        ro = (uc > t_right) & ~lo
-        of = lo | ro
-        f = (ro | (~of & (uc > t_mid))).astype(float)
-        # 1 - u on the right, u on the left; minus 0.0 on the outer piece is exact
-        x = f * (1.0 - uc) + (1.0 - f) * uc
-        x -= k.take(of)
-        edge = x <= 0.0
-        x *= m.take(of)
-        x /= a.take(of)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            np.log(x, out=x)
-        scale(x, s.take(of), out=x)
-        # y * (1 - 2f) - f: -y - 1.0 on the right, y on the left; both exact
-        x *= 1.0 - 2.0 * f
+        x = _mixture_pre_rounding(uc, thresholds, *pieces, scale, integer, ct)[0]
         if integer:
-            x -= f
             np.ceil(x, out=x)
-        if edge.any():
-            x[edge] = ct * (2.0 * f[edge] - 1.0)
         out[i : i + uc.size] = x
     return out.reshape(u.shape)
 
@@ -589,6 +601,23 @@ class _TwoPieceMixture:
         return _mixture_from_uniform(
             u, *self._inverse_pieces(), integer=self.integer, ct=self.params.break_point
         )
+
+    def pre_rounding(self, u) -> tuple[np.ndarray, np.ndarray]:
+        """``inverse_cdf`` at each u before geomix rounds it up, and the kernel branch taken.
+
+        The branch is a small int: outer piece, right side, piece edge.  Each
+        branch is taken on an interval of u, and there the value is a
+        non-decreasing function of u computed through a handful of correctly
+        rounded steps and one ``log``, so it is within about 1e-15 (1 + |x| + b)
+        of that function, b the larger piece scale.
+        """
+        thresholds, inner, outer, scale = self._inverse_pieces()
+        pieces = (np.array(pair) for pair in zip(inner, outer))
+        x, of, f, edge = _mixture_pre_rounding(
+            np.asarray(u, dtype=float), thresholds, *pieces, scale, self.integer,
+            self.params.break_point,
+        )
+        return x, of + 2 * f.astype(np.int64) + 4 * edge
 
     def draw(self, stream, n: int) -> np.ndarray:
         return self.inverse_cdf(stream.uniforms(n))

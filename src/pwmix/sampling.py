@@ -19,7 +19,7 @@ import numpy as np
 
 from .mechanisms import MechanismSpec
 
-__all__ = ["SeededStream", "sample"]
+__all__ = ["SeededStream", "lattice_uniforms", "sample"]
 
 _MASK64 = (1 << 64) - 1
 _BELOW_ONE = np.nextafter(1.0, 0.0)
@@ -63,14 +63,25 @@ class SeededStream:
         """Independent child stream keyed by the given index tuple."""
         return SeededStream(self.seed, _mix64(self.stream_id, *indices))
 
+    def lattice(self, size: int) -> np.ndarray:
+        """``size`` int64 values uniform on [0, 2^53): the lattice under ``uniforms``."""
+        return self.generator.integers(0, 1 << 53, size=int(size), dtype=np.int64)
+
     def uniforms(self, size: int | None = None):
         """Uniform draws from the open interval (0, 1)."""
-        n = 1 if size is None else int(size)
-        lattice = self.generator.integers(0, 1 << 53, size=n, dtype=np.int64)
-        u = (lattice.astype(np.float64) + 0.5) * 2.0**-53
-        # the top midpoint, 1 - 2^-54, rounds to 1.0: take the largest double below 1
-        np.minimum(u, _BELOW_ONE, out=u)
+        u = lattice_uniforms(self.lattice(1 if size is None else size))
         return float(u[0]) if size is None else u
+
+
+def lattice_uniforms(lattice: np.ndarray) -> np.ndarray:
+    """The uniform of each lattice value L in [0, 2^53): the midpoint (L + 1/2) 2^-53.
+
+    Non-decreasing in L.  The top midpoint, 1 - 2^-54, rounds to 1.0 and is
+    capped at the largest double below 1.
+    """
+    u = (lattice.astype(np.float64) + 0.5) * 2.0**-53
+    np.minimum(u, _BELOW_ONE, out=u)
+    return u
 
 
 def sample(spec: MechanismSpec, stream: SeededStream, size: int | None = None):

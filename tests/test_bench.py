@@ -5,10 +5,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pwmix import mechanisms
+from pwmix import bench, mechanisms
 from pwmix.bench import (
     TABLE1_GRID,
+    _bucket_table,
     _clamp_free_count,
     _outcome_counts,
     SimulationConfig,
@@ -23,12 +26,13 @@ from pwmix.bench import (
 )
 from pwmix.cli import _random_queries, spec_from_dict
 from pwmix.data import load_dataset
-from pwmix.errors import UndefinedMetricError
+from pwmix.errors import InvalidParameterError, UndefinedMetricError
 from pwmix.mechanisms import (
     Geometric,
     GeometricMixture,
     Laplace,
     LaplaceMixture,
+    MixtureParams,
     TruncatedLaplace,
     ZeroNoise,
     geomix_constants,
@@ -246,6 +250,143 @@ class TestOutcomeCounts:
         assert _outcome_counts(spec, SeededStream(0), 4, 1, True) == {0: 2, 2: 2}
 
 
+def _bucket_and_draw_counts(spec, trials, offset, clamp, seed=408, stream=None):
+    """(counts through the bucket table, counts drawn one by one) of one arm."""
+    table = _bucket_table(spec, abs(offset))
+    assert table is not None
+    got = _outcome_counts(spec, stream or SeededStream(seed), trials, offset, clamp, table)
+    return got, _outcome_counts(spec, stream or SeededStream(seed), trials, offset, clamp)
+
+
+class TestBucketCounts:
+    """An arm counted per lattice bucket has exactly the counts drawn one by one."""
+
+    TRIALS = 2 * (1 << 16) + 17
+    POINTS = [
+        # the bench_ct5 preset
+        MixtureParams(epsilon=0.2, ratio=5.0, break_point=5.0),
+        # the inner piece's tail beyond c_t is below half an ulp: the kernel's edge case
+        MixtureParams(epsilon=3.7890625, ratio=0.5, break_point=9.0),
+    ]
+
+    @pytest.mark.parametrize("params", POINTS)
+    @pytest.mark.parametrize("family", [GeometricMixture, LaplaceMixture])
+    @pytest.mark.parametrize("offset, clamp", [(0, False), (3, True), (-4, False), (1 << 20, True)])
+    def test_matches_draws(self, family, params, offset, clamp):
+        got, want = _bucket_and_draw_counts(family(params), self.TRIALS, offset, clamp)
+        assert got == want
+
+    def test_preset_straddles_few_buckets(self):
+        for family in (GeometricMixture, LaplaceMixture):
+            table = _bucket_table(family(self.POINTS[0]), 64)
+            assert 0 < table.straddles.sum() < 100
+
+    @pytest.mark.parametrize("offset, clamp", [(0, False), (7, True), (1 << 20, True)])
+    def test_wide_lapmix(self, offset, clamp):
+        # one bucket spans about a third of an integer: thousands straddle a step
+        spec = LaplaceMixture(MixtureParams(epsilon=1e-4, ratio=2.0, break_point=5.0))
+        assert _bucket_table(spec, 0).straddles.sum() > 1000
+        got, want = _bucket_and_draw_counts(spec, self.TRIALS, offset, clamp)
+        assert got == want
+
+    @pytest.mark.parametrize("params", POINTS)
+    @pytest.mark.parametrize("family", [GeometricMixture, LaplaceMixture])
+    def test_lattice_ends(self, family, params):
+        # the lowest uniform, 2^-54; 1 - 2^-52, which is t_right at the edge-case
+        # point; and the top one, capped below 1
+        stream = SeededStream(0)
+        stream._gen = _LatticeEnds()
+        got, want = _bucket_and_draw_counts(family(params), 999, 2, True, stream=stream)
+        assert got == want and sum(got.values()) == 999
+
+    @pytest.mark.parametrize("shape", ["branch_switch", "rounding_dip"])
+    def test_table_guards(self, shape):
+        # Bucket 5's edges bin to 0 and a draw inside it bins to 1: the bucket
+        # must straddle, once for a branch switch and once for a dip of one ulp
+        # across a rounding step (float error of a monotone value).
+        spec = _BucketFiveSpec(shape)
+        table = _bucket_table(spec, 0)
+        assert table.straddles[5] and table.straddles.sum() == 1
+        stream = SeededStream(0)
+        lattice = [5 << 37, (5 << 37) + (3 << 34), (6 << 37) - 1]
+        stream._gen = _LatticeEnds(lattice)
+        got, want = _bucket_and_draw_counts(spec, 300, 0, False, stream=stream)
+        assert got == want == {0: 200, 1: 100}
+
+    def test_other_families_draw_one_by_one(self):
+        for spec in (Laplace(scale=2.0), Geometric(alpha=math.exp(0.5)), ZeroNoise()):
+            assert _bucket_table(spec, 0) is None
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        family=st.sampled_from([GeometricMixture, LaplaceMixture]),
+        eps=st.floats(0.01, 20.0),
+        ratio=st.floats(0.1, 20.0),
+        ct=st.integers(1, 30),
+        offset=st.integers(-64, 1 << 20),
+        clamp=st.booleans(),
+    )
+    def test_property(self, family, eps, ratio, ct, offset, clamp):
+        spec = family(MixtureParams(epsilon=eps, ratio=ratio, break_point=float(ct)))
+        try:
+            table = _bucket_table(spec, abs(offset))
+        except InvalidParameterError:  # constants that underflow
+            return
+        stream = SeededStream(ct)
+        got = _outcome_counts(spec, stream, (1 << 16) + 9, offset, clamp, table)
+        assert got == _outcome_counts(spec, SeededStream(ct), (1 << 16) + 9, offset, clamp)
+
+    def test_audits_switch_at_table_size(self, monkeypatch):
+        # below 2^16 trials an arm draws one by one; at 2^16 it counts per bucket
+        built = []
+        monkeypatch.setattr(bench, "_bucket_table", lambda *a: built.append(a))
+        spec = GeometricMixture(self.POINTS[0])
+        audit_mechanism(spec, (1 << 16) - 1, SeededStream(1))
+        assert built == []
+        audit_mechanism(spec, 1 << 16, SeededStream(1))
+        assert built == [(spec, 1)]
+
+
+class _LatticeEnds:
+    """Stands in for a generator: the lattice cycles through the given values,
+    by default 0, 2^53 - 2 and 2^53 - 1."""
+
+    def __init__(self, values=(0, 2**53 - 2, 2**53 - 1)):
+        self.values = values
+
+    def integers(self, low, high, size, dtype):
+        assert (low, high) == (0, 2**53)
+        return np.resize(np.array(self.values, dtype=dtype), size)
+
+
+class _BucketFiveSpec:
+    """A continuous stand-in for a mixture kernel, odd only in lattice bucket 5.
+
+    ``branch_switch``: the value climbs from 0.2 to 1 over the first half of
+    bucket 5 and drops back to 0.2 on a second branch.  ``rounding_dip``: the
+    value sits one ulp below 0.5 at bucket 5's edges and one ulp above it in
+    between, 0.2 before the bucket and 0.8 after it.
+    """
+
+    integer = False
+    params = MixtureParams(epsilon=1.0, ratio=1.0, break_point=1.0)
+
+    def __init__(self, shape):
+        self.shape = shape
+
+    def pre_rounding(self, u):
+        p = u * 2.0**16  # bucket index plus the position inside it
+        if self.shape == "branch_switch":
+            x = np.where((p >= 5) & (p < 5.5), 0.2 + 1.6 * (p - 5), 0.2)
+            return x, (p >= 5.5).astype(np.int64)
+        edge, mid = np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0)
+        x = np.where(p < 5, 0.2, np.where(p >= 6, 0.8, np.where(abs(p - 5.5) < 0.25, mid, edge)))
+        return x, np.zeros(x.shape, dtype=np.int64)
+
+    def draw(self, stream, n):
+        return self.pre_rounding(stream.uniforms(n))[0]
+
+
 class _FixedNoise:
     """A continuous spec whose draws are the given values, in order."""
 
@@ -289,6 +430,15 @@ class TestAuditPrivacy:
 
     def test_not_unbounded(self, small_audit):
         assert not small_audit.unbounded_loss_detected
+
+    @pytest.mark.parametrize("key", ["trials", "max_records", "queries_per_record"])
+    @pytest.mark.parametrize("value", [0, -5, 0.5])
+    def test_sizes_below_one_refused(self, key, value):
+        ds = make_synthetic_dataset(rows=50, seed=7)
+        queries = _random_queries(ds, 5, SeededStream(1).derive(99).generator)
+        sizes = {"trials": 100, "max_records": 5, "queries_per_record": 5, key: value}
+        with pytest.raises(InvalidParameterError, match=f"{key} must be >= 1"):
+            audit_privacy(ds, queries, GeometricMixture(PRESET_A), stream=SeededStream(5), **sizes)
 
     def test_deterministic(self):
         ds = make_synthetic_dataset(rows=200, seed=7)

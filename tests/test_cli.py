@@ -595,6 +595,54 @@ class TestBenchAudit:
         assert report["max_count_difference"] <= 1
         assert (out_dir / "manifest.json").exists()
 
+    def _audit(self, capsys, tmp_path, data_file, **sizes):
+        cfg = tmp_path / "audit.json"
+        cfg.write_text(json.dumps({
+            "data": data_file,
+            "mechanism": {"kind": "geomix", "eps": 0.2, "reps": 1, "ct": 5},
+            **{"trials": 200, "n_queries": 5, "max_records": 4, "queries_per_record": 5, **sizes},
+        }))
+        out_dir = tmp_path / "audit_out"
+        code, _, err = run_cli(
+            ["audit", "--config", str(cfg), "--out", str(out_dir), "--seed", "6"], capsys
+        )
+        return code, err, out_dir
+
+    @pytest.mark.parametrize("key", ["trials", "n_queries", "max_records", "queries_per_record"])
+    @pytest.mark.parametrize("value", [2.5, True, False, "100", None, float("inf")])
+    def test_audit_size_not_whole_number(self, capsys, tmp_path, data_file, key, value):
+        code, err, out_dir = self._audit(capsys, tmp_path, data_file, **{key: value})
+        assert code == 2 and not out_dir.exists()
+        assert f"{key} must be a whole number" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("key", ["trials", "max_records", "queries_per_record"])
+    @pytest.mark.parametrize("value", [0, -5])
+    def test_audit_size_below_one(self, capsys, tmp_path, data_file, key, value):
+        code, err, out_dir = self._audit(capsys, tmp_path, data_file, **{key: value})
+        assert code == 2 and not out_dir.exists()
+        assert f"{key} must be >= 1, got {value}" in err
+
+    def test_audit_integral_float_sizes(self, capsys, tmp_path, data_file):
+        code, _, out_dir = self._audit(capsys, tmp_path, data_file)
+        assert code == 0
+        want = (out_dir / "privacy_audit.json").read_bytes()
+        floats = {"trials": 2e2, "n_queries": 5.0, "max_records": 4.0, "queries_per_record": 5.0}
+        code, _, out_dir = self._audit(capsys, tmp_path, data_file, **floats)
+        assert code == 0 and (out_dir / "privacy_audit.json").read_bytes() == want
+
+    def test_bench_samples_not_whole_number(self, capsys, tmp_path):
+        cfg = tmp_path / "bench.json"
+        cfg.write_text(json.dumps({
+            "true_counts": [1],
+            "mechanisms": [{"kind": "zero"}],
+            "samples_per_cell": 2.5,
+            "c_t_for_metrics": 5,
+        }))
+        code, _, err = run_cli(
+            ["bench", "--config", str(cfg), "--out", str(tmp_path / "x"), "--seed", "5"], capsys
+        )
+        assert code == 2 and "samples_per_cell must be a whole number" in err
+
 
 class TestOversizedCell:
     """A cell past csv.field_size_limit() is a parse error: exit 2, no traceback."""

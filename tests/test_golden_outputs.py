@@ -7,10 +7,12 @@ moved and why.
 
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import pytest
 
+from pwmix import bench
 from pwmix.cli import main
 
 from conftest import make_synthetic_dataset
@@ -63,6 +65,33 @@ class TestAuditReport:
         if trials < 50:
             assert b'"nan"' in report and b'"-inf"' in report
         assert sha256(report) == digest
+
+    @pytest.mark.parametrize("kind", ["geomix", "lapmix"])
+    def test_bucket_counts_leave_report_unchanged(
+        self, capsys, tmp_path, monkeypatch, data_csv, kind
+    ):
+        # The pins above run below 2^16 trials, where every arm draws one by one.
+        # At 2^17 the arms count per lattice bucket; forced to draw one by one
+        # instead, the report is the same bytes.
+        cfg = tmp_path / "audit.json"
+        cfg.write_text(json.dumps({
+            "data": str(data_csv),
+            "mechanism": {"kind": kind, "eps": 0.2, "reps": 1, "ct": 5},
+            "trials": 1 << 17,
+            "max_records": 20,
+            "queries_per_record": 10,
+        }))
+        tables = []
+        build = bench._bucket_table
+        monkeypatch.setattr(bench, "_bucket_table", lambda *a: tables.append(build(*a)) or tables[-1])
+        reports = []
+        for min_trials in (bench._TABLE_MIN_TRIALS, math.inf):
+            monkeypatch.setattr(bench, "_TABLE_MIN_TRIALS", min_trials)
+            out = tmp_path / f"out{len(reports)}"
+            run_cli(["audit", "--config", str(cfg), "--out", str(out), "--seed", "3"], capsys)
+            reports.append((out / "privacy_audit.json").read_bytes())
+        assert len(tables) == 1 and tables[0] is not None
+        assert reports[0] == reports[1]
 
 
 # Whitespace, case and "?" variants: cells are trimmed text, so " Private "

@@ -27,7 +27,7 @@ from pwmix.mechanisms import (
     lapmix_constants,
     rounded_laplace_pmf,
 )
-from pwmix.sampling import SeededStream, sample
+from pwmix.sampling import SeededStream, lattice_uniforms, sample
 
 from conftest import PRESET_A, PRESET_B, chi_square_pvalue
 
@@ -203,6 +203,20 @@ class TestSeededStream:
             y = sample(spec, stream, 2)
             assert np.all(np.isfinite(y.astype(float)))
             assert np.all(np.abs(y) < 10**4) and y[0] > 0 > y[1]
+
+    @pytest.mark.parametrize("pieces", [(10_000,), (1, 4_096, 5_903), (7_000, 3_000)])
+    def test_uniforms_are_lattice_midpoints(self, pieces):
+        # uniforms(n) is (lattice(n) + 1/2) 2^-53 capped below 1, read in one call or in pieces
+        lattice = SeededStream(11, 2).lattice(10_000)
+        assert lattice.dtype == np.int64
+        assert 0 <= lattice.min() and lattice.max() < 2**53
+        want = np.minimum((lattice.astype(float) + 0.5) * 2.0**-53, np.nextafter(1.0, 0.0))
+        stream = SeededStream(11, 2)
+        got = np.concatenate([stream.uniforms(n) for n in pieces])
+        assert np.array_equal(got, want)
+        assert np.array_equal(lattice_uniforms(lattice), want)
+        read = SeededStream(11, 2)
+        assert np.array_equal(np.concatenate([read.lattice(n) for n in pieces]), lattice)
 
     def test_derive_stable(self):
         s = SeededStream(9, 1)
