@@ -453,34 +453,40 @@ def _outcome_counts(
     stream yields the same draws read in pieces as in one call, so the counts
     do not depend on the chunk size.  With a ``table`` (from ``_bucket_table``
     for ``spec``, offsets up to at least ``|offset|``) a chunk's lattice values
-    are counted per bucket, and only those in straddling buckets are drawn one
-    by one; the counts are the same.
+    are counted per bucket, and those in straddling buckets are held and drawn
+    together once ``_AUDIT_CHUNK`` of them have collected, and at the end; the
+    counts are the same.
     """
     trials = int(trials)
     counts: Counter = Counter()
-    if table is not None:
-        per_bucket = np.zeros(table.straddles.size, dtype=np.int64)
-    for start in range(0, trials, _AUDIT_CHUNK):
-        n = min(_AUDIT_CHUNK, trials - start)
-        if table is None:
-            noise = sample(spec, stream, size=n)
-        else:
-            lattice = stream.lattice(n)
-            buckets = lattice >> _BUCKET_SHIFT
-            per_bucket += np.bincount(buckets, minlength=per_bucket.size)
-            cut = lattice[table.straddles[buckets]]
-            noise = sample(spec, _Drawn(lattice_uniforms(cut)), size=cut.size)
+
+    def tally(noise: np.ndarray) -> None:
         out = _binned(np.maximum(offset + noise, 0) if clamp else offset + noise)
         values, chunk_counts = np.unique(out, return_counts=True)
         counts.update(dict(zip(values.tolist(), chunk_counts.tolist())))
-    if table is not None:
-        covered = np.add.reduceat(per_bucket[table.order], table.starts)
-        outcomes = offset + table.noise
-        if clamp:
-            outcomes = np.maximum(outcomes, 0)
-        for outcome, count in zip(outcomes.tolist(), covered.tolist()):
-            if count:
-                counts[outcome] += count
+
+    if table is None:
+        for start in range(0, trials, _AUDIT_CHUNK):
+            tally(sample(spec, stream, size=min(_AUDIT_CHUNK, trials - start)))
+        return dict(counts)
+    per_bucket = np.zeros(table.straddles.size, dtype=np.int64)
+    held: list[np.ndarray] = []  # straddling lattice values not yet drawn
+    for start in range(0, trials, _AUDIT_CHUNK):
+        lattice = stream.lattice(min(_AUDIT_CHUNK, trials - start))
+        buckets = lattice >> _BUCKET_SHIFT
+        per_bucket += np.bincount(buckets, minlength=per_bucket.size)
+        held.append(lattice[table.straddles[buckets]])
+        if sum(map(len, held)) >= _AUDIT_CHUNK or start + _AUDIT_CHUNK >= trials:
+            cut = np.concatenate(held)
+            held.clear()
+            tally(sample(spec, _Drawn(lattice_uniforms(cut)), size=cut.size))
+    covered = np.add.reduceat(per_bucket[table.order], table.starts)
+    outcomes = offset + table.noise
+    if clamp:
+        outcomes = np.maximum(outcomes, 0)
+    for outcome, count in zip(outcomes.tolist(), covered.tolist()):
+        if count:
+            counts[outcome] += count
     return dict(counts)
 
 
@@ -544,6 +550,12 @@ class MechanismAudit:
         return max(excesses, default=-math.inf)
 
 
+def _require_sizes(**sizes) -> None:
+    for name, size in sizes.items():
+        if not size >= 1:
+            raise InvalidParameterError(f"{name} must be >= 1, got {size!r}")
+
+
 def audit_mechanism(
     spec: MechanismSpec,
     trials: int,
@@ -552,8 +564,7 @@ def audit_mechanism(
     min_count: int = 50,
 ) -> MechanismAudit:
     """Estimate per-outcome losses between noise laws shifted by ``shift``."""
-    if trials < 1:
-        raise InvalidParameterError("trials must be >= 1")
+    _require_sizes(trials=trials, min_count=min_count)
     table = _bucket_table(spec, shift) if trials >= _TABLE_MIN_TRIALS else None
     losses, sigmas, weights, one_sided = _frequency_losses(
         _outcome_counts(spec, stream.derive(0), trials, 0, False, table),
@@ -642,10 +653,8 @@ def audit_privacy(
     count-invariant — and each group gets a two-arm frequency audit with
     ``trials`` draws per arm.
     """
-    for name, size in (("trials", trials), ("max_records", max_records),
-                       ("queries_per_record", queries_per_record)):
-        if not size >= 1:
-            raise InvalidParameterError(f"{name} must be >= 1, got {size!r}")
+    _require_sizes(trials=trials, max_records=max_records,
+                   queries_per_record=queries_per_record, min_count=min_count)
     if not queries:
         raise InvalidParameterError("audit needs at least one query")
     if ds.row_count == 0:
@@ -656,15 +665,19 @@ def audit_privacy(
     true_counts = [count_query(ds, q) for q in queries]
     big_n = _clamp_free_count(spec)
 
+    # picked[q, j]: whether the j-th sampled record is paired with query q
+    if len(queries) > queries_per_record:
+        picked = np.zeros((len(queries), n_rec), dtype=bool)
+        for j in range(n_rec):
+            picked[rng.choice(len(queries), size=queries_per_record, replace=False), j] = True
+    else:
+        picked = np.ones((len(queries), n_rec), dtype=bool)
     group_pairs = Counter()  # (kind, n1) with n1 canonicalized for clamp-free counts
-    for r in rec_idx:
-        if len(queries) > queries_per_record:
-            q_sel = rng.choice(len(queries), size=queries_per_record, replace=False)
-        else:
-            q_sel = np.arange(len(queries))
-        for qi in q_sel:
-            kind = "diff" if record_matches(ds, int(r), queries[int(qi)]) else "same"
-            group_pairs[kind, min(true_counts[int(qi)], big_n)] += 1
+    for q, n, sel in zip(queries, true_counts, picked):
+        diff = int(np.count_nonzero(record_matches(ds, rec_idx, q) & sel))
+        group_pairs["diff", min(n, big_n)] += diff
+        group_pairs["same", min(n, big_n)] += int(np.count_nonzero(sel)) - diff
+    group_pairs = +group_pairs  # drops the groups no pair fell into
     n_pairs = sum(group_pairs.values())
     n_same = sum(n for (kind, _), n in group_pairs.items() if kind == "same")
     eps_bound = spec.worst_case_eps()

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from itertools import chain, count, islice
 from pathlib import Path
@@ -67,24 +68,23 @@ def _encode_columns(
     """Row count and per-column encodings of ``records``, read ``_BLOCK`` rows at a time.
 
     Each column maps the values seen so far to provisional codes in order of
-    first sight.  At the end the values are trimmed, the sorted distinct trims
-    become the levels (values that trim alike share one), and one array index
-    maps the provisional codes to level codes.
+    first sight, assigned by one lookup pass per block.  At the end the values
+    are trimmed, the sorted distinct trims become the levels (values that trim
+    alike share one), and one array index maps the provisional codes to level
+    codes.
     """
     rows = iter(records)
-    seen: list[dict] = [{} for _ in range(width)]
+    seen = [defaultdict(count().__next__) for _ in range(width)]
     blocks: list[list[np.ndarray]] = [[] for _ in range(width)]
     row_count = 0
     while block := list(islice(rows, _BLOCK)):
-        for i, rec in enumerate(block, row_count):
-            if len(rec) != width:
-                raise ParseError(f"row {i} has {len(rec)} fields, expected {width}", row_index=i)
+        if any(map(width.__ne__, map(len, block))):
+            i, rec = next((i, rec) for i, rec in enumerate(block, row_count) if len(rec) != width)
+            raise ParseError(f"row {i} has {len(rec)} fields, expected {width}", row_index=i)
         row_count += len(block)
         for code_of, coded, column in zip(seen, blocks, zip(*block)):
-            fresh = [v for v in dict.fromkeys(column) if v not in code_of]
-            code_of.update(zip(fresh, count(len(code_of))))
-            dtype = np.min_scalar_type(len(code_of))
-            coded.append(np.fromiter(map(code_of.__getitem__, column), dtype, len(column)))
+            codes = np.fromiter(map(code_of.__getitem__, column), np.int64, len(column))
+            coded.append(codes.astype(np.min_scalar_type(len(code_of))))
     columns = []
     for code_of, coded in zip(seen, blocks):
         if not all(isinstance(value, str) for value in code_of):
@@ -201,13 +201,17 @@ def load_dataset(source, *, header: bool = True, delimiter: str = ",") -> Datase
     return ds
 
 
-def _predicate_mask(ds: Dataset, predicates: Iterable[tuple[str, str]]) -> np.ndarray:
-    """Rows matching every predicate; a value the column lacks, or a non-str, matches none."""
-    mask = np.ones(ds.row_count, dtype=bool)
+def _predicate_mask(ds: Dataset, predicates: Iterable[tuple[str, str]], rows=None) -> np.ndarray:
+    """Which records, all or those indexed by ``rows``, match every predicate.
+
+    A value the column lacks, or a non-str, matches none.
+    """
+    mask = np.ones(ds.row_count if rows is None else np.shape(rows), dtype=bool)
     for attr, value in predicates:
         enc = ds.encoding(attr)
         code = enc.code(value)
-        mask &= (enc.codes == code) if code is not None else False
+        codes = enc.codes if rows is None else enc.codes[rows]
+        mask &= (codes == code) if code is not None else False
     return mask
 
 
@@ -223,16 +227,18 @@ def histogram_query(ds: Dataset, attribute: str) -> dict[str, int]:
     return dict(zip(enc.levels, counts.tolist()))
 
 
-def record_matches(ds: Dataset, index: int, q: QuerySpec) -> bool:
-    """Whether one record satisfies all predicates of a count query."""
-    if not (0 <= index < ds.row_count):
-        raise QueryError(f"record index {index} out of range [0, {ds.row_count})")
-    for attr, value in q.predicates:
-        enc = ds.encoding(attr)
-        code = enc.code(value)
-        if code is None or enc.codes[index] != code:
-            return False
-    return True
+def record_matches(ds: Dataset, index: int | np.ndarray, q: QuerySpec) -> bool | np.ndarray:
+    """Whether records satisfy all predicates of a count query.
+
+    ``index`` is one record index, answered with a bool, or an array of them,
+    answered with a bool array of its shape.
+    """
+    idx = np.asarray(index)
+    outside = (idx < 0) | (idx >= ds.row_count)
+    if outside.any():
+        raise QueryError(f"record index {idx[outside][0]} out of range [0, {ds.row_count})")
+    hit = _predicate_mask(ds, q.predicates, idx)
+    return bool(hit) if idx.ndim == 0 else hit
 
 
 def neighbors(ds: Dataset, index: int) -> Dataset:

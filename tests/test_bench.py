@@ -1,6 +1,7 @@
 import io
 import math
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,7 @@ from pwmix.bench import (
     within_bound_fraction,
 )
 from pwmix.cli import _random_queries, spec_from_dict
-from pwmix.data import load_dataset
+from pwmix.data import QuerySpec, count_query, load_dataset, record_matches
 from pwmix.errors import InvalidParameterError, UndefinedMetricError
 from pwmix.mechanisms import (
     Geometric,
@@ -217,6 +218,13 @@ class TestAuditMechanism:
         audit = audit_mechanism(spec, 1e4, SeededStream(409))
         assert audit == audit_mechanism(spec, 10**4, SeededStream(409))
 
+    @pytest.mark.parametrize("key", ["trials", "min_count"])
+    @pytest.mark.parametrize("value", [0, -5, 0.5])
+    def test_sizes_below_one_refused(self, key, value):
+        sizes = {"trials": 100, key: value}
+        with pytest.raises(InvalidParameterError, match=f"{key} must be >= 1, got {value}"):
+            audit_mechanism(Laplace(2.0), stream=SeededStream(1), **sizes)
+
 
 class TestOutcomeCounts:
     """An arm counted a chunk at a time matches the counts of one call's draws."""
@@ -288,6 +296,27 @@ class TestBucketCounts:
         assert _bucket_table(spec, 0).straddles.sum() > 1000
         got, want = _bucket_and_draw_counts(spec, self.TRIALS, offset, clamp)
         assert got == want
+
+    def test_straddlers_beyond_a_chunk(self, monkeypatch):
+        # About 44% of the buckets straddle, so an arm holds more than a chunk
+        # of straddling values after its third chunk, draws them in one call,
+        # and draws the rest at the end of the arm.
+        spec = LaplaceMixture(MixtureParams(epsilon=1e-4, ratio=2.0, break_point=5.0))
+        trials = 5 * (1 << 16) + 17
+        table = _bucket_table(spec, 7)
+        sizes = []
+        monkeypatch.setattr(bench, "sample", lambda s, st, size: sizes.append(size) or sample(s, st, size))
+        tracemalloc.start()
+        try:
+            got = _outcome_counts(spec, SeededStream(408), trials, 7, True, table)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(sizes) == 2 and sizes[0] >= bench._AUDIT_CHUNK and sum(sizes) < trials
+        assert peak < 8_000_000
+        sizes.clear()
+        assert got == _outcome_counts(spec, SeededStream(408), trials, 7, True)
+        assert len(sizes) == 6
 
     @pytest.mark.parametrize("params", POINTS)
     @pytest.mark.parametrize("family", [GeometricMixture, LaplaceMixture])
@@ -431,7 +460,7 @@ class TestAuditPrivacy:
     def test_not_unbounded(self, small_audit):
         assert not small_audit.unbounded_loss_detected
 
-    @pytest.mark.parametrize("key", ["trials", "max_records", "queries_per_record"])
+    @pytest.mark.parametrize("key", ["trials", "max_records", "queries_per_record", "min_count"])
     @pytest.mark.parametrize("value", [0, -5, 0.5])
     def test_sizes_below_one_refused(self, key, value):
         ds = make_synthetic_dataset(rows=50, seed=7)
@@ -447,6 +476,55 @@ class TestAuditPrivacy:
         a = audit_privacy(ds, queries, GeometricMixture(PRESET_A), stream=SeededStream(5), **kw)
         b = audit_privacy(ds, queries, GeometricMixture(PRESET_A), stream=SeededStream(5), **kw)
         assert a.to_json_dict() == b.to_json_dict()
+
+
+def _oracle_pairs(ds, queries, spec, stream, max_records, queries_per_record):
+    """Pairs per (kind, canonical true count), classified one (record, query) pair at a time."""
+    rng = stream.derive(0).generator
+    rec_idx = np.sort(rng.choice(ds.row_count, size=min(ds.row_count, max_records), replace=False))
+    true_counts = [count_query(ds, q) for q in queries]
+    big_n = _clamp_free_count(spec)
+    pairs = Counter()
+    for r in rec_idx:
+        if len(queries) > queries_per_record:
+            q_sel = rng.choice(len(queries), size=queries_per_record, replace=False)
+        else:
+            q_sel = np.arange(len(queries))
+        for qi in q_sel:
+            kind = "diff" if record_matches(ds, int(r), queries[int(qi)]) else "same"
+            pairs[kind, min(true_counts[int(qi)], big_n)] += 1
+    return dict(pairs)
+
+
+class TestPairClassification:
+    """audit_privacy's pairs per group equal those of a per-pair loop."""
+
+    @pytest.mark.parametrize(
+        "rows, n_queries, max_records, queries_per_record",
+        [
+            (400, 30, 50, 7),  # each record draws a subset of the queries
+            (400, 30, 50, 30),  # every record meets every query
+            (40, 12, 200, 5),  # fewer records than max_records
+            (40, 12, 200, 50),
+        ],
+    )
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_matches_per_pair_loop(self, rows, n_queries, max_records, queries_per_record, seed):
+        ds = make_synthetic_dataset(rows=rows, seed=seed)
+        queries = _random_queries(ds, n_queries, SeededStream(seed).derive(99).generator)
+        # a value the column lacks matches no record, alone and in a conjunction
+        queries += [
+            QuerySpec(predicates=(("color", "purple"),)),
+            QuerySpec(predicates=(("shape", "tri"), ("region", "x"))),
+        ]
+        spec = GeometricMixture(PRESET_A)
+        kw = dict(max_records=max_records, queries_per_record=queries_per_record)
+        report = audit_privacy(ds, queries, spec, 2000, SeededStream(seed), **kw)
+        want = _oracle_pairs(ds, queries, spec, SeededStream(seed), **kw)
+        got = {(g["kind"], g["true_count"]): g["pairs"] for g in report.groups}
+        assert got == want
+        assert report.n_pairs == min(rows, max_records) * min(len(queries), queries_per_record)
+        assert ("same", 0) in got
 
 
 class TestRandomQueries:

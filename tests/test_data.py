@@ -101,6 +101,13 @@ class TestLoadDataset:
         assert exc.value.row_index == 5000
         assert str(exc.value) == "row 5000 has 1 fields, expected 2"
 
+    def test_first_ragged_row_of_a_block_is_named(self):
+        text = "a,b\n" + "x,y\n" * 1500 + "z\n" + "x,y\n" * 3 + "1,2,3\n"
+        with pytest.raises(ParseError) as exc:
+            load_dataset(io.StringIO(text))
+        assert exc.value.row_index == 1500
+        assert str(exc.value) == "row 1500 has 1 fields, expected 2"
+
     def test_oversized_cell_is_a_parse_error(self):
         limit = csv.field_size_limit()
         for text in (f"a,b\n1,{'x' * (limit + 1)}\n", f"{'h' * (limit + 1)},b\n1,2\n"):
@@ -158,6 +165,24 @@ class TestEncoding:
     def test_non_text_cell_refused(self):
         with pytest.raises(ParseError):
             Dataset(schema=("a", "b"), records=(("x", "1"), ("y", 2)))
+        with pytest.raises(ParseError, match="every cell must be text"):
+            Dataset(schema=("a",), records=[("x",)] * 2000 + [(None,)])
+
+    @pytest.mark.parametrize("n_levels, dtype", [(255, np.uint8), (256, np.uint16), (300, np.uint16)])
+    def test_codes_are_the_narrowest_that_hold_the_levels(self, n_levels, dtype):
+        rows = [(f"v{i % n_levels:03d}",) for i in range(3 * n_levels)]
+        d = Dataset(schema=("a",), records=rows)
+        assert d.encoding("a").codes.dtype == dtype
+        assert d.encoding("a").codes.tolist() == [i % n_levels for i in range(3 * n_levels)]
+
+    def test_many_raw_values_trim_to_few_levels(self):
+        # 1,500 distinct cells need uint16 provisional codes, spread over two
+        # blocks; they trim to 3 levels, whose codes are uint8
+        rows = [(" " * (i // 3) + "xyz"[i % 3],) for i in range(1500)]
+        d = Dataset(schema=("a",), records=rows)
+        assert d.levels("a") == ("x", "y", "z")
+        assert d.encoding("a").codes.dtype == np.uint8
+        assert d.encoding("a").codes.tolist() == [i % 3 for i in range(1500)]
 
     def test_unknown_attribute(self, ds):
         for method in (ds.encoding, ds.levels, ds.column, ds.position):
@@ -265,6 +290,30 @@ class TestNeighbors:
     def test_record_matches_unknown_attribute(self, ds):
         with pytest.raises(QueryError):
             record_matches(ds, 0, QuerySpec(predicates=(("salary", "1"),)))
+
+    @pytest.mark.parametrize(
+        "predicates",
+        [(), (("age", "25"),), (("work", "Private"), ("sex", "Male")), (("work", "Retired"),)],
+    )
+    def test_record_matches_an_index_array(self, ds, predicates):
+        q = QuerySpec(predicates=predicates)
+        idx = np.array([4, 0, 2, 2, 1, 3])
+        got = record_matches(ds, idx, q)
+        assert got.dtype == bool and got.shape == idx.shape
+        assert got.tolist() == [record_matches(ds, int(i), q) for i in idx]
+        assert all(type(record_matches(ds, i, q)) is bool for i in (0, np.int64(1)))
+        assert record_matches(ds, np.array([], dtype=np.int64), q).shape == (0,)
+
+    @pytest.mark.parametrize("bad", [5, -1, 99])
+    @pytest.mark.parametrize("where", [0, 2, 4])
+    def test_record_matches_out_of_range_anywhere(self, ds, bad, where):
+        idx = np.array([0, 1, 2, 3, 4])
+        idx[where] = bad
+        q = QuerySpec(predicates=(("age", "25"),))
+        with pytest.raises(QueryError, match=f"record index {bad} out of range"):
+            record_matches(ds, idx, q)
+        with pytest.raises(QueryError, match=f"record index {bad} out of range"):
+            record_matches(ds, bad, q)
 
 
 class TestRelease:
