@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import os
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, dataclass, fields
 
 import numpy as np
@@ -27,8 +26,10 @@ from .mechanisms import (
     LaplaceMixture,
     MechanismSpec,
     MixtureParams,
-    laplace_cdf,
-    lapmix_cdf,
+    laplace_cdf,  # noqa: F401  (unused; perfbench's tracer wraps both names here)
+    lapmix_cdf,  # noqa: F401
+    lapmix_constants,
+    rounded_moments,
 )
 from .sampling import SeededStream, lattice_uniforms, sample
 
@@ -121,8 +122,9 @@ class SweepRow:
     geometric one at eps = zeta of the geometric mixture, the Laplace one at
     the solved equivalent eps of the rounded Laplace mechanism.  E|x| and
     sigma^2 for the two Laplace-family columns are moments of the
-    nearest-integer release (the count-query setting); entropies come from
-    the continuous closed forms.
+    nearest-integer release (the count-query setting), summed in closed form
+    over its integer cells (``rounded_moments``); entropies come from the
+    continuous closed forms.
     """
 
     c_t: float
@@ -152,16 +154,6 @@ class SweepRow:
 SweepRow.FIELDS = tuple(f.name for f in fields(SweepRow))
 
 
-def _rounded_abs_moments(cdf, args) -> tuple[float, float]:
-    """E|k| and E k^2 of the nearest-integer rounding of a continuous draw."""
-    bound = 64
-    while 1.0 - float(cdf(bound + 0.5, *args)) > 1e-16:
-        bound *= 2
-    ks = np.arange(1, bound + 1, dtype=float)
-    cell = np.asarray(cdf(ks + 0.5, *args)) - np.asarray(cdf(ks - 0.5, *args))
-    return float(2.0 * np.sum(ks * cell)), float(2.0 * np.sum(ks * ks * cell))
-
-
 def sweep_point(c_t: float, eps: float, r_eps: float) -> SweepRow:
     """Evaluate one (c_t, eps, r*eps) grid point."""
     params = MixtureParams(epsilon=eps, ratio=r_eps / eps, break_point=c_t)
@@ -172,8 +164,10 @@ def sweep_point(c_t: float, eps: float, r_eps: float) -> SweepRow:
     lm = lapmix_stats(params)
     geo = standard_stats(Geometric(math.exp(zeta_gm)))
     lap = standard_stats(Laplace(1.0 / eps_lap))
-    e_lm, v_lm = _rounded_abs_moments(lapmix_cdf, (params,))
-    e_lap, v_lap = _rounded_abs_moments(laplace_cdf, (1.0 / eps_lap,))
+    c = lapmix_constants(params)
+    e_lm, v_lm = rounded_moments(c.a1, params.outer_scale, c.a2, params.inner_scale, c_t)
+    # the Laplace law is the one-piece case; from c_t = 1/2 every cell is outer
+    e_lap, v_lap = rounded_moments(1.0, 1.0 / eps_lap, 1.0, 1.0 / eps_lap, 0.5)
     return SweepRow(
         c_t=c_t,
         eps=eps,
@@ -312,6 +306,9 @@ def run_simulation(config: SimulationConfig, threads: int | None = None) -> Util
     ]
     workers = _thread_count(threads)
     if workers > 1:
+        # imported here: a process that never simulates on threads does not load it
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             cells = list(pool.map(lambda t: _simulate_cell(config, *t), tasks))
     else:

@@ -64,8 +64,15 @@ class SeededStream:
         return SeededStream(self.seed, _mix64(self.stream_id, *indices))
 
     def lattice(self, size: int) -> np.ndarray:
-        """``size`` int64 values uniform on [0, 2^53): the lattice under ``uniforms``."""
-        return self.generator.integers(0, 1 << 53, size=int(size), dtype=np.int64)
+        """``size`` int64 values uniform on [0, 2^53): the lattice under ``uniforms``.
+
+        The top 53 bits of each raw Philox word.  These are the values of
+        ``generator.integers(0, 2**53)``: for a power-of-two range, Lemire's
+        method never rejects and returns the word shifted right by 11.
+        """
+        raw = self.generator.bit_generator.random_raw(int(size))
+        raw >>= 11
+        return raw.view(np.int64)
 
     def uniforms(self, size: int | None = None):
         """Uniform draws from the open interval (0, 1)."""

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pwmix import bench, mechanisms
@@ -38,6 +38,10 @@ from pwmix.mechanisms import (
     ZeroNoise,
     geomix_constants,
     geometric_series_x,
+    laplace_cdf,
+    lapmix_cdf,
+    lapmix_constants,
+    rounded_moments,
 )
 from pwmix.sampling import SeededStream, sample
 
@@ -107,11 +111,107 @@ class TestTableSweep:
         assert row.zeta_gm == pytest.approx(0.3, abs=1e-12)
         assert row.e_abs_gm == pytest.approx(row.e_abs_geo, abs=1e-9)
         assert row.var_gm == pytest.approx(row.var_geo, abs=1e-9)
+        # at ratio 1 the Laplace mixture is the Laplace law its budget matches
+        assert row.e_abs_lm == pytest.approx(row.e_abs_lap, rel=1e-12)
+        assert row.var_lm == pytest.approx(row.var_lap, rel=1e-12)
+
+    def test_rounded_columns_match_the_probe_loop(self):
+        for c_t, eps, r_eps in TABLE1_GRID:
+            row = sweep_point(c_t, eps, r_eps)
+            params = MixtureParams(epsilon=eps, ratio=r_eps / eps, break_point=c_t)
+            want = _probe_moments(lapmix_cdf, (params,)) + _probe_moments(
+                laplace_cdf, (1.0 / row.eps_lap,)
+            )
+            got = (row.e_abs_lm, row.var_lm, row.e_abs_lap, row.var_lap)
+            assert got == pytest.approx(want, rel=1e-12)
+
+    def test_tiny_eps_row(self):
+        # scales near 1e9: a cell-by-cell sum would need about 2^35 cells
+        row = sweep_point(5.0, 1e-9, 2e-9)
+        params = MixtureParams(epsilon=1e-9, ratio=2.0, break_point=5.0)
+        continuous = LaplaceMixture(params).stats()
+        assert row.e_abs_lm == pytest.approx(continuous.mean_abs_noise, rel=1e-6)
+        assert row.var_lm == pytest.approx(continuous.variance, rel=1e-6)
+        assert row.e_abs_lap == pytest.approx(1.0 / row.eps_lap, rel=1e-6)
+        assert row.var_lap == pytest.approx(2.0 / row.eps_lap**2, rel=1e-6)
 
     def test_custom_grid(self):
         rows = table_sweep([(5.0, 0.2, 1.0)])
         assert len(rows) == 1
         assert rows[0].c_t == 5.0
+
+
+def _probe_moments(cdf, args) -> tuple[float, float]:
+    """E|K| and E K^2 of a symmetric law rounded half away from zero, summed cell by
+    cell from its CDF: the loop ``sweep_point`` used before its closed form.
+
+    Cell k >= 1 is read on the lower half, as cdf(1/2 - k) - cdf(-1/2 - k), where the
+    CDF holds small masses to full relative precision; on the upper half, 1 - tail
+    rounds every mass below 1e-16 away.
+    """
+    bound = 64
+    while float(cdf(-bound - 0.5, *args)) > 1e-20 * float(cdf(-0.5, *args)):
+        bound *= 2
+    ks = np.arange(1, bound + 1, dtype=float)
+    cell = np.asarray(cdf(0.5 - ks, *args)) - np.asarray(cdf(-0.5 - ks, *args))
+    return float(2.0 * np.sum(ks * cell)), float(2.0 * np.sum(ks * ks * cell))
+
+
+class TestRoundedMoments:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        eps=st.floats(0.01, 5.0),
+        ratio=st.floats(1.0, 50.0),
+        ct=st.one_of(
+            st.floats(0.0, 40.0, exclude_min=True),
+            st.integers(0, 39).map(lambda k: k + 0.5),  # no cell straddles c_t
+            st.floats(0.0, 0.5, exclude_min=True),  # every cell k >= 1 is outer
+        ),
+    )
+    @example(eps=0.01, ratio=50.0, ct=1.5)  # one inner cell, where a tail difference cancels
+    @example(eps=0.2, ratio=5.0, ct=0.25)
+    @example(eps=1.0, ratio=3.0, ct=35.5)  # beyond the cells summed one by one
+    def test_lapmix_matches_the_probe_loop(self, eps, ratio, ct):
+        params = MixtureParams(epsilon=eps, ratio=ratio, break_point=ct)
+        try:
+            c = lapmix_constants(params)
+        except InvalidParameterError:  # the mass underflows
+            return
+        got = rounded_moments(c.a1, params.outer_scale, c.a2, params.inner_scale, ct)
+        assert got == pytest.approx(_probe_moments(lapmix_cdf, (params,)), rel=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(eps=st.floats(0.01, 5.0), ct=st.floats(0.0, 40.0, exclude_min=True))
+    def test_one_piece_is_the_rounded_laplace(self, eps, ct):
+        # where c_t falls does not matter when both pieces are one law
+        b = 1.0 / eps
+        got = rounded_moments(1.0, b, 1.0, b, ct)
+        assert got == pytest.approx(_probe_moments(laplace_cdf, (b,)), rel=1e-12)
+        half = 0.5 * eps
+        want = (0.5 / math.sinh(half), 0.5 * math.cosh(half) / math.sinh(half) ** 2)
+        assert got == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "eps, ratio, ct",
+        [
+            # r eps c_t = 700: a1 is near 1e301, and the outer cells carry 0.3% of E|K|
+            (0.01, 6829.0, 10.25),
+            # r eps = 1500: sinh(r eps / 2), a factor of the outer cells' mass, overflows
+            (5.0, 300.0, 0.4),
+        ],
+    )
+    def test_outer_piece_at_the_double_limits(self, eps, ratio, ct):
+        params = MixtureParams(epsilon=eps, ratio=ratio, break_point=ct)
+        c = lapmix_constants(params)
+        got = rounded_moments(c.a1, params.outer_scale, c.a2, params.inner_scale, ct)
+        assert got == pytest.approx(_probe_moments(lapmix_cdf, (params,)), rel=1e-12)
+
+    def test_no_mass_beyond_the_lattice(self):
+        # every cell's mass underflows, and c_t is too large to square
+        assert rounded_moments(1.0, 1e-4, 1.0, 1e-4, 0.5) == (0.0, 0.0)
+        assert rounded_moments(2.0, 1e-5, 0.5, 2.0, 1e300) == pytest.approx(
+            rounded_moments(2.0, 1e-5, 0.5, 2.0, 1e3), rel=1e-15
+        )
 
 
 class TestRunSimulation:
@@ -377,15 +477,15 @@ class TestBucketCounts:
 
 
 class _LatticeEnds:
-    """Stands in for a generator: the lattice cycles through the given values,
-    by default 0, 2^53 - 2 and 2^53 - 1."""
+    """Stands in for a generator: the lattice in its raw words' top 53 bits cycles
+    through the given values, by default 0, 2^53 - 2 and 2^53 - 1."""
 
     def __init__(self, values=(0, 2**53 - 2, 2**53 - 1)):
         self.values = values
+        self.bit_generator = self
 
-    def integers(self, low, high, size, dtype):
-        assert (low, high) == (0, 2**53)
-        return np.resize(np.array(self.values, dtype=dtype), size)
+    def random_raw(self, size):
+        return np.resize(np.array(self.values, dtype=np.uint64) << 11, size)
 
 
 class _BucketFiveSpec:
@@ -587,9 +687,19 @@ class TestBenchmarkHooks:
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
         import spans
 
+        # bench keeps lapmix_cdf and laplace_cdf bound for the tracer's mechanisms.cdf span
+        targets = spans._targets()
+        assert {(bench, "lapmix_cdf"), (bench, "laplace_cdf")} <= {t[:2] for t in targets}
+        originals = [owner.__dict__[attr] for owner, attr, *_ in targets]
         tracer = spans.Tracer()
         tracer.install()
-        tracer.uninstall()
+        try:
+            for (owner, attr, *_), original in zip(targets, originals):
+                assert owner.__dict__[attr].__wrapped__ is original
+        finally:
+            tracer.uninstall()
+        for (owner, attr, *_), original in zip(targets, originals):
+            assert owner.__dict__[attr] is original
         for cache in (mechanisms.lapmix_constants, mechanisms.geomix_constants):
             assert callable(cache.cache_clear)
             assert callable(cache.cache_info)

@@ -700,6 +700,20 @@ class TestEntryPoint:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
+    def test_cold_start_does_not_load_the_thread_pool(self):
+        # concurrent.futures serves only run_simulation on more than one thread
+        code = (
+            "import sys, pwmix.cli\n"
+            "from pwmix.bench import sweep_point\n"
+            "sweep_point(5.0, 0.2, 1.0)\n"
+            "print('concurrent.futures' in sys.modules)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=cli_env()
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
     def test_closed_pipe_ends_quietly(self, tmp_path):
         # The Table-1 grid 15 times over prints about 140 kB, more than a pipe
         # holds, so the sweep is still writing when the reader goes.

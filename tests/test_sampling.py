@@ -163,14 +163,16 @@ class TestGoldenDraws:
 
 
 class _Lattice:
-    """Stands in for a generator: ``integers`` returns the given lattice values."""
+    """Stands in for a generator: its raw words carry the given lattice values
+    in their top 53 bits."""
 
     def __init__(self, values):
         self.values = values
+        self.bit_generator = self
 
-    def integers(self, low, high, size, dtype):
-        assert (low, high) == (0, 2**53) and size == len(self.values)
-        return np.array(self.values, dtype=dtype)
+    def random_raw(self, size):
+        assert size == len(self.values)
+        return np.array(self.values, dtype=np.uint64) << 11
 
 
 class TestSeededStream:
@@ -203,6 +205,19 @@ class TestSeededStream:
             y = sample(spec, stream, 2)
             assert np.all(np.isfinite(y.astype(float)))
             assert np.all(np.abs(y) < 10**4) and y[0] > 0 > y[1]
+
+    @pytest.mark.parametrize("size", [0, 1, (1 << 16) + 3])
+    def test_lattice_is_the_bounded_integers(self, size):
+        # raw words shifted right by 11 are generator.integers(0, 2^53), in one call or in pieces
+        for seed, stream_id in ((0, 0), (7, 3), (2**40 + 1, 2**63 + 5)):
+            want = SeededStream(seed, stream_id).generator.integers(
+                0, 2**53, size=size, dtype=np.int64
+            )
+            got = SeededStream(seed, stream_id).lattice(size)
+            assert got.dtype == np.int64 and np.array_equal(got, want)
+            stream = SeededStream(seed, stream_id)
+            pieces = [stream.lattice(n) for n in (size // 3, 0, size - size // 3)]
+            assert np.array_equal(np.concatenate(pieces), want)
 
     @pytest.mark.parametrize("pieces", [(10_000,), (1, 4_096, 5_903), (7_000, 3_000)])
     def test_uniforms_are_lattice_midpoints(self, pieces):
