@@ -15,7 +15,6 @@ from .accounting import (
     equivalent_epsilon,
     privacy_loss,
     usefulness_bound,
-    worst_case_eps,
     zeta_closed_form,
     zeta_empirical,
 )

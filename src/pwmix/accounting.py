@@ -20,7 +20,6 @@ from .mechanisms import GeometricMixture, MechanismSpec, MixtureParams, lapmix_c
 __all__ = [
     "BudgetLedger",
     "privacy_loss",
-    "worst_case_eps",
     "zeta_closed_form",
     "zeta_empirical",
     "compose",
@@ -75,11 +74,6 @@ def privacy_loss(spec: MechanismSpec, outcome_noise, shift: int = 1) -> float:
     if all(math.isnan(v) for v in losses):
         return math.nan
     return max(v for v in losses if not math.isnan(v))
-
-
-def worst_case_eps(spec: MechanismSpec) -> float:
-    """Differential-privacy level of the mechanism for unit-sensitivity queries."""
-    return spec.worst_case_eps()
 
 
 def zeta_closed_form(spec: MechanismSpec) -> float:

@@ -2,10 +2,11 @@
 
 Each family's formulas are its spec's ``stats()``
 (:mod:`pwmix.mechanisms`); these are the entry points by parameters.  The
-geometric mechanism and its mixture are summed exactly, with no truncated
-series, from ``sum_{x=m}^inf x q^x = q^m (m - (m-1) q)/(1-q)^2`` and its
-second-moment analogue; the test suite checks them against brute-force sums
-and the Laplace mixture against quadrature.
+geometric mechanism and its mixture are cell sums: their cells are those of
+a rounded two-piece law, summed in positive terms by the same function as the
+sweep's rounded moments (``rounded_moments``), with no truncated series.  The
+test suite checks them against sums over their mass cells, and the Laplace
+mixture's closed forms against quadrature.
 """
 
 from __future__ import annotations

@@ -19,7 +19,8 @@ at the break-point.  Their label, budgets, loss tail, mass function or
 density, CDF and sampler are written once.  Each mixture states only its
 lattice (each piece's tail beyond c_t and height divisor, ``2 b_i`` or
 ``(1 + q_i)/(1 - q_i)``; where its CDF tail starts and the tail's divisors;
-its inverse-CDF pieces) and keeps the paper's closed-form zeta and stats.
+its inverse-CDF pieces) and its zeta and stats: the paper's closed forms, but
+the integer laws' moments are cell sums (``_lattice_stats``).
 
 Every sampler is an inverse transform of uniforms from a
 :class:`~pwmix.sampling.SeededStream`, one per draw except for the geometric
@@ -137,17 +138,6 @@ class MechanismStats:
             raise InvalidParameterError(f"a closed-form statistic is not a finite double: {self}")
 
 
-def geometric_series_x(q: float, first: int) -> float:
-    """sum_{x=first}^inf x q^x for 0 < q < 1."""
-    return q**first * (first - (first - 1) * q) / (1.0 - q) ** 2
-
-
-def geometric_series_x2(q: float, first: int) -> float:
-    """sum_{x=first}^inf x^2 q^x for 0 < q < 1."""
-    m = first
-    return q**m * (m * m - (2 * m * m - 2 * m - 1) * q + (m - 1) ** 2 * q * q) / (1.0 - q) ** 3
-
-
 @dataclass(frozen=True)
 class MixtureConstants:
     """Weights of a two-piece mixture.
@@ -237,13 +227,18 @@ def laplace_cdf(x, b: float):
     return _wrap(x, np.where(xs < 0.0, lower, upper))
 
 
+def _log(a: float) -> float:
+    """ln a for a weight a >= 0, -inf at 0."""
+    return math.log(a) if a > 0.0 else -math.inf
+
+
 def _outer_weight(a: float, decay):
     """a * exp(-decay) for a mixture's outer-piece weight ``a``, taken through logs.
 
     Where the inner piece carries nearly all the mass, ``a`` is near the
     overflow limit and exp(-decay) underflows, so the direct product reads 0.
     """
-    return np.exp((math.log(a) if a > 0.0 else -math.inf) - decay)
+    return np.exp(_log(a) - decay)
 
 
 # Inner cells summed one by one before the rest is taken as a difference of two
@@ -252,19 +247,45 @@ def _outer_weight(a: float, decay):
 _DIRECT_CELLS = 32
 
 
-def _cells_from(m: int, a: float, b: float) -> tuple[float, float]:
-    """(sum k m_k, sum k^2 m_k) over the cells k >= m of one piece of a rounded
+def _cells_from(m: int, log_a: float, b: float) -> tuple[float, float, float]:
+    """(sum m_k, sum k m_k, sum k^2 m_k) over the cells k >= m of one piece of a rounded
     two-piece law, cell k having mass m_k = a/2 (exp(-(k - 1/2)/b) - exp(-(k + 1/2)/b)).
 
     With q = exp(-1/b) and p = 1 - q, m_k = w q^(k - m) for w = a/2 exp(-(m - 1/2)/b) p,
-    so the sums are w (m/p + q/p^2) and w (m^2/p + 2 m q/p^2 + q (1 + q)/p^3): every term
-    is positive.  w is taken through logs, since ``a`` can be near the overflow limit.
+    so the sums are w/p, w (m/p + q/p^2) and w (m^2/p + 2 m q/p^2 + q (1 + q)/p^3): every
+    term is positive.  The weight comes as a log, since ``a`` can be near the overflow limit.
     """
     q, p = math.exp(-1.0 / b), -math.expm1(-1.0 / b)
-    half = 0.5 * float(_outer_weight(a, (m - 0.5) / b))
+    half = 0.5 * math.exp(log_a - (m - 0.5) / b)
     if half == 0.0:  # and m may be too large to square
-        return 0.0, 0.0
-    return half * (m + q / p), half * (m * m + 2.0 * m * q / p + q * (1.0 + q) / (p * p))
+        return 0.0, 0.0, 0.0
+    return half, half * (m + q / p), half * (m * m + 2.0 * m * q / p + q * (1.0 + q) / (p * p))
+
+
+def _rounded_cells(log_a1: float, b1: float, log_a2: float, b2: float, ct: float) -> tuple:
+    """(E|K|, E K^2, the outer cells' mass, their share of E|K|) for K as in
+    :func:`rounded_moments` with weights a_i = exp(log_a_i)."""
+    last_inner = max(math.floor(ct - 0.5), 0)
+    first_outer = math.ceil(ct + 0.5)
+    direct = min(last_inner, _DIRECT_CELLS)
+    outer_mass, outer_abs, e_sq = _cells_from(first_outer, log_a1, b1)
+    e_abs = outer_abs
+    if last_inner > direct:  # the inner cells past the direct ones, as two tails' difference
+        _, head_abs, head_sq = _cells_from(direct + 1, log_a2, b2)
+        _, tail_abs, tail_sq = _cells_from(last_inner + 1, log_a2, b2)
+        e_abs, e_sq = (head_abs - tail_abs) + e_abs, (head_sq - tail_sq) + e_sq
+    inner = 0.5 * -math.expm1(-1.0 / b2)
+    for k in range(1, direct + 1):
+        mass = inner * math.exp(log_a2 + (0.5 - k) / b2)
+        e_abs += k * mass
+        e_sq += k * k * mass
+    if first_outer - last_inner == 2:
+        k = last_inner + 1
+        inner_part = math.exp(log_a2 + (0.5 - k) / b2) - math.exp(log_a2 - ct / b2)
+        mass = 0.5 * (inner_part + math.exp(log_a1 - ct / b1) - math.exp(log_a1 - (k + 0.5) / b1))
+        e_abs += k * mass
+        e_sq += k * k * mass
+    return 2.0 * e_abs, 2.0 * e_sq, 2.0 * outer_mass, 2.0 * outer_abs
 
 
 def rounded_moments(a1: float, b1: float, a2: float, b2: float, ct: float) -> tuple[float, float]:
@@ -277,28 +298,31 @@ def rounded_moments(a1: float, b1: float, a2: float, b2: float, ct: float) -> tu
     cells (k - 1/2 >= c_t) of mass a1 sinh(1/(2 b1)) exp(-k/b1).  The outer cells,
     and the inner ones past the first ``_DIRECT_CELLS``, sum in closed form
     (:func:`_cells_from`).  A one-piece law (a1 = a2 = 1, b1 = b2) is the rounded
-    Laplace mechanism.
+    Laplace mechanism; a lattice law is the case of :func:`_lattice_stats`.
     """
-    last_inner = max(math.floor(ct - 0.5), 0)
-    first_outer = math.ceil(ct + 0.5)
-    direct = min(last_inner, _DIRECT_CELLS)
-    head, tail = _cells_from(direct + 1, a2, b2), _cells_from(last_inner + 1, a2, b2)
-    outer = _cells_from(first_outer, a1, b1)
-    e_abs = (head[0] - tail[0]) + outer[0]
-    e_sq = (head[1] - tail[1]) + outer[1]
-    inner = 0.5 * a2 * -math.expm1(-1.0 / b2)
-    for k in range(1, direct + 1):
-        mass = inner * math.exp((0.5 - k) / b2)
-        e_abs += k * mass
-        e_sq += k * k * mass
-    if first_outer - last_inner == 2:
-        k = last_inner + 1
-        mass = 0.5 * a2 * (math.exp((0.5 - k) / b2) - math.exp(-ct / b2)) + 0.5 * float(
-            _outer_weight(a1, ct / b1) - _outer_weight(a1, (k + 0.5) / b1)
-        )
-        e_abs += k * mass
-        e_sq += k * k * mass
-    return 2.0 * e_abs, 2.0 * e_sq
+    return _rounded_cells(_log(a1), b1, _log(a2), b2, ct)[:2]
+
+
+def _lattice_stats(a1: float, rate1: float, a2: float, rate2: float, ct: int) -> MechanismStats:
+    """Stats of the two-piece lattice law whose cell k has mass h_2 exp(-rate_2 |k|) for
+    |k| <= c_t and h_1 exp(-rate_1 |k|) beyond, where h_i = a_i tanh(rate_i / 2).
+
+    That cell k >= 1 is a rounded cell of :func:`rounded_moments` with weight
+    a_i / cosh(rate_i / 2) and b_i = 1 / rate_i, and with the break-point at c_t + 1/2
+    no cell straddles it.  The weights go through logs: cosh overflows above a rate of
+    about 1420.  Of the entropy, -sum m_k ln m_k, each piece gives -(its mass) ln h_i
+    plus rate_i times its share of E|K|.
+    """
+    logs = []  # ln(a_i / cosh(rate_i / 2)) and ln h_i, piece by piece
+    for a, rate in ((a1, rate1), (a2, rate2)):
+        q, log_a = math.exp(-rate), _log(a)
+        log_weight = log_a - 0.5 * rate + math.log(2.0 / (1.0 + q))
+        logs += [log_weight, log_a + math.log1p(-q) - math.log1p(q)]
+    lw1, lh1, lw2, lh2 = logs
+    mean_abs, variance, w, outer_abs = _rounded_cells(lw1, 1.0 / rate1, lw2, 1.0 / rate2, ct + 0.5)
+    outer = w * lh1 if w else 0.0  # 0 log 0 = 0
+    entropy = -(1.0 - w) * lh2 - outer + rate2 * mean_abs + (rate1 - rate2) * outer_abs
+    return MechanismStats(mean_abs, variance, entropy)
 
 
 def geometric_pmf(k, alpha: float):
@@ -583,13 +607,9 @@ class Geometric:
         return (np.floor(e1) - np.floor(e2)).astype(np.int64)
 
     def stats(self) -> MechanismStats:
-        """Closed-form sums of the mass c q^|x|; -ln c is log1p(q) - log1p(-q), exact as c -> 1."""
-        q = 1.0 / self.alpha
-        coeff = (1.0 - q) / (1.0 + q)
-        mean_abs = 2.0 * coeff * geometric_series_x(q, 1)
-        variance = 2.0 * coeff * geometric_series_x2(q, 1)
-        entropy = math.log(self.alpha) * mean_abs + math.log1p(q) - math.log1p(-q)
-        return MechanismStats(mean_abs, variance, entropy)
+        """The one-piece lattice law: every cell but the centre is outer."""
+        rate = math.log(self.alpha)
+        return _lattice_stats(1.0, rate, 1.0, rate, 0)
 
 
 @dataclass(frozen=True)
@@ -788,30 +808,14 @@ class GeometricMixture(_TwoPieceMixture):
     def _zeta(self, c: MixtureConstants) -> float:
         reps, eps = self.params.eps_r, self.params.epsilon
         outer_tail = c.a1 * math.exp(-reps * self.params.break_point)
-        return math.log(math.exp(eps) * (1.0 - outer_tail) + math.exp(reps) * outer_tail)
+        zeta = math.log(math.exp(eps) * (1.0 - outer_tail) + math.exp(reps) * outer_tail)
+        # the log of a convex combination of e^eps and e^(r eps), which rounding
+        # can take 1 ulp outside [eps, r eps] at r = 1; nan stays nan
+        return float(min(max(zeta, min(eps, reps)), max(eps, reps)))
 
     def stats(self) -> MechanismStats:
-        ct = int(self.params.break_point)
-        c = self.constants()
-        q1, q2 = self._decays()
-        c1 = (1.0 - q1) / (1.0 + q1)
-        c2 = (1.0 - q2) / (1.0 + q2)
-        inner_abs = 2.0 * c.a2 * c2 * (geometric_series_x(q2, 1) - geometric_series_x(q2, ct + 1))
-        outer_abs = 2.0 * c.a1 * c1 * geometric_series_x(q1, ct + 1)
-        mean_abs = inner_abs + outer_abs
-        variance = 2.0 * c.a2 * c2 * (
-            geometric_series_x2(q2, 1) - geometric_series_x2(q2, ct + 1)
-        ) + 2.0 * c.a1 * c1 * geometric_series_x2(q1, ct + 1)
-        inner_mass = c.a2 * (1.0 - 2.0 * c2 * (q2 ** (ct + 1) / (1.0 - q2)))  # less both tails
-        outer_mass = 1.0 - inner_mass
-        outer_height = c.a1 * c1
-        entropy = (
-            -inner_mass * math.log(c.a2 * c2)
-            - (outer_mass * math.log(outer_height) if outer_height else 0.0)  # 0 log 0 = 0
-            + self.params.epsilon * inner_abs
-            + self.params.eps_r * outer_abs
-        )
-        return MechanismStats(mean_abs, variance, entropy)
+        c, p = self.constants(), self.params
+        return _lattice_stats(c.a1, p.eps_r, c.a2, p.epsilon, int(p.break_point))
 
 
 def lapmix_pdf(x, params: MixtureParams):

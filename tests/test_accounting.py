@@ -9,7 +9,6 @@ from pwmix.accounting import (
     equivalent_epsilon,
     privacy_loss,
     usefulness_bound,
-    worst_case_eps,
     zeta_closed_form,
     zeta_empirical,
 )
@@ -72,10 +71,10 @@ class TestPrivacyLoss:
 
 class TestWorstCaseEps:
     def test_values(self):
-        assert worst_case_eps(LaplaceMixture(PRESET_A)) == pytest.approx(1.0)
-        assert worst_case_eps(Geometric(alpha=math.exp(0.328))) == pytest.approx(0.328)
-        assert worst_case_eps(Laplace(scale=4.0)) == pytest.approx(0.25)
-        assert worst_case_eps(TruncatedLaplace(scale=1.0, bound=3.0)) == math.inf
+        assert LaplaceMixture(PRESET_A).worst_case_eps() == pytest.approx(1.0)
+        assert Geometric(alpha=math.exp(0.328)).worst_case_eps() == pytest.approx(0.328)
+        assert Laplace(scale=4.0).worst_case_eps() == pytest.approx(0.25)
+        assert TruncatedLaplace(scale=1.0, bound=3.0).worst_case_eps() == math.inf
 
 
 class TestZetaClosedForm:

@@ -2,18 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from pwmix.analytics import geomix_stats, lapmix_stats, standard_stats
-from pwmix.errors import UnsupportedSpecError
+from pwmix.errors import InvalidParameterError, UnsupportedSpecError
 from pwmix.mechanisms import (
     Geometric,
     GeometricMixture,
     Laplace,
     LaplaceMixture,
+    MechanismStats,
     MixtureParams,
     RoundedLaplace,
-    geometric_series_x2,
     geomix_pmf,
     lapmix_pdf,
 )
@@ -30,6 +32,12 @@ def series_oracle(params):
     variance = float((ks.astype(float) ** 2 * p).sum())
     entropy = float(-(p * np.log(p)).sum())
     return mean_abs, variance, entropy
+
+
+def geometric_series_x2(q, first):
+    """sum_{x=first}^inf x^2 q^x for 0 < q < 1."""
+    m = first
+    return q**m * (m * m - (2 * m * m - 2 * m - 1) * q + (m - 1) ** 2 * q * q) / (1.0 - q) ** 3
 
 
 def truncated_geometric_series(alpha):
@@ -147,6 +155,47 @@ class TestGeoMixStats:
         assert s.mean_abs_noise == pytest.approx(mean_abs, abs=1e-9)
         assert s.variance == pytest.approx(variance, abs=1e-9)
         assert s.entropy == pytest.approx(entropy, abs=1e-9)
+
+
+def assert_stats_are_cell_sums(spec, reach):
+    """The spec's stats against math.fsum over its mass cells |k| <= reach, at 1e-13."""
+    ks = np.arange(-reach, reach + 1)
+    p = spec.prob(ks.astype(float))
+    p, ks = p[p > 0.0], ks[p > 0.0]  # 0 log 0 = 0
+    s = spec.stats()
+    assert s.mean_abs_noise == pytest.approx(math.fsum(np.abs(ks) * p), rel=1e-13, abs=0)
+    assert s.variance == pytest.approx(math.fsum(ks.astype(float) ** 2 * p), rel=1e-13, abs=0)
+    assert s.entropy == pytest.approx(math.fsum(-p * np.log(p)), rel=1e-13, abs=0)
+
+
+class TestLatticeStatsAreCellSums:
+    """Geometric and geomix stats are sums over their mass cells; beyond 60 / rate
+    past the break-point the cells carry less than e^-60 of the moments."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(eps=st.floats(0.01, 5.0), ratio=st.floats(1.0, 50.0), ct=st.integers(1, 40))
+    # the variance as a difference of two tail series was off by 1.2e-11 here
+    @example(eps=0.01, ratio=50.0, ct=1)
+    def test_geomix(self, eps, ratio, ct):
+        spec = GeometricMixture(MixtureParams(epsilon=eps, ratio=ratio, break_point=float(ct)))
+        try:
+            spec.constants()
+        except InvalidParameterError:  # only where the outer tail underflows
+            assert spec.params.eps_r * ct > 700.0
+            return
+        assert_stats_are_cell_sums(spec, ct + math.ceil(60.0 / eps))
+
+    @settings(max_examples=200, deadline=None)
+    @given(eps=st.floats(0.01, 5.0))
+    def test_geometric(self, eps):
+        assert_stats_are_cell_sums(Geometric(alpha=math.exp(eps)), math.ceil(60.0 / eps))
+
+    @pytest.mark.parametrize("eps, ratio", [(1500.0, 0.01), (3000.0, 0.1), (1e5, 1e-3)])
+    def test_finite_where_cosh_overflows(self, eps, ratio):
+        # cosh(eps / 2) overflows; the inner cells beyond the centre carry nothing
+        # and the outer weight is 0, so the law is a point mass at 0
+        spec = GeometricMixture(MixtureParams(epsilon=eps, ratio=ratio, break_point=1.0))
+        assert spec.stats() == MechanismStats(0.0, 0.0, 0.0)
 
 
 class TestStandardStats:

@@ -37,7 +37,6 @@ from pwmix.mechanisms import (
     TruncatedLaplace,
     ZeroNoise,
     geomix_constants,
-    geometric_series_x,
     laplace_cdf,
     lapmix_cdf,
     lapmix_constants,
@@ -212,6 +211,11 @@ class TestRoundedMoments:
         assert rounded_moments(2.0, 1e-5, 0.5, 2.0, 1e300) == pytest.approx(
             rounded_moments(2.0, 1e-5, 0.5, 2.0, 1e3), rel=1e-15
         )
+
+
+def geometric_series_x(q: float, first: int) -> float:
+    """sum_{x=first}^inf x q^x for 0 < q < 1."""
+    return q**first * (first - (first - 1) * q) / (1.0 - q) ** 2
 
 
 class TestRunSimulation:
