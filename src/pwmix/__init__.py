@@ -53,10 +53,7 @@ from .mechanisms import (
     RoundedLaplace,
     TruncatedLaplace,
     ZeroNoise,
-    geomix_cdf,
     geomix_constants,
-    geomix_pmf,
-    geometric_pmf,
     laplace_pdf,
     lapmix_cdf,
     lapmix_constants,

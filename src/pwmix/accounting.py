@@ -49,58 +49,40 @@ def compose(ledger: BudgetLedger, zeta: float, label: str) -> BudgetLedger:
     return BudgetLedger(ledger.entries + ((label, float(zeta)),))
 
 
-def _log_ratio_abs(p_shifted: float, p_at: float) -> float:
-    """|ln(p_shifted / p_at)| with the zero-probability conventions."""
-    if p_at == 0.0 and p_shifted == 0.0:
-        return math.nan
-    if p_at == 0.0 or p_shifted == 0.0:
-        return math.inf
-    return abs(math.log(p_shifted / p_at))
+def _log_ratio_abs(log_shifted: float, log_at: float) -> float:
+    """|ln(p_shifted / p_at)| from the log probabilities: inf where one is 0, nan if both are."""
+    if -math.inf in (log_shifted, log_at):
+        return math.nan if log_shifted == log_at else math.inf
+    return abs(log_shifted - log_at)
+
+
+def _log_prob(spec: MechanismSpec, x) -> float:
+    """ln of the mass or density at x, -inf where it is 0; a lattice law's is its log mass."""
+    if hasattr(spec, "lattice"):
+        return spec.lattice().log_mass(x)
+    with np.errstate(divide="ignore"):
+        return float(np.log(spec.prob(x)))
 
 
 def privacy_loss(spec: MechanismSpec, outcome_noise, shift: int = 1) -> float:
     """Per-outcome privacy loss |ln P[noise = outcome -+ shift] / P[noise = outcome]|.
 
     Both shift directions are evaluated and the larger magnitude returned.
-    A zero-probability denominator against a positive numerator reports an
-    infinite loss (the truncated-mechanism pathology); nan means the outcome
-    is impossible under every involved distribution.
+    The integer families take it from their log masses, so it stays exact
+    where the masses underflow.  A zero-probability denominator against a
+    positive numerator reports an infinite loss (the truncated-mechanism
+    pathology); nan means the outcome is impossible under every involved
+    distribution (trunclap beyond its bound, zero off 0), or that a continuous
+    family's densities underflow there.
     """
-    p_here = float(spec.prob(outcome_noise))
-    losses = [
-        _log_ratio_abs(float(spec.prob(outcome_noise - shift)), p_here),
-        _log_ratio_abs(float(spec.prob(outcome_noise + shift)), p_here),
-    ]
-    if all(math.isnan(v) for v in losses):
-        return math.nan
-    return max(v for v in losses if not math.isnan(v))
+    here = _log_prob(spec, outcome_noise)
+    losses = [_log_ratio_abs(_log_prob(spec, outcome_noise + s), here) for s in (-shift, shift)]
+    return float(np.fmax(*losses))  # nan only where both are
 
 
 def zeta_closed_form(spec: MechanismSpec) -> float:
     """General privacy budget from the closed forms (unit-shift count setting)."""
     return spec.zeta()
-
-
-def _zeta_discrete_exact(spec: MechanismSpec, shift: int) -> float:
-    """Exact E[exp |L|] for integer-output mechanisms.
-
-    The sum runs over a finite window around the break-point; beyond it the
-    loss is the constant outer rate, so the two tails contribute analytically
-    through the CDF (no truncation error).
-    """
-    ct, rate = spec.loss_tail()
-    lo, hi = -(ct + shift + 1), ct + shift + 1
-    ks = np.arange(lo, hi + 1)
-    pk = np.asarray(spec.prob(ks), dtype=float)
-    total = 0.0
-    for k, p in zip(ks, pk):
-        if p == 0.0:
-            continue
-        loss = _log_ratio_abs(float(spec.prob(k - shift)), p)
-        total += math.exp(loss) * p
-    outer = math.exp(shift * rate)
-    total += outer * (spec.cdf(lo - 1) + (1.0 - spec.cdf(hi)))
-    return math.log(total)
 
 
 def _zeta_continuous_quadrature(spec: MechanismSpec, shift: int) -> float:
@@ -112,9 +94,8 @@ def _zeta_continuous_quadrature(spec: MechanismSpec, shift: int) -> float:
     breakpoints = [-ct, -ct + shift, 0.0, float(shift), ct, ct + shift]
 
     def integrand(x: float) -> float:
-        p = float(spec.prob(x))
-        ps = float(spec.prob(x - shift))
-        return math.exp(_log_ratio_abs(ps, p)) * p
+        here = _log_prob(spec, x)
+        return math.exp(_log_ratio_abs(_log_prob(spec, x - shift), here) + here)
 
     total = 0.0
     pts = sorted({lo, hi, *(b for b in breakpoints if lo < b < hi)})
@@ -128,14 +109,15 @@ def _zeta_continuous_quadrature(spec: MechanismSpec, shift: int) -> float:
 def zeta_empirical(spec: MechanismSpec, shift: int = 1) -> float:
     """General budget evaluated from its definition, ln sum exp(|L|) P.
 
-    Integer-output mechanisms are summed exactly (constant-loss tails folded
-    in analytically); continuous mechanisms are integrated by quadrature.  A
-    mechanism with unbounded worst-case loss has an infinite budget.
+    An integer family's is the exact sum over its lattice law (constant-loss
+    tails folded in analytically); continuous mechanisms are integrated by
+    quadrature.  A mechanism with unbounded worst-case loss has an infinite
+    budget.
     """
     if math.isinf(spec.worst_case_eps()):
         return math.inf
     if spec.integer:
-        return _zeta_discrete_exact(spec, shift)
+        return spec.lattice().zeta(shift)
     return _zeta_continuous_quadrature(spec, shift)
 
 

@@ -11,16 +11,19 @@ mass function or density, CDF, worst-case epsilon, general budget, sampler
 and closed-form statistics are members of that class, so the rest of the
 toolkit asks the spec instead of switching on its type.
 
+The three integer families are symmetric laws that do not increase in |k|.
+Each states its runs once (``lattice()``, see :class:`_Lattice`), and their
+mass function, CDF, privacy loss and exact zeta are read from them; their
+``zeta()`` is the paper's closed form, their moments are cell sums.
+
 The two mixtures are one law: an inner piece with privacy parameter
 ``epsilon`` (for ``|x| <= break_point``; the boundary belongs to it) and an
 outer one with ``ratio * epsilon`` beyond, fused by ``_fuse`` into weights
 (:class:`MixtureConstants`) that make the total mass 1 and the heights meet
-at the break-point.  Their label, budgets, loss tail, mass function or
-density, CDF and sampler are written once.  Each mixture states only its
-lattice (each piece's tail beyond c_t and height divisor, ``2 b_i`` or
-``(1 + q_i)/(1 - q_i)``; where its CDF tail starts and the tail's divisors;
-its inverse-CDF pieces) and its zeta and stats: the paper's closed forms, but
-the integer laws' moments are cell sums (``_lattice_stats``).
+at the break-point.  Their label, budgets and sampler are written once.  Each
+mixture states its pieces (each piece's tail beyond c_t and height divisor,
+``2 b_i`` or ``(1 + q_i)/(1 - q_i)``; its inverse-CDF pieces) and the paper's
+closed forms for zeta and, for the Laplace mixture, stats.
 
 Every sampler is an inverse transform of uniforms from a
 :class:`~pwmix.sampling.SeededStream`, one per draw except for the geometric
@@ -58,11 +61,7 @@ __all__ = [
     "lapmix_constants",
     "lapmix_pdf",
     "lapmix_cdf",
-    "geometric_pmf",
     "geomix_constants",
-    "geomix_pmf",
-    "geomix_cdf",
-    "rounded_laplace_pmf",
     "rounded_laplace_zeta",
     "rounded_moments",
 ]
@@ -303,6 +302,12 @@ def rounded_moments(a1: float, b1: float, a2: float, b2: float, ct: float) -> tu
     return _rounded_cells(_log(a1), b1, _log(a2), b2, ct)[:2]
 
 
+def _log_height(a: float, rate: float) -> float:
+    """ln(a tanh(rate / 2)): the height of a lattice piece of mass a decaying at rate."""
+    q = math.exp(-rate)
+    return _log(a) + math.log1p(-q) - math.log1p(q)
+
+
 def _lattice_stats(a1: float, rate1: float, a2: float, rate2: float, ct: int) -> MechanismStats:
     """Stats of the two-piece lattice law whose cell k has mass h_2 exp(-rate_2 |k|) for
     |k| <= c_t and h_1 exp(-rate_1 |k|) beyond, where h_i = a_i tanh(rate_i / 2).
@@ -316,8 +321,7 @@ def _lattice_stats(a1: float, rate1: float, a2: float, rate2: float, ct: int) ->
     logs = []  # ln(a_i / cosh(rate_i / 2)) and ln h_i, piece by piece
     for a, rate in ((a1, rate1), (a2, rate2)):
         q, log_a = math.exp(-rate), _log(a)
-        log_weight = log_a - 0.5 * rate + math.log(2.0 / (1.0 + q))
-        logs += [log_weight, log_a + math.log1p(-q) - math.log1p(q)]
+        logs += [log_a - 0.5 * rate + math.log(2.0 / (1.0 + q)), _log_height(a, rate)]
     lw1, lh1, lw2, lh2 = logs
     mean_abs, variance, w, outer_abs = _rounded_cells(lw1, 1.0 / rate1, lw2, 1.0 / rate2, ct + 0.5)
     outer = w * lh1 if w else 0.0  # 0 log 0 = 0
@@ -325,27 +329,74 @@ def _lattice_stats(a1: float, rate1: float, a2: float, rate2: float, ct: int) ->
     return MechanismStats(mean_abs, variance, entropy)
 
 
-def geometric_pmf(k, alpha: float):
-    """Symmetric geometric mass function ((alpha-1)/(alpha+1)) alpha**-|k|."""
-    if not (alpha > 1 and math.isfinite(alpha)):
-        raise InvalidParameterError(f"alpha must exceed 1, got {alpha!r}")
-    ak = np.abs(np.asarray(k, dtype=float))
-    if not np.all(ak == np.floor(ak)):
-        raise InvalidParameterError("geometric_pmf is defined on integers only")
-    coeff = (alpha - 1.0) / (alpha + 1.0)
-    return _wrap(k, coeff * np.power(alpha, -ak))
+@dataclass(frozen=True)
+class _Lattice:
+    """A symmetric law on the integers that does not increase in |k|, as its runs.
+
+    A run ``(first cell, log height, rate)`` holds the cells from its first up to
+    the next run's, cell k having mass exp(log height - rate |k|); the first run
+    starts at 0, and a run of rate 0 holds cell 0 alone.  Masses stay in logs, so
+    no far cell underflows before its loss is read.
+    """
+
+    runs: tuple[tuple[int, float, float], ...]
+
+    def log_mass(self, x):
+        """ln P(K = k) at each integer k."""
+        m = np.abs(np.asarray(x, dtype=float))
+        if not np.all(m == np.floor(m)):
+            raise InvalidParameterError("a lattice law's mass function takes integers only")
+        firsts, log_h, rates = (np.array(column) for column in zip(*self.runs))
+        run = np.searchsorted(firsts, m, side="right") - 1
+        return _wrap(x, log_h[run] - rates[run] * m)
+
+    def cdf(self, x):
+        """The tail P(K >= m) at m = -k below 0, mirrored from m = k + 1: each run's cells
+        from m on, a geometric sum in logs that falls with m; capped so as not to pass 1/2."""
+        ks = np.floor(np.asarray(x, dtype=float))
+        lower = ks < 0
+        m, tail = np.where(lower, -ks, ks + 1.0), 0.0
+        ends = [run[0] for run in self.runs[1:]] + [math.inf]
+        for (first, log_h, rate), end in zip(self.runs, ends):
+            if end > 1:  # else cell 0 alone, below every m
+                start = np.maximum(m, first)
+                with np.errstate(divide="ignore", invalid="ignore"):  # ln 0 past the run
+                    log_sum = np.log(np.expm1(-rate * np.fmax(end - start, 0.0)) / np.expm1(-rate))
+                    tail = tail + np.exp(log_h - rate * start + log_sum)
+        tail = np.minimum(tail, 0.5)
+        return _wrap(x, np.where(lower, tail, 1.0 - tail))
+
+    def zeta(self, shift: int) -> float:
+        """ln sum_k P(k) exp|ln P(k - shift) / P(k)|, the definitional zeta, exactly.
+
+        It is ln(1 + the excess sum_k P(k) (exp|L(k)| - 1)), whose positive terms are
+        taken in logs, so a small zeta keeps its digits.  The loss is shift * rate at
+        every k >= L + shift and k <= -L, L the last run's first cell, so those tails
+        add P(K >= L) 2 sinh(shift rate); the cells between are summed one by one.
+        """
+        last, log_h, rate = self.runs[-1]
+        ks = np.arange(1 - last, last + shift)
+        here, there = self.log_mass(ks), self.log_mass(ks - shift)
+        with np.errstate(divide="ignore"):  # no excess where the loss is 0
+            # max(P(k - shift), P(k)^2 / P(k - shift)) (1 - exp -|L(k)|)
+            cells = np.fmax(there, 2.0 * here - there) + np.log(-np.expm1(-np.abs(there - here)))
+        # ln P(K >= L) 2 sinh(shift rate)
+        tails = log_h - rate * (last - shift) - math.log(-math.expm1(-rate))
+        terms = np.append(cells, tails + math.log(-math.expm1(-2.0 * shift * rate)))
+        top = terms.max()
+        if top == math.inf:  # a cell of mass whose neighbour has none
+            return math.inf
+        return float(np.logaddexp(0.0, top + math.log(math.fsum(np.exp(terms - top)))))
 
 
-def rounded_laplace_pmf(k, scale: float):
-    """Mass function of the nearest-integer rounding of a Laplace draw."""
-    _require_positive("scale", scale)
-    ak = np.abs(np.asarray(k, dtype=float))
-    if not np.all(ak == np.floor(ak)):
-        raise InvalidParameterError("rounded_laplace_pmf is defined on integers only")
-    eps = 1.0 / scale
-    center = 1.0 - math.exp(-0.5 * eps)
-    off = 0.5 * (math.exp(0.5 * eps) - math.exp(-0.5 * eps)) * np.exp(-ak * eps)
-    return _wrap(k, np.where(ak == 0, center, off))
+class _LatticeFamily:
+    """An integer family whose mass function and CDF are read from its ``lattice()``."""
+
+    def prob(self, x):
+        return _wrap(x, np.exp(self.lattice().log_mass(x)))
+
+    def cdf(self, x):
+        return self.lattice().cdf(x)
 
 
 def rounded_laplace_zeta(eps: float) -> float:
@@ -354,6 +405,15 @@ def rounded_laplace_zeta(eps: float) -> float:
     b = 0.5 * (math.exp(-0.5 * eps) - math.exp(-1.5 * eps))
     tails = 0.5 * math.exp(-1.5 * eps) + 0.5 * math.exp(-0.5 * eps)
     return math.log(a * a / b + a + math.exp(eps) * tails)
+
+
+def _exp_series_from_3(x: float) -> float:
+    """sum_{j >= 3} x^j / j! for 0 <= x < 1, in positive terms."""
+    term, total, j = x * x * x / 6.0, 0.0, 3
+    while total + term != total:
+        total, j = total + term, j + 1
+        term *= x / j
+    return total
 
 
 def _laplace_from_uniform(u: np.ndarray, scale: float) -> np.ndarray:
@@ -465,12 +525,6 @@ class MechanismSpec(Protocol):
     def cdf(self, x):
         """P(noise <= x); float for scalar x, else an ndarray."""
 
-    def loss_tail(self) -> tuple[float, float]:
-        """``(c, rate)``: for |x| beyond c + shift the loss is the constant ``shift * rate``.
-
-        Raises UnsupportedSpecError for a family whose loss is unbounded.
-        """
-
     def draw(self, stream, n: int) -> np.ndarray:
         """n noise draws from a SeededStream; int64 when ``integer``, else float64."""
 
@@ -518,7 +572,7 @@ class Laplace:
 
 
 @dataclass(frozen=True)
-class RoundedLaplace:
+class RoundedLaplace(_LatticeFamily):
     """Laplace mechanism whose draw is rounded to the nearest integer."""
 
     scale: float
@@ -544,15 +598,11 @@ class RoundedLaplace:
             )
         return rounded_laplace_zeta(eps)
 
-    def prob(self, x):
-        return rounded_laplace_pmf(x, self.scale)
-
-    def cdf(self, x):
-        # rounding half away from zero: the draw is <= k exactly when X < k + 1/2
-        return laplace_cdf(np.floor(np.asarray(x, dtype=float)) + 0.5, self.scale)
-
-    def loss_tail(self) -> tuple[float, float]:
-        return 0, 1.0 / self.scale
+    def lattice(self) -> _Lattice:
+        """Cell k holds the Laplace mass on [k - 1/2, k + 1/2): sinh(eps/2) e^(-eps |k|) off 0."""
+        eps = 1.0 / self.scale
+        log_sinh = 0.5 * eps - math.log(2.0) + math.log(-math.expm1(-eps))
+        return _Lattice(((0, math.log(-math.expm1(-0.5 * eps)), 0.0), (1, log_sinh, eps)))
 
     def draw(self, stream, n: int) -> np.ndarray:
         y = _laplace_from_uniform(stream.uniforms(n), self.scale)
@@ -565,7 +615,7 @@ class RoundedLaplace:
 
 
 @dataclass(frozen=True)
-class Geometric:
+class Geometric(_LatticeFamily):
     """Symmetric geometric mechanism with decay alpha (= exp(epsilon))."""
 
     alpha: float
@@ -586,18 +636,10 @@ class Geometric:
     def zeta(self) -> float:
         return math.log(self.alpha)
 
-    def prob(self, x):
-        return geometric_pmf(x, self.alpha)
-
-    def cdf(self, x):
-        q = 1.0 / self.alpha
-        ks = np.floor(np.asarray(x, dtype=float))
-        neg = ks < 0
-        tail = np.power(q, np.where(neg, -ks, ks + 1.0)) / (1.0 + q)
-        return _wrap(x, np.where(neg, tail, 1.0 - tail))
-
-    def loss_tail(self) -> tuple[float, float]:
-        return 0, math.log(self.alpha)
+    def lattice(self) -> _Lattice:
+        """One run: cell k holds ((alpha - 1)/(alpha + 1)) alpha^-|k|."""
+        rate = math.log(self.alpha)
+        return _Lattice(((0, _log_height(1.0, rate), rate),))
 
     def draw(self, stream, n: int) -> np.ndarray:
         """The difference of two floored exponential draws with rate ln(alpha)."""
@@ -616,8 +658,8 @@ class Geometric:
 class _TwoPieceMixture:
     """The law both mixtures share: piece i has weight a_i and decays as exp(-|x| / b_i),
     with b_1, b_2 the params' ``outer_scale``, ``inner_scale``.  A subclass states its
-    lattice (``constants``, ``_pieces``, ``_lower_tail``, ``_inverse_pieces``) and the
-    paper's closed forms (``_zeta``, ``stats``).
+    pieces (``constants``, ``_pieces``, ``_inverse_pieces``), its mass function and
+    CDF, and the paper's closed forms (``_zeta``, ``stats``).
     """
 
     params: MixtureParams
@@ -644,33 +686,6 @@ class _TwoPieceMixture:
                 f"{self.label}: the closed-form zeta is not a finite positive double"
             )
         return zeta
-
-    def loss_tail(self) -> tuple[float, float]:
-        ct = self.params.break_point
-        return (int(ct) if self.integer else ct), self.params.eps_r
-
-    def prob(self, x):
-        c = self.constants()
-        ct, b1, b2 = self.params.break_point, self.params.outer_scale, self.params.inner_scale
-        _, _, d1, d2 = self._pieces()
-        m = np.abs(np.asarray(x, dtype=float))
-        if self.integer and not np.all(m == np.floor(m)):
-            raise InvalidParameterError(f"the {self.kind} mass function takes integers only")
-        inner = c.a2 / d2 * np.exp(-m / b2)
-        # taken at c_t inside it, where the discarded a1 / d1 can overflow
-        outer = _outer_weight(c.a1, np.maximum(m, ct) / b1) / d1
-        return _wrap(x, np.where(m <= ct, inner, outer))
-
-    def cdf(self, x):
-        c = self.constants()
-        b1, b2 = self.params.outer_scale, self.params.inner_scale
-        lower, m, start, g1, g2 = self._lower_tail(np.asarray(x, dtype=float))
-        # The outer tail from max(m, start), plus the inner mass between m and start:
-        # no rounding lets the tail rise with m, nor a lower tail pass one half.
-        outer = _outer_weight(c.a1, np.maximum(m, start) / b1) / g1
-        inner_mass = c.a2 / g2 * np.maximum(np.exp(m / -b2) - math.exp(-start / b2), 0.0)
-        tail = np.minimum(outer + inner_mass, 0.5)
-        return _wrap(x, np.where(lower, tail, 1.0 - tail))
 
     def inverse_cdf(self, u) -> np.ndarray:
         """Noise at each uniform u in (0, 1): int64 when ``integer``, else float64."""
@@ -714,11 +729,30 @@ class LaplaceMixture(_TwoPieceMixture):
         b1, b2, ct = self.params.outer_scale, self.params.inner_scale, self.params.break_point
         return math.exp(-ct / b1), math.exp(-ct / b2), 2.0 * b1, 2.0 * b2
 
-    def _lower_tail(self, xs):
-        """(lower, m, start, g1, g2): P(noise <= x) is the lower tail P(noise <= -m) at
-        m = |x| for x <= 0, mirrored above; the outer piece starts at c_t, and piece
-        i's tail from m is a_i exp(-m / b_i) / g_i with g_i = 2."""
-        return xs <= 0.0, np.abs(xs), self.params.break_point, 2.0, 2.0
+    def loss_tail(self) -> tuple[float, float]:
+        """``(c_t, r eps)``: for |x| beyond c_t + shift the loss is ``shift * r eps``."""
+        return self.params.break_point, self.params.eps_r
+
+    def prob(self, x):
+        c = self.constants()
+        ct, b1, b2 = self.params.break_point, self.params.outer_scale, self.params.inner_scale
+        m = np.abs(np.asarray(x, dtype=float))
+        inner = c.a2 / (2.0 * b2) * np.exp(-m / b2)
+        # taken at c_t inside it, where the discarded a1 / (2 b1) can overflow
+        outer = _outer_weight(c.a1, np.maximum(m, ct) / b1) / (2.0 * b1)
+        return _wrap(x, np.where(m <= ct, inner, outer))
+
+    def cdf(self, x):
+        c = self.constants()
+        ct, b1, b2 = self.params.break_point, self.params.outer_scale, self.params.inner_scale
+        # The lower tail P(noise <= -m) at m = |x|, mirrored above 0: the outer tail from
+        # max(m, c_t) plus the inner mass between.  No rounding lets it rise with m or pass 1/2.
+        xs = np.asarray(x, dtype=float)
+        m = np.abs(xs)
+        outer = _outer_weight(c.a1, np.maximum(m, ct) / b1) / 2.0
+        inner_mass = c.a2 / 2.0 * np.maximum(np.exp(m / -b2) - math.exp(-ct / b2), 0.0)
+        tail = np.minimum(outer + inner_mass, 0.5)
+        return _wrap(x, np.where(xs <= 0.0, tail, 1.0 - tail))
 
     def _inverse_pieces(self):
         c = self.constants()
@@ -743,11 +777,16 @@ class LaplaceMixture(_TwoPieceMixture):
         b1, b2, ct = params.outer_scale, params.inner_scale, params.break_point
         # the outer piece's mass a1 exp(-c_t / b1), where a1 alone can overflow a term
         w1 = float(_outer_weight(c.a1, ct / b1))
-        e2 = math.exp(-ct / b2)
-        mean_abs = c.a2 * (b2 - e2 * (b2 + ct)) + w1 * (b1 + ct)
-        variance = 2.0 * c.a2 * (
-            b2 * b2 - e2 * (b2 * b2 + b2 * ct + 0.5 * ct * ct)
-        ) + 2.0 * w1 * (b1 * b1 + b1 * ct + 0.5 * ct * ct)
+        x = ct / b2
+        e2 = math.exp(-x)
+        if x < 1.0:  # 1 - e^-x sum_{j<n} x^j/j! cancels; e^-x sum_{j>=n} x^j/j! does not
+            from_3 = _exp_series_from_3(x)
+            inner_abs, inner_sq = b2 * e2 * (0.5 * x * x + from_3), b2 * b2 * e2 * from_3
+        else:
+            inner_abs = b2 - e2 * (b2 + ct)
+            inner_sq = b2 * b2 - e2 * (b2 * b2 + b2 * ct + 0.5 * ct * ct)
+        mean_abs = c.a2 * inner_abs + w1 * (b1 + ct)
+        variance = 2.0 * c.a2 * inner_sq + 2.0 * w1 * (b1 * b1 + b1 * ct + 0.5 * ct * ct)
         entropy = (
             math.log(2.0 * b2 / c.a2) * (1.0 - w1)
             + ((math.log(2.0 * b1) - math.log(c.a1)) * w1 if w1 else 0.0)  # 0 log 0 = 0
@@ -759,7 +798,7 @@ class LaplaceMixture(_TwoPieceMixture):
 
 
 @dataclass(frozen=True)
-class GeometricMixture(_TwoPieceMixture):
+class GeometricMixture(_LatticeFamily, _TwoPieceMixture):
     """Two-piece geometric mixture mechanism (integer output)."""
 
     kind: ClassVar[str] = "geomix"
@@ -784,15 +823,11 @@ class GeometricMixture(_TwoPieceMixture):
         ct = int(self.params.break_point)
         return q1**ct, q2**ct, (1.0 + q1) / (1.0 - q1), (1.0 + q2) / (1.0 - q2)
 
-    def _lower_tail(self, xs):
-        """(lower, m, start, g1, g2): P(noise <= k) is the lower tail P(noise >= m) at
-        m = -k for k < 0, mirrored from m = k + 1 for k >= 0; the outer piece starts
-        at c_t + 1, and piece i's tail from m is a_i q_i^m / g_i with g_i = 1 + q_i."""
-        q1, q2 = self._decays()
-        ks = np.floor(xs)
-        lower = ks < 0
-        m = np.where(lower, -ks, ks + 1.0)
-        return lower, m, self.params.break_point + 1.0, 1.0 + q1, 1.0 + q2
+    def lattice(self) -> _Lattice:
+        """Cells a_2 tanh(eps/2) e^(-eps |k|) up to c_t, then a_1 tanh(r eps/2) e^(-r eps |k|)."""
+        c, p = self.constants(), self.params
+        inner = (0, _log_height(c.a2, p.epsilon), p.epsilon)
+        return _Lattice((inner, (int(p.break_point) + 1, _log_height(c.a1, p.eps_r), p.eps_r)))
 
     def _inverse_pieces(self):
         c = self.constants()
@@ -827,15 +862,6 @@ def lapmix_cdf(x, params: MixtureParams):
     """Closed-form CDF of the Laplace mixture; continuous everywhere."""
     return LaplaceMixture(params).cdf(x)
 
-
-def geomix_pmf(k, params: MixtureParams):
-    """Mass function of the geometric mixture: decay q2 up to c_t, q1 beyond."""
-    return GeometricMixture(params).prob(k)
-
-
-def geomix_cdf(x, params: MixtureParams):
-    """CDF of the geometric mixture: a right-continuous step function on the reals."""
-    return GeometricMixture(params).cdf(x)
 
 @dataclass(frozen=True)
 class TruncatedLaplace:
@@ -877,9 +903,6 @@ class TruncatedLaplace:
         # F(bound) - F(-bound) can round above 1 - 2 F(-bound)
         mass = (laplace_cdf(xs, self.scale) - below) / (1.0 - 2.0 * below)
         return _wrap(x, np.minimum(mass, 1.0))
-
-    def loss_tail(self) -> tuple[float, float]:
-        raise UnsupportedSpecError(f"{self.label} has unbounded loss, no constant-loss tail")
 
     def draw(self, stream, n: int) -> np.ndarray:
         """Inverse CDF of the Laplace law on [-bound, bound]; refused unless ``allow_unsafe``.
@@ -926,9 +949,6 @@ class ZeroNoise:
 
     def cdf(self, x):
         return _wrap(x, np.where(np.asarray(x, dtype=float) >= 0.0, 1.0, 0.0))
-
-    def loss_tail(self) -> tuple[float, float]:
-        raise UnsupportedSpecError(f"{self.label} has unbounded loss, no constant-loss tail")
 
     def draw(self, stream, n: int) -> np.ndarray:
         return np.zeros(n, dtype=np.int64)

@@ -37,13 +37,9 @@ from pwmix.mechanisms import (
     MixtureParams,
     RoundedLaplace,
     TruncatedLaplace,
-    geometric_pmf,
-    geomix_cdf,
-    geomix_pmf,
     lapmix_cdf,
     lapmix_pdf,
     laplace_cdf,
-    rounded_laplace_pmf,
 )
 from pwmix.sampling import SeededStream, sample
 
@@ -144,7 +140,7 @@ class TestCriterion2OracleEquivalence:
             s = geomix_stats(params)
             reach = ct + int(50 / min(eps, reps)) + 50
             ks = np.arange(-reach, reach + 1)
-            p = geomix_pmf(ks, params)
+            p = GeometricMixture(params).prob(ks)
             live = p > 0  # cells that underflowed contribute nothing
             entropy_oracle = float(-(p[live] * np.log(p[live])).sum())
             worst_geo = max(
@@ -219,8 +215,8 @@ class TestCriterion3SamplerFidelity:
             reach = ct + int(9 / min(eps, reps)) + 3
             p = chi_square_pvalue(
                 y,
-                lambda k: float(geomix_pmf(k, params)),
-                lambda k: float(geomix_cdf(k, params)),
+                lambda k: float(GeometricMixture(params).prob(k)),
+                lambda k: float(GeometricMixture(params).cdf(k)),
                 -reach,
                 reach,
             )
@@ -242,7 +238,7 @@ class TestCriterion3SamplerFidelity:
 
             reach = int(9 / eps) + 3
             p = chi_square_pvalue(
-                y, lambda k: float(geometric_pmf(k, alpha)), geo_cdf, -reach, reach
+                y, lambda k: float(Geometric(alpha).prob(k)), geo_cdf, -reach, reach
             )
             if p <= self.ALPHA:
                 failures.append(("geometric-chi2", eps, p))
@@ -253,7 +249,7 @@ class TestCriterion3SamplerFidelity:
                 return float(laplace_cdf(k + 0.5, 1 / eps))
 
             p = chi_square_pvalue(
-                y, lambda k: float(rounded_laplace_pmf(k, 1 / eps)), rl_cdf, -reach, reach
+                y, lambda k: float(RoundedLaplace(1 / eps).prob(k)), rl_cdf, -reach, reach
             )
             if p <= self.ALPHA:
                 failures.append(("rlaplace-chi2", eps, p))

@@ -1,7 +1,10 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from pwmix.accounting import (
     BudgetLedger,
@@ -21,7 +24,6 @@ from pwmix.mechanisms import (
     MixtureParams,
     RoundedLaplace,
     TruncatedLaplace,
-    geomix_pmf,
     lapmix_cdf,
     lapmix_constants,
 )
@@ -65,8 +67,28 @@ class TestPrivacyLoss:
         # every outcome with non-negligible mass stays at or below r*eps
         spec = GeometricMixture(PRESET_A)
         for outcome in range(-40, 41):
-            if float(geomix_pmf(outcome, PRESET_A)) > 1e-12:
+            if float(spec.prob(outcome)) > 1e-12:
                 assert privacy_loss(spec, outcome) <= PRESET_A.eps_r + 1e-9
+
+    @pytest.mark.parametrize(
+        "spec, outcome, loss",
+        [
+            # the masses underflow (800) or go subnormal (740); the loss is the rate
+            (Geometric(alpha=math.e), 800, 1.0),
+            (Geometric(alpha=math.e), -800, 1.0),
+            (Geometric(alpha=math.e), 740, 1.0),
+            (GeometricMixture(MixtureParams(epsilon=1.0, ratio=3.0, break_point=5.0)), 300, 3.0),
+            (RoundedLaplace(scale=1.0), 800, 1.0),
+        ],
+    )
+    def test_far_tail(self, spec, outcome, loss):
+        assert privacy_loss(spec, outcome) == pytest.approx(loss, rel=1e-12)
+
+    def test_far_tail_of_a_point_mass(self):
+        spec = RoundedLaplace(scale=1 / 1500)
+        assert privacy_loss(spec, 0) == pytest.approx(750.0 + math.log(2.0), rel=1e-15)
+        assert privacy_loss(spec, 5) == pytest.approx(1500.0, rel=1e-15)
+        assert 750.0 < zeta_empirical(spec) < 1500.0
 
 
 class TestWorstCaseEps:
@@ -152,10 +174,10 @@ class TestZetaEmpirical:
         # independent summation straight from the mass function
         spec = GeometricMixture(PRESET_A)
         ks = np.arange(-400, 401)
-        pk = geomix_pmf(ks, PRESET_A)
+        pk = spec.prob(ks)
         total = 0.0
         for k, p in zip(ks[1:], pk[1:]):
-            total += math.exp(abs(math.log(float(geomix_pmf(k - 1, PRESET_A)) / p))) * p
+            total += math.exp(abs(math.log(float(spec.prob(k - 1)) / p))) * p
         assert zeta_empirical(spec) == pytest.approx(math.log(total), abs=1e-12)
 
     def test_lapmix_rounded_release_matches_closed_form(self):
@@ -172,6 +194,85 @@ class TestZetaEmpirical:
             p = cell(k)
             total += math.exp(abs(math.log(cell(k - 1) / p))) * p
         assert math.log(total) == pytest.approx(zeta_closed_form(LaplaceMixture(params)), abs=2e-3)
+
+
+def zeta_cell_sum(spec, shift):
+    """ln sum_k max(P(k - shift), P(k)^2 / P(k - shift)), cell by cell with math.fsum.
+
+    Each family's log mass is written out here; the sum stops where the cells
+    beyond it carry less than e^-50 of the total.
+    """
+    if isinstance(spec, Geometric):
+        rate = last_rate = math.log(spec.alpha)
+        log_h, last = math.log((spec.alpha - 1) / (spec.alpha + 1)), 0
+
+        def log_p(k):
+            return log_h - rate * abs(k)
+
+    elif isinstance(spec, RoundedLaplace):
+        eps = last_rate = 1 / spec.scale
+        last = 1
+
+        def log_p(k):
+            if k == 0:
+                return math.log(1 - math.exp(-eps / 2))
+            return math.log(math.sinh(eps / 2)) - eps * abs(k)
+
+    else:
+        c, params = spec.constants(), spec.params
+        ct, last_rate = int(params.break_point), params.eps_r
+        last = ct + 1
+
+        def log_p(k):
+            a, rate = (c.a2, params.epsilon) if abs(k) <= ct else (c.a1, params.eps_r)
+            return math.log(a * math.tanh(rate / 2)) - rate * abs(k)
+
+    reach = last + shift + math.ceil(shift + 50 / last_rate)
+    cells = []
+    for k in range(-reach, reach + 1):
+        here, there = log_p(k), log_p(k - shift)
+        cells.append(math.exp(max(there, 2 * here - there)))
+    return math.log(math.fsum(cells))
+
+
+# A point where a sum of the window's weights and CDF tails was off by 7.6e-13 relative.
+FAR_POINT = MixtureParams(epsilon=0.4494609712881677, ratio=10.907575466265854, break_point=22.0)
+
+
+class TestExactZeta:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        family=st.sampled_from([Geometric, RoundedLaplace, GeometricMixture]),
+        eps=st.floats(0.02, 5.0),
+        ratio=st.floats(0.1, 20.0),
+        ct=st.integers(1, 30),
+        shift=st.integers(1, 4),
+    )
+    @example(family=GeometricMixture, eps=FAR_POINT.epsilon, ratio=FAR_POINT.ratio, ct=22, shift=3)
+    def test_matches_a_cell_sum(self, family, eps, ratio, ct, shift):
+        if family is Geometric:
+            spec = Geometric(alpha=math.exp(eps))
+        elif family is RoundedLaplace:
+            spec = RoundedLaplace(scale=1 / eps)
+        else:
+            spec = GeometricMixture(MixtureParams(epsilon=eps, ratio=ratio, break_point=ct))
+            assume(ratio * eps * ct < 700)  # beyond, the constants underflow and are refused
+        assert zeta_empirical(spec, shift) == pytest.approx(zeta_cell_sum(spec, shift), rel=1e-13)
+
+    def test_far_point_against_a_40_digit_sum(self):
+        spec = GeometricMixture(FAR_POINT)
+        c, ct = spec.constants(), 22
+        with mp.workdps(40):
+
+            def p(k):
+                a, rate = (c.a2, FAR_POINT.epsilon) if abs(k) <= ct else (c.a1, FAR_POINT.eps_r)
+                rate = mp.mpf(rate)
+                return mp.mpf(a) * mp.tanh(rate / 2) * mp.exp(-rate * abs(k))
+
+            # the cells beyond +-60 carry below e^-180
+            exact = float(mp.log(mp.fsum(max(p(k - 3), p(k) ** 2 / p(k - 3)) for k in range(-60, 64))))
+        assert exact == pytest.approx(3.44751886118557, rel=1e-14)
+        assert zeta_empirical(spec, 3) == pytest.approx(exact, rel=1e-13)
 
 
 class TestCompose:

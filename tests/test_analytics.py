@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -16,7 +17,6 @@ from pwmix.mechanisms import (
     MechanismStats,
     MixtureParams,
     RoundedLaplace,
-    geomix_pmf,
     lapmix_pdf,
 )
 
@@ -27,7 +27,7 @@ def series_oracle(params):
     """Stats of the geometric mixture by brute truncated summation."""
     reach = params.integer_break_point() + int(40 / min(params.epsilon, params.eps_r)) + 40
     ks = np.arange(-reach, reach + 1)
-    p = geomix_pmf(ks, params)
+    p = GeometricMixture(params).prob(ks)
     mean_abs = float((np.abs(ks) * p).sum())
     variance = float((ks.astype(float) ** 2 * p).sum())
     entropy = float(-(p * np.log(p)).sum())
@@ -116,6 +116,36 @@ class TestLapMixStats:
         s = lapmix_stats(params)
         for value, oracle in zip(vars(s).values(), quadrature_oracle(params)):
             assert value == pytest.approx(oracle, rel=1e-6)
+
+    @pytest.mark.parametrize(
+        "eps, ratio, ct",
+        [
+            (0.01, 50.0, 1.0),  # c_t / b2 = 0.01: the closed-form inner terms cancel to 1e-11
+            (1e-4, 2.0, 2.0),
+            (0.05, 3.0, 0.5),
+            (1.0, 3.0, 0.3),
+            (0.9, 0.5, 1.1),  # c_t / b2 just below 1
+            (0.2, 5.0, 5.0),  # c_t / b2 = 1, the closed form as before
+            (0.3, 2.0, 3.0),
+        ],
+    )
+    def test_moments_against_a_40_digit_integral(self, eps, ratio, ct):
+        # the same density, with the same double constants, integrated in mpmath
+        params = MixtureParams(epsilon=eps, ratio=ratio, break_point=ct)
+        s, c = lapmix_stats(params), LaplaceMixture(params).constants()
+        with mp.workdps(40):
+            a1, a2, b1, b2, c_t = map(
+                mp.mpf, (c.a1, c.a2, params.outer_scale, params.inner_scale, ct)
+            )
+
+            def moment(n):
+                inner = mp.quad(lambda x: x**n * a2 / b2 * mp.exp(-x / b2), [0, c_t])
+                outer = mp.quad(lambda x: x**n * a1 / b1 * mp.exp(-x / b1), [c_t, mp.inf])
+                return float(inner + outer)
+
+            mean_abs, variance = moment(1), moment(2)
+        assert s.mean_abs_noise == pytest.approx(mean_abs, rel=1e-14)
+        assert s.variance == pytest.approx(variance, rel=1e-14)
 
     def test_jensen(self):
         for params in (PRESET_A, PRESET_B):

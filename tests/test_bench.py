@@ -2,14 +2,13 @@ import io
 import math
 import tracemalloc
 from collections import Counter
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pwmix import bench, mechanisms
+from pwmix import bench
 from pwmix.bench import (
     TABLE1_GRID,
     _bucket_table,
@@ -683,27 +682,3 @@ class TestClampFreeCount:
         # clamping is reachable up to the bound, so the count must pass it
         assert _clamp_free_count(TruncatedLaplace(scale=1.0, bound=10.0, allow_unsafe=True)) > 10
 
-
-class TestBenchmarkHooks:
-    """perfbench's tracer wraps pwmix functions by name; a rename breaks ``--trace 1``."""
-
-    def test_tracer_targets_and_constant_caches_exist(self, monkeypatch):
-        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
-        import spans
-
-        # bench keeps lapmix_cdf and laplace_cdf bound for the tracer's mechanisms.cdf span
-        targets = spans._targets()
-        assert {(bench, "lapmix_cdf"), (bench, "laplace_cdf")} <= {t[:2] for t in targets}
-        originals = [owner.__dict__[attr] for owner, attr, *_ in targets]
-        tracer = spans.Tracer()
-        tracer.install()
-        try:
-            for (owner, attr, *_), original in zip(targets, originals):
-                assert owner.__dict__[attr].__wrapped__ is original
-        finally:
-            tracer.uninstall()
-        for (owner, attr, *_), original in zip(targets, originals):
-            assert owner.__dict__[attr] is original
-        for cache in (mechanisms.lapmix_constants, mechanisms.geomix_constants):
-            assert callable(cache.cache_clear)
-            assert callable(cache.cache_info)

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -16,11 +17,10 @@ from pwmix.mechanisms import (
     Laplace,
     LaplaceMixture,
     MixtureParams,
+    RoundedLaplace,
     TruncatedLaplace,
-    geometric_pmf,
-    geomix_cdf,
     geomix_constants,
-    geomix_pmf,
+    laplace_cdf,
     laplace_pdf,
     lapmix_cdf,
     lapmix_constants,
@@ -136,18 +136,18 @@ class TestLapMixturePdfCdf:
 
 class TestGeometricPmf:
     def test_point_values(self):
-        assert geometric_pmf(0, math.e) == pytest.approx(0.46211715726000974, rel=1e-12)
-        assert geometric_pmf(5, math.exp(0.2)) == pytest.approx(0.03666580616530707, rel=1e-12)
+        assert Geometric(math.e).prob(0) == pytest.approx(0.46211715726000974, rel=1e-12)
+        assert Geometric(math.exp(0.2)).prob(5) == pytest.approx(0.03666580616530707, rel=1e-12)
 
     def test_symmetry(self):
         for k in range(0, 15):
-            assert geometric_pmf(k, 1.7) == geometric_pmf(-k, 1.7)
+            assert Geometric(1.7).prob(k) == Geometric(1.7).prob(-k)
 
     def test_invalid_alpha(self):
         with pytest.raises(InvalidParameterError):
-            geometric_pmf(0, 1.0)
+            Geometric(1.0)
         with pytest.raises(InvalidParameterError):
-            geometric_pmf(0, 0.5)
+            Geometric(0.5)
 
 
 class TestGeoMixtureConstants:
@@ -213,11 +213,11 @@ class TestConstantsLimits:
         # 1.366e-36 in 60-digit arithmetic.
         params = MixtureParams(epsilon=2.305, ratio=19.74, break_point=16.0)
         ks = np.arange(-400, 401)
-        pmf = geomix_pmf(ks, params)
+        pmf = GeometricMixture(params).prob(ks)
         assert not np.any(np.isnan(pmf))
-        assert geomix_pmf(17, params) == pytest.approx(1.3664005e-36, rel=1e-6, abs=0)
+        assert GeometricMixture(params).prob(17) == pytest.approx(1.3664005e-36, rel=1e-6, abs=0)
         assert pmf.sum() == pytest.approx(1.0, abs=1e-12)
-        cdf = geomix_cdf(ks, params)
+        cdf = GeometricMixture(params).cdf(ks)
         assert not np.any(np.isnan(cdf))
         assert np.allclose(cdf, np.cumsum(pmf), rtol=0, atol=1e-12)
 
@@ -245,18 +245,18 @@ class TestConstantsLimits:
 
 class TestGeoMixturePmfCdf:
     def test_preset_point_values(self):
-        assert geomix_pmf(0, PRESET_A) == pytest.approx(0.14008866635680833, rel=1e-12)
-        assert geomix_pmf(5, PRESET_A) == pytest.approx(0.05153574029379527, rel=1e-12)
-        assert geomix_pmf(6, PRESET_A) == pytest.approx(0.018958939339637985, rel=1e-12)
+        assert GeometricMixture(PRESET_A).prob(0) == pytest.approx(0.14008866635680833, rel=1e-12)
+        assert GeometricMixture(PRESET_A).prob(5) == pytest.approx(0.05153574029379527, rel=1e-12)
+        assert GeometricMixture(PRESET_A).prob(6) == pytest.approx(0.018958939339637985, rel=1e-12)
         # decay across the break-point happens at the outer rate
-        ratio = geomix_pmf(5, PRESET_A) / geomix_pmf(6, PRESET_A)
+        ratio = GeometricMixture(PRESET_A).prob(5) / GeometricMixture(PRESET_A).prob(6)
         assert math.log(ratio) == pytest.approx(PRESET_A.eps_r, abs=2e-4)
 
     def test_collapse(self):
         params = MixtureParams(epsilon=0.3, ratio=1.0, break_point=4.0)
         ks = np.arange(-30, 31)
         assert np.allclose(
-            geomix_pmf(ks, params), geometric_pmf(ks, math.exp(0.3)), atol=1e-15
+            GeometricMixture(params).prob(ks), Geometric(math.exp(0.3)).prob(ks), atol=1e-15
         )
 
     @pytest.mark.parametrize("params", INT_PARAM_GRID)
@@ -264,41 +264,162 @@ class TestGeoMixturePmfCdf:
         # window chosen from the outer decay so the untouched tail is < 1e-12
         reach = params.integer_break_point() + int(40 / min(params.epsilon, params.eps_r)) + 40
         ks = np.arange(-reach, reach + 1)
-        assert geomix_pmf(ks, params).sum() == pytest.approx(1.0, abs=1e-10)
+        assert GeometricMixture(params).prob(ks).sum() == pytest.approx(1.0, abs=1e-10)
 
     def test_cdf_preset_value(self):
-        assert geomix_cdf(-6, PRESET_A) == pytest.approx(0.029992600422255825, rel=1e-12)
+        assert GeometricMixture(PRESET_A).cdf(-6) == pytest.approx(0.029992600422255825, rel=1e-12)
 
     def test_cdf_symmetry_at_half(self):
-        p0 = geomix_pmf(0, PRESET_A)
-        assert geomix_cdf(-0.5, PRESET_A) == pytest.approx((1 - p0) / 2, rel=1e-12)
-        assert geomix_cdf(math.inf, PRESET_A) == pytest.approx(1.0)
+        p0 = GeometricMixture(PRESET_A).prob(0)
+        assert GeometricMixture(PRESET_A).cdf(-0.5) == pytest.approx((1 - p0) / 2, rel=1e-12)
+        assert GeometricMixture(PRESET_A).cdf(math.inf) == pytest.approx(1.0)
 
     def test_three_way_split(self):
-        below = geomix_cdf(-1, PRESET_A)
-        at = geomix_pmf(0, PRESET_A)
-        above = 1 - geomix_cdf(0, PRESET_A)
+        below = GeometricMixture(PRESET_A).cdf(-1)
+        at = GeometricMixture(PRESET_A).prob(0)
+        above = 1 - GeometricMixture(PRESET_A).cdf(0)
         assert below + at + above == pytest.approx(1.0, abs=1e-14)
 
     @pytest.mark.parametrize("params", INT_PARAM_GRID)
     def test_cdf_matches_running_pmf_sum(self, params):
         reach = params.integer_break_point() + int(40 / min(params.epsilon, params.eps_r)) + 40
         ks = np.arange(-reach, reach + 1)
-        running = np.cumsum(geomix_pmf(ks, params))
-        cdf_vals = geomix_cdf(ks, params)
-        lower = float(geomix_cdf(-reach - 1, params))
+        running = np.cumsum(GeometricMixture(params).prob(ks))
+        cdf_vals = GeometricMixture(params).cdf(ks)
+        lower = float(GeometricMixture(params).cdf(-reach - 1))
         assert np.allclose(cdf_vals, running + lower, atol=1e-10)
 
     def test_cdf_right_continuous_step(self):
         # constant between integers, jumps at them
-        assert geomix_cdf(2.0, PRESET_A) == geomix_cdf(2.7, PRESET_A)
-        assert geomix_cdf(3.0, PRESET_A) > geomix_cdf(2.99, PRESET_A)
+        assert GeometricMixture(PRESET_A).cdf(2.0) == GeometricMixture(PRESET_A).cdf(2.7)
+        assert GeometricMixture(PRESET_A).cdf(3.0) > GeometricMixture(PRESET_A).cdf(2.99)
 
     @pytest.mark.parametrize("params", INT_PARAM_GRID)
     def test_cdf_monotone(self, params):
         xs = np.linspace(-60, 60, 10_000)
-        vals = geomix_cdf(xs, params)
+        vals = GeometricMixture(params).cdf(xs)
         assert np.all(np.diff(vals) >= -1e-15)
+
+
+# Each integer family's mass function and CDF in closed form: oracles for its lattice law.
+def geometric_pmf_oracle(k, alpha):
+    return (alpha - 1.0) / (alpha + 1.0) * np.power(alpha, -np.abs(k))
+
+
+def geometric_cdf_oracle(x, alpha):
+    # q^m / (1 + q) with q = 1/alpha, raised as alpha^-m: a rounded q is off by m ulps
+    ks = np.floor(x)
+    neg = ks < 0
+    tail = np.power(alpha, -np.where(neg, -ks, ks + 1.0)) / (1.0 + 1.0 / alpha)
+    return np.where(neg, tail, 1.0 - tail)
+
+
+def rounded_laplace_pmf_oracle(k, scale):
+    """nan where the factor exp(-|k| eps) is subnormal, and so has lost its digits."""
+    eps, ak = 1.0 / scale, np.abs(k)
+    decay = np.exp(-ak * eps)
+    decay[decay < sys.float_info.min] = np.nan
+    off = 0.5 * (math.exp(0.5 * eps) - math.exp(-0.5 * eps)) * decay
+    return np.where(ak == 0, 1.0 - math.exp(-0.5 * eps), off)
+
+
+def rounded_laplace_cdf_oracle(x, scale):
+    return laplace_cdf(np.floor(x) + 0.5, scale)
+
+
+def _geomix_oracle_pieces(params):
+    c = geomix_constants(params)
+    q1, q2 = math.exp(-params.eps_r), math.exp(-params.epsilon)
+    log_a1 = math.log(c.a1) if c.a1 else -math.inf
+    return c, q1, q2, log_a1, params.outer_scale, params.inner_scale
+
+
+def geomix_pmf_oracle(k, params):
+    c, q1, q2, log_a1, b1, b2 = _geomix_oracle_pieces(params)
+    ct, m = params.break_point, np.abs(k)
+    inner = c.a2 * (1.0 - q2) / (1.0 + q2) * np.exp(-m / b2)
+    outer = np.exp(log_a1 - np.maximum(m, ct) / b1) * (1.0 - q1) / (1.0 + q1)
+    return np.where(m <= ct, inner, outer)
+
+
+def geomix_cdf_oracle(x, params):
+    c, q1, q2, log_a1, b1, b2 = _geomix_oracle_pieces(params)
+    start = params.break_point + 1.0
+    ks = np.floor(x)
+    lower = ks < 0
+    m = np.where(lower, -ks, ks + 1.0)
+    outer = np.exp(log_a1 - np.maximum(m, start) / b1) / (1.0 + q1)
+    inner = c.a2 / (1.0 + q2) * np.maximum(np.exp(-m / b2) - math.exp(-start / b2), 0.0)
+    tail = np.minimum(outer + inner, 0.5)
+    return np.where(lower, tail, 1.0 - tail)
+
+
+def assert_matches_where_normal(got, want):
+    """Equal to 1e-12 relative wherever ``want`` is a normal double."""
+    normal = np.abs(want) >= sys.float_info.min
+    assert normal.any()
+    np.testing.assert_allclose(got[normal], want[normal], rtol=1e-12, atol=0)
+
+
+def _cells(reach):
+    """Every integer within +-reach (at most +-20000), and the halves between the first few."""
+    reach = min(reach, 20_000)
+    return np.arange(-reach, reach + 1, dtype=float), np.arange(-40.5, 41.0)
+
+
+class TestLatticeLaw:
+    """Each integer family's pmf and CDF, read from its runs, against its closed forms."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(eps=st.floats(0.01, 20.0))
+    @example(eps=1.0)
+    def test_geometric(self, eps):
+        spec, alpha = Geometric(math.exp(eps)), math.exp(eps)
+        ks, xs = _cells(int(750 / eps) + 2)
+        assert_matches_where_normal(spec.prob(ks), geometric_pmf_oracle(ks, alpha))
+        for x in (ks, xs):
+            assert_matches_where_normal(spec.cdf(x), geometric_cdf_oracle(x, alpha))
+
+    @settings(max_examples=60, deadline=None)
+    @given(eps=st.floats(0.01, 700.0))
+    @example(eps=0.3318)
+    def test_rounded_laplace(self, eps):
+        spec = RoundedLaplace(1.0 / eps)
+        ks, xs = _cells(int(750 / eps) + 2)
+        assert_matches_where_normal(spec.prob(ks), rounded_laplace_pmf_oracle(ks, 1.0 / eps))
+        for x in (ks, xs):
+            assert_matches_where_normal(spec.cdf(x), rounded_laplace_cdf_oracle(x, 1.0 / eps))
+
+    @settings(max_examples=60, deadline=None)
+    @given(eps=st.floats(0.01, 5.0), ratio=st.floats(0.1, 50.0), ct=st.integers(1, 40))
+    @example(eps=0.2, ratio=5.0, ct=5)
+    @example(eps=2.305, ratio=19.74, ct=16)  # a1 near 1e300
+    def test_geometric_mixture(self, eps, ratio, ct):
+        params = MixtureParams(epsilon=eps, ratio=ratio, break_point=float(ct))
+        spec = GeometricMixture(params)
+        if _or_refused(spec.constants) is None:  # the constants underflow
+            return
+        ks, xs = _cells(ct + int(750 / min(eps, params.eps_r)) + 2)
+        assert_matches_where_normal(spec.prob(ks), geomix_pmf_oracle(ks, params))
+        for x in (ks, xs):
+            assert_matches_where_normal(spec.cdf(x), geomix_cdf_oracle(x, params))
+
+    def test_far_rounded_laplace(self):
+        # exp(eps / 2) overflows a double; the law is a point mass at 0
+        spec = RoundedLaplace(1.0 / 1500)
+        assert spec.prob(0) == 1.0
+        assert spec.prob(1) == 0.0
+        assert spec.cdf(-1) == 0.0 and spec.cdf(0) == 1.0
+        assert spec.lattice().log_mass(3) == pytest.approx(-3750.0 - math.log(2.0), rel=1e-15)
+
+    @pytest.mark.parametrize(
+        "spec", [Geometric(1.7), RoundedLaplace(2.0), GeometricMixture(PRESET_A)]
+    )
+    def test_integers_only(self, spec):
+        with pytest.raises(InvalidParameterError, match="integers only"):
+            spec.prob(0.5)
+        with pytest.raises(InvalidParameterError, match="integers only"):
+            spec.prob(np.array([1.0, math.nan]))
 
 
 def _or_refused(call):

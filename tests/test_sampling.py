@@ -19,13 +19,9 @@ from pwmix.mechanisms import (
     RoundedLaplace,
     TruncatedLaplace,
     ZeroNoise,
-    geometric_pmf,
-    geomix_cdf,
     geomix_constants,
-    geomix_pmf,
     lapmix_cdf,
     lapmix_constants,
-    rounded_laplace_pmf,
 )
 from pwmix.sampling import SeededStream, lattice_uniforms, sample
 
@@ -309,8 +305,8 @@ class TestAlgorithmBranches:
     def test_geomix_inverse_matches_cdf_steps(self):
         # the inverse transform must reproduce P(Y <= k) exactly at the steps
         for k in range(-12, 13):
-            below = float(geomix_cdf(k - 1, PRESET_A))
-            above = float(geomix_cdf(k, PRESET_A))
+            below = float(GeometricMixture(PRESET_A).cdf(k - 1))
+            above = float(GeometricMixture(PRESET_A).cdf(k))
             for u in (below + 1e-9, 0.5 * (below + above), above - 1e-9):
                 y = int(GeometricMixture(PRESET_A).inverse_cdf(np.array([u]))[0])
                 assert y == k
@@ -483,8 +479,8 @@ class TestGeoMixSampler:
         y = sample(GeometricMixture(PRESET_A), SeededStream(104), N)
         p = chi_square_pvalue(
             y,
-            lambda k: float(geomix_pmf(k, PRESET_A)),
-            lambda k: float(geomix_cdf(k, PRESET_A)),
+            lambda k: float(GeometricMixture(PRESET_A).prob(k)),
+            lambda k: float(GeometricMixture(PRESET_A).cdf(k)),
             -15,
             15,
         )
@@ -507,7 +503,7 @@ class TestGeoMixSampler:
         def cdf(k):
             return q ** (-k) / (1 + q) if k < 0 else 1 - q ** (k + 1) / (1 + q)
 
-        p = chi_square_pvalue(y, lambda k: float(geometric_pmf(k, alpha)), cdf, -20, 20)
+        p = chi_square_pvalue(y, lambda k: float(Geometric(alpha).prob(k)), cdf, -20, 20)
         assert p > 1e-3
 
 
@@ -528,14 +524,14 @@ class TestStandardSamplers:
         def cdf(k):
             return q ** (-k) / (1 + q) if k < 0 else 1 - q ** (k + 1) / (1 + q)
 
-        p = chi_square_pvalue(y, lambda k: float(geometric_pmf(k, alpha)), cdf, -15, 15)
+        p = chi_square_pvalue(y, lambda k: float(Geometric(alpha).prob(k)), cdf, -15, 15)
         assert p > 1e-3
 
     def test_rounded_laplace_pmf(self):
         y = sample(RoundedLaplace(scale=1.0), SeededStream(111), 10**6)
         for k in (0, 1, -2):
             assert np.mean(y == k) == pytest.approx(
-                float(rounded_laplace_pmf(k, 1.0)), abs=0.002
+                float(RoundedLaplace(1.0).prob(k)), abs=0.002
             )
 
     def test_rounded_laplace_differs_from_geometric(self):

@@ -1,10 +1,13 @@
-"""The suite's own pytest configuration."""
+"""The suite's own pytest configuration, and the hooks the benchmark takes into pwmix."""
 
 import subprocess
 import sys
 from pathlib import Path
 
-PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+from pwmix import bench, mechanisms
+
+ROOT = Path(__file__).resolve().parents[1]
+PYPROJECT = ROOT / "pyproject.toml"
 
 PROBE = '''
 from hypothesis import given, strategies as st
@@ -31,3 +34,27 @@ def test_a_failing_property_does_not_end_the_session(tmp_path):
     )
     assert "INTERNALERROR" not in proc.stdout + proc.stderr
     assert "1 failed, 1 passed" in proc.stdout
+
+
+def test_tracer_targets_and_constant_caches_exist(monkeypatch):
+    # perfbench's tracer wraps pwmix functions by name and its workloads clear the
+    # constants caches: a rename or deletion breaks ``--trace 1`` and analytic-sweep.
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import spans
+
+    # bench keeps lapmix_cdf and laplace_cdf bound for the tracer's mechanisms.cdf span
+    targets = spans._targets()
+    assert {(bench, "lapmix_cdf"), (bench, "laplace_cdf")} <= {t[:2] for t in targets}
+    originals = [owner.__dict__[attr] for owner, attr, *_ in targets]
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        for (owner, attr, *_), original in zip(targets, originals):
+            assert owner.__dict__[attr].__wrapped__ is original
+    finally:
+        tracer.uninstall()
+    for (owner, attr, *_), original in zip(targets, originals):
+        assert owner.__dict__[attr] is original
+    for cache in (mechanisms.lapmix_constants, mechanisms.geomix_constants):
+        assert callable(cache.cache_clear)
+        assert callable(cache.cache_info)
