@@ -56,6 +56,13 @@ def _log_ratio_abs(log_shifted: float, log_at: float) -> float:
     return abs(log_shifted - log_at)
 
 
+def _require_shift(shift) -> int:
+    """``shift`` as an int, refused unless it is a positive integer (a bool is not one)."""
+    if isinstance(shift, bool) or not isinstance(shift, (int, np.integer)) or shift < 1:
+        raise InvalidParameterError(f"shift must be a positive integer, got {shift!r}")
+    return int(shift)
+
+
 def _log_prob(spec: MechanismSpec, x) -> float:
     """ln of the mass or density at x, -inf where it is 0; a lattice law's is its log mass."""
     if hasattr(spec, "lattice"):
@@ -67,14 +74,14 @@ def _log_prob(spec: MechanismSpec, x) -> float:
 def privacy_loss(spec: MechanismSpec, outcome_noise, shift: int = 1) -> float:
     """Per-outcome privacy loss |ln P[noise = outcome -+ shift] / P[noise = outcome]|.
 
-    Both shift directions are evaluated and the larger magnitude returned.
-    The integer families take it from their log masses, so it stays exact
-    where the masses underflow.  A zero-probability denominator against a
-    positive numerator reports an infinite loss (the truncated-mechanism
-    pathology); nan means the outcome is impossible under every involved
-    distribution (trunclap beyond its bound, zero off 0), or that a continuous
-    family's densities underflow there.
+    Both shift directions are evaluated and the larger magnitude returned.  The integer
+    families take it from their log masses, so it stays exact where the masses underflow.
+    A zero-probability denominator against a positive numerator reports an infinite loss
+    (the truncated-mechanism pathology); nan means the outcome is impossible under every
+    involved distribution (trunclap beyond its bound, zero off 0), or that a continuous
+    family's densities underflow there.  A shift must be a positive integer.
     """
+    shift = _require_shift(shift)
     here = _log_prob(spec, outcome_noise)
     losses = [_log_ratio_abs(_log_prob(spec, outcome_noise + s), here) for s in (-shift, shift)]
     return float(np.fmax(*losses))  # nan only where both are
@@ -109,11 +116,11 @@ def _zeta_continuous_quadrature(spec: MechanismSpec, shift: int) -> float:
 def zeta_empirical(spec: MechanismSpec, shift: int = 1) -> float:
     """General budget evaluated from its definition, ln sum exp(|L|) P.
 
-    An integer family's is the exact sum over its lattice law (constant-loss
-    tails folded in analytically); continuous mechanisms are integrated by
-    quadrature.  A mechanism with unbounded worst-case loss has an infinite
-    budget.
+    An integer family's is the exact sum over its lattice law (constant-loss tails folded
+    in analytically); continuous mechanisms are integrated by quadrature.  A mechanism with
+    unbounded worst-case loss has an infinite budget.  A shift must be a positive integer.
     """
+    shift = _require_shift(shift)
     if math.isinf(spec.worst_case_eps()):
         return math.inf
     if spec.integer:

@@ -26,10 +26,9 @@ from .mechanisms import (
     LaplaceMixture,
     MechanismSpec,
     MixtureParams,
+    RoundedLaplace,
     laplace_cdf,  # noqa: F401  (unused; perfbench's tracer wraps both names here)
     lapmix_cdf,  # noqa: F401
-    lapmix_constants,
-    rounded_moments,
 )
 from .sampling import SeededStream, lattice_uniforms, sample
 
@@ -122,9 +121,9 @@ class SweepRow:
     geometric one at eps = zeta of the geometric mixture, the Laplace one at
     the solved equivalent eps of the rounded Laplace mechanism.  E|x| and
     sigma^2 for the two Laplace-family columns are moments of the
-    nearest-integer release (the count-query setting), summed in closed form
-    over its integer cells (``rounded_moments``); entropies come from the
-    continuous closed forms.
+    nearest-integer release (the count-query setting), read from the runs of
+    its lattice law (``LaplaceMixture.rounded_lattice``, ``RoundedLaplace.lattice``);
+    entropies come from the continuous closed forms.
     """
 
     c_t: float
@@ -158,16 +157,15 @@ def sweep_point(c_t: float, eps: float, r_eps: float) -> SweepRow:
     """Evaluate one (c_t, eps, r*eps) grid point."""
     params = MixtureParams(epsilon=eps, ratio=r_eps / eps, break_point=c_t)
     zeta_gm = zeta_closed_form(GeometricMixture(params))
-    zeta_lm = zeta_closed_form(LaplaceMixture(params))
+    lapmix = LaplaceMixture(params)
+    zeta_lm = zeta_closed_form(lapmix)
     eps_lap = equivalent_epsilon(zeta_lm, "rounded_laplace")
     gm = geomix_stats(params)
     lm = lapmix_stats(params)
     geo = standard_stats(Geometric(math.exp(zeta_gm)))
     lap = standard_stats(Laplace(1.0 / eps_lap))
-    c = lapmix_constants(params)
-    e_lm, v_lm = rounded_moments(c.a1, params.outer_scale, c.a2, params.inner_scale, c_t)
-    # the Laplace law is the one-piece case; from c_t = 1/2 every cell is outer
-    e_lap, v_lap = rounded_moments(1.0, 1.0 / eps_lap, 1.0, 1.0 / eps_lap, 0.5)
+    e_abs_lm, var_lm, _ = lapmix.rounded_lattice().stats()
+    e_abs_lap, var_lap, _ = RoundedLaplace(1.0 / eps_lap).lattice().stats()
     return SweepRow(
         c_t=c_t,
         eps=eps,
@@ -176,13 +174,13 @@ def sweep_point(c_t: float, eps: float, r_eps: float) -> SweepRow:
         zeta_lm=zeta_lm,
         eps_lap=eps_lap,
         e_abs_gm=gm.mean_abs_noise,
-        e_abs_lm=e_lm,
+        e_abs_lm=e_abs_lm,
         e_abs_geo=geo.mean_abs_noise,
-        e_abs_lap=e_lap,
+        e_abs_lap=e_abs_lap,
         var_gm=gm.variance,
-        var_lm=v_lm,
+        var_lm=var_lm,
         var_geo=geo.variance,
-        var_lap=v_lap,
+        var_lap=var_lap,
         entropy_gm=gm.entropy,
         entropy_lm=lm.entropy,
         entropy_geo=geo.entropy,

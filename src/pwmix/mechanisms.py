@@ -8,13 +8,14 @@ it is not differentially private.
 
 Each family is one frozen dataclass implementing :class:`MechanismSpec`: its
 mass function or density, CDF, worst-case epsilon, general budget, sampler
-and closed-form statistics are members of that class, so the rest of the
-toolkit asks the spec instead of switching on its type.
+and noise statistics are members of that class, so the rest of the toolkit
+asks the spec instead of switching on its type.
 
 The three integer families are symmetric laws that do not increase in |k|.
 Each states its runs once (``lattice()``, see :class:`_Lattice`), and their
-mass function, CDF, privacy loss and exact zeta are read from them; their
-``zeta()`` is the paper's closed form, their moments are cell sums.
+mass function, CDF, privacy loss, exact zeta and moments are read from them;
+their ``zeta()`` is the paper's closed form.  The Laplace mixture rounded to
+integers states its runs too (``rounded_lattice``), for the sweep's moments.
 
 The two mixtures are one law: an inner piece with privacy parameter
 ``epsilon`` (for ``|x| <= break_point``; the boundary belongs to it) and an
@@ -63,12 +64,12 @@ __all__ = [
     "lapmix_cdf",
     "geomix_constants",
     "rounded_laplace_zeta",
-    "rounded_moments",
 ]
 
 
 # exp overflows a double above this.
 _LOG_MAX = math.log(sys.float_info.max)
+_LN2 = math.log(2.0)
 _REALS = (float, int, np.floating, np.integer)
 
 
@@ -133,8 +134,9 @@ class MechanismStats:
     entropy: float
 
     def __post_init__(self) -> None:
-        if not all(map(math.isfinite, (self.mean_abs_noise, self.variance, self.entropy))):
-            raise InvalidParameterError(f"a closed-form statistic is not a finite double: {self}")
+        isfinite = math.isfinite
+        if not (isfinite(self.mean_abs_noise) and isfinite(self.variance) and isfinite(self.entropy)):
+            raise InvalidParameterError(f"a noise statistic is not a finite double: {self}")
 
 
 @dataclass(frozen=True)
@@ -240,93 +242,37 @@ def _outer_weight(a: float, decay):
     return np.exp(_log(a) - decay)
 
 
-# Inner cells summed one by one before the rest is taken as a difference of two
-# tail sums.  Over a few cells that difference cancels: with no cells summed
-# directly, it was off by up to 6e-12 relative at eps = 0.01 and one inner cell.
-_DIRECT_CELLS = 32
-
-
-def _cells_from(m: int, log_a: float, b: float) -> tuple[float, float, float]:
-    """(sum m_k, sum k m_k, sum k^2 m_k) over the cells k >= m of one piece of a rounded
-    two-piece law, cell k having mass m_k = a/2 (exp(-(k - 1/2)/b) - exp(-(k + 1/2)/b)).
-
-    With q = exp(-1/b) and p = 1 - q, m_k = w q^(k - m) for w = a/2 exp(-(m - 1/2)/b) p,
-    so the sums are w/p, w (m/p + q/p^2) and w (m^2/p + 2 m q/p^2 + q (1 + q)/p^3): every
-    term is positive.  The weight comes as a log, since ``a`` can be near the overflow limit.
-    """
-    q, p = math.exp(-1.0 / b), -math.expm1(-1.0 / b)
-    half = 0.5 * math.exp(log_a - (m - 0.5) / b)
-    if half == 0.0:  # and m may be too large to square
-        return 0.0, 0.0, 0.0
-    return half, half * (m + q / p), half * (m * m + 2.0 * m * q / p + q * (1.0 + q) / (p * p))
-
-
-def _rounded_cells(log_a1: float, b1: float, log_a2: float, b2: float, ct: float) -> tuple:
-    """(E|K|, E K^2, the outer cells' mass, their share of E|K|) for K as in
-    :func:`rounded_moments` with weights a_i = exp(log_a_i)."""
-    last_inner = max(math.floor(ct - 0.5), 0)
-    first_outer = math.ceil(ct + 0.5)
-    direct = min(last_inner, _DIRECT_CELLS)
-    outer_mass, outer_abs, e_sq = _cells_from(first_outer, log_a1, b1)
-    e_abs = outer_abs
-    if last_inner > direct:  # the inner cells past the direct ones, as two tails' difference
-        _, head_abs, head_sq = _cells_from(direct + 1, log_a2, b2)
-        _, tail_abs, tail_sq = _cells_from(last_inner + 1, log_a2, b2)
-        e_abs, e_sq = (head_abs - tail_abs) + e_abs, (head_sq - tail_sq) + e_sq
-    inner = 0.5 * -math.expm1(-1.0 / b2)
-    for k in range(1, direct + 1):
-        mass = inner * math.exp(log_a2 + (0.5 - k) / b2)
-        e_abs += k * mass
-        e_sq += k * k * mass
-    if first_outer - last_inner == 2:
-        k = last_inner + 1
-        inner_part = math.exp(log_a2 + (0.5 - k) / b2) - math.exp(log_a2 - ct / b2)
-        mass = 0.5 * (inner_part + math.exp(log_a1 - ct / b1) - math.exp(log_a1 - (k + 0.5) / b1))
-        e_abs += k * mass
-        e_sq += k * k * mass
-    return 2.0 * e_abs, 2.0 * e_sq, 2.0 * outer_mass, 2.0 * outer_abs
-
-
-def rounded_moments(a1: float, b1: float, a2: float, b2: float, ct: float) -> tuple[float, float]:
-    """E|K| and E K^2 of K, a draw of a two-piece law rounded half away from zero.
-
-    The law has density a2/(2 b2) exp(-|x|/b2) for |x| <= c_t and
-    a1/(2 b1) exp(-|x|/b1) beyond.  Cell k >= 1 covers [k - 1/2, k + 1/2), so the
-    cells are of three kinds: inner cells (k + 1/2 <= c_t) of mass
-    a2 sinh(1/(2 b2)) exp(-k/b2), at most one cell that straddles c_t, and outer
-    cells (k - 1/2 >= c_t) of mass a1 sinh(1/(2 b1)) exp(-k/b1).  The outer cells,
-    and the inner ones past the first ``_DIRECT_CELLS``, sum in closed form
-    (:func:`_cells_from`).  A one-piece law (a1 = a2 = 1, b1 = b2) is the rounded
-    Laplace mechanism; a lattice law is the case of :func:`_lattice_stats`.
-    """
-    return _rounded_cells(_log(a1), b1, _log(a2), b2, ct)[:2]
+def _log1mexp(x: float) -> float:
+    """ln(1 - e^-x) for x > 0, to full relative precision on either side of ln 2."""
+    return math.log(-math.expm1(-x)) if x < _LN2 else math.log1p(-math.exp(-x))
 
 
 def _log_height(a: float, rate: float) -> float:
     """ln(a tanh(rate / 2)): the height of a lattice piece of mass a decaying at rate."""
-    q = math.exp(-rate)
-    return _log(a) + math.log1p(-q) - math.log1p(q)
+    return _log(a) + _log1mexp(rate) - math.log1p(math.exp(-rate))
 
 
-def _lattice_stats(a1: float, rate1: float, a2: float, rate2: float, ct: int) -> MechanismStats:
-    """Stats of the two-piece lattice law whose cell k has mass h_2 exp(-rate_2 |k|) for
-    |k| <= c_t and h_1 exp(-rate_1 |k|) beyond, where h_i = a_i tanh(rate_i / 2).
+def _log_sinh_half(rate: float) -> float:
+    """ln sinh(rate / 2), finite where sinh overflows."""
+    return 0.5 * rate - _LN2 + math.log(-math.expm1(-rate))
 
-    That cell k >= 1 is a rounded cell of :func:`rounded_moments` with weight
-    a_i / cosh(rate_i / 2) and b_i = 1 / rate_i, and with the break-point at c_t + 1/2
-    no cell straddles it.  The weights go through logs: cosh overflows above a rate of
-    about 1420.  Of the entropy, -sum m_k ln m_k, each piece gives -(its mass) ln h_i
-    plus rate_i times its share of E|K|.
-    """
-    logs = []  # ln(a_i / cosh(rate_i / 2)) and ln h_i, piece by piece
-    for a, rate in ((a1, rate1), (a2, rate2)):
-        q, log_a = math.exp(-rate), _log(a)
-        logs += [log_a - 0.5 * rate + math.log(2.0 / (1.0 + q)), _log_height(a, rate)]
-    lw1, lh1, lw2, lh2 = logs
-    mean_abs, variance, w, outer_abs = _rounded_cells(lw1, 1.0 / rate1, lw2, 1.0 / rate2, ct + 0.5)
-    outer = w * lh1 if w else 0.0  # 0 log 0 = 0
-    entropy = -(1.0 - w) * lh2 - outer + rate2 * mean_abs + (rate1 - rate2) * outer_abs
-    return MechanismStats(mean_abs, variance, entropy)
+
+def _run_sums(rate: float, cells: int) -> tuple[float, float, float]:
+    """(sum q^j, sum j q^j, sum j^2 q^j) over 0 <= j < ``cells``, q = exp(-rate), built along
+    the binary digits of ``cells`` in positive terms: the sums over 2a cells are those over a
+    plus the same at j + a times q^a, and a set digit appends a cell.  A difference of two
+    endless sums cancels where ``cells * rate`` is small (4.8e-14 at 0.011 over 33 cells)."""
+    mass, s1, s2, size = 1.0, 0.0, 0.0, 1.0  # cell 0, then the digits after the leading 1
+    for digit in bin(cells)[3:]:
+        shift = math.exp(-rate * size)  # the copy's terms at j + size, in this order
+        s2 += shift * (s2 + size * (2.0 * s1 + size * mass))
+        s1 += shift * (s1 + size * mass)
+        mass += shift * mass
+        size *= 2.0
+        if digit == "1":
+            cell = math.exp(-rate * size)
+            mass, s1, s2, size = mass + cell, s1 + size * cell, s2 + size * size * cell, size + 1.0
+    return mass, s1, s2
 
 
 @dataclass(frozen=True)
@@ -335,8 +281,8 @@ class _Lattice:
 
     A run ``(first cell, log height, rate)`` holds the cells from its first up to
     the next run's, cell k having mass exp(log height - rate |k|); the first run
-    starts at 0, and a run of rate 0 holds cell 0 alone.  Masses stay in logs, so
-    no far cell underflows before its loss is read.
+    starts at 0, and a run of rate 0 holds one cell.  Masses stay in logs, so no
+    far cell underflows before its loss is read.
     """
 
     runs: tuple[tuple[int, float, float], ...]
@@ -361,10 +307,41 @@ class _Lattice:
             if end > 1:  # else cell 0 alone, below every m
                 start = np.maximum(m, first)
                 with np.errstate(divide="ignore", invalid="ignore"):  # ln 0 past the run
-                    log_sum = np.log(np.expm1(-rate * np.fmax(end - start, 0.0)) / np.expm1(-rate))
+                    cells = np.fmax(end - start, 0.0)  # of equal mass in a run of rate 0
+                    log_sum = np.log(np.expm1(-rate * cells) / np.expm1(-rate) if rate else cells)
                     tail = tail + np.exp(log_h - rate * start + log_sum)
         tail = np.minimum(tail, 0.5)
         return _wrap(x, np.where(lower, tail, 1.0 - tail))
+
+    def stats(self) -> tuple[float, float, float]:
+        """E|K|, E K^2 and the entropy, summed run by run in positive terms.
+
+        A run's cell m + j has mass w q^j, q = exp(-rate).  With M, S1, S2 its sums of q^j,
+        j q^j and j^2 q^j (:func:`_run_sums`; for the last run 1/p, q/p^2 and q (1 + q)/p^3,
+        p = 1 - q), it adds w (m M + S1) to sum k m_k, w (m^2 M + 2 m S1 + S2) to sum k^2 m_k
+        and w (rate S1 - M ln w) to the entropy.  Cells k >= 1 count twice, cell 0 once.
+        """
+        runs, last = self.runs, len(self.runs) - 1
+        e_abs = e_sq = entropy = 0.0
+        for i, (m, log_h, rate) in enumerate(runs):
+            log_w = log_h - rate * m
+            w = math.exp(log_w)
+            if not w:  # 0 log 0 = 0, and m may be too large to square
+                continue
+            if not m:  # cell 0 counts once in the entropy doubled below
+                entropy += 0.5 * w * log_w
+            if not rate:  # one cell
+                e_abs, e_sq, entropy = e_abs + w * m, e_sq + w * m * m, entropy - w * log_w
+                continue
+            if i < last:
+                mass, s1, s2 = _run_sums(rate, runs[i + 1][0] - m)
+            else:
+                q, p = math.exp(-rate), -math.expm1(-rate)
+                mass, s1, s2 = 1.0 / p, q / (p * p), q * (1.0 + q) / (p * p * p)
+            e_abs += w * (m * mass + s1)
+            e_sq += w * (m * (m * mass + 2.0 * s1) + s2)
+            entropy += w * (rate * s1 - mass * log_w)
+        return 2.0 * e_abs, 2.0 * e_sq, 2.0 * entropy
 
     def zeta(self, shift: int) -> float:
         """ln sum_k P(k) exp|ln P(k - shift) / P(k)|, the definitional zeta, exactly.
@@ -390,13 +367,16 @@ class _Lattice:
 
 
 class _LatticeFamily:
-    """An integer family whose mass function and CDF are read from its ``lattice()``."""
+    """An integer family whose mass function, CDF and stats are read from its ``lattice()``."""
 
     def prob(self, x):
         return _wrap(x, np.exp(self.lattice().log_mass(x)))
 
     def cdf(self, x):
         return self.lattice().cdf(x)
+
+    def stats(self) -> MechanismStats:
+        return MechanismStats(*self.lattice().stats())
 
 
 def rounded_laplace_zeta(eps: float) -> float:
@@ -529,7 +509,7 @@ class MechanismSpec(Protocol):
         """n noise draws from a SeededStream; int64 when ``integer``, else float64."""
 
     def stats(self) -> MechanismStats:
-        """Closed-form E|x|, variance and entropy."""
+        """E|x|, variance and entropy: closed forms, or sums over an integer law's runs."""
 
 
 @dataclass(frozen=True)
@@ -601,8 +581,7 @@ class RoundedLaplace(_LatticeFamily):
     def lattice(self) -> _Lattice:
         """Cell k holds the Laplace mass on [k - 1/2, k + 1/2): sinh(eps/2) e^(-eps |k|) off 0."""
         eps = 1.0 / self.scale
-        log_sinh = 0.5 * eps - math.log(2.0) + math.log(-math.expm1(-eps))
-        return _Lattice(((0, math.log(-math.expm1(-0.5 * eps)), 0.0), (1, log_sinh, eps)))
+        return _Lattice(((0, _log1mexp(0.5 * eps), 0.0), (1, _log_sinh_half(eps), eps)))
 
     def draw(self, stream, n: int) -> np.ndarray:
         y = _laplace_from_uniform(stream.uniforms(n), self.scale)
@@ -647,11 +626,6 @@ class Geometric(_LatticeFamily):
         e1 = -np.log(stream.uniforms(n)) / lam
         e2 = -np.log(stream.uniforms(n)) / lam
         return (np.floor(e1) - np.floor(e2)).astype(np.int64)
-
-    def stats(self) -> MechanismStats:
-        """The one-piece lattice law: every cell but the centre is outer."""
-        rate = math.log(self.alpha)
-        return _lattice_stats(1.0, rate, 1.0, rate, 0)
 
 
 @dataclass(frozen=True)
@@ -728,6 +702,30 @@ class LaplaceMixture(_TwoPieceMixture):
         """Tails exp(-c_t / b_i) and height divisors 2 b_i."""
         b1, b2, ct = self.params.outer_scale, self.params.inner_scale, self.params.break_point
         return math.exp(-ct / b1), math.exp(-ct / b2), 2.0 * b1, 2.0 * b2
+
+    def rounded_lattice(self) -> _Lattice:
+        """The law of a draw rounded half away from zero: cell k >= 1 holds the mass on
+        [k - 1/2, k + 1/2) and its mirror.  Its runs are the centre cell, the inner run
+        from cell 1 (k + 1/2 <= c_t), at most one cell of rate 0 that straddles c_t (cell 0
+        when c_t < 1/2) and the outer run; the weights are taken in logs."""
+        c, p = self.constants(), self.params
+        eps, reps, ct = p.epsilon, p.eps_r, p.break_point
+        log_a2 = _log(c.a2)
+        k = math.ceil(ct + 0.5) - 1  # the last cell that is not outer
+        last_inner = k - (k + 0.5 > ct)  # k straddles c_t unless its edge is c_t
+        runs = []
+        if last_inner >= 0:
+            runs.append((0, log_a2 + _log1mexp(0.5 * eps), 0.0))
+        if last_inner >= 1:
+            runs.append((1, log_a2 + _log_sinh_half(eps), eps))
+        if last_inner < k:
+            # the mass on [lo, hi) and its mirror; at c_t the outer height is the inner one / r
+            lo = max(k - 0.5, 0.0)
+            x, y = (ct - lo) * eps, (k + 0.5 - ct) * reps
+            log_mass = math.log(-math.expm1(-x) - math.exp(-x) * math.expm1(-y) / p.ratio)
+            runs.append((k, log_a2 - lo * eps + log_mass - (_LN2 if k else 0.0), 0.0))
+        runs.append((k + 1, _log(c.a1) + _log_sinh_half(reps), reps))
+        return _Lattice(tuple(runs))
 
     def loss_tail(self) -> tuple[float, float]:
         """``(c_t, r eps)``: for |x| beyond c_t + shift the loss is ``shift * r eps``."""
@@ -847,10 +845,6 @@ class GeometricMixture(_LatticeFamily, _TwoPieceMixture):
         # the log of a convex combination of e^eps and e^(r eps), which rounding
         # can take 1 ulp outside [eps, r eps] at r = 1; nan stays nan
         return float(min(max(zeta, min(eps, reps)), max(eps, reps)))
-
-    def stats(self) -> MechanismStats:
-        c, p = self.constants(), self.params
-        return _lattice_stats(c.a1, p.eps_r, c.a2, p.epsilon, int(p.break_point))
 
 
 def lapmix_pdf(x, params: MixtureParams):

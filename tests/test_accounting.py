@@ -275,6 +275,32 @@ class TestExactZeta:
         assert zeta_empirical(spec, 3) == pytest.approx(exact, rel=1e-13)
 
 
+class TestShiftValidation:
+    """A shift must be a positive integer; anything else is refused, not evaluated."""
+
+    SPECS = [
+        Geometric(alpha=math.exp(0.5)),
+        RoundedLaplace(scale=2.0),
+        GeometricMixture(PRESET_A),
+        LaplaceMixture(PRESET_A),
+        Laplace(scale=2.0),
+        TruncatedLaplace(scale=1.0, bound=5.0),
+    ]
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda spec: spec.kind)
+    @pytest.mark.parametrize("shift", [0, -1, -3, 1.0, 1.5, True, "1", None])
+    def test_refused(self, spec, shift):
+        with pytest.raises(InvalidParameterError, match="shift must be a positive integer"):
+            zeta_empirical(spec, shift)
+        with pytest.raises(InvalidParameterError, match="shift must be a positive integer"):
+            privacy_loss(spec, 0, shift)
+
+    @pytest.mark.parametrize("spec", SPECS[:3], ids=lambda spec: spec.kind)
+    def test_numpy_integer(self, spec):
+        assert zeta_empirical(spec, np.int64(2)) == zeta_empirical(spec, 2)
+        assert privacy_loss(spec, 3, np.int32(2)) == privacy_loss(spec, 3, 2)
+
+
 class TestCompose:
     def test_additivity(self):
         ledger = BudgetLedger()

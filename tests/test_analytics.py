@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple
 
 import mpmath as mp
 import numpy as np
@@ -187,20 +188,26 @@ class TestGeoMixStats:
         assert s.entropy == pytest.approx(entropy, abs=1e-9)
 
 
-def assert_stats_are_cell_sums(spec, reach):
-    """The spec's stats against math.fsum over its mass cells |k| <= reach, at 1e-13."""
+def assert_stats_are_cell_sums(stats, law, reach):
+    """(E|K|, E K^2, entropy) against math.fsum over the mass cells |k| <= reach of a
+    lattice law, at 1e-13; ln p is the law's own, as ln exp(ln p) loses digits near p = 1."""
     ks = np.arange(-reach, reach + 1)
-    p = spec.prob(ks.astype(float))
-    p, ks = p[p > 0.0], ks[p > 0.0]  # 0 log 0 = 0
-    s = spec.stats()
-    assert s.mean_abs_noise == pytest.approx(math.fsum(np.abs(ks) * p), rel=1e-13, abs=0)
-    assert s.variance == pytest.approx(math.fsum(ks.astype(float) ** 2 * p), rel=1e-13, abs=0)
-    assert s.entropy == pytest.approx(math.fsum(-p * np.log(p)), rel=1e-13, abs=0)
+    log_p = law.log_mass(ks.astype(float))
+    p = np.exp(log_p)
+    p, log_p, ks = p[p > 0.0], log_p[p > 0.0], ks[p > 0.0]  # 0 log 0 = 0
+    mean_abs, variance, entropy = stats
+    assert mean_abs == pytest.approx(math.fsum(np.abs(ks) * p), rel=1e-13, abs=0)
+    assert variance == pytest.approx(math.fsum(ks.astype(float) ** 2 * p), rel=1e-13, abs=0)
+    assert entropy == pytest.approx(math.fsum(-p * log_p), rel=1e-13, abs=0)
+
+
+def assert_spec_stats_are_cell_sums(spec, reach):
+    assert_stats_are_cell_sums(astuple(spec.stats()), spec.lattice(), reach)
 
 
 class TestLatticeStatsAreCellSums:
-    """Geometric and geomix stats are sums over their mass cells; beyond 60 / rate
-    past the break-point the cells carry less than e^-60 of the moments."""
+    """Geometric, geomix and rounded lapmix stats are sums over their mass cells;
+    beyond 60 / rate past the break-point the cells carry less than e^-60 of the moments."""
 
     @settings(max_examples=200, deadline=None)
     @given(eps=st.floats(0.01, 5.0), ratio=st.floats(1.0, 50.0), ct=st.integers(1, 40))
@@ -213,12 +220,53 @@ class TestLatticeStatsAreCellSums:
         except InvalidParameterError:  # only where the outer tail underflows
             assert spec.params.eps_r * ct > 700.0
             return
-        assert_stats_are_cell_sums(spec, ct + math.ceil(60.0 / eps))
+        assert_spec_stats_are_cell_sums(spec, ct + math.ceil(60.0 / eps))
 
     @settings(max_examples=200, deadline=None)
     @given(eps=st.floats(0.01, 5.0))
     def test_geometric(self, eps):
-        assert_stats_are_cell_sums(Geometric(alpha=math.exp(eps)), math.ceil(60.0 / eps))
+        assert_spec_stats_are_cell_sums(Geometric(alpha=math.exp(eps)), math.ceil(60.0 / eps))
+
+    def test_long_inner_run_against_a_40_digit_sum(self):
+        # a difference of two tail sums over these 33 inner cells was off by 4.8e-14
+        params = MixtureParams(epsilon=0.011121744054961268, ratio=49.66426040413934, break_point=32.0)
+        spec = GeometricMixture(params)
+        c = spec.constants()
+        with mp.workdps(40):
+
+            def cell(k):
+                a, rate = (c.a2, params.epsilon) if k <= 32 else (c.a1, params.eps_r)
+                return mp.mpf(a) * mp.tanh(mp.mpf(rate) / 2) * mp.exp(-mp.mpf(rate) * k)
+
+            cells = [cell(k) for k in range(400)]  # the rest carry below e^-190
+            want = (
+                2 * mp.fsum(k * p for k, p in enumerate(cells)),
+                2 * mp.fsum(k * k * p for k, p in enumerate(cells)),
+                -2 * mp.fsum(p * mp.log(p) for p in cells) + cells[0] * mp.log(cells[0]),
+            )
+        assert astuple(spec.stats()) == pytest.approx([float(x) for x in want], rel=5e-15, abs=0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        eps=st.floats(0.01, 5.0),
+        ratio=st.floats(1.0, 50.0),
+        ct=st.one_of(
+            st.floats(0.0, 0.5, exclude_min=True, exclude_max=True),  # cell 0 straddles c_t
+            st.integers(0, 39).map(lambda k: k + 0.5),  # no cell straddles c_t
+            st.floats(0.0, 40.0, exclude_min=True),
+        ),
+    )
+    @example(eps=0.01, ratio=50.0, ct=1.5)  # one inner cell under a flat inner piece
+    @example(eps=0.011, ratio=40.0, ct=33.5)  # 33 inner cells under a flat inner piece
+    def test_rounded_lapmix(self, eps, ratio, ct):
+        spec = LaplaceMixture(MixtureParams(epsilon=eps, ratio=ratio, break_point=ct))
+        try:
+            spec.constants()
+        except InvalidParameterError:  # only where the outer tail underflows
+            assert spec.params.eps_r * ct > 700.0
+            return
+        law = spec.rounded_lattice()
+        assert_stats_are_cell_sums(law.stats(), law, math.ceil(ct) + math.ceil(60.0 / eps))
 
     @pytest.mark.parametrize("eps, ratio", [(1500.0, 0.01), (3000.0, 0.1), (1e5, 1e-3)])
     def test_finite_where_cosh_overflows(self, eps, ratio):

@@ -33,13 +33,13 @@ from pwmix.mechanisms import (
     Laplace,
     LaplaceMixture,
     MixtureParams,
+    RoundedLaplace,
     TruncatedLaplace,
     ZeroNoise,
     geomix_constants,
     laplace_cdf,
     lapmix_cdf,
     lapmix_constants,
-    rounded_moments,
 )
 from pwmix.sampling import SeededStream, sample
 
@@ -172,10 +172,10 @@ class TestRoundedMoments:
     def test_lapmix_matches_the_probe_loop(self, eps, ratio, ct):
         params = MixtureParams(epsilon=eps, ratio=ratio, break_point=ct)
         try:
-            c = lapmix_constants(params)
+            lapmix_constants(params)
         except InvalidParameterError:  # the mass underflows
             return
-        got = rounded_moments(c.a1, params.outer_scale, c.a2, params.inner_scale, ct)
+        got = LaplaceMixture(params).rounded_lattice().stats()[:2]
         assert got == pytest.approx(_probe_moments(lapmix_cdf, (params,)), rel=1e-12)
 
     @settings(max_examples=60, deadline=None)
@@ -183,11 +183,13 @@ class TestRoundedMoments:
     def test_one_piece_is_the_rounded_laplace(self, eps, ct):
         # where c_t falls does not matter when both pieces are one law
         b = 1.0 / eps
-        got = rounded_moments(1.0, b, 1.0, b, ct)
-        assert got == pytest.approx(_probe_moments(laplace_cdf, (b,)), rel=1e-12)
         half = 0.5 * eps
         want = (0.5 / math.sinh(half), 0.5 * math.cosh(half) / math.sinh(half) ** 2)
-        assert got == pytest.approx(want, rel=1e-12)
+        one_piece = LaplaceMixture(MixtureParams(epsilon=eps, ratio=1.0, break_point=ct))
+        for law in (one_piece.rounded_lattice(), RoundedLaplace(b).lattice()):
+            got = law.stats()[:2]
+            assert got == pytest.approx(_probe_moments(laplace_cdf, (b,)), rel=1e-12)
+            assert got == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize(
         "eps, ratio, ct",
@@ -200,16 +202,17 @@ class TestRoundedMoments:
     )
     def test_outer_piece_at_the_double_limits(self, eps, ratio, ct):
         params = MixtureParams(epsilon=eps, ratio=ratio, break_point=ct)
-        c = lapmix_constants(params)
-        got = rounded_moments(c.a1, params.outer_scale, c.a2, params.inner_scale, ct)
+        got = LaplaceMixture(params).rounded_lattice().stats()[:2]
         assert got == pytest.approx(_probe_moments(lapmix_cdf, (params,)), rel=1e-12)
 
     def test_no_mass_beyond_the_lattice(self):
-        # every cell's mass underflows, and c_t is too large to square
-        assert rounded_moments(1.0, 1e-4, 1.0, 1e-4, 0.5) == (0.0, 0.0)
-        assert rounded_moments(2.0, 1e-5, 0.5, 2.0, 1e300) == pytest.approx(
-            rounded_moments(2.0, 1e-5, 0.5, 2.0, 1e3), rel=1e-15
-        )
+        # every cell but the centre underflows
+        assert RoundedLaplace(1e-4).lattice().stats()[:2] == (0.0, 0.0)
+        # the outer weight underflows to 0, so the outer run adds nothing (0 log 0 = 0)
+        params = MixtureParams(epsilon=48.9, ratio=2.153 / 48.9, break_point=21.56)
+        assert lapmix_constants(params).a1 == 0.0
+        got = LaplaceMixture(params).rounded_lattice().stats()
+        assert got == pytest.approx(RoundedLaplace(1 / 48.9).lattice().stats(), rel=1e-12)
 
 
 def geometric_series_x(q: float, first: int) -> float:

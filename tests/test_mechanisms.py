@@ -422,6 +422,88 @@ class TestLatticeLaw:
             spec.prob(np.array([1.0, math.nan]))
 
 
+# Rounded Laplace mixtures: c_t below 1/2 (cell 0 straddles it), a half-integer (no
+# cell does), integers and general floats; a1 near 1e301; r eps = 1500, where
+# sinh(r eps / 2) overflows.
+ROUNDED_POINTS = [
+    PRESET_A,
+    MixtureParams(epsilon=0.2, ratio=5.0, break_point=0.25),
+    MixtureParams(epsilon=1.0, ratio=3.0, break_point=0.5),
+    MixtureParams(epsilon=1.0, ratio=3.0, break_point=2.5),
+    MixtureParams(epsilon=1.0, ratio=3.0, break_point=2.0),
+    MixtureParams(epsilon=0.9, ratio=10.0, break_point=3.3),
+    MixtureParams(epsilon=0.01, ratio=6829.0, break_point=10.25),
+    MixtureParams(epsilon=5.0, ratio=300.0, break_point=0.4),
+]
+
+
+def rounded_zeta_oracle(params, reach=400):
+    """ln sum_k max(P(k - 1), P(k)^2 / P(k - 1)) over |k| <= reach, the cells being
+    lapmix CDF differences read on the lower half; those that underflow are left out."""
+    m = -np.abs(np.arange(-reach - 1, reach + 1, dtype=float))
+    cells = lapmix_cdf(m + 0.5, params) - lapmix_cdf(m - 0.5, params)
+    cells = cells[cells > 0.0]
+    here, before = cells[1:], cells[:-1]
+    return math.log(math.fsum(np.maximum(before, here * here / before)))
+
+
+class TestRoundedLaplaceMixture:
+    """``LaplaceMixture.rounded_lattice``: the law of a draw rounded half away from zero."""
+
+    @pytest.mark.parametrize("params", ROUNDED_POINTS, ids=str)
+    def test_cells_are_cdf_differences(self, params):
+        ks = np.arange(-200, 201, dtype=float)
+        cells = np.exp(LaplaceMixture(params).rounded_lattice().log_mass(ks))
+        want = lapmix_cdf(ks + 0.5, params) - lapmix_cdf(ks - 0.5, params)
+        np.testing.assert_allclose(cells, want, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("params", ROUNDED_POINTS, ids=str)
+    def test_cdf_is_the_mixture_cdf_half_a_cell_up(self, params):
+        ks = np.arange(-200, 201, dtype=float)
+        got = LaplaceMixture(params).rounded_lattice().cdf(ks)
+        np.testing.assert_allclose(got, lapmix_cdf(ks + 0.5, params), rtol=0, atol=1e-15)
+
+    def test_cdf_across_the_straddling_cell(self):
+        # the rate-0 run of cell 5 once read nan here: expm1(0) / expm1(0)
+        law = LaplaceMixture(PRESET_A).rounded_lattice()
+        assert law.cdf(2) == pytest.approx(lapmix_cdf(2.5, PRESET_A), rel=1e-15)
+        assert law.cdf(2) == pytest.approx(0.7788, abs=1e-4)
+
+    @pytest.mark.parametrize(
+        "ct, firsts, rates",
+        [
+            (5.0, (0, 1, 5, 6), (0.0, 0.2, 0.0, 1.0)),  # cell 5 straddles c_t
+            (5.5, (0, 1, 6), (0.0, 0.2, 1.0)),
+            (1.5, (0, 1, 2), (0.0, 0.2, 1.0)),
+            (1.0, (0, 1, 2), (0.0, 0.0, 1.0)),  # no inner run
+            (0.5, (0, 1), (0.0, 1.0)),
+            (0.25, (0, 1), (0.0, 1.0)),  # cell 0 straddles c_t
+        ],
+    )
+    def test_runs(self, ct, firsts, rates):
+        params = MixtureParams(epsilon=0.2, ratio=5.0, break_point=ct)
+        runs = LaplaceMixture(params).rounded_lattice().runs
+        assert tuple(run[0] for run in runs) == firsts
+        assert tuple(run[2] for run in runs) == pytest.approx(rates, rel=1e-15)
+
+    @pytest.mark.parametrize(
+        "eps, reps, ct, zeta, half_unit",
+        [
+            (4.99, 14.27, 3.0, 3.319, 5e-4),
+            (1.0, 3.0, 2.0, 1.176, 5e-4),
+            (0.2, 1.0, 5.0, 0.3096, 5e-5),
+            (0.9, 9.0, 3.0, 2.825, 5e-4),
+        ],
+    )
+    def test_zeta_of_the_rounded_release(self, eps, reps, ct, zeta, half_unit):
+        # the "width 1" column of ROADMAP.md's table of released-output charges,
+        # to its four figures
+        params = MixtureParams(epsilon=eps, ratio=reps / eps, break_point=ct)
+        got = LaplaceMixture(params).rounded_lattice().zeta(1)
+        assert got == pytest.approx(zeta, abs=half_unit)
+        assert got == pytest.approx(rounded_zeta_oracle(params), rel=1e-12)
+
+
 def _or_refused(call):
     """call(), or None where it refuses with a PwmixError."""
     try:
