@@ -14,7 +14,6 @@ from .accounting import (
     compose,
     equivalent_epsilon,
     privacy_loss,
-    usefulness_bound,
     zeta_closed_form,
     zeta_empirical,
 )
@@ -52,7 +51,6 @@ from .mechanisms import (
     MixtureParams,
     RoundedLaplace,
     TruncatedLaplace,
-    ZeroNoise,
     geomix_constants,
     laplace_pdf,
     lapmix_cdf,

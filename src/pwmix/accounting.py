@@ -1,4 +1,4 @@
-"""Privacy-loss evaluation, general budget zeta, composition and bounds.
+"""Privacy-loss evaluation, general budget zeta, composition and budget matching.
 
 The general budget of a mechanism is ``zeta = ln E[exp |L|]`` where ``L`` is
 the per-outcome log-ratio of output probabilities on neighboring databases.
@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundNotApplicableError, InvalidParameterError
-from .mechanisms import GeometricMixture, MechanismSpec, MixtureParams, lapmix_constants
+from .errors import InvalidParameterError
+from .mechanisms import MechanismSpec
 
 __all__ = [
     "BudgetLedger",
@@ -24,7 +24,6 @@ __all__ = [
     "zeta_empirical",
     "compose",
     "equivalent_epsilon",
-    "usefulness_bound",
 ]
 
 # Largest rounded-Laplace target: the first Newton denominator, ~6 e^target, stays finite.
@@ -78,7 +77,7 @@ def privacy_loss(spec: MechanismSpec, outcome_noise, shift: int = 1) -> float:
     families take it from their log masses, so it stays exact where the masses underflow.
     A zero-probability denominator against a positive numerator reports an infinite loss
     (the truncated-mechanism pathology); nan means the outcome is impossible under every
-    involved distribution (trunclap beyond its bound, zero off 0), or that a continuous
+    involved distribution (trunclap beyond its bound), or that a continuous
     family's densities underflow there.  A shift must be a positive integer.
     """
     shift = _require_shift(shift)
@@ -128,10 +127,10 @@ def zeta_empirical(spec: MechanismSpec, shift: int = 1) -> float:
     return _zeta_continuous_quadrature(spec, shift)
 
 
-def equivalent_epsilon(target_zeta: float, family: str) -> float:
-    """Standard-mechanism epsilon whose zeta matches the target.
+def equivalent_epsilon(target_zeta: float) -> float:
+    """Epsilon of the rounded Laplace mechanism whose zeta matches the target.
 
-    For the geometric mechanism zeta equals epsilon.  The rounded-Laplace
+    (The geometric mechanism needs no inversion: its zeta is its epsilon.)  The
     closed form is inverted exactly: it is ln((5 - z + z^2 - z^3) / (2z(1+z)))
     in z = exp(-eps/2), so z is the root in (0, 1) of the increasing, convex
     cubic z^3 + (2Z-1) z^2 + (2Z+1) z - 5, Z = exp(target), onto which
@@ -140,10 +139,6 @@ def equivalent_epsilon(target_zeta: float, family: str) -> float:
     """
     if not (target_zeta > 0 and math.isfinite(target_zeta)):
         raise InvalidParameterError(f"target_zeta must be positive, got {target_zeta!r}")
-    if family == "geometric":
-        return float(target_zeta)
-    if family != "rounded_laplace":
-        raise InvalidParameterError(f"unknown family {family!r}")
     if target_zeta > _RLAP_MAX_ZETA:
         raise InvalidParameterError(f"target_zeta {target_zeta!r} exceeds {_RLAP_MAX_ZETA:.6g}")
     two_big_z = 2.0 * math.exp(target_zeta)
@@ -160,42 +155,3 @@ def equivalent_epsilon(target_zeta: float, family: str) -> float:
             f"target_zeta {target_zeta!r} is too small: exp(-eps/2) rounds to 1"
         )
     return -2.0 * math.log(z)
-
-
-def usefulness_bound(
-    params: MixtureParams, k: int, delta: float, *, family: str = "laplace"
-) -> float:
-    """Accuracy radius t with P[max of k i.i.d. draws >= t] <= delta.
-
-    Valid in the regime where the radius clears the break-point (raises
-    BoundNotApplicableError otherwise).  The Laplace-mixture radius is
-    ``ln(k a1 / delta) / (r eps)`` and is tight per coordinate.
-    For the geometric mixture the radius must land on an integer; it is
-    raised to the smallest integer whose exact two-sided tail mass is below
-    delta / k, which is the nearest point at which the guarantee holds.
-    """
-    if not (0.0 < delta < 1.0):
-        raise InvalidParameterError(f"delta must lie in (0, 1), got {delta!r}")
-    if k < 1 or k != int(k):
-        raise InvalidParameterError(f"k must be a positive integer, got {k!r}")
-    if family == "laplace":
-        a1 = lapmix_constants(params).a1
-        radius = math.log(k * a1 / delta) / params.eps_r
-        if radius <= params.break_point:
-            raise BoundNotApplicableError(
-                f"radius {radius:.4g} does not clear the break-point {params.break_point:g}"
-            )
-        return radius
-    if family == "geometric":
-        ct = params.integer_break_point()
-        spec = GeometricMixture(params)
-        nominal = math.log(k * spec.constants().a1 / delta) / params.eps_r
-        if nominal <= ct:
-            raise BoundNotApplicableError(
-                f"radius {nominal:.4g} does not clear the break-point {ct}"
-            )
-        m = math.ceil(nominal)
-        while 2.0 * spec.cdf(-m) > delta / k:
-            m += 1
-        return float(m)
-    raise InvalidParameterError(f"unknown family {family!r}")

@@ -159,7 +159,7 @@ def sweep_point(c_t: float, eps: float, r_eps: float) -> SweepRow:
     zeta_gm = zeta_closed_form(GeometricMixture(params))
     lapmix = LaplaceMixture(params)
     zeta_lm = zeta_closed_form(lapmix)
-    eps_lap = equivalent_epsilon(zeta_lm, "rounded_laplace")
+    eps_lap = equivalent_epsilon(zeta_lm)
     gm = geomix_stats(params)
     lm = lapmix_stats(params)
     geo = standard_stats(Geometric(math.exp(zeta_gm)))
@@ -199,14 +199,18 @@ def table_sweep(grid=None) -> list[SweepRow]:
 # Monte Carlo utility simulation
 
 
-def _thread_count(requested: int | None = None) -> int:
-    if requested is not None:
-        return max(1, int(requested))
+def _thread_count() -> int:
+    """Workers from ``PWMIX_THREADS``: 1 when it is unset or empty, else a positive integer."""
     env = os.environ.get("PWMIX_THREADS", "")
-    try:
-        return max(1, int(env)) if env else 1
-    except ValueError:
+    if not env:
         return 1
+    if not (env.isdecimal() and int(env) >= 1):
+        raise InvalidParameterError(f"PWMIX_THREADS must be a positive integer, got {env!r}")
+    return int(env)
+
+
+# Each cell's error CDF is read at these |error| thresholds.
+_ERROR_THRESHOLDS = tuple(range(26))
 
 
 @dataclass(frozen=True)
@@ -218,7 +222,6 @@ class SimulationConfig:
     samples_per_cell: int
     master_seed: int
     c_t_for_metrics: float
-    error_thresholds: tuple[int, ...] = tuple(range(0, 26))
 
     def __post_init__(self) -> None:
         if self.samples_per_cell < 1:
@@ -289,20 +292,21 @@ def _simulate_cell(config: SimulationConfig, mech_idx: int, count_idx: int) -> C
         within_bound=_fraction_at_most(ranked, c_t),
         mre=_tail_weight(errors, n, c_t) if n > 0 else math.nan,
         clamped_fraction=float(np.mean(n + noise < 0)),
-        error_cdf={t: _fraction_at_most(ranked, t) for t in config.error_thresholds},
+        error_cdf={t: _fraction_at_most(ranked, t) for t in _ERROR_THRESHOLDS},
     )
 
 
-def run_simulation(config: SimulationConfig, threads: int | None = None) -> UtilityReport:
+def run_simulation(config: SimulationConfig) -> UtilityReport:
     """Run every (mechanism, true count) cell and pool per-mechanism metrics.
 
-    Deterministic for a given master seed: each cell owns a derived stream and
-    the reduction is by cell index, so worker count does not matter.
+    The cells run on ``PWMIX_THREADS`` worker threads.  Deterministic for a
+    given master seed: each cell owns a derived stream and the reduction is by
+    cell index, so worker count does not matter.
     """
+    workers = _thread_count()
     tasks = [
         (i, j) for i in range(len(config.mechanisms)) for j in range(len(config.true_counts))
     ]
-    workers = _thread_count(threads)
     if workers > 1:
         # imported here: a process that never simulates on threads does not load it
         from concurrent.futures import ThreadPoolExecutor
@@ -321,7 +325,7 @@ def run_simulation(config: SimulationConfig, threads: int | None = None) -> Util
             "within_bound": sum(c.within_bound * c.samples for c in sub) / total,
             "error_cdf": {
                 str(t): sum(c.error_cdf[t] * c.samples for c in sub) / total
-                for t in config.error_thresholds
+                for t in _ERROR_THRESHOLDS
             },
         }
     return UtilityReport(
@@ -551,6 +555,14 @@ def _require_sizes(**sizes) -> None:
             raise InvalidParameterError(f"{name} must be >= 1, got {size!r}")
 
 
+def _two_arm_audit(spec: MechanismSpec, trials, min_count, clamp, table, arms) -> MechanismAudit:
+    """The frequency-ratio audit of two arms, each ``(stream, offset)``, whose outcomes
+    ``_outcome_counts`` counts; the shift is the distance between the offsets."""
+    counts = [_outcome_counts(spec, arm, trials, offset, clamp, table) for arm, offset in arms]
+    losses = _frequency_losses(*counts, trials, min_count)
+    return MechanismAudit(spec.label, int(trials), int(abs(arms[1][1] - arms[0][1])), *losses)
+
+
 def audit_mechanism(
     spec: MechanismSpec,
     trials: int,
@@ -561,21 +573,8 @@ def audit_mechanism(
     """Estimate per-outcome losses between noise laws shifted by ``shift``."""
     _require_sizes(trials=trials, min_count=min_count)
     table = _bucket_table(spec, shift) if trials >= _TABLE_MIN_TRIALS else None
-    losses, sigmas, weights, one_sided = _frequency_losses(
-        _outcome_counts(spec, stream.derive(0), trials, 0, False, table),
-        _outcome_counts(spec, stream.derive(1), trials, shift, False, table),
-        trials,
-        min_count,
-    )
-    return MechanismAudit(
-        mechanism=spec.label,
-        trials=int(trials),
-        shift=int(shift),
-        losses=losses,
-        sigmas=sigmas,
-        weights=weights,
-        one_sided=one_sided,
-    )
+    arms = (stream.derive(0), 0), (stream.derive(1), shift)
+    return _two_arm_audit(spec, trials, min_count, False, table, arms)
 
 
 def _clamp_free_count(spec: MechanismSpec) -> int:
@@ -677,54 +676,46 @@ def audit_privacy(
     n_same = sum(n for (kind, _), n in group_pairs.items() if kind == "same")
     eps_bound = spec.worst_case_eps()
 
-    groups = []
-    same_max_mean = 0.0
-    diff_max_mean = 0.0
-    diff_max_outcome = -math.inf
-    diff_max_excess = -math.inf
-    unbounded = False
     table = None
     if trials >= _TABLE_MIN_TRIALS:
         table = _bucket_table(spec, max(n1 for _, n1 in group_pairs))
+    audits = {}  # per group, in the order of its derived streams
     for gi, (kind, n1) in enumerate(sorted(group_pairs)):
         n2 = n1 - 1 if kind == "diff" else n1
-        counts1 = _outcome_counts(spec, stream.derive(1, gi, 0), trials, n1, True, table)
-        counts2 = _outcome_counts(spec, stream.derive(1, gi, 1), trials, n2, True, table)
-        losses = _frequency_losses(counts1, counts2, trials, min_count)
-        audit = MechanismAudit(spec.label, int(trials), n1 - n2, *losses)
-        mean_loss = audit.mean_abs_loss
-        # -inf, not max_abs_loss's 0, for a group that resolves no outcome
-        max_outcome = audit.max_abs_loss if audit.losses or audit.one_sided else -math.inf
-        if audit.one_sided:
-            unbounded = True
-        if kind == "same":
-            same_max_mean = max(same_max_mean, mean_loss)
-        else:
-            diff_max_mean = max(diff_max_mean, mean_loss)
-            diff_max_outcome = max(diff_max_outcome, max_outcome)
-            diff_max_excess = max(diff_max_excess, audit.max_excess_over(eps_bound))
-        groups.append(
-            {
-                "kind": kind,
-                "true_count": int(n1),
-                "canonical_large": bool(n1 == big_n),
-                "pairs": group_pairs[(kind, n1)],
-                "mean_abs_loss": _json_float(mean_loss),
-                "max_outcome_loss": _json_float(max_outcome),
-                "one_sided_mass": sum(audit.one_sided.values()),
-            }
-        )
+        arms = (stream.derive(1, gi, 0), n1), (stream.derive(1, gi, 1), n2)
+        audits[kind, n1] = _two_arm_audit(spec, trials, min_count, True, table, arms)
 
+    def max_outcome(audit: MechanismAudit) -> float:
+        # -inf, not max_abs_loss's 0, for a group that resolves no outcome
+        return audit.max_abs_loss if audit.losses or audit.one_sided else -math.inf
+
+    # Folded in group order from 0.0 or -inf, so a group whose value is nan is passed
+    # over; ``max(values, default=0.0)`` would return a first group's nan.
+    same = [audit for (kind, _), audit in audits.items() if kind == "same"]
+    diff = [audit for (kind, _), audit in audits.items() if kind == "diff"]
     return PrivacyAuditReport(
         mechanism=spec.label,
         trials=int(trials),
         n_pairs=n_pairs,
         fraction_same_answer=n_same / n_pairs,
         max_count_difference=int(n_same < n_pairs),
-        same_answer_max_mean_loss=same_max_mean,
-        diff_answer_max_mean_loss=diff_max_mean,
-        diff_answer_max_outcome_loss=diff_max_outcome,
-        diff_answer_max_excess_vs_eps=diff_max_excess,
-        unbounded_loss_detected=unbounded,
-        groups=tuple(groups),
+        same_answer_max_mean_loss=max([0.0, *(a.mean_abs_loss for a in same)]),
+        diff_answer_max_mean_loss=max([0.0, *(a.mean_abs_loss for a in diff)]),
+        diff_answer_max_outcome_loss=max([-math.inf, *map(max_outcome, diff)]),
+        diff_answer_max_excess_vs_eps=max(
+            [-math.inf, *(a.max_excess_over(eps_bound) for a in diff)]
+        ),
+        unbounded_loss_detected=any(a.one_sided for a in audits.values()),
+        groups=tuple(
+            {
+                "kind": kind,
+                "true_count": int(n1),
+                "canonical_large": bool(n1 == big_n),
+                "pairs": group_pairs[(kind, n1)],
+                "mean_abs_loss": _json_float(audit.mean_abs_loss),
+                "max_outcome_loss": _json_float(max_outcome(audit)),
+                "one_sided_mass": sum(audit.one_sided.values()),
+            }
+            for (kind, n1), audit in audits.items()
+        ),
     )

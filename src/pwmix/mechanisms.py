@@ -21,10 +21,10 @@ The two mixtures are one law: an inner piece with privacy parameter
 ``epsilon`` (for ``|x| <= break_point``; the boundary belongs to it) and an
 outer one with ``ratio * epsilon`` beyond, fused by ``_fuse`` into weights
 (:class:`MixtureConstants`) that make the total mass 1 and the heights meet
-at the break-point.  Their label, budgets and sampler are written once.  Each
-mixture states its pieces (each piece's tail beyond c_t and height divisor,
-``2 b_i`` or ``(1 + q_i)/(1 - q_i)``; its inverse-CDF pieces) and the paper's
-closed forms for zeta and, for the Laplace mixture, stats.
+at the break-point.  Their label, budgets, sampler and usefulness bound are
+written once.  Each mixture states its pieces (each piece's tail beyond c_t and
+height divisor, ``2 b_i`` or ``(1 + q_i)/(1 - q_i)``; its inverse-CDF pieces)
+and the paper's closed forms for zeta and, for the Laplace mixture, stats.
 
 Every sampler is an inverse transform of uniforms from a
 :class:`~pwmix.sampling.SeededStream`, one per draw except for the geometric
@@ -41,7 +41,13 @@ from typing import ClassVar, Protocol
 
 import numpy as np
 
-from .errors import InvalidParameterError, PwmixError, UnsafeMechanismError, UnsupportedSpecError
+from .errors import (
+    BoundNotApplicableError,
+    InvalidParameterError,
+    PwmixError,
+    UnsafeMechanismError,
+    UnsupportedSpecError,
+)
 
 __all__ = [
     "MixtureParams",
@@ -53,7 +59,6 @@ __all__ = [
     "LaplaceMixture",
     "GeometricMixture",
     "TruncatedLaplace",
-    "ZeroNoise",
     "SPECS",
     "spec_from_dict",
     "MixtureConstants",
@@ -687,6 +692,32 @@ class _TwoPieceMixture:
     def draw(self, stream, n: int) -> np.ndarray:
         return self.inverse_cdf(stream.uniforms(n))
 
+    def usefulness_bound(self, k: int, delta: float) -> float:
+        """Accuracy radius t with P[max of k i.i.d. |draws| >= t] <= delta.
+
+        The radius ``ln(k a1 / delta) / (r eps)`` inverts the outer tail, so it is
+        tight per coordinate; it holds only where it clears the break-point, and
+        raises BoundNotApplicableError otherwise.  An integer law's radius is raised
+        to the first integer m whose exact two-sided tail mass 2 P(noise <= -m) is at
+        most delta / k, the nearest point at which the guarantee holds.
+        """
+        if not (0.0 < delta < 1.0):
+            raise InvalidParameterError(f"delta must lie in (0, 1), got {delta!r}")
+        if k < 1 or k != int(k):
+            raise InvalidParameterError(f"k must be a positive integer, got {k!r}")
+        ct = self.params.break_point
+        radius = math.log(k * self.constants().a1 / delta) / self.params.eps_r
+        if radius <= ct:
+            raise BoundNotApplicableError(
+                f"radius {radius:.4g} does not clear the break-point {ct:g}"
+            )
+        if not self.integer:
+            return radius
+        m = math.ceil(radius)
+        while 2.0 * self.cdf(-m) > delta / k:
+            m += 1
+        return float(m)
+
 
 @dataclass(frozen=True)
 class LaplaceMixture(_TwoPieceMixture):
@@ -921,36 +952,6 @@ class TruncatedLaplace:
         raise UnsupportedSpecError(f"no closed-form stats for {self.label}")
 
 
-@dataclass(frozen=True)
-class ZeroNoise:
-    """Degenerate mechanism that adds no noise.  Test/debug stub; non-private."""
-
-    kind: ClassVar[str] = "zero"
-    integer: ClassVar[bool] = True
-
-    @property
-    def label(self) -> str:
-        return self.kind
-
-    def worst_case_eps(self) -> float:
-        return math.inf
-
-    def zeta(self) -> float:
-        return math.inf
-
-    def prob(self, x):
-        return _wrap(x, np.where(np.asarray(x) == 0, 1.0, 0.0))
-
-    def cdf(self, x):
-        return _wrap(x, np.where(np.asarray(x, dtype=float) >= 0.0, 1.0, 0.0))
-
-    def draw(self, stream, n: int) -> np.ndarray:
-        return np.zeros(n, dtype=np.int64)
-
-    def stats(self) -> MechanismStats:
-        raise UnsupportedSpecError(f"no closed-form stats for {self.label}")
-
-
 # Every family, in the order the command line lists their kinds.
 SPECS = (
     Laplace,
@@ -959,7 +960,6 @@ SPECS = (
     LaplaceMixture,
     GeometricMixture,
     TruncatedLaplace,
-    ZeroNoise,
 )
 
 
@@ -970,8 +970,8 @@ _KEYS = ("kind", "eps", "reps", "ct", "unsafe")
 def spec_from_dict(doc: dict) -> MechanismSpec:
     """Build a mechanism spec from the CLI/config representation.
 
-    Keys: kind (laplace|rlaplace|geometric|lapmix|geomix|trunclap|zero),
-    eps, reps (the outer parameter r*eps), ct, unsafe; budgets are for a unit shift.
+    Keys: kind (laplace|rlaplace|geometric|lapmix|geomix|trunclap), eps,
+    reps (the outer parameter r*eps), ct, unsafe; budgets are for a unit shift.
     """
     if not isinstance(doc, dict):
         raise PwmixError(f"a mechanism must be a JSON object, got {doc!r}")
@@ -979,8 +979,9 @@ def spec_from_dict(doc: dict) -> MechanismSpec:
     if unknown:
         raise PwmixError(f"unknown mechanism key {unknown}; the keys are {', '.join(_KEYS)}")
     kind = doc.get("kind")
-    if kind == "zero":
-        return ZeroNoise()
+    kinds = [cls.kind for cls in SPECS]
+    if kind not in kinds:
+        raise PwmixError(f"unknown mechanism kind {kind!r}; the kinds are {', '.join(kinds)}")
     if doc.get("eps") is None:
         raise PwmixError(f"mechanism {kind!r} requires --eps")
     eps = _require_positive("eps", doc["eps"])
@@ -997,13 +998,11 @@ def spec_from_dict(doc: dict) -> MechanismSpec:
             raise PwmixError("trunclap requires --ct as the truncation bound")
         bound = _require_positive("ct", doc["ct"])
         return TruncatedLaplace(scale=1.0 / eps, bound=bound, allow_unsafe=bool(doc.get("unsafe")))
-    if kind in ("lapmix", "geomix"):
-        if doc.get("reps") is None or doc.get("ct") is None:
-            raise PwmixError(f"{kind} requires --reps and --ct")
-        params = MixtureParams(
-            epsilon=eps,
-            ratio=_require_positive("reps", doc["reps"]) / eps,
-            break_point=_require_positive("ct", doc["ct"]),
-        )
-        return LaplaceMixture(params) if kind == "lapmix" else GeometricMixture(params)
-    raise PwmixError(f"unknown mechanism kind {kind!r}")
+    if doc.get("reps") is None or doc.get("ct") is None:  # lapmix or geomix
+        raise PwmixError(f"{kind} requires --reps and --ct")
+    params = MixtureParams(
+        epsilon=eps,
+        ratio=_require_positive("reps", doc["reps"]) / eps,
+        break_point=_require_positive("ct", doc["ct"]),
+    )
+    return LaplaceMixture(params) if kind == "lapmix" else GeometricMixture(params)

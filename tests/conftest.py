@@ -1,3 +1,4 @@
+import math
 import os
 from pathlib import Path
 
@@ -7,7 +8,7 @@ from scipy import stats
 
 import pwmix
 from pwmix.data import Dataset
-from pwmix.mechanisms import MixtureParams
+from pwmix.mechanisms import Geometric, MixtureParams
 
 # Workhorse parameter sets: the two simulation presets plus assorted shapes.
 PRESET_A = MixtureParams(epsilon=0.2, ratio=5.0, break_point=5.0)
@@ -21,6 +22,13 @@ PARAM_GRID = [
 ]
 
 INT_PARAM_GRID = [p for p in PARAM_GRID if p.break_point == int(p.break_point)]
+
+# A geometric mechanism whose every draw is exactly 0, for tests that need the
+# release or the simulation to add nothing.  A draw is floor(-ln u1 / 700) -
+# floor(-ln u2 / 700), and a uniform is at least 2^-54, so -ln u <= 54 ln 2 < 37.4
+# and both floors are 0.  On the command line: --mechanism geometric --eps 700.
+EXACT_ZERO = Geometric(alpha=math.exp(700))
+EXACT_ZERO_FLAGS = ["geometric", "--eps", "700"]
 
 
 @pytest.fixture

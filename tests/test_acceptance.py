@@ -15,7 +15,6 @@ from scipy import integrate, stats
 
 from pwmix.accounting import (
     equivalent_epsilon,
-    usefulness_bound,
     zeta_closed_form,
     zeta_empirical,
 )
@@ -298,7 +297,7 @@ class TestCriterion4BudgetConsistency:
             spec = Geometric(alpha=math.exp(eps))
             if abs(zeta_empirical(spec) - eps) > 1e-12:
                 failures.append(("geometric-exact", eps))
-        eq = equivalent_epsilon(0.309, "rounded_laplace")
+        eq = equivalent_epsilon(0.309)
         if abs(eq - 0.332) > 0.001:
             failures.append(("equivalent-eps", eq))
         ok = not failures
@@ -349,12 +348,12 @@ class TestCriterion6UsefulnessBounds:
         y_geo = np.abs(sample(GeometricMixture(PRESET_A), SeededStream(6200), self.DRAWS))
         for delta in (0.01, 0.001):
             for k in (1, 10):
-                r = usefulness_bound(PRESET_A, k, delta, family="laplace")
+                r = LaplaceMixture(PRESET_A).usefulness_bound(k, delta)
                 count = int(np.sum(y_lap >= r))
                 p = stats.binomtest(count, self.DRAWS, delta, alternative="greater").pvalue
                 if p <= self.ALPHA:
                     failures.append(("laplace", delta, k, count))
-                r = usefulness_bound(PRESET_A, k, delta, family="geometric")
+                r = GeometricMixture(PRESET_A).usefulness_bound(k, delta)
                 count = int(np.sum(y_geo >= r))
                 p = stats.binomtest(count, self.DRAWS, delta, alternative="greater").pvalue
                 if p <= self.ALPHA:
@@ -371,7 +370,7 @@ class TestCriterion7SimulationHeadlines:
     def test_headline_numbers(self):
         t0 = time.monotonic()
         zeta_gm = zeta_closed_form(GeometricMixture(PRESET_A))
-        eps_lap = equivalent_epsilon(zeta_closed_form(LaplaceMixture(PRESET_A)), "rounded_laplace")
+        eps_lap = equivalent_epsilon(zeta_closed_form(LaplaceMixture(PRESET_A)))
         gm = GeometricMixture(PRESET_A)
         lm = LaplaceMixture(PRESET_A)
         geo = Geometric(alpha=math.exp(zeta_gm))

@@ -11,7 +11,6 @@ from pwmix.accounting import (
     compose,
     equivalent_epsilon,
     privacy_loss,
-    usefulness_bound,
     zeta_closed_form,
     zeta_empirical,
 )
@@ -340,27 +339,30 @@ class TestCompose:
 
 class TestEquivalentEpsilon:
     def test_geometric_identity(self):
-        assert equivalent_epsilon(0.328, "geometric") == pytest.approx(0.328)
+        # the sweep matches the geometric mechanism without inverting: its zeta is its eps
+        spec = Geometric(alpha=math.exp(0.328))
+        assert zeta_closed_form(spec) == pytest.approx(0.328, rel=1e-12)
+        assert zeta_empirical(spec) == pytest.approx(0.328, rel=1e-12)
 
     def test_rounded_laplace_presets(self):
-        assert equivalent_epsilon(0.309, "rounded_laplace") == pytest.approx(0.332, abs=1e-3)
-        assert equivalent_epsilon(0.243, "rounded_laplace") == pytest.approx(0.257, abs=1e-3)
+        assert equivalent_epsilon(0.309) == pytest.approx(0.332, abs=1e-3)
+        assert equivalent_epsilon(0.243) == pytest.approx(0.257, abs=1e-3)
 
     def test_round_trip(self):
         for eps in (0.1, 0.332, 0.8, 2.0):
             z = zeta_closed_form(RoundedLaplace(scale=1 / eps))
-            assert equivalent_epsilon(z, "rounded_laplace") == pytest.approx(eps, abs=1e-8)
+            assert equivalent_epsilon(z) == pytest.approx(eps, abs=1e-8)
 
     def test_exact_round_trip(self):
         for eps in np.geomspace(1e-3, 350.0, 400):
             z = RoundedLaplace(scale=1 / eps).zeta()
-            assert equivalent_epsilon(z, "rounded_laplace") == pytest.approx(eps, rel=1e-12, abs=0)
+            assert equivalent_epsilon(z) == pytest.approx(eps, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("target", [360.0, 700.0])
     def test_targets_beyond_the_spec_range(self, target):
         # the matched eps exceeds 709.78, where RoundedLaplace.zeta refuses;
         # check it against the closed form in z = exp(-eps/2)
-        eps = equivalent_epsilon(target, "rounded_laplace")
+        eps = equivalent_epsilon(target)
         z = math.exp(-0.5 * eps)
         assert math.log((5 - z + z * z - z**3) / (2 * z * (1 + z))) == pytest.approx(
             target, rel=1e-15
@@ -369,26 +371,25 @@ class TestEquivalentEpsilon:
     @pytest.mark.parametrize("target", [1e-17, 1e-16, 708.0, 709.5, 800.0])
     def test_targets_out_of_range(self, target):
         with pytest.raises(InvalidParameterError):
-            equivalent_epsilon(target, "rounded_laplace")
+            equivalent_epsilon(target)
 
     def test_validation(self):
-        with pytest.raises(InvalidParameterError):
-            equivalent_epsilon(-1.0, "geometric")
-        with pytest.raises(InvalidParameterError):
-            equivalent_epsilon(0.3, "gaussian")
+        for target in (-1.0, 0.0, math.inf, math.nan):
+            with pytest.raises(InvalidParameterError):
+                equivalent_epsilon(target)
 
 
 class TestUsefulnessBound:
     def test_laplace_radius(self):
-        r = usefulness_bound(PRESET_A, 1, 0.01, family="laplace")
+        r = LaplaceMixture(PRESET_A).usefulness_bound(1, 0.01)
         assert r == pytest.approx(7.344302369170264, rel=1e-12)
         # exact tail inversion: P(|Y| >= r) equals delta
         a1 = lapmix_constants(PRESET_A).a1
         assert a1 * math.exp(-r * PRESET_A.eps_r) == pytest.approx(0.01, rel=1e-12)
 
     def test_union_bound_scaling(self):
-        r1 = usefulness_bound(PRESET_A, 1, 0.01, family="laplace")
-        r10 = usefulness_bound(PRESET_A, 10, 0.01, family="laplace")
+        r1 = LaplaceMixture(PRESET_A).usefulness_bound(1, 0.01)
+        r10 = LaplaceMixture(PRESET_A).usefulness_bound(10, 0.01)
         assert r10 - r1 == pytest.approx(math.log(10) / PRESET_A.eps_r, rel=1e-12)
 
     def test_admissible_delta_inverts_exactly(self):
@@ -396,7 +397,7 @@ class TestUsefulnessBound:
         a1 = lapmix_constants(PRESET_A).a1
         for m in (6, 8, 11):
             delta = a1 * math.exp(-PRESET_A.eps_r * m)
-            r = usefulness_bound(PRESET_A, 1, delta, family="laplace")
+            r = LaplaceMixture(PRESET_A).usefulness_bound(1, delta)
             assert r == pytest.approx(m / PRESET_A.eps_r, rel=1e-12)
 
     def test_geometric_radius_is_guaranteed_integer(self):
@@ -405,7 +406,7 @@ class TestUsefulnessBound:
         c = geomix_constants(PRESET_A)
         q1 = math.exp(-PRESET_A.eps_r)
         for delta, k in ((0.01, 1), (0.001, 1), (0.01, 10), (0.001, 10)):
-            r = usefulness_bound(PRESET_A, k, delta, family="geometric")
+            r = GeometricMixture(PRESET_A).usefulness_bound(k, delta)
             assert r == int(r) and r > PRESET_A.break_point
             tail = 2 * c.a1 * q1**r / (1 + q1)
             assert tail <= delta / k
@@ -414,11 +415,30 @@ class TestUsefulnessBound:
             assert tail_prev > delta / k
 
     def test_not_applicable_inside_break(self):
-        with pytest.raises(BoundNotApplicableError):
-            usefulness_bound(PRESET_A, 1, 0.5, family="laplace")
+        for family in (LaplaceMixture, GeometricMixture):
+            with pytest.raises(BoundNotApplicableError, match="does not clear the break-point 5$"):
+                family(PRESET_A).usefulness_bound(1, 0.5)
+
+    @pytest.mark.parametrize(
+        "family, radii",
+        [
+            (LaplaceMixture, (7.344302369170264, 9.64688746216431, 9.64688746216431, 11.949472555158355)),
+            (GeometricMixture, (8.0, 11.0, 11.0, 13.0)),
+        ],
+    )
+    def test_golden_radii(self, family, radii):
+        spec = family(PRESET_A)
+        got = [spec.usefulness_bound(k, delta) for delta in (0.01, 0.001) for k in (1, 10)]
+        assert got == pytest.approx(radii, rel=1e-12)
+
+    @pytest.mark.parametrize("family", [LaplaceMixture, GeometricMixture])
+    @pytest.mark.parametrize("k", [0, -1, 1.5])
+    def test_k_validation(self, family, k):
+        with pytest.raises(InvalidParameterError, match="k must be a positive integer"):
+            family(PRESET_A).usefulness_bound(k, 0.01)
 
     def test_delta_validation(self):
         with pytest.raises(InvalidParameterError):
-            usefulness_bound(PRESET_A, 1, 0.0, family="laplace")
+            LaplaceMixture(PRESET_A).usefulness_bound(1, 0.0)
         with pytest.raises(InvalidParameterError):
-            usefulness_bound(PRESET_A, 1, 1.5, family="laplace")
+            LaplaceMixture(PRESET_A).usefulness_bound(1, 1.5)

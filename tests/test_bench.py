@@ -35,7 +35,6 @@ from pwmix.mechanisms import (
     MixtureParams,
     RoundedLaplace,
     TruncatedLaplace,
-    ZeroNoise,
     geomix_constants,
     laplace_cdf,
     lapmix_cdf,
@@ -43,7 +42,7 @@ from pwmix.mechanisms import (
 )
 from pwmix.sampling import SeededStream, sample
 
-from conftest import PRESET_A, PRESET_B, make_synthetic_dataset
+from conftest import EXACT_ZERO, PRESET_A, PRESET_B, make_synthetic_dataset
 
 
 class TestMetrics:
@@ -233,17 +232,27 @@ class TestRunSimulation:
         return SimulationConfig(**base)
 
     def test_zero_noise_stub(self):
-        report = run_simulation(self._config(mechanisms=(ZeroNoise(),)))
+        report = run_simulation(self._config(mechanisms=(EXACT_ZERO,)))
         for cell in report.cells:
             assert cell.within_bound == 1.0
             assert cell.mre == 0.0
             assert cell.error_cdf[0] == 1.0
 
-    def test_determinism_across_workers(self):
+    def test_determinism_across_workers(self, monkeypatch):
         cfg = self._config()
-        r1 = run_simulation(cfg, threads=1)
-        r4 = run_simulation(cfg, threads=4)
+        monkeypatch.setenv("PWMIX_THREADS", "1")
+        r1 = run_simulation(cfg)
+        monkeypatch.setenv("PWMIX_THREADS", "4")
+        r4 = run_simulation(cfg)
         assert r1.to_json_dict() == r4.to_json_dict()
+
+    def test_threads_unset_or_empty_is_one(self, monkeypatch):
+        monkeypatch.delenv("PWMIX_THREADS", raising=False)
+        assert bench._thread_count() == 1
+        monkeypatch.setenv("PWMIX_THREADS", "")
+        assert bench._thread_count() == 1
+        monkeypatch.setenv("PWMIX_THREADS", "3")
+        assert bench._thread_count() == 3
 
     def test_within_bound_matches_analytics(self):
         report = run_simulation(self._config(samples_per_cell=200_000))
@@ -344,7 +353,7 @@ class TestOutcomeCounts:
             # outcomes spread over billions of integers
             (Laplace(scale=1e9), 5, False),
             (Laplace(scale=1e9), 5, True),
-            (ZeroNoise(), 2, False),
+            (EXACT_ZERO, 2, False),
         ],
     )
     def test_matches_one_call(self, spec, offset, clamp):
@@ -449,7 +458,7 @@ class TestBucketCounts:
         assert got == want == {0: 200, 1: 100}
 
     def test_other_families_draw_one_by_one(self):
-        for spec in (Laplace(scale=2.0), Geometric(alpha=math.exp(0.5)), ZeroNoise()):
+        for spec in (Laplace(scale=2.0), Geometric(alpha=math.exp(0.5))):
             assert _bucket_table(spec, 0) is None
 
     @settings(max_examples=40, deadline=None)
@@ -675,7 +684,7 @@ class TestClampFreeCount:
             ({"kind": "geometric", "eps": 0.32810599476390334}, 128),
             ({"kind": "geomix", "eps": 0.2, "reps": 1, "ct": 5}, 32),
             ({"kind": "lapmix", "eps": 0.2, "reps": 1, "ct": 5}, 32),
-            ({"kind": "zero"}, 4),
+            ({"kind": "geometric", "eps": 700}, 4),
         ],
     )
     def test_golden_count(self, doc, count):

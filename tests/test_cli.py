@@ -11,6 +11,7 @@ from pwmix.bench import TABLE1_GRID
 from pwmix.cli import main, spec_from_dict
 from pwmix.errors import InvalidParameterError, PwmixError
 from pwmix.mechanisms import (
+    SPECS,
     Geometric,
     GeometricMixture,
     Laplace,
@@ -18,7 +19,7 @@ from pwmix.mechanisms import (
     TruncatedLaplace,
 )
 
-from conftest import cli_env
+from conftest import EXACT_ZERO_FLAGS, cli_env
 
 # Points where the paper's closed-form zeta is not a finite positive double.
 NON_FINITE_ZETA = [
@@ -26,6 +27,12 @@ NON_FINITE_ZETA = [
     ["lapmix", "--eps", "23.24", "--reps", "7.745", "--ct", "0.154"],
     ["geomix", "--eps", "40.48", "--reps", "715.1", "--ct", "1"],  # exp(r eps) overflows
     ["lapmix", "--eps", "1", "--reps", "800", "--ct", "0.5"],  # inf
+]
+
+# Every kind whose spec has unbounded loss, built from flags that every kind accepts.
+UNBOUNDED_KINDS = [
+    cls.kind for cls in SPECS
+    if spec_from_dict({"kind": cls.kind, "eps": 1, "reps": 2, "ct": 3}).worst_case_eps() == math.inf
 ]
 
 FIXTURE = "age,work\n25,Private\n30,Private\n25,Gov\n40,?\n25,Private\n"
@@ -66,11 +73,18 @@ class TestSpecFromDict:
             ({"kind": "lapmix", "eps": 0.5, "reps": 1.5, "ct": 2.5, "sens": 2}, "sens"),
             ({"kind": "laplace", "eps": 0.2, "sens": 1}, "sens"),
             ({"kind": "geomix", "eps": 0.2, "reps": 1, "c_t": 5}, "c_t"),
-            ({"kind": "zero", "scale": 2}, "scale"),
+            ({"kind": "geometric", "eps": 1, "scale": 2}, "scale"),
         ],
     )
     def test_unknown_key_refused(self, doc, key):
         with pytest.raises(PwmixError, match=f"unknown mechanism key '{key}'"):
+            spec_from_dict(doc)
+
+    @pytest.mark.parametrize("eps", [None, 0.5])
+    @pytest.mark.parametrize("kind", ["gaussian", "zero", None, 3])
+    def test_unknown_kind_named_before_eps(self, kind, eps):
+        doc = {key: v for key, v in (("kind", kind), ("eps", eps)) if v is not None}
+        with pytest.raises(PwmixError, match=f"^unknown mechanism kind {kind!r}; the kinds are"):
             spec_from_dict(doc)
 
     @pytest.mark.parametrize(
@@ -165,9 +179,7 @@ class TestStats:
         assert code == 0
         assert out == row + "\n"
 
-    @pytest.mark.parametrize(
-        "flags", [["trunclap", "--eps", "1", "--ct", "3"], ["zero"]]
-    )
+    @pytest.mark.parametrize("flags", [["trunclap", "--eps", "1", "--ct", "3"]])
     def test_no_stats_exits_2(self, capsys, flags):
         code, out, err = run_cli(["stats", "--mechanism", *flags], capsys)
         assert code == 2
@@ -331,7 +343,7 @@ class TestRelease:
     def test_zero_noise_release(self, data_file, capsys):
         code, out, _ = run_cli(
             ["release", "--data", data_file, "--query", "age=25,work=Private",
-             "--mechanism", "zero", "--seed", "1", "--reveal-true"],
+             "--mechanism", *EXACT_ZERO_FLAGS, "--seed", "1", "--reveal-true"],
             capsys,
         )
         assert code == 0
@@ -469,6 +481,21 @@ class TestRelease:
         assert code == 0
         assert json.loads(out)["zeta_charged"] == "inf"
 
+    @pytest.mark.parametrize("kind", UNBOUNDED_KINDS)
+    def test_unbounded_family_refused_without_unsafe(self, data_file, capsys, kind):
+        code, out, _ = run_cli(
+            ["release", "--data", data_file, "--query", "age=25", "--mechanism", kind,
+             "--eps", "1", "--reps", "2", "--ct", "3", "--seed", "3"],
+            capsys,
+        )
+        assert code == 3 and out == ""
+
+    def test_zero_is_not_a_mechanism(self, data_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["release", "--data", data_file, "--query", "age=25", "--mechanism", "zero"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'zero'" in capsys.readouterr().err
+
     def test_histogram_charge_modes(self, data_file, capsys):
         base = ["release", "--data", data_file, "--hist", "work", "--mechanism", "geometric",
                 "--eps", "0.3", "--seed", "4"]
@@ -481,8 +508,8 @@ class TestRelease:
 
     def test_hidden_true_by_default(self, data_file, capsys):
         _, out, _ = run_cli(
-            ["release", "--data", data_file, "--query", "age=25", "--mechanism", "zero",
-             "--seed", "1"],
+            ["release", "--data", data_file, "--query", "age=25", "--mechanism",
+             *EXACT_ZERO_FLAGS, "--seed", "1"],
             capsys,
         )
         assert "true" not in json.loads(out)
@@ -496,7 +523,8 @@ class TestRelease:
 
     def test_generated_seed_printed(self, data_file, capsys):
         code, out, err = run_cli(
-            ["release", "--data", data_file, "--query", "age=25", "--mechanism", "zero"], capsys
+            ["release", "--data", data_file, "--query", "age=25", "--mechanism", *EXACT_ZERO_FLAGS],
+            capsys,
         )
         assert code == 0
         assert "seed" in err
@@ -523,11 +551,26 @@ class TestBenchAudit:
         assert manifest["master_seed"] == 5
         assert manifest["command"] == "bench"
 
+    @pytest.mark.parametrize("threads", ["abc", "0", "-3", "1.5", " 2"])
+    def test_bench_threads_not_a_positive_integer(self, capsys, tmp_path, monkeypatch, threads):
+        cfg = tmp_path / "bench.json"
+        cfg.write_text(json.dumps({
+            "true_counts": [1],
+            "mechanisms": [{"kind": "geometric", "eps": 700}],
+            "samples_per_cell": 10,
+            "c_t_for_metrics": 5,
+        }))
+        monkeypatch.setenv("PWMIX_THREADS", threads)
+        code, _, err = run_cli(
+            ["bench", "--config", str(cfg), "--out", str(tmp_path / "x"), "--seed", "5"], capsys
+        )
+        assert code == 2 and f"PWMIX_THREADS must be a positive integer, got {threads!r}" in err
+
     def test_bench_invalid_samples(self, capsys, tmp_path):
         cfg = tmp_path / "bench.json"
         cfg.write_text(json.dumps({
             "true_counts": [1],
-            "mechanisms": [{"kind": "zero"}],
+            "mechanisms": [{"kind": "geometric", "eps": 700}],
             "samples_per_cell": 0,
             "c_t_for_metrics": 5,
         }))
@@ -634,7 +677,7 @@ class TestBenchAudit:
         cfg = tmp_path / "bench.json"
         cfg.write_text(json.dumps({
             "true_counts": [1],
-            "mechanisms": [{"kind": "zero"}],
+            "mechanisms": [{"kind": "geometric", "eps": 700}],
             "samples_per_cell": 2.5,
             "c_t_for_metrics": 5,
         }))
@@ -655,7 +698,8 @@ class TestOversizedCell:
 
     def test_release(self, capsys, big_csv):
         code, out, err = run_cli(
-            ["release", "--data", big_csv, "--query", "work=Private", "--mechanism", "zero"], capsys
+            ["release", "--data", big_csv, "--query", "work=Private", "--mechanism", *EXACT_ZERO_FLAGS],
+            capsys,
         )
         assert code == 2 and out == ""
         assert "field larger than field limit" in err and "Traceback" not in err

@@ -29,11 +29,10 @@ from pwmix.mechanisms import (
     GeometricMixture,
     LaplaceMixture,
     TruncatedLaplace,
-    ZeroNoise,
 )
 from pwmix.sampling import SeededStream, sample
 
-from conftest import PRESET_A, make_synthetic_dataset
+from conftest import EXACT_ZERO, PRESET_A, make_synthetic_dataset
 
 CSV_FIXTURE = """age,work,sex
  25 , Private ,Male
@@ -318,7 +317,7 @@ class TestNeighbors:
 
 class TestRelease:
     def test_zero_noise_identity(self):
-        rel = release(7, ZeroNoise(), SeededStream(1))
+        rel = release(7, EXACT_ZERO, SeededStream(1))
         assert rel.released_value == 7
         assert rel.clamped is False
 
@@ -369,7 +368,7 @@ class TestRelease:
 
     def test_negative_truth_rejected(self):
         with pytest.raises(InvalidParameterError):
-            release(-1, ZeroNoise(), SeededStream(1))
+            release(-1, EXACT_ZERO, SeededStream(1))
 
     def test_json_wire_format(self):
         rel = release(3, Geometric(alpha=2.0), SeededStream(5))

@@ -644,7 +644,6 @@ GOLDEN_LABELS = [
     ({"kind": "lapmix", "eps": 0.5, "reps": 1.5, "ct": 2.5}, "lapmix(eps=0.5,reps=1.5,ct=2.5)"),
     ({"kind": "geomix", "eps": 0.1, "reps": 1, "ct": 6}, "geomix(eps=0.1,reps=1,ct=6)"),
     ({"kind": "trunclap", "eps": 0.5, "ct": 4, "unsafe": True}, "trunclap(b=2,c=4)"),
-    ({"kind": "zero"}, "zero"),
 ]
 
 

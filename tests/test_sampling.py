@@ -18,14 +18,13 @@ from pwmix.mechanisms import (
     MixtureParams,
     RoundedLaplace,
     TruncatedLaplace,
-    ZeroNoise,
     geomix_constants,
     lapmix_cdf,
     lapmix_constants,
 )
 from pwmix.sampling import SeededStream, lattice_uniforms, sample
 
-from conftest import PRESET_A, PRESET_B, chi_square_pvalue
+from conftest import EXACT_ZERO, PRESET_A, PRESET_B, chi_square_pvalue
 
 N = 10**5
 
@@ -252,7 +251,6 @@ FAMILY_SPECS = (
     LaplaceMixture(PRESET_A),
     GeometricMixture(PRESET_A),
     TruncatedLaplace(scale=2.0, bound=3.0, allow_unsafe=True),
-    ZeroNoise(),
 )
 
 
@@ -561,7 +559,7 @@ class TestStandardSamplers:
             assert stats.kstest(y, spec.cdf).pvalue > 1e-3
 
     def test_zero_noise(self):
-        y = sample(ZeroNoise(), SeededStream(116), 100)
+        y = sample(EXACT_ZERO, SeededStream(116), 100)
         assert np.all(y == 0)
 
     def test_dispatch(self):

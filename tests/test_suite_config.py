@@ -1,5 +1,6 @@
 """The suite's own pytest configuration, and the hooks the benchmark takes into pwmix."""
 
+import ast
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,7 @@ from pwmix import bench, mechanisms
 
 ROOT = Path(__file__).resolve().parents[1]
 PYPROJECT = ROOT / "pyproject.toml"
+SOURCES = ROOT / "src" / "pwmix"
 
 PROBE = '''
 from hypothesis import given, strategies as st
@@ -58,3 +60,17 @@ def test_tracer_targets_and_constant_caches_exist(monkeypatch):
     for cache in (mechanisms.lapmix_constants, mechanisms.geomix_constants):
         assert callable(cache.cache_clear)
         assert callable(cache.cache_info)
+
+
+def test_family_names_only_in_mechanisms():
+    # The kind switch lives in mechanisms.spec_from_dict; elsewhere a family is
+    # asked about itself, not named.  "rounded_laplace" was such a name.
+    names = {cls.kind for cls in mechanisms.SPECS} | {"rounded_laplace"}
+    found = [
+        f"{path.name}:{node.lineno}: {node.value!r}"
+        for path in sorted(SOURCES.glob("*.py"))
+        if path.name != "mechanisms.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Constant) and node.value in names
+    ]
+    assert not found, found
