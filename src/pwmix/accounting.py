@@ -3,7 +3,9 @@
 The general budget of a mechanism is ``zeta = ln E[exp |L|]`` where ``L`` is
 the per-outcome log-ratio of output probabilities on neighboring databases.
 It equals epsilon for the plain geometric mechanism, lies between the two
-parameters for the mixtures, and adds under composition.
+parameters for the mixtures, and adds under composition.  ``zeta_empirical``
+evaluates the definition exactly: a sum over the runs of an integer law, or
+closed-form integrals over the segments of a continuous one.
 """
 
 from __future__ import annotations
@@ -62,12 +64,12 @@ def _require_shift(shift) -> int:
     return int(shift)
 
 
-def _log_prob(spec: MechanismSpec, x) -> float:
+def _log_prob(spec: MechanismSpec, x):
     """ln of the mass or density at x, -inf where it is 0; a lattice law's is its log mass."""
-    if hasattr(spec, "lattice"):
+    if spec.integer:
         return spec.lattice().log_mass(x)
     with np.errstate(divide="ignore"):
-        return float(np.log(spec.prob(x)))
+        return np.log(spec.prob(x))
 
 
 def privacy_loss(spec: MechanismSpec, outcome_noise, shift: int = 1) -> float:
@@ -91,40 +93,47 @@ def zeta_closed_form(spec: MechanismSpec) -> float:
     return spec.zeta()
 
 
-def _zeta_continuous_quadrature(spec: MechanismSpec, shift: int) -> float:
-    """Definitional zeta for continuous mechanisms by adaptive quadrature."""
-    from scipy import integrate  # here, so that importing pwmix does not load scipy
+def _zeta_by_segments(spec: MechanismSpec, shift: int) -> float:
+    """Definitional zeta of a continuous law, ln of the integral of max(q, p^2 / q), q = p(x - s).
 
+    The density is symmetric, piecewise exponential and does not increase in |x|.  So between
+    the kinks of ln p(x) and ln q, and x = s/2 where the loss changes sign, the integrand is
+    exp of a line: read at 1/4 and 3/4 of its segment, away from the kinks where the pieces
+    meet only to rounding, and integrated in closed form.  Beyond +-(c_t + s) the loss is
+    ``s * rate``.  Where a density read or the tail mass underflows, the budget is inf.
+    """
     ct, rate = spec.loss_tail()
-    lo, hi = -ct - shift, ct + shift
-    breakpoints = [-ct, -ct + shift, 0.0, float(shift), ct, ct + shift]
-
-    def integrand(x: float) -> float:
-        here = _log_prob(spec, x)
-        return math.exp(_log_ratio_abs(_log_prob(spec, x - shift), here) + here)
-
-    total = 0.0
-    pts = sorted({lo, hi, *(b for b in breakpoints if lo < b < hi)})
-    for a, b in zip(pts[:-1], pts[1:]):
-        val, _ = integrate.quad(integrand, a, b, limit=200, epsabs=1e-12, epsrel=1e-11)
-        total += val
-    total += math.exp(shift * rate) * (spec.cdf(lo) + (1.0 - spec.cdf(hi)))
-    return math.log(total)
+    lo = -ct - shift
+    tail = 2.0 * spec.cdf(lo)  # both tails from the lower one, where 1 - cdf(-lo) cancels
+    cuts = np.array(sorted({lo, -ct, shift - ct, 0.0, 0.5 * shift, shift, ct, ct + shift}))
+    widths = np.diff(cuts)
+    x = cuts[:-1] + np.multiply.outer([0.25, 0.75], widths)
+    here, there = _log_prob(spec, x), _log_prob(spec, x - shift)
+    if tail < sys.float_info.min or not (np.isfinite(here).all() and np.isfinite(there).all()):
+        return math.inf
+    logs = [math.log(tail) + shift * rate]
+    for width, g1, g3 in zip(widths.tolist(), *np.maximum(there, 2.0 * here - there).tolist()):
+        rise = 2.0 * abs(g3 - g1)  # the line's change across the segment
+        shape = -math.expm1(-rise) / rise if rise else 1.0
+        logs.append(max(g1, g3) + 0.25 * rise + math.log(width * shape))
+    top = max(logs)
+    return top + math.log(math.fsum(math.exp(v - top) for v in logs))
 
 
 def zeta_empirical(spec: MechanismSpec, shift: int = 1) -> float:
     """General budget evaluated from its definition, ln sum exp(|L|) P.
 
     An integer family's is the exact sum over its lattice law (constant-loss tails folded
-    in analytically); continuous mechanisms are integrated by quadrature.  A mechanism with
-    unbounded worst-case loss has an infinite budget.  A shift must be a positive integer.
+    in analytically); a continuous one's is a sum of closed-form segment integrals, inf
+    where a density it reads underflows.  A mechanism with unbounded worst-case loss has
+    an infinite budget.  A shift must be a positive integer.
     """
     shift = _require_shift(shift)
     if math.isinf(spec.worst_case_eps()):
         return math.inf
     if spec.integer:
         return spec.lattice().zeta(shift)
-    return _zeta_continuous_quadrature(spec, shift)
+    return _zeta_by_segments(spec, shift)
 
 
 def equivalent_epsilon(target_zeta: float) -> float:

@@ -353,11 +353,9 @@ _AUDIT_CHUNK = 1 << 16
 
 # An arm of a two-piece mixture counts its draws per bucket of the uniform
 # lattice, a bucket being the top _BUCKET_BITS bits of the 53-bit value, and
-# reads each bucket's binned noise from a table (``_bucket_table``).  Arms of
-# fewer trials than the table has buckets draw one by one instead.
+# reads each bucket's binned noise from a table (``_bucket_table``).
 _BUCKET_BITS = 16
 _BUCKET_SHIFT = 53 - _BUCKET_BITS
-_TABLE_MIN_TRIALS = 1 << _BUCKET_BITS
 # How far inside its rounding step each edge's value must lie, per unit of
 # 1 + |x| + the largest offset + the larger piece scale; the float error of
 # ``pre_rounding`` and of adding the offset is about 1e-15 of the same.
@@ -572,7 +570,7 @@ def audit_mechanism(
 ) -> MechanismAudit:
     """Estimate per-outcome losses between noise laws shifted by ``shift``."""
     _require_sizes(trials=trials, min_count=min_count)
-    table = _bucket_table(spec, shift) if trials >= _TABLE_MIN_TRIALS else None
+    table = _bucket_table(spec, shift)
     arms = (stream.derive(0), 0), (stream.derive(1), shift)
     return _two_arm_audit(spec, trials, min_count, False, table, arms)
 
@@ -676,9 +674,7 @@ def audit_privacy(
     n_same = sum(n for (kind, _), n in group_pairs.items() if kind == "same")
     eps_bound = spec.worst_case_eps()
 
-    table = None
-    if trials >= _TABLE_MIN_TRIALS:
-        table = _bucket_table(spec, max(n1 for _, n1 in group_pairs))
+    table = _bucket_table(spec, max(n1 for _, n1 in group_pairs))
     audits = {}  # per group, in the order of its derived streams
     for gi, (kind, n1) in enumerate(sorted(group_pairs)):
         n2 = n1 - 1 if kind == "diff" else n1

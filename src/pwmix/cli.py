@@ -299,9 +299,9 @@ def _cmd_bench(args) -> int:
         )
     except (OSError, KeyError, ValueError, TypeError, PwmixError) as exc:
         return _fail(f"unreadable bench config: {exc!r}")
+    report = run_simulation(config)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    report = run_simulation(config)
 
     report_path = out_dir / "utility_report.json"
     report_path.write_text(json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n")

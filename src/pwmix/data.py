@@ -170,7 +170,7 @@ class NoisyRelease:
     clamped: object
 
 
-def load_dataset(source, *, header: bool = True, delimiter: str = ",") -> Dataset:
+def load_dataset(source, *, header: bool = True) -> Dataset:
     """Read a CSV (RFC-4180-style quoting) into a Dataset.
 
     Values and header names are trimmed of surrounding whitespace.  Without a
@@ -178,11 +178,11 @@ def load_dataset(source, *, header: bool = True, delimiter: str = ",") -> Datase
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", newline="", encoding="utf-8") as fh:
-            return load_dataset(fh, header=header, delimiter=delimiter)
+            return load_dataset(fh, header=header)
     if isinstance(source, (bytes, bytearray)):
-        return load_dataset(io.StringIO(source.decode("utf-8")), header=header, delimiter=delimiter)
+        return load_dataset(io.StringIO(source.decode("utf-8")), header=header)
 
-    reader = csv.reader(source, delimiter=delimiter)
+    reader = csv.reader(source)
     rows = filter(None, reader)  # blank lines are skipped
     try:
         first = next(rows, None)

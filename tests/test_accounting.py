@@ -3,6 +3,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy import integrate
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -272,6 +273,127 @@ class TestExactZeta:
             exact = float(mp.log(mp.fsum(max(p(k - 3), p(k) ** 2 / p(k - 3)) for k in range(-60, 64))))
         assert exact == pytest.approx(3.44751886118557, rel=1e-14)
         assert zeta_empirical(spec, 3) == pytest.approx(exact, rel=1e-13)
+
+
+class _Unrepresentable(Exception):
+    """A density sampled by the quadrature underflows to 0."""
+
+
+def zeta_by_quadrature(spec, shift):
+    """Definitional zeta of a continuous law by adaptive quadrature, inf where it underflows.
+
+    The window +-(c_t + shift) is split at the kinks of ln p(x) and ln p(x - shift) and
+    at x = shift/2, where the loss changes sign; both constant-loss tails are
+    exp(shift rate) 2 P(noise <= -c_t - shift).  Integrands are scaled by
+    exp(-shift * worst-case eps), so no sum overflows.
+    """
+    ct, rate = spec.loss_tail()
+    lo, hi = -ct - shift, ct + shift
+    scale = shift * spec.worst_case_eps()
+
+    def log_p(x):
+        with np.errstate(divide="ignore"):
+            return float(np.log(spec.prob(x)))
+
+    def integrand(x):
+        here, there = log_p(x), log_p(x - shift)
+        if there == -math.inf:
+            raise _Unrepresentable
+        return math.exp(max(there, 2 * here - there) - scale)
+
+    tail = 2 * spec.cdf(lo)
+    if tail == 0:
+        return math.inf
+    cuts = sorted({lo, -ct, shift - ct, 0.0, shift / 2, float(shift), ct, hi})
+    try:
+        parts = [
+            integrate.quad(integrand, a, b, limit=200, epsabs=0.0, epsrel=1e-13)[0]
+            for a, b in zip(cuts, cuts[1:])
+        ]
+    except _Unrepresentable:
+        return math.inf
+    parts.append(math.exp(shift * rate - scale + math.log(tail)))
+    return scale + math.log(math.fsum(parts))
+
+
+# (eps, r, c_t) where a1 is 7.2e298, and one where the outer density underflows at shift 3
+INNER_DOMINATED = MixtureParams(epsilon=2.305, ratio=19.74, break_point=16.0)
+UNDERFLOW_POINT = MixtureParams(
+    epsilon=4.364475138761644, ratio=46.82546617949507, break_point=0.7493030098756799
+)
+# Its upper tail mass is below an ulp of 1: 1 - cdf(c_t + 1) reads 0, so the tail is 2 cdf(-c_t - 1).
+FAR_TAIL = MixtureParams(epsilon=0.4274, ratio=45.43, break_point=34.07)
+
+
+class TestContinuousZeta:
+    """zeta_empirical of Laplace and lapmix: an exact sum over segments."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        family=st.sampled_from([Laplace, LaplaceMixture]),
+        eps=st.floats(0.01, 5.0),
+        ratio=st.floats(0.2, 50.0),
+        ct=st.floats(0.05, 40.0),
+        shift=st.integers(1, 3),
+    )
+    @example(family=LaplaceMixture, eps=2.305, ratio=19.74, ct=16.0, shift=2)
+    @example(family=LaplaceMixture, eps=0.4274, ratio=45.43, ct=34.07, shift=1)
+    def test_matches_quadrature(self, family, eps, ratio, ct, shift):
+        if family is Laplace:
+            spec = Laplace(scale=1 / eps)
+        else:
+            assume(ratio * eps * ct < 700)  # beyond, the constants underflow and are refused
+            spec = LaplaceMixture(MixtureParams(epsilon=eps, ratio=ratio, break_point=ct))
+        oracle = zeta_by_quadrature(spec, shift)
+        assume(math.isfinite(oracle))
+        assert zeta_empirical(spec, shift) == pytest.approx(oracle, rel=1e-11)
+
+    @pytest.mark.parametrize(
+        "eps, reps, ct, zeta",
+        [
+            # ROADMAP item 1's "def." column, against 40-digit integrals
+            (4.99, 14.27, 3.0, 4.59785255839705183),
+            (1.0, 3.0, 2.0, 1.24983569853996973),
+            (0.2, 1.0, 5.0, 0.312615430384150584),
+            (0.9, 9.0, 3.0, 4.20901298178853438),
+        ],
+    )
+    def test_definitional_column(self, eps, reps, ct, zeta):
+        spec = LaplaceMixture(MixtureParams(epsilon=eps, ratio=reps / eps, break_point=ct))
+        assert zeta_empirical(spec) == pytest.approx(zeta, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "params, shift, zeta",
+        [
+            # the fused heights at c_t meet only to rounding: the lines are read inside
+            (INNER_DOMINATED, 1, 5.7177596274990268808),
+            (INNER_DOMINATED, 2, 51.193591265468855655),
+            (UNDERFLOW_POINT, 1, 197.311796980805627),
+            (UNDERFLOW_POINT, 2, 401.680379982136064),
+            (FAR_TAIL, 1, 1.4760247230580816069),
+        ],
+    )
+    def test_against_40_digit_integrals(self, params, shift, zeta):
+        assert zeta_empirical(LaplaceMixture(params), shift) == pytest.approx(zeta, rel=1e-12)
+
+    def test_underflowed_density_is_infinite(self):
+        # at shift 3 a sampled outer density underflows; the budget is never undercounted
+        assert zeta_empirical(LaplaceMixture(UNDERFLOW_POINT), 3) == math.inf
+
+    @pytest.mark.parametrize("eps", [700.0, 710.0, 800.0])
+    def test_laplace_beyond_the_double_range_is_infinite(self, eps):
+        assert zeta_empirical(Laplace(scale=1 / eps)) == math.inf
+
+    @pytest.mark.parametrize("eps", [0.01, 0.3, 1.0, 4.0, 50.0])
+    @pytest.mark.parametrize("shift", [1, 3])
+    def test_laplace_closed_form(self, eps, shift):
+        # e^zeta = 2/3 e^u + 1 - 2/3 e^(-u/2), u = shift eps: the loss is u outside
+        # (0, shift) and eps |2x - shift| inside
+        spec = Laplace(scale=1 / eps)
+        with mp.workdps(40):
+            u = shift * mp.mpf(spec.worst_case_eps())
+            exact = float(mp.log(mp.mpf(2) / 3 * mp.exp(u) + 1 - mp.mpf(2) / 3 * mp.exp(-u / 2)))
+        assert zeta_empirical(spec, shift) == pytest.approx(exact, rel=1e-13)
 
 
 class TestShiftValidation:

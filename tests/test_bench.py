@@ -480,16 +480,6 @@ class TestBucketCounts:
         got = _outcome_counts(spec, stream, (1 << 16) + 9, offset, clamp, table)
         assert got == _outcome_counts(spec, SeededStream(ct), (1 << 16) + 9, offset, clamp)
 
-    def test_audits_switch_at_table_size(self, monkeypatch):
-        # below 2^16 trials an arm draws one by one; at 2^16 it counts per bucket
-        built = []
-        monkeypatch.setattr(bench, "_bucket_table", lambda *a: built.append(a))
-        spec = GeometricMixture(self.POINTS[0])
-        audit_mechanism(spec, (1 << 16) - 1, SeededStream(1))
-        assert built == []
-        audit_mechanism(spec, 1 << 16, SeededStream(1))
-        assert built == [(spec, 1)]
-
 
 class _LatticeEnds:
     """Stands in for a generator: the lattice in its raw words' top 53 bits cycles

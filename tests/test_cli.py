@@ -566,6 +566,20 @@ class TestBenchAudit:
         )
         assert code == 2 and f"PWMIX_THREADS must be a positive integer, got {threads!r}" in err
 
+    def test_bench_failure_leaves_no_out_dir(self, capsys, tmp_path, monkeypatch):
+        # the directory is made only once the simulation has run
+        cfg = tmp_path / "bench.json"
+        cfg.write_text(json.dumps({
+            "true_counts": [1],
+            "mechanisms": [{"kind": "geometric", "eps": 700}],
+            "samples_per_cell": 10,
+            "c_t_for_metrics": 5,
+        }))
+        monkeypatch.setenv("PWMIX_THREADS", "abc")
+        out = tmp_path / "out"
+        code, _, _ = run_cli(["bench", "--config", str(cfg), "--out", str(out), "--seed", "5"], capsys)
+        assert code == 2 and not out.exists()
+
     def test_bench_invalid_samples(self, capsys, tmp_path):
         cfg = tmp_path / "bench.json"
         cfg.write_text(json.dumps({
@@ -731,7 +745,7 @@ class TestEntryPoint:
         assert "pwmix" in proc.stdout
 
     def test_cold_start_does_not_load_scipy(self):
-        # scipy serves only the quadrature oracle of zeta_empirical
+        # scipy is a test-only dependency: no pwmix module imports it
         code = (
             "import sys, pwmix.cli\n"
             "from pwmix.bench import sweep_point\n"

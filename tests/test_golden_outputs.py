@@ -7,7 +7,6 @@ moved and why.
 
 import hashlib
 import json
-import math
 from pathlib import Path
 
 import pytest
@@ -70,9 +69,8 @@ class TestAuditReport:
     def test_bucket_counts_leave_report_unchanged(
         self, capsys, tmp_path, monkeypatch, data_csv, kind
     ):
-        # The pins above run below 2^16 trials, where every arm draws one by one.
-        # At 2^17 the arms count per lattice bucket; forced to draw one by one
-        # instead, the report is the same bytes.
+        # The arms count per lattice bucket; forced to draw one by one instead,
+        # by a table builder that returns None, the report is the same bytes.
         cfg = tmp_path / "audit.json"
         cfg.write_text(json.dumps({
             "data": str(data_csv),
@@ -83,10 +81,9 @@ class TestAuditReport:
         }))
         tables = []
         build = bench._bucket_table
-        monkeypatch.setattr(bench, "_bucket_table", lambda *a: tables.append(build(*a)) or tables[-1])
         reports = []
-        for min_trials in (bench._TABLE_MIN_TRIALS, math.inf):
-            monkeypatch.setattr(bench, "_TABLE_MIN_TRIALS", min_trials)
+        for builder in (lambda *a: tables.append(build(*a)) or tables[-1], lambda *a: None):
+            monkeypatch.setattr(bench, "_bucket_table", builder)
             out = tmp_path / f"out{len(reports)}"
             run_cli(["audit", "--config", str(cfg), "--out", str(out), "--seed", "3"], capsys)
             reports.append((out / "privacy_audit.json").read_bytes())

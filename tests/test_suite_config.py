@@ -1,9 +1,13 @@
-"""The suite's own pytest configuration, and the hooks the benchmark takes into pwmix."""
+"""The suite's own pytest configuration, the dependencies it declares, and the hooks
+the benchmark takes into pwmix."""
 
 import ast
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from pwmix import bench, mechanisms
 
@@ -74,3 +78,33 @@ def test_family_names_only_in_mechanisms():
         if isinstance(node, ast.Constant) and node.value in names
     ]
     assert not found, found
+
+
+def _third_party_imports(*dirs: Path) -> set[str]:
+    """Top-level names imported anywhere in the .py files under ``dirs``, leaving out the
+    standard library, relative imports and the repo's own modules."""
+    files = [path for d in dirs for path in d.rglob("*.py")]
+    local = {"pwmix"} | {path.stem for d in (ROOT / "tests", ROOT / "perfbench") for path in d.glob("*.py")}
+    names = set()
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names |= {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module.split(".")[0])
+    return names - set(sys.stdlib_module_names) - local
+
+
+def test_dependencies_are_what_the_code_imports():
+    # The runtime dependencies are exactly what pwmix imports; the test extra covers
+    # whatever else the tests and the benchmark import.
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads(PYPROJECT.read_text())["project"]
+
+    def names(requirements):
+        return {re.match(r"[A-Za-z0-9_.-]+", req)[0].lower().replace("-", "_") for req in requirements}
+
+    runtime = names(project["dependencies"])
+    assert _third_party_imports(SOURCES) == runtime
+    test_only = names(project["optional-dependencies"]["test"])
+    assert _third_party_imports(ROOT / "tests", ROOT / "perfbench") <= runtime | test_only
