@@ -278,11 +278,16 @@ def _simulate_cell(config: SimulationConfig, mech_idx: int, count_idx: int) -> C
     spec = config.mechanisms[mech_idx]
     n = int(config.true_counts[count_idx])
     stream = SeededStream(config.master_seed).derive(mech_idx, count_idx, 0)
-    noise = np.atleast_1d(sample(spec, stream, size=config.samples_per_cell))
-    released = np.maximum(n + noise, 0)
+    # The effective noise max(n + noise, 0) - n, taken in place in one array, and
+    # the share clamped on the way.
+    raw = n + np.atleast_1d(sample(spec, stream, size=config.samples_per_cell))
+    clamped_fraction = float(np.mean(raw < 0))
+    np.maximum(raw, 0, out=raw)
+    raw -= n
     # One float |errors| array for the three metrics, and one sorted copy: the
     # tail weight sums in draw order, the fractions count from the sorted copy.
-    errors = np.abs(released - n, dtype=float)
+    errors = np.abs(raw, dtype=float)
+    del raw
     ranked = np.sort(errors)
     c_t = config.c_t_for_metrics
     return CellReport(
@@ -291,7 +296,7 @@ def _simulate_cell(config: SimulationConfig, mech_idx: int, count_idx: int) -> C
         samples=int(config.samples_per_cell),
         within_bound=_fraction_at_most(ranked, c_t),
         mre=_tail_weight(errors, n, c_t) if n > 0 else math.nan,
-        clamped_fraction=float(np.mean(n + noise < 0)),
+        clamped_fraction=clamped_fraction,
         error_cdf={t: _fraction_at_most(ranked, t) for t in _ERROR_THRESHOLDS},
     )
 
@@ -351,14 +356,15 @@ def _binned(values: np.ndarray) -> np.ndarray:
 # chunk of draws, not all of its draws.
 _AUDIT_CHUNK = 1 << 16
 
-# An arm of a two-piece mixture counts its draws per bucket of the uniform
-# lattice, a bucket being the top _BUCKET_BITS bits of the 53-bit value, and
-# reads each bucket's binned noise from a table (``_bucket_table``).
+# An audit arm counts its draws per bucket of the uniform lattice, a bucket
+# being the top _BUCKET_BITS bits of the 53-bit value, and reads each bucket's
+# binned noise from a table (``_bucket_table``).
 _BUCKET_BITS = 16
 _BUCKET_SHIFT = 53 - _BUCKET_BITS
-# How far inside its rounding step each edge's value must lie, per unit of
-# 1 + |x| + the largest offset + the larger piece scale; the float error of
-# ``pre_rounding`` and of adding the offset is about 1e-15 of the same.
+# How far inside its rounding step each edge's value must lie for the Laplace
+# mixture, per unit of 1 + |x| + the largest offset + the larger piece scale;
+# the float error of ``pre_rounding`` and of adding the offset is about 1e-15
+# of the same.
 _MARGIN = 1e-9
 # Buckets per pass of the table build, so its temporaries stay small.
 _TABLE_BLOCK = 1 << 14
@@ -375,35 +381,34 @@ class _BucketTable:
 
 
 def _binned_edge(spec, lattice: np.ndarray, base: float):
-    """(noise, branch, clear) at bucket edges: the binned noise, the kernel
-    branch, and whether the value x lies the margin, ``_MARGIN (base + |x|)``,
-    inside its step."""
+    """(noise, branch, clear) at bucket edges.  An integer family's noise is its
+    lattice law's exact inverse: one branch, always clear.  The Laplace
+    mixture's is its value x rounded, with the kernel branch and whether x lies
+    the margin, ``_MARGIN (base + |x|)``, inside its rounding step."""
+    if spec.integer:
+        return spec.lattice().inverse(lattice_uniforms(lattice)), 0, True
     x, branch = spec.pre_rounding(lattice_uniforms(lattice))
     with np.errstate(invalid="ignore"):  # an infinite x is never clear of its step
-        if spec.integer:
-            noise = np.ceil(x)
-            inside = np.minimum(noise - x, x - (noise - 1.0))
-        else:
-            noise = np.round(x)
-            inside = 0.5 - np.abs(x - noise)
-        return noise, branch, inside >= _MARGIN * (base + np.abs(x))
+        noise = np.round(x)
+        return noise, branch, 0.5 - np.abs(x - noise) >= _MARGIN * (base + np.abs(x))
 
 
 def _bucket_table(spec: MechanismSpec, max_offset: int) -> _BucketTable | None:
     """The bucket table of ``spec`` for arms offset by at most ``max_offset``.
 
-    A bucket is covered when its first and last lattice values take the same
-    branch of the mixture kernel, their noise bins alike (rounded up for
-    geomix, to nearest for lapmix), and each value before binning lies at
-    least the margin inside that bin's step.  Within a branch the value is a
-    non-decreasing function of u, computed with an error far below the
-    margin, so every draw of a covered bucket bins to its noise, and so does
-    ``offset + noise``.  None for a family without ``pre_rounding``, or when
-    no bucket is covered.
+    An integer family's draw is its lattice law's ``inverse``, exact and
+    non-decreasing in u, so a bucket is covered when the noise at its first
+    lattice value equals the noise at its last.  For the Laplace mixture a
+    bucket is covered when its first and last lattice values take the same
+    branch of the mixture kernel, their values round alike, and each lies at
+    least the margin inside that rounding step; within a branch the value is a
+    non-decreasing function of u, computed with an error far below the margin.
+    Either way every draw of a covered bucket bins to its noise, and so does
+    ``offset + noise``.  None for another family, or when no bucket is covered.
     """
-    if not hasattr(spec, "pre_rounding"):
+    if not (spec.integer or hasattr(spec, "pre_rounding")):
         return None
-    scale = max(spec.params.inner_scale, spec.params.outer_scale)
+    scale = 0.0 if spec.integer else max(spec.params.inner_scale, spec.params.outer_scale)
     base = 1.0 + abs(max_offset) + scale
     n = 1 << _BUCKET_BITS
     noise = np.empty(n)

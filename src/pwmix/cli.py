@@ -141,7 +141,8 @@ def _parse_query(text: str) -> tuple[tuple[str, str], ...]:
 
 
 def _load_ledger(path: Path) -> tuple[list[dict], BudgetLedger]:
-    """The ledger file's entries, and their charges validated as ``compose`` does."""
+    """The ledger file's entries, and their charges, each validated as ``compose`` does;
+    the ledger is built once, so a load takes time linear in its entries."""
     if not path.exists():
         return [], BudgetLedger()
     try:
@@ -150,7 +151,7 @@ def _load_ledger(path: Path) -> tuple[list[dict], BudgetLedger]:
         raise PwmixError(f"unreadable ledger {path}: {exc}") from None
     if not isinstance(entries, list):
         raise PwmixError(f"ledger {path} must hold a JSON list of entries")
-    ledger = BudgetLedger()
+    charges = []
     for i, e in enumerate(entries):
         try:
             if not isinstance(e, dict) or not isinstance(e.get("label"), str):
@@ -158,10 +159,10 @@ def _load_ledger(path: Path) -> tuple[list[dict], BudgetLedger]:
             zeta = e.get("zeta")
             if isinstance(zeta, bool) or not isinstance(zeta, (int, float)):
                 raise PwmixError(f"needs a numeric 'zeta', got {zeta!r}")
-            ledger = compose(ledger, float(zeta), e["label"])
+            charges += compose(BudgetLedger(), float(zeta), e["label"]).entries
         except (PwmixError, OverflowError) as exc:
             raise PwmixError(f"ledger {path} entry {i}: {exc}") from None
-    return entries, ledger
+    return entries, BudgetLedger(tuple(charges))
 
 
 @contextlib.contextmanager

@@ -393,7 +393,16 @@ class TestBucketCounts:
     ]
 
     @pytest.mark.parametrize("params", POINTS)
-    @pytest.mark.parametrize("family", [GeometricMixture, LaplaceMixture])
+    @pytest.mark.parametrize(
+        "family",
+        [
+            GeometricMixture,
+            LaplaceMixture,
+            lambda p: RoundedLaplace(scale=1.0 / p.epsilon),
+            lambda p: Geometric(alpha=math.exp(p.epsilon)),
+        ],
+        ids=["GeometricMixture", "LaplaceMixture", "RoundedLaplace", "Geometric"],
+    )
     @pytest.mark.parametrize("offset, clamp", [(0, False), (3, True), (-4, False), (1 << 20, True)])
     def test_matches_draws(self, family, params, offset, clamp):
         got, want = _bucket_and_draw_counts(family(params), self.TRIALS, offset, clamp)
@@ -458,7 +467,7 @@ class TestBucketCounts:
         assert got == want == {0: 200, 1: 100}
 
     def test_other_families_draw_one_by_one(self):
-        for spec in (Laplace(scale=2.0), Geometric(alpha=math.exp(0.5))):
+        for spec in (Laplace(scale=2.0), TruncatedLaplace(scale=2.0, bound=3.0, allow_unsafe=True)):
             assert _bucket_table(spec, 0) is None
 
     @settings(max_examples=40, deadline=None)

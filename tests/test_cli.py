@@ -4,8 +4,11 @@ import json
 import math
 import subprocess
 import sys
+import time
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from pwmix.bench import TABLE1_GRID
 from pwmix.cli import main, spec_from_dict
@@ -463,6 +466,35 @@ class TestRelease:
         assert message in err
         assert ledger.read_text() == content  # nothing charged
 
+    def test_large_ledger_charged_in_linear_time(self, data_file, capsys, tmp_path):
+        ledger = tmp_path / "ledger.json"
+        n = 100_000
+        ledger.write_text(json.dumps([{"label": f"q{i}", "zeta": 0.25} for i in range(n)]))
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            ["release", "--data", data_file, "--query", "age=25", "--mechanism", "geomix",
+             "--eps", "0.2", "--reps", "1", "--ct", "5", "--seed", "1", "--ledger", str(ledger)],
+            capsys,
+        )
+        assert time.perf_counter() - start < 3.0
+        assert code == 0, err
+        entries = json.loads(ledger.read_text())
+        assert len(entries) == n + 1
+        assert json.loads(out)["ledger_total"] == pytest.approx(n * 0.25 + entries[-1]["zeta"])
+
+    def test_bad_entry_named_by_its_index(self, data_file, capsys, tmp_path):
+        ledger = tmp_path / "ledger.json"
+        content = json.dumps([{"label": "q", "zeta": 0.25}] * 1000 + [{"label": "q", "zeta": 0}])
+        ledger.write_text(content)
+        code, out, err = run_cli(
+            ["release", "--data", data_file, "--query", "age=25", "--mechanism", "geomix",
+             "--eps", "0.2", "--reps", "1", "--ct", "5", "--seed", "1", "--ledger", str(ledger)],
+            capsys,
+        )
+        assert code == 2 and out == ""
+        assert f"ledger {ledger} entry 1000: zeta must be positive and finite, got 0.0" in err
+        assert ledger.read_text() == content
+
     def test_trunclap_refused_without_unsafe(self, data_file, capsys):
         code, _, err = run_cli(
             ["release", "--data", data_file, "--query", "age=25", "--mechanism", "trunclap",
@@ -528,6 +560,62 @@ class TestRelease:
         )
         assert code == 0
         assert "seed" in err
+
+
+@pytest.fixture(scope="module")
+def contract_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("contract")
+    (path / "data.csv").write_text(FIXTURE)
+    return path
+
+
+def _no_constant(name):
+    raise AssertionError(f"JSON output holds {name}")
+
+
+# Log-uniform over [1e-6, 1e3], and the edge values.
+CONTRACT_VALUES = st.one_of(
+    st.floats(math.log(1e-6), math.log(1e3)).map(math.exp),
+    st.sampled_from([0.0, -1.0, math.nan, math.inf, 1e-320, 1e308, 5e-324]),
+)
+
+
+class TestContract:
+    """Every parameter point of ``stats`` and ``release`` exits 0, 2 or 3: it works or is
+    refused with a message, never with a traceback, and what it prints is JSON without
+    NaN or Infinity."""
+
+    @settings(
+        max_examples=150, derandomize=True, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        command=st.sampled_from(["stats", "release", "release --ledger"]),
+        kind=st.sampled_from([cls.kind for cls in SPECS]),
+        eps=CONTRACT_VALUES,
+        reps=CONTRACT_VALUES,
+        ct=CONTRACT_VALUES,
+    )
+    # 1 / (r eps) overflowed, the mixture weight a2 read 0 and stats divided by it
+    @example(command="stats", kind="lapmix", eps=1.0, reps=1e-310, ct=1.0)
+    def test_every_point_exits_0_2_or_3(self, capsys, contract_dir, command, kind, eps, reps, ct):
+        flags = ["--mechanism", kind, "--eps", repr(eps), "--reps", repr(reps), "--ct", repr(ct)]
+        if command == "stats":
+            args = ["stats", "--format", "json", *flags]
+        else:
+            args = ["release", "--data", str(contract_dir / "data.csv"), "--query", "age=25",
+                    "--seed", "1", *flags]
+            if command == "release --ledger":
+                ledger = contract_dir / "ledger.json"
+                ledger.unlink(missing_ok=True)
+                args += ["--ledger", str(ledger)]
+        code, out, err = run_cli(args, capsys)
+        assert code in (0, 2, 3), err
+        assert "Traceback" not in err
+        if code == 0:
+            json.loads(out, parse_constant=_no_constant)
+        else:
+            assert out == ""
 
 
 class TestBenchAudit:

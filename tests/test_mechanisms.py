@@ -553,7 +553,7 @@ def _check_mixture(spec):
     if draws is not None:
         assert not np.any(np.isnan(draws))
     u = SeededStream(2).uniforms(1000)
-    noise = _or_refused(lambda: spec.inverse_cdf(u))
+    noise = _or_refused(lambda: spec.lattice().inverse(u) if spec.integer else spec.inverse_cdf(u))
     if noise is not None:
         if spec.integer:  # the inverse of a step CDF, exactly
             assert np.all(spec.cdf(noise - 1.0) < u) and np.all(u <= spec.cdf(noise))

@@ -242,12 +242,11 @@ class TestSeededStream:
         assert np.array_equal(np.concatenate([first, second]), both)
 
 
-# One spec per family that takes one uniform per draw, in the order of
-# mechanisms.SPECS.  Geometric takes two arrays of n uniforms per call, so its
-# draws depend on how the stream is split.
+# One spec per family, in the order of mechanisms.SPECS.
 FAMILY_SPECS = (
     Laplace(scale=2.0),
     RoundedLaplace(scale=3.0),
+    Geometric(alpha=math.exp(0.3)),
     LaplaceMixture(PRESET_A),
     GeometricMixture(PRESET_A),
     TruncatedLaplace(scale=2.0, bound=3.0, allow_unsafe=True),
@@ -255,7 +254,7 @@ FAMILY_SPECS = (
 
 
 class TestDrawsInPieces:
-    """A family that takes one uniform per draw gives the same draws from a
+    """Every family takes one uniform per draw, so it gives the same draws from a
     stream read in pieces as from one call; the audit counts its arms a chunk
     at a time."""
 
@@ -274,15 +273,8 @@ class TestDrawsInPieces:
         assert joined.dtype == whole.dtype
         assert joined.tobytes() == whole.tobytes()
 
-    def test_every_family_but_geometric(self):
-        assert set(SPECS) - {type(spec) for spec in FAMILY_SPECS} == {Geometric}
-
-    def test_geometric_depends_on_the_split(self):
-        spec = Geometric(alpha=math.exp(0.3))
-        whole = sample(spec, SeededStream(7, 3), 100)
-        stream = SeededStream(7, 3)
-        parts = np.concatenate([sample(spec, stream, size) for size in (3, 30, 67)])
-        assert not np.array_equal(parts, whole)
+    def test_every_family(self):
+        assert [type(spec) for spec in FAMILY_SPECS] == list(SPECS)
 
 
 class TestAlgorithmBranches:
@@ -302,20 +294,24 @@ class TestAlgorithmBranches:
 
     def test_geomix_inverse_matches_cdf_steps(self):
         # the inverse transform must reproduce P(Y <= k) exactly at the steps
+        spec = GeometricMixture(PRESET_A)
         for k in range(-12, 13):
-            below = float(GeometricMixture(PRESET_A).cdf(k - 1))
-            above = float(GeometricMixture(PRESET_A).cdf(k))
+            below = float(spec.cdf(k - 1))
+            above = float(spec.cdf(k))
             for u in (below + 1e-9, 0.5 * (below + above), above - 1e-9):
-                y = int(GeometricMixture(PRESET_A).inverse_cdf(np.array([u]))[0])
-                assert y == k
+                assert int(spec.lattice().inverse(np.array([u]))[0]) == k
 
     def test_geomix_median(self):
-        assert int(GeometricMixture(PRESET_A).inverse_cdf(np.array([0.5]))[0]) == 0
+        assert int(GeometricMixture(PRESET_A).lattice().inverse(np.array([0.5]))[0]) == 0
 
 
-# Reference oracle: the four-branch inverse transforms that evaluate every
-# branch's formula for every draw and pick one with np.select.  The samplers
-# must reproduce them bit for bit, including at the branch thresholds.
+# Reference oracles: the four-branch inverse transforms that evaluate every
+# branch's formula for every draw and pick one with np.select.  The Laplace
+# mixture's sampler reproduces its oracle bit for bit, including at the branch
+# thresholds.  The geometric mixture draws through its lattice law's exact
+# inverse, which reproduces the oracle on the stream's uniforms; at the oracle's
+# float thresholds, which can part from the law's runs by an ulp, it is the
+# inverse by definition.
 
 
 def _oracle_lapmix_thresholds(params):
@@ -413,10 +409,13 @@ class TestInverseOracle:
             thresholds = _oracle_geomix_thresholds(params)
         except InvalidParameterError:
             assume(False)
-        u = _oracle_uniforms(seed, n_random, thresholds)
-        got = GeometricMixture(params).inverse_cdf(u)
+        law = GeometricMixture(params).lattice()
+        u = SeededStream(seed).uniforms(n_random)
+        got = law.inverse(u)
         assert got.dtype == np.int64
         assert got.tobytes() == _oracle_geomix(u, params).tobytes()
+        special = _oracle_uniforms(seed, 0, thresholds)
+        assert law.inverse(special).tolist() == _inverse_by_definition(law, special).tolist()
 
     @oracle_cases
     @given(
@@ -438,13 +437,17 @@ class TestInverseOracle:
         assert got.tobytes() == _oracle_lapmix(u, params).tobytes()
 
     def test_draw_at_a_rounded_away_inner_tail(self):
-        # the stream gives u = t_right here (lattice value 2^53 - 2); the draw is
-        # c_t, between its float neighbours' c_t and c_t + 1
+        # the stream gives u = t_right here (lattice value 2^53 - 2), where the oracle's
+        # inner tail rounds away and it draws c_t.  The law's P(K >= c_t + 1) is 2.6e-16,
+        # above 1 - u = 2^-52, so its inverse draws c_t + 1 there, as at the neighbour above.
         spec = GeometricMixture(MixtureParams(epsilon=3.7890625, ratio=0.5, break_point=9.0))
         t_right = _oracle_geomix_thresholds(spec.params)[1]
-        assert t_right == (2**53 - 2 + 0.5) * 2.0**-53
+        assert t_right == (2**53 - 2 + 0.5) * 2.0**-53 == 1.0 - 2.0**-52
         u = np.array([np.nextafter(t_right, 0.0), t_right, np.nextafter(t_right, 1.0)])
-        assert spec.inverse_cdf(u).tolist() == [9, 9, 10]
+        assert _oracle_geomix(u, spec.params).tolist() == [9, 9, 10]
+        law = spec.lattice()
+        assert law.cdf(-10) > 2.0**-52
+        assert law.inverse(u).tolist() == _inverse_by_definition(law, u).tolist() == [9, 10, 10]
 
     def test_thresholds_are_exercised(self):
         # at PRESET_A every threshold and both neighbours are inside (0, 1)
@@ -453,6 +456,73 @@ class TestInverseOracle:
             _oracle_lapmix_thresholds(PRESET_A),
         ):
             assert _oracle_uniforms(0, 0, thresholds).size == 9
+
+
+def _inverse_by_definition(law, u):
+    """``_Lattice.inverse`` by its definition, read from the law's ``cdf``: K = -M(u) for
+    u <= 1/2 and M(1 - u) above, M(v) = max{m >= 0 : m = 0 or T(m) >= v} with T(m) =
+    cdf(-m).  T is checked to fall with m, so M(v) counts the cells m >= 1 with T(m) >= v;
+    they are read until T falls below the least v."""
+    u = np.asarray(u, dtype=float)
+    v = np.minimum(u, 1.0 - u)
+    n = 64
+    while law.cdf(-n) >= v.min():
+        n *= 2
+    tails = law.cdf(-np.arange(1.0, n + 1.0))
+    assert np.all(np.diff(tails) <= 0.0)
+    m = np.searchsorted(-tails, -v, side="right")
+    return np.where(u > 0.5, m, -m)
+
+
+def _lattice_law(family, eps, ratio, ct):
+    if family == "geomix":
+        return GeometricMixture(MixtureParams(eps, ratio, float(round(ct)))).lattice()
+    if family == "rounded lapmix":
+        return LaplaceMixture(MixtureParams(eps, ratio, ct)).rounded_lattice()
+    return RoundedLaplace(1.0 / eps).lattice() if family == "rlaplace" else Geometric(math.exp(eps)).lattice()
+
+
+class TestLatticeInverse:
+    """Every integer family draws through ``_Lattice.inverse``: at each tail value of its
+    law, at both float neighbours and at stream uniforms it is the inverse by definition,
+    and it is non-decreasing in u."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        family=st.sampled_from(["geomix", "rlaplace", "geometric", "rounded lapmix"]),
+        eps=st.floats(0.1, 3.0),
+        ratio=st.floats(0.2, 20.0),
+        ct=st.floats(0.6, 29.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(family="geomix", eps=1.0, ratio=3.0, ct=2.0, seed=0)
+    @example(family="rlaplace", eps=1.0 / 3.0, ratio=1.0, ct=1.0, seed=0)
+    @example(family="geometric", eps=0.3, ratio=1.0, ct=1.0, seed=0)
+    @example(family="rounded lapmix", eps=0.2, ratio=5.0, ct=5.0, seed=0)
+    def test_is_the_definition(self, family, eps, ratio, ct, seed):
+        try:
+            law = _lattice_law(family, eps, ratio, ct)
+        except InvalidParameterError:  # constants that underflow
+            assume(False)
+        tails = law.cdf(-np.arange(1.0, 4096.0))
+        special = []
+        for t in tails[tails >= 2.0**-54]:
+            for w in (t, 1.0 - t):
+                special += [np.nextafter(w, 0.0), w, np.nextafter(w, 1.0)]
+        u = np.concatenate([special, SeededStream(seed).uniforms(3000)])
+        u = np.clip(u, 2.0**-54, np.nextafter(1.0, 0.0))  # the stream's least and greatest
+        assert law.inverse(u).tolist() == _inverse_by_definition(law, u).tolist()
+        draws = law.inverse(np.sort(SeededStream(seed, 1).uniforms(3000)))
+        assert np.all(np.diff(draws) >= 0)
+
+    def test_where_the_runs_and_the_thresholds_part(self):
+        # P(K <= 0) is 0.88705640151889878 to 40 digits, below the uniforms of these
+        # lattice values, so the law draws 1; the four-branch thresholds drew 0
+        params = MixtureParams(epsilon=1.924829037709121, ratio=34.617004438047864, break_point=1.0)
+        u = lattice_uniforms(np.arange(7989893758674251, 7989893758674255))
+        assert np.all(u > 0.88705640151889878)
+        assert GeometricMixture(params).lattice().inverse(u).tolist() == [1, 1, 1, 1]
+        assert _oracle_geomix(u, params).tolist() == [0, 0, 0, 0]
 
 
 class TestLapMixSampler:

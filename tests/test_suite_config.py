@@ -80,6 +80,15 @@ def test_family_names_only_in_mechanisms():
     assert not found, found
 
 
+def test_integer_families_draw_through_their_lattice():
+    # One sampler for the integer laws: every integer family draws through
+    # _LatticeFamily.draw, the inverse of its lattice law, and states no sampler of its own.
+    integer = [cls for cls in mechanisms.SPECS if cls.integer]
+    assert integer
+    stray = [cls.__name__ for cls in integer if cls.draw is not mechanisms._LatticeFamily.draw]
+    assert not stray, stray
+
+
 def _third_party_imports(*dirs: Path) -> set[str]:
     """Top-level names imported anywhere in the .py files under ``dirs``, leaving out the
     standard library, relative imports and the repo's own modules."""
