@@ -64,27 +64,18 @@ def _require_shift(shift) -> int:
     return int(shift)
 
 
-def _log_prob(spec: MechanismSpec, x):
-    """ln of the mass or density at x, -inf where it is 0; a lattice law's is its log mass."""
-    if spec.integer:
-        return spec.lattice().log_mass(x)
-    with np.errstate(divide="ignore"):
-        return np.log(spec.prob(x))
-
-
 def privacy_loss(spec: MechanismSpec, outcome_noise, shift: int = 1) -> float:
     """Per-outcome privacy loss |ln P[noise = outcome -+ shift] / P[noise = outcome]|.
 
-    Both shift directions are evaluated and the larger magnitude returned.  The integer
-    families take it from their log masses, so it stays exact where the masses underflow.
-    A zero-probability denominator against a positive numerator reports an infinite loss
-    (the truncated-mechanism pathology); nan means the outcome is impossible under every
-    involved distribution (trunclap beyond its bound), or that a continuous
-    family's densities underflow there.  A shift must be a positive integer.
+    Both shift directions are evaluated and the larger magnitude returned, from the log
+    masses or densities, so it stays exact where they underflow.  A zero-probability
+    denominator against a positive numerator reports an infinite loss (the
+    truncated-mechanism pathology); nan means the outcome is impossible under every
+    involved distribution (trunclap beyond its bound).  A shift must be a positive integer.
     """
     shift = _require_shift(shift)
-    here = _log_prob(spec, outcome_noise)
-    losses = [_log_ratio_abs(_log_prob(spec, outcome_noise + s), here) for s in (-shift, shift)]
+    here = spec.log_prob(outcome_noise)
+    losses = [_log_ratio_abs(spec.log_prob(outcome_noise + s), here) for s in (-shift, shift)]
     return float(np.fmax(*losses))  # nan only where both are
 
 
@@ -100,7 +91,8 @@ def _zeta_by_segments(spec: MechanismSpec, shift: int) -> float:
     the kinks of ln p(x) and ln q, and x = s/2 where the loss changes sign, the integrand is
     exp of a line: read at 1/4 and 3/4 of its segment, away from the kinks where the pieces
     meet only to rounding, and integrated in closed form.  Beyond +-(c_t + s) the loss is
-    ``s * rate``.  Where a density read or the tail mass underflows, the budget is inf.
+    ``s * rate``.  Where the tail mass underflows or a log density is not finite, the budget
+    is inf.
     """
     ct, rate = spec.loss_tail()
     lo = -ct - shift
@@ -108,7 +100,7 @@ def _zeta_by_segments(spec: MechanismSpec, shift: int) -> float:
     cuts = np.array(sorted({lo, -ct, shift - ct, 0.0, 0.5 * shift, shift, ct, ct + shift}))
     widths = np.diff(cuts)
     x = cuts[:-1] + np.multiply.outer([0.25, 0.75], widths)
-    here, there = _log_prob(spec, x), _log_prob(spec, x - shift)
+    here, there = spec.log_prob(x), spec.log_prob(x - shift)
     if tail < sys.float_info.min or not (np.isfinite(here).all() and np.isfinite(there).all()):
         return math.inf
     logs = [math.log(tail) + shift * rate]
@@ -125,7 +117,7 @@ def zeta_empirical(spec: MechanismSpec, shift: int = 1) -> float:
 
     An integer family's is the exact sum over its lattice law (constant-loss tails folded
     in analytically); a continuous one's is a sum of closed-form segment integrals, inf
-    where a density it reads underflows.  A mechanism with unbounded worst-case loss has
+    where its tail mass underflows.  A mechanism with unbounded worst-case loss has
     an infinite budget.  A shift must be a positive integer.
     """
     shift = _require_shift(shift)

@@ -155,7 +155,7 @@ SweepRow.FIELDS = tuple(f.name for f in fields(SweepRow))
 
 def sweep_point(c_t: float, eps: float, r_eps: float) -> SweepRow:
     """Evaluate one (c_t, eps, r*eps) grid point."""
-    params = MixtureParams(epsilon=eps, ratio=r_eps / eps, break_point=c_t)
+    params = MixtureParams.from_rates(eps, r_eps, c_t)
     zeta_gm = zeta_closed_form(GeometricMixture(params))
     lapmix = LaplaceMixture(params)
     zeta_lm = zeta_closed_form(lapmix)

@@ -7,9 +7,10 @@ mechanisms.  A truncated Laplace spec exists for audit demonstrations only;
 it is not differentially private.
 
 Each family is one frozen dataclass implementing :class:`MechanismSpec`: its
-mass function or density, CDF, worst-case epsilon, general budget, sampler
-and noise statistics are members of that class, so the rest of the toolkit
-asks the spec instead of switching on its type.
+mass function or density (stated once, in logs, by ``log_prob``), CDF,
+worst-case epsilon, general budget, sampler and noise statistics are members
+of that class, so the rest of the toolkit asks the spec instead of switching
+on its type.
 
 The three integer families are symmetric laws that do not increase in |k|.
 Each states its runs once (``lattice()``, see :class:`_Lattice`), and their
@@ -20,13 +21,13 @@ The Laplace mixture rounded to integers states its runs too
 
 The two mixtures are one law: an inner piece with privacy parameter
 ``epsilon`` (for ``|x| <= break_point``; the boundary belongs to it) and an
-outer one with ``ratio * epsilon`` beyond, fused by ``_fuse`` into weights
-(:class:`MixtureConstants`) that make the total mass 1 and the heights meet
-at the break-point.  Their label, budgets and usefulness bound are written
-once.  Each mixture states its pieces (each piece's tail beyond c_t and height
-divisor, ``2 b_i`` or ``(1 + q_i)/(1 - q_i)``) and the paper's closed forms for
-zeta and, for the Laplace mixture, stats; the Laplace mixture has its own
-branch-first sampler.
+outer one with ``ratio * epsilon`` beyond, fused in logs by ``_fuse`` into
+weights (:class:`MixtureConstants`) that make the total mass 1 and the heights
+meet at the break-point; every reading of the outer piece starts from its mass
+beyond the break-point.  Their label, budgets and usefulness bound are written
+once.  Each mixture states its height divisors (``2 b_i`` or ``coth(rate_i/2)``)
+and the paper's closed forms for zeta and, for the Laplace mixture, stats; the
+Laplace mixture has its own branch-first sampler.
 
 Every sampler is an inverse transform of uniforms from a
 :class:`~pwmix.sampling.SeededStream`, one per draw.
@@ -105,8 +106,14 @@ class MixtureParams:
         _require_positive("epsilon", self.epsilon)
         _require_positive("ratio", self.ratio)
         _require_positive("break_point", self.break_point)
-        if not (self.eps_r > 0.0 and math.isfinite(self.inner_scale) and math.isfinite(self.outer_scale)):
-            raise InvalidParameterError(f"the piece scales 1/eps and 1/(r*eps) must be finite: {self!r}")
+        if not (0.0 < self.eps_r < math.inf and math.isfinite(self.inner_scale) and math.isfinite(self.outer_scale)):
+            raise InvalidParameterError(f"r*eps and the piece scales 1/eps and 1/(r*eps) must be finite: {self!r}")
+
+    @classmethod
+    def from_rates(cls, eps, reps, ct) -> MixtureParams:
+        """The params from the command line's eps, reps (r eps) and ct, refused by those names."""
+        eps = _require_positive("eps", eps)
+        return cls(eps, _require_positive("reps", reps) / eps, _require_positive("ct", ct))
 
     @property
     def eps_r(self) -> float:
@@ -124,11 +131,11 @@ class MixtureParams:
         return 1.0 / self.eps_r
 
     def integer_break_point(self) -> int:
-        """Break-point as an integer; raises for the geometric family otherwise."""
+        """Break-point as an integer in [1, 2^53], where doubles step by one; raises otherwise."""
         ct = self.break_point
-        if ct != int(ct) or ct < 1:
+        if ct != int(ct) or not 1 <= ct <= _LAST_CELL:
             raise InvalidParameterError(
-                f"geometric-family break_point must be a positive integer, got {ct!r}"
+                f"a geomix break_point must be an integer in [1, 2^53], got {ct!r}"
             )
         return int(ct)
 
@@ -149,15 +156,21 @@ class MechanismStats:
 
 @dataclass(frozen=True)
 class MixtureConstants:
-    """Weights of a two-piece mixture.
+    """Weights of a two-piece mixture: ln of the inner piece's weight a2, ln of the outer
+    piece's mass w1 beyond c_t (its weight at 0, which can overflow, is never formed), and
+    the offset ``k_c`` that keeps the closed-form CDF continuous at the break-point."""
 
-    ``a1``/``a2`` scale the outer/inner piece, and ``k_c`` is the CDF offset
-    that keeps the closed-form CDF continuous at the break-point.
-    """
-
-    a1: float
-    a2: float
+    log_a2: float
+    log_w1: float
     k_c: float
+
+    @property
+    def a2(self) -> float:
+        return math.exp(self.log_a2)
+
+    @property
+    def w1(self) -> float:
+        return math.exp(self.log_w1)  # 0 where it underflows
 
 
 # Bounded, so that a stream of fresh parameter points cannot grow memory
@@ -165,52 +178,35 @@ class MixtureConstants:
 CONSTANTS_CACHE_SIZE = 1024
 
 
-def _underflow(params: MixtureParams) -> InvalidParameterError:
-    """The error for a point whose mixture mass underflows in double precision.
-
-    The weights divide by the mass, and the terms they divide are at most 2,
-    so a mass below the smallest normal double would divide by zero or
-    overflow.
-    """
-    return InvalidParameterError(
-        f"the mixture mass underflows at r*eps*c_t = {params.break_point / params.outer_scale:.6g}; "
-        "the mixture constants are not representable in double precision"
-    )
-
-
-def _fuse(params: MixtureParams, t1: float, t2: float, d1: float, d2: float) -> MixtureConstants:
+def _fuse(params: MixtureParams, log_rho: float) -> MixtureConstants:
     """Weights that fuse an outer piece 1 and an inner piece 2 at c_t.
 
-    Piece i alone has height exp(-rate_i |x|) / d_i at x (``d_i`` is its
-    height divisor) and mass ``t_i`` = exp(-rate_i c_t) beyond c_t, counting
-    the lattice's break-point cell half in, half out.  The weights satisfy
-    ``a1 t1 + a2 (1 - t2) == 1`` (unit mass) and ``a1 t1 / d1 == a2 t2 / d2``
-    (the heights meet at c_t).
+    Piece i alone has height exp(-rate_i |x|) / d_i at x (``d_i`` its height divisor,
+    rho = d1 / d2), the inner one mass t2 = exp(-eps c_t) beyond c_t (a lattice's c_t
+    cell half in, half out).  Unit mass, w1 + a2 (1 - t2) = 1, and heights that meet at
+    c_t, w1 / d1 = a2 t2 / d2, give a2 = 1 / den, w1 = rho t2 / den and k_c = (w1 - a2 t2)/2
+    with den = rho t2 + 1 - t2, whose positive terms are summed in logs: none underflows.
     """
-    height_sum = t1 / d1 + t2 / d2
-    den1, den2 = d1 * height_sum, d2 * height_sum
-    if den1 == 0.0 or den2 == 0.0:
-        raise _underflow(params)
-    p1 = 2.0 * t2 / den2
-    p2 = 2.0 * t1 / den1
-    mass = p1 * t1 + p2 * (1.0 - t2)
-    if mass < sys.float_info.min:
-        raise _underflow(params)
-    a1 = p1 / mass
-    a2 = p2 / mass
-    return MixtureConstants(a1=a1, a2=a2, k_c=0.5 * a1 * t1 - 0.5 * a2 * t2)
+    log_t2 = -params.epsilon * params.break_point
+    # ln(rho t2) and ln(1 - t2); 1 - t2 is 0 where eps c_t underflows
+    outer, inner = log_rho + log_t2, _log1mexp(-log_t2) if log_t2 else -math.inf
+    log_den = max(outer, inner) + math.log1p(math.exp(-abs(outer - inner)))
+    log_w1 = outer - log_den
+    k_c = 0.5 * (math.exp(log_w1) - math.exp(log_t2 - log_den))
+    return MixtureConstants(log_a2=-log_den, log_w1=log_w1, k_c=k_c)
 
 
 @lru_cache(maxsize=CONSTANTS_CACHE_SIZE)
 def lapmix_constants(params: MixtureParams) -> MixtureConstants:
-    """Weights of the Laplace mixture (see :func:`_fuse`)."""
-    return _fuse(params, *LaplaceMixture(params)._pieces())
+    """Weights of the Laplace mixture (see :func:`_fuse`), whose height divisors are 2 b_i."""
+    return _fuse(params, math.log(params.outer_scale) - math.log(params.inner_scale))
 
 
 @lru_cache(maxsize=CONSTANTS_CACHE_SIZE)
 def geomix_constants(params: MixtureParams) -> MixtureConstants:
-    """Weights of the geometric mixture (see :func:`_fuse`); needs an integer break-point."""
-    return _fuse(params, *GeometricMixture(params)._pieces())
+    """Weights of the geometric mixture (see :func:`_fuse`): height divisors coth(rate_i / 2)."""
+    GeometricMixture(params)  # refuses what its lattice cannot hold
+    return _fuse(params, _log_coth_half(params.eps_r) - _log_coth_half(params.epsilon))
 
 
 def _wrap(x, values):
@@ -222,32 +218,17 @@ def _wrap(x, values):
 
 def laplace_pdf(x, b: float):
     """Density of the zero-mean Laplace distribution, (1/2b) exp(-|x|/b)."""
-    _require_positive("b", b)
-    ax = np.abs(np.asarray(x, dtype=float))
-    return _wrap(x, np.exp(-ax / b) / (2.0 * b))
+    return Laplace(b).prob(x)
 
 
 def laplace_cdf(x, b: float):
     """CDF of the zero-mean Laplace distribution with scale b."""
     _require_positive("b", b)
     xs = np.asarray(x, dtype=float)
-    lower = 0.5 * np.exp(np.minimum(xs, 0.0) / b)
-    upper = 1.0 - 0.5 * np.exp(-np.maximum(xs, 0.0) / b)
+    with np.errstate(over="ignore"):  # a decay beyond the double range reads exp(-inf) = 0
+        lower = 0.5 * np.exp(np.minimum(xs, 0.0) / b)
+        upper = 1.0 - 0.5 * np.exp(-np.maximum(xs, 0.0) / b)
     return _wrap(x, np.where(xs < 0.0, lower, upper))
-
-
-def _log(a: float) -> float:
-    """ln a for a weight a >= 0, -inf at 0."""
-    return math.log(a) if a > 0.0 else -math.inf
-
-
-def _outer_weight(a: float, decay):
-    """a * exp(-decay) for a mixture's outer-piece weight ``a``, taken through logs.
-
-    Where the inner piece carries nearly all the mass, ``a`` is near the
-    overflow limit and exp(-decay) underflows, so the direct product reads 0.
-    """
-    return np.exp(_log(a) - decay)
 
 
 def _log1mexp(x: float) -> float:
@@ -255,9 +236,9 @@ def _log1mexp(x: float) -> float:
     return math.log(-math.expm1(-x)) if x < _LN2 else math.log1p(-math.exp(-x))
 
 
-def _log_height(a: float, rate: float) -> float:
-    """ln(a tanh(rate / 2)): the height of a lattice piece of mass a decaying at rate."""
-    return _log(a) + _log1mexp(rate) - math.log1p(math.exp(-rate))
+def _log_coth_half(rate: float) -> float:
+    """ln coth(rate / 2): a lattice piece's height divisor, (1 + q) / (1 - q), q = e^-rate."""
+    return math.log1p(math.exp(-rate)) - _log1mexp(rate)
 
 
 def _log_sinh_half(rate: float) -> float:
@@ -316,7 +297,8 @@ class _Lattice:
         for (first, log_h, rate), end in zip(self.runs, ends):
             if end > 1:  # else cell 0 alone, below every m
                 start = np.maximum(m, first)
-                with np.errstate(divide="ignore", invalid="ignore"):  # ln 0 past the run
+                # ln 0 past the run; a decay beyond the double range reads exp(-inf) = 0
+                with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                     cells = np.fmax(end - start, 0.0)  # of equal mass in a run of rate 0
                     log_sum = np.log(np.expm1(-rate * cells) / np.expm1(-rate) if rate else cells)
                     tail = tail + np.exp(log_h - rate * start + log_sum)
@@ -435,11 +417,18 @@ class _Lattice:
         return float(np.logaddexp(0.0, top + math.log(math.fsum(np.exp(terms - top)))))
 
 
-class _LatticeFamily:
-    """An integer family whose mass function, CDF and stats are read from its ``lattice()``."""
+class _Law:
+    """A family whose mass function or density is stated once, in logs, by ``log_prob``."""
 
     def prob(self, x):
-        return _wrap(x, np.exp(self.lattice().log_mass(x)))
+        return _wrap(x, np.exp(self.log_prob(x)))
+
+
+class _LatticeFamily(_Law):
+    """An integer family whose mass function, CDF and stats are read from its ``lattice()``."""
+
+    def log_prob(self, x):
+        return self.lattice().log_mass(x)
 
     def cdf(self, x):
         return self.lattice().cdf(x)
@@ -494,8 +483,12 @@ class MechanismSpec(Protocol):
     def zeta(self) -> float:
         """General budget ln E[exp |L|] from the paper's closed form; inf when unbounded."""
 
+    def log_prob(self, x):
+        """ln of the mass function (integer output) or density (continuous output) at x;
+        -inf where it is 0."""
+
     def prob(self, x):
-        """Mass function (integer output) or density (continuous output) at x."""
+        """exp(``log_prob``)."""
 
     def cdf(self, x):
         """P(noise <= x); float for scalar x, else an ndarray."""
@@ -508,7 +501,7 @@ class MechanismSpec(Protocol):
 
 
 @dataclass(frozen=True)
-class Laplace:
+class Laplace(_Law):
     """Continuous Laplace mechanism with scale b (= 1 / epsilon)."""
 
     scale: float
@@ -529,8 +522,9 @@ class Laplace:
         """epsilon = 1/b: the continuous mechanism has no rounding correction."""
         return 1.0 / self.scale
 
-    def prob(self, x):
-        return laplace_pdf(x, self.scale)
+    def log_prob(self, x):
+        ax = np.abs(np.asarray(x, dtype=float))
+        return _wrap(x, -ax / self.scale - (_LN2 + math.log(self.scale)))
 
     def cdf(self, x):
         return laplace_cdf(x, self.scale)
@@ -609,15 +603,15 @@ class Geometric(_LatticeFamily):
     def lattice(self) -> _Lattice:
         """One run: cell k holds ((alpha - 1)/(alpha + 1)) alpha^-|k|."""
         rate = math.log(self.alpha)
-        return _Lattice(((0, _log_height(1.0, rate), rate),))
+        return _Lattice(((0, -_log_coth_half(rate), rate),))
 
 
 @dataclass(frozen=True)
 class _TwoPieceMixture:
-    """The law both mixtures share: piece i has weight a_i and decays as exp(-|x| / b_i),
-    with b_1, b_2 the params' ``outer_scale``, ``inner_scale``.  A subclass states its
-    pieces (``constants``, ``_pieces``), its mass function, CDF and sampler, and the
-    paper's closed forms (``_zeta``, ``stats``).
+    """The law both mixtures share: piece i decays as exp(-|x| / b_i), with b_1, b_2 the
+    params' ``outer_scale``, ``inner_scale``; the inner piece has weight a2 and the outer
+    one mass w1 beyond c_t.  A subclass states its weights (``constants``), its mass
+    function, CDF and sampler, and the paper's closed forms (``_zeta``, ``stats``).
     """
 
     params: MixtureParams
@@ -648,7 +642,7 @@ class _TwoPieceMixture:
     def usefulness_bound(self, k: int, delta: float) -> float:
         """Accuracy radius t with P[max of k i.i.d. |draws| >= t] <= delta.
 
-        The radius ``ln(k a1 / delta) / (r eps)`` inverts the outer tail, so it is
+        The radius ``c_t + ln(k w1 / delta) / (r eps)`` inverts the outer tail, so it is
         tight per coordinate; it holds only where it clears the break-point, and
         raises BoundNotApplicableError otherwise.  An integer law's radius is raised
         to the first integer m whose exact two-sided tail mass 2 P(noise <= -m) is at
@@ -659,7 +653,7 @@ class _TwoPieceMixture:
         if k < 1 or k != int(k):
             raise InvalidParameterError(f"k must be a positive integer, got {k!r}")
         ct = self.params.break_point
-        radius = math.log(k * self.constants().a1 / delta) / self.params.eps_r
+        radius = ct + (math.log(k / delta) + self.constants().log_w1) / self.params.eps_r
         if radius <= ct:
             raise BoundNotApplicableError(
                 f"radius {radius:.4g} does not clear the break-point {ct:g}"
@@ -673,7 +667,7 @@ class _TwoPieceMixture:
 
 
 @dataclass(frozen=True)
-class LaplaceMixture(_TwoPieceMixture):
+class LaplaceMixture(_Law, _TwoPieceMixture):
     """Two-piece Laplace mixture mechanism (continuous output)."""
 
     kind: ClassVar[str] = "lapmix"
@@ -682,11 +676,6 @@ class LaplaceMixture(_TwoPieceMixture):
     def constants(self) -> MixtureConstants:
         return lapmix_constants(self.params)
 
-    def _pieces(self) -> tuple[float, float, float, float]:
-        """Tails exp(-c_t / b_i) and height divisors 2 b_i."""
-        b1, b2, ct = self.params.outer_scale, self.params.inner_scale, self.params.break_point
-        return math.exp(-ct / b1), math.exp(-ct / b2), 2.0 * b1, 2.0 * b2
-
     def rounded_lattice(self) -> _Lattice:
         """The law of a draw rounded half away from zero: cell k >= 1 holds the mass on
         [k - 1/2, k + 1/2) and its mirror.  Its runs are the centre cell, the inner run
@@ -694,7 +683,7 @@ class LaplaceMixture(_TwoPieceMixture):
         when c_t < 1/2) and the outer run; the weights are taken in logs."""
         c, p = self.constants(), self.params
         eps, reps, ct = p.epsilon, p.eps_r, p.break_point
-        log_a2 = _log(c.a2)
+        log_a2 = c.log_a2
         k = math.ceil(ct + 0.5) - 1  # the last cell that is not outer
         last_inner = k - (k + 0.5 > ct)  # k straddles c_t unless its edge is c_t
         runs = []
@@ -708,20 +697,19 @@ class LaplaceMixture(_TwoPieceMixture):
             x, y = (ct - lo) * eps, (k + 0.5 - ct) * reps
             log_mass = math.log(-math.expm1(-x) - math.exp(-x) * math.expm1(-y) / p.ratio)
             runs.append((k, log_a2 - lo * eps + log_mass - (_LN2 if k else 0.0), 0.0))
-        runs.append((k + 1, _log(c.a1) + _log_sinh_half(reps), reps))
+        runs.append((k + 1, c.log_w1 + reps * ct + _log_sinh_half(reps), reps))
         return _Lattice(tuple(runs))
 
     def loss_tail(self) -> tuple[float, float]:
         """``(c_t, r eps)``: for |x| beyond c_t + shift the loss is ``shift * r eps``."""
         return self.params.break_point, self.params.eps_r
 
-    def prob(self, x):
+    def log_prob(self, x):
         c = self.constants()
         ct, b1, b2 = self.params.break_point, self.params.outer_scale, self.params.inner_scale
         m = np.abs(np.asarray(x, dtype=float))
-        inner = c.a2 / (2.0 * b2) * np.exp(-m / b2)
-        # taken at c_t inside it, where the discarded a1 / (2 b1) can overflow
-        outer = _outer_weight(c.a1, np.maximum(m, ct) / b1) / (2.0 * b1)
+        inner = c.log_a2 - _LN2 - math.log(b2) - m / b2
+        outer = c.log_w1 - _LN2 - math.log(b1) - (m - ct) / b1
         return _wrap(x, np.where(m <= ct, inner, outer))
 
     def cdf(self, x):
@@ -731,8 +719,9 @@ class LaplaceMixture(_TwoPieceMixture):
         # max(m, c_t) plus the inner mass between.  No rounding lets it rise with m or pass 1/2.
         xs = np.asarray(x, dtype=float)
         m = np.abs(xs)
-        outer = _outer_weight(c.a1, np.maximum(m, ct) / b1) / 2.0
-        inner_mass = c.a2 / 2.0 * np.maximum(np.exp(m / -b2) - math.exp(-ct / b2), 0.0)
+        with np.errstate(over="ignore"):  # a decay beyond the double range reads exp(-inf) = 0
+            outer = 0.5 * np.exp(c.log_w1 - (np.maximum(m, ct) - ct) / b1)
+            inner_mass = c.a2 / 2.0 * np.maximum(np.exp(m / -b2) - math.exp(-ct / b2), 0.0)
         tail = np.minimum(outer + inner_mass, 0.5)
         return _wrap(x, np.where(xs <= 0.0, tail, 1.0 - tail))
 
@@ -743,12 +732,13 @@ class LaplaceMixture(_TwoPieceMixture):
 
         A draw lies on the outer piece below ``t_outer`` or above ``1 - t_outer``, and on the
         right side above ``1 - t_outer`` or, on the inner piece, above 1/2 (first match wins,
-        as in the four-branch form).  A left draw is ``b log(2 (u - k) / a)`` with the piece's
-        scale b, weight a and CDF offset k (``k_c`` inner, 0 outer), and a right draw is the
-        same of ``1 - u``, negated.  The steps that merge the branches (picking the side as
-        ``f*(1-u) + (1-f)*u``, subtracting ``k = 0.0`` on the outer piece, multiplying by +-1)
-        are exact, and every rounded step sees the operands its branch of the four-branch
-        form sees, so the output is bit-identical to that form.
+        as in the four-branch form).  A left draw is ``b log(2 (u - k) / a) - e`` with the
+        piece's scale b, CDF offset k, and mass a beyond the edge e that it is read from:
+        ``a2``, ``k_c`` and 0 inner, ``w1``, 0 and ``c_t`` outer.  A right draw is the same of
+        ``1 - u``, negated.  The steps that merge the branches (picking the side as
+        ``f*(1-u) + (1-f)*u``, subtracting 0.0 for k or e, multiplying by +-1) are exact, and
+        every rounded step sees the operands its branch of the four-branch form sees, so the
+        output is bit-identical to that form.
 
         Where the inner piece's tail beyond ``c_t`` is below half an ulp of the uniform,
         ``u - k_c`` (or ``1 - u - k_c``) at the threshold rounds to zero or below and the
@@ -757,7 +747,7 @@ class LaplaceMixture(_TwoPieceMixture):
         """
         c, b1, b2 = self.constants(), self.params.outer_scale, self.params.inner_scale
         ct = self.params.break_point
-        t_outer = 0.5 * c.a1 * np.exp(-ct / b1)
+        t_outer = 0.5 * c.w1
         lo = uc < t_outer
         ro = (uc > 1.0 - t_outer) & ~lo
         of = lo | ro
@@ -767,10 +757,11 @@ class LaplaceMixture(_TwoPieceMixture):
         x -= np.array([c.k_c, 0.0]).take(of)
         edge = x <= 0.0
         x *= 2.0
-        x /= np.array([c.a2, c.a1]).take(of)
+        x /= np.array([c.a2, c.w1]).take(of)
         with np.errstate(invalid="ignore", divide="ignore"):
             np.log(x, out=x)
         x *= np.array([b2, b1]).take(of)
+        x -= np.array([0.0, ct]).take(of)
         x *= 1.0 - 2.0 * f  # -y on the right, y on the left; both exact
         if edge.any():
             x[edge] = ct * (2.0 * f[edge] - 1.0)
@@ -806,15 +797,13 @@ class LaplaceMixture(_TwoPieceMixture):
         inner = math.exp(eps) * c.a2 * (
             0.5 * math.exp(-0.5 * eps) + 0.5 * math.exp(-1.5 * eps) - math.exp(-ct * eps)
         )
-        outer = c.a1 * math.exp(-reps * (ct - 1.0))
-        return math.log(a * a / b + a + inner + outer)
+        return math.log(a * a / b + a + inner + math.exp(c.log_w1 + reps))
 
     def stats(self) -> MechanismStats:
         params = self.params
         c = self.constants()
         b1, b2, ct = params.outer_scale, params.inner_scale, params.break_point
-        # the outer piece's mass a1 exp(-c_t / b1), where a1 alone can overflow a term
-        w1 = float(_outer_weight(c.a1, ct / b1))
+        w1 = c.w1
         x = ct / b2
         e2 = math.exp(-x)
         if x < 1.0:  # 1 - e^-x sum_{j<n} x^j/j! cancels; e^-x sum_{j>=n} x^j/j! does not
@@ -826,9 +815,8 @@ class LaplaceMixture(_TwoPieceMixture):
         mean_abs = c.a2 * inner_abs + w1 * (b1 + ct)
         variance = 2.0 * c.a2 * inner_sq + 2.0 * w1 * (b1 * b1 + b1 * ct + 0.5 * ct * ct)
         entropy = (
-            math.log(2.0 * b2 / c.a2) * (1.0 - w1)
-            + ((math.log(2.0 * b1) - math.log(c.a1)) * w1 if w1 else 0.0)  # 0 log 0 = 0
-            + w1 / b1 * (b1 + ct)
+            (_LN2 + math.log(b2) - c.log_a2) * (1.0 - w1)
+            + ((_LN2 + math.log(b1) + 1.0 - c.log_w1) * w1 if w1 else 0.0)  # 0 log 0 = 0
             - c.a2 / b2 * e2 * (b2 + ct)
             + c.a2
         )
@@ -844,33 +832,23 @@ class GeometricMixture(_LatticeFamily, _TwoPieceMixture):
 
     def __post_init__(self) -> None:
         self.params.integer_break_point()
+        if math.exp(-min(self.params.epsilon, self.params.eps_r)) == 1.0:
+            raise InvalidParameterError(f"{self.label}: exp(-rate) rounds to 1 below rate 1.1e-16")
 
     def constants(self) -> MixtureConstants:
         return geomix_constants(self.params)
 
-    def _decays(self) -> tuple[float, float]:
-        """q_i = exp(-rate_i), each piece's decay per lattice step."""
-        q1, q2 = math.exp(-self.params.eps_r), math.exp(-self.params.epsilon)
-        if max(q1, q2) == 1.0:
-            raise InvalidParameterError(f"{self.label}: exp(-rate) rounds to 1 below rate 1.1e-16")
-        return q1, q2
-
-    def _pieces(self) -> tuple[float, float, float, float]:
-        """Tails q_i^c_t and height divisors (1 + q_i) / (1 - q_i)."""
-        q1, q2 = self._decays()
-        ct = int(self.params.break_point)
-        return q1**ct, q2**ct, (1.0 + q1) / (1.0 - q1), (1.0 + q2) / (1.0 - q2)
-
     def lattice(self) -> _Lattice:
-        """Cells a_2 tanh(eps/2) e^(-eps |k|) up to c_t, then a_1 tanh(r eps/2) e^(-r eps |k|)."""
+        """Cells a_2 tanh(eps/2) e^(-eps |k|) up to c_t, then w_1 tanh(r eps/2)
+        e^(-r eps (|k| - c_t))."""
         c, p = self.constants(), self.params
-        inner = (0, _log_height(c.a2, p.epsilon), p.epsilon)
-        return _Lattice((inner, (int(p.break_point) + 1, _log_height(c.a1, p.eps_r), p.eps_r)))
+        ct, reps = int(p.break_point), p.eps_r
+        inner = (0, c.log_a2 - _log_coth_half(p.epsilon), p.epsilon)
+        return _Lattice((inner, (ct + 1, c.log_w1 + reps * ct - _log_coth_half(reps), reps)))
 
     def _zeta(self, c: MixtureConstants) -> float:
-        reps, eps = self.params.eps_r, self.params.epsilon
-        outer_tail = c.a1 * math.exp(-reps * self.params.break_point)
-        zeta = math.log(math.exp(eps) * (1.0 - outer_tail) + math.exp(reps) * outer_tail)
+        reps, eps, w1 = self.params.eps_r, self.params.epsilon, c.w1
+        zeta = math.log(math.exp(eps) * (1.0 - w1) + math.exp(reps) * w1)
         # the log of a convex combination of e^eps and e^(r eps), which rounding
         # can take 1 ulp outside [eps, r eps] at r = 1; nan stays nan
         return float(min(max(zeta, min(eps, reps)), max(eps, reps)))
@@ -887,7 +865,7 @@ def lapmix_cdf(x, params: MixtureParams):
 
 
 @dataclass(frozen=True)
-class TruncatedLaplace:
+class TruncatedLaplace(_Law):
     """Laplace noise conditioned on [-bound, bound].
 
     Not differentially private: neighboring counts can produce outcomes of
@@ -904,6 +882,8 @@ class TruncatedLaplace:
     def __post_init__(self) -> None:
         _require_positive("scale", self.scale)
         _require_positive("bound", self.bound)
+        if not self.bound / self.scale > 0.0:
+            raise InvalidParameterError(f"{self.label}: bound / scale underflows to 0")
 
     @property
     def label(self) -> str:
@@ -915,17 +895,20 @@ class TruncatedLaplace:
     def zeta(self) -> float:
         return math.inf
 
-    def prob(self, x):
-        norm = 1.0 - math.exp(-self.bound / self.scale)
+    def log_prob(self, x):
         xs = np.asarray(x, dtype=float)
-        return _wrap(x, np.where(np.abs(xs) <= self.bound, laplace_pdf(xs, self.scale) / norm, 0.0))
+        inside = Laplace(self.scale).log_prob(xs) - _log1mexp(self.bound / self.scale)
+        return _wrap(x, np.where(np.abs(xs) <= self.bound, inside, -np.inf))
 
     def cdf(self, x):
-        xs = np.clip(np.asarray(x, dtype=float), -self.bound, self.bound)
-        below = laplace_cdf(-self.bound, self.scale)
-        # F(bound) - F(-bound) can round above 1 - 2 F(-bound)
-        mass = (laplace_cdf(xs, self.scale) - below) / (1.0 - 2.0 * below)
-        return _wrap(x, np.minimum(mass, 1.0))
+        """The lower tail (e^(-m/b) - e^(-c/b)) / (2 (1 - e^(-c/b))) at m = |x| up to the
+        bound c, mirrored above 0; taken through expm1, so a narrow window keeps its mass."""
+        xs = np.asarray(x, dtype=float)
+        m, b = np.minimum(np.abs(xs), self.bound), self.scale
+        with np.errstate(over="ignore"):  # a decay beyond the double range reads exp(-inf) = 0
+            tail = 0.5 * np.exp(-m / b) * np.expm1((m - self.bound) / b)
+        tail /= math.expm1(-self.bound / b)
+        return _wrap(x, np.where(xs <= 0.0, tail, 1.0 - tail))
 
     def draw(self, stream, n: int) -> np.ndarray:
         """Inverse CDF of the Laplace law on [-bound, bound]; refused unless ``allow_unsafe``.
@@ -998,9 +981,5 @@ def spec_from_dict(doc: dict) -> MechanismSpec:
         return TruncatedLaplace(scale=1.0 / eps, bound=bound, allow_unsafe=bool(doc.get("unsafe")))
     if doc.get("reps") is None or doc.get("ct") is None:  # lapmix or geomix
         raise PwmixError(f"{kind} requires --reps and --ct")
-    params = MixtureParams(
-        epsilon=eps,
-        ratio=_require_positive("reps", doc["reps"]) / eps,
-        break_point=_require_positive("ct", doc["ct"]),
-    )
+    params = MixtureParams.from_rates(eps, doc["reps"], doc["ct"])
     return LaplaceMixture(params) if kind == "lapmix" else GeometricMixture(params)

@@ -2,6 +2,7 @@ import math
 import os
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import stats
@@ -29,6 +30,15 @@ INT_PARAM_GRID = [p for p in PARAM_GRID if p.break_point == int(p.break_point)]
 # and both floors are 0.  On the command line: --mechanism geometric --eps 700.
 EXACT_ZERO = Geometric(alpha=math.exp(700))
 EXACT_ZERO_FLAGS = ["geometric", "--eps", "700"]
+
+
+def lapmix_definition(params):
+    """(A2, t2, eps, r eps, c_t) of the Laplace mixture as mpmath numbers at the working
+    precision, from its definition: the density A2 e^(-eps |x|) up to c_t and
+    A2 t2 e^(-r eps (|x| - c_t)) beyond, t2 = e^(-eps c_t), of mass 1."""
+    eps, reps, ct = (mp.mpf(v) for v in (params.epsilon, params.eps_r, params.break_point))
+    t2 = mp.exp(-eps * ct)
+    return 1 / (2 * ((1 - t2) / eps + t2 / reps)), t2, eps, reps, ct
 
 
 @pytest.fixture

@@ -79,6 +79,9 @@ class TestPrivacyLoss:
             (Geometric(alpha=math.e), 740, 1.0),
             (GeometricMixture(MixtureParams(epsilon=1.0, ratio=3.0, break_point=5.0)), 300, 3.0),
             (RoundedLaplace(scale=1.0), 800, 1.0),
+            # the densities underflow; their logs do not
+            (LaplaceMixture(MixtureParams(epsilon=1.0, ratio=3.0, break_point=5.0)), 300, 3.0),
+            (Laplace(scale=1.0), 800, 1.0),
         ],
     )
     def test_far_tail(self, spec, outcome, loss):
@@ -137,16 +140,17 @@ class TestZetaEmpirical:
             assert zeta_empirical(spec) == pytest.approx(zeta_closed_form(spec), abs=1e-3)
 
     def test_inner_dominated_extreme_point(self):
-        # a1 is about 1e300 here, so a1 * (alpha1 - 1) overflows; the exact
-        # zeta, summed in 60-digit decimal arithmetic, is 8.42272246402
+        # r eps c_t is 728: the outer weight at 0 would be about 1e300, and exp(-r eps c_t)
+        # is subnormal.  The exact zeta, summed over the definition's cells in 60-digit
+        # arithmetic, is 8.4227224640240199; the linear weights read 8.422722455522726.
         spec = GeometricMixture(MixtureParams(epsilon=2.305, ratio=19.74, break_point=16.0))
         assert math.isfinite(privacy_loss(spec, 17))
         assert zeta_empirical(spec) == pytest.approx(zeta_closed_form(spec), rel=1e-8)
-        assert zeta_empirical(spec) == pytest.approx(8.42272246402, rel=1e-8)
+        assert zeta_empirical(spec) == pytest.approx(8.4227224640240199, rel=1e-13)
 
     def test_inner_dominated_lapmix_is_finite(self):
-        # a1 is 7.2e298 here: the outer density must be taken through logs,
-        # or it reads 0 beyond c_t and the loss there is infinite
+        # the outer weight at 0 would be 7.2e298 here: the outer density must be read
+        # from c_t in logs, or it reads 0 beyond c_t and the loss there is infinite
         params = MixtureParams(epsilon=2.305, ratio=19.74, break_point=16.0)
         spec = LaplaceMixture(params)
         assert 0 < privacy_loss(spec, 16.5) <= params.eps_r
@@ -223,9 +227,10 @@ def zeta_cell_sum(spec, shift):
         ct, last_rate = int(params.break_point), params.eps_r
         last = ct + 1
 
-        def log_p(k):
-            a, rate = (c.a2, params.epsilon) if abs(k) <= ct else (c.a1, params.eps_r)
-            return math.log(a * math.tanh(rate / 2)) - rate * abs(k)
+        def log_p(k):  # the outer piece read from c_t
+            if abs(k) <= ct:
+                return c.log_a2 + math.log(math.tanh(params.epsilon / 2)) - params.epsilon * abs(k)
+            return c.log_w1 + math.log(math.tanh(last_rate / 2)) - last_rate * (abs(k) - ct)
 
     reach = last + shift + math.ceil(shift + 50 / last_rate)
     cells = []
@@ -256,7 +261,6 @@ class TestExactZeta:
             spec = RoundedLaplace(scale=1 / eps)
         else:
             spec = GeometricMixture(MixtureParams(epsilon=eps, ratio=ratio, break_point=ct))
-            assume(ratio * eps * ct < 700)  # beyond, the constants underflow and are refused
         assert zeta_empirical(spec, shift) == pytest.approx(zeta_cell_sum(spec, shift), rel=1e-13)
 
     def test_far_point_against_a_40_digit_sum(self):
@@ -265,9 +269,11 @@ class TestExactZeta:
         with mp.workdps(40):
 
             def p(k):
-                a, rate = (c.a2, FAR_POINT.epsilon) if abs(k) <= ct else (c.a1, FAR_POINT.eps_r)
-                rate = mp.mpf(rate)
-                return mp.mpf(a) * mp.tanh(rate / 2) * mp.exp(-rate * abs(k))
+                if abs(k) <= ct:
+                    rate = mp.mpf(FAR_POINT.epsilon)
+                    return mp.exp(c.log_a2) * mp.tanh(rate / 2) * mp.exp(-rate * abs(k))
+                rate = mp.mpf(FAR_POINT.eps_r)
+                return mp.exp(c.log_w1) * mp.tanh(rate / 2) * mp.exp(-rate * (abs(k) - ct))
 
             # the cells beyond +-60 carry below e^-180
             exact = float(mp.log(mp.fsum(max(p(k - 3), p(k) ** 2 / p(k - 3)) for k in range(-60, 64))))
@@ -316,7 +322,8 @@ def zeta_by_quadrature(spec, shift):
     return scale + math.log(math.fsum(parts))
 
 
-# (eps, r, c_t) where a1 is 7.2e298, and one where the outer density underflows at shift 3
+# (eps, r, c_t) where r eps c_t is 728, so exp(-r eps c_t) is subnormal, and one where the
+# outer density underflows as a double at shift 3
 INNER_DOMINATED = MixtureParams(epsilon=2.305, ratio=19.74, break_point=16.0)
 UNDERFLOW_POINT = MixtureParams(
     epsilon=4.364475138761644, ratio=46.82546617949507, break_point=0.7493030098756799
@@ -342,7 +349,6 @@ class TestContinuousZeta:
         if family is Laplace:
             spec = Laplace(scale=1 / eps)
         else:
-            assume(ratio * eps * ct < 700)  # beyond, the constants underflow and are refused
             spec = LaplaceMixture(MixtureParams(epsilon=eps, ratio=ratio, break_point=ct))
         oracle = zeta_by_quadrature(spec, shift)
         assume(math.isfinite(oracle))
@@ -365,9 +371,11 @@ class TestContinuousZeta:
     @pytest.mark.parametrize(
         "params, shift, zeta",
         [
-            # the fused heights at c_t meet only to rounding: the lines are read inside
-            (INNER_DOMINATED, 1, 5.7177596274990268808),
-            (INNER_DOMINATED, 2, 51.193591265468855655),
+            # the fused heights at c_t meet only to rounding: the lines are read inside.
+            # Integrals of the definition (the density of ``lapmix_weights`` in
+            # tests/test_mechanisms.py) at 60 digits, split at the kinks.
+            (INNER_DOMINATED, 1, 5.7177596279425116100),
+            (INNER_DOMINATED, 2, 51.193591265923508577),
             (UNDERFLOW_POINT, 1, 197.311796980805627),
             (UNDERFLOW_POINT, 2, 401.680379982136064),
             (FAR_TAIL, 1, 1.4760247230580816069),
@@ -377,12 +385,26 @@ class TestContinuousZeta:
         assert zeta_empirical(LaplaceMixture(params), shift) == pytest.approx(zeta, rel=1e-12)
 
     def test_underflowed_density_is_infinite(self):
-        # at shift 3 a sampled outer density underflows; the budget is never undercounted
-        assert zeta_empirical(LaplaceMixture(UNDERFLOW_POINT), 3) == math.inf
+        # Named for what it once checked: at shift 3 a sampled outer density underflows as a
+        # double, and the budget read inf.  Its log does not underflow, so the budget is
+        # the 60-digit integral of the definition.
+        zeta = zeta_empirical(LaplaceMixture(UNDERFLOW_POINT), 3)
+        assert zeta == pytest.approx(606.04896298346645401, rel=1e-12)
 
-    @pytest.mark.parametrize("eps", [700.0, 710.0, 800.0])
+    @pytest.mark.parametrize("eps", [710.0, 800.0])
     def test_laplace_beyond_the_double_range_is_infinite(self, eps):
+        # the tail mass 2 P(noise <= -1) = exp(-eps) underflows
         assert zeta_empirical(Laplace(scale=1 / eps)) == math.inf
+
+    def test_laplace_where_its_density_underflows(self):
+        # the tail mass exp(-700) is normal, but the density 350 exp(-700 |x|) that the
+        # segments read at |x| = 1.75 underflows; its log does not
+        spec = Laplace(scale=1 / 700)
+        with mp.workdps(40):
+            u = mp.mpf(700)
+            exact = float(mp.log(mp.mpf(2) / 3 * mp.exp(u) + 1 - mp.mpf(2) / 3 * mp.exp(-u / 2)))
+        assert exact == pytest.approx(699.5945348918918, rel=1e-15)
+        assert zeta_empirical(spec) == pytest.approx(exact, rel=1e-13)
 
     @pytest.mark.parametrize("eps", [0.01, 0.3, 1.0, 4.0, 50.0])
     @pytest.mark.parametrize("shift", [1, 3])
@@ -506,8 +528,8 @@ class TestUsefulnessBound:
         r = LaplaceMixture(PRESET_A).usefulness_bound(1, 0.01)
         assert r == pytest.approx(7.344302369170264, rel=1e-12)
         # exact tail inversion: P(|Y| >= r) equals delta
-        a1 = lapmix_constants(PRESET_A).a1
-        assert a1 * math.exp(-r * PRESET_A.eps_r) == pytest.approx(0.01, rel=1e-12)
+        w1, ct = lapmix_constants(PRESET_A).w1, PRESET_A.break_point
+        assert w1 * math.exp(-(r - ct) * PRESET_A.eps_r) == pytest.approx(0.01, rel=1e-12)
 
     def test_union_bound_scaling(self):
         r1 = LaplaceMixture(PRESET_A).usefulness_bound(1, 0.01)
@@ -516,9 +538,9 @@ class TestUsefulnessBound:
 
     def test_admissible_delta_inverts_exactly(self):
         # delta on the exact outer tail lattice: radius comes back as m / (r eps)
-        a1 = lapmix_constants(PRESET_A).a1
+        w1, ct = lapmix_constants(PRESET_A).w1, PRESET_A.break_point
         for m in (6, 8, 11):
-            delta = a1 * math.exp(-PRESET_A.eps_r * m)
+            delta = w1 * math.exp(-PRESET_A.eps_r * (m - ct))
             r = LaplaceMixture(PRESET_A).usefulness_bound(1, delta)
             assert r == pytest.approx(m / PRESET_A.eps_r, rel=1e-12)
 
@@ -530,10 +552,10 @@ class TestUsefulnessBound:
         for delta, k in ((0.01, 1), (0.001, 1), (0.01, 10), (0.001, 10)):
             r = GeometricMixture(PRESET_A).usefulness_bound(k, delta)
             assert r == int(r) and r > PRESET_A.break_point
-            tail = 2 * c.a1 * q1**r / (1 + q1)
+            tail = 2 * c.w1 * q1 ** (r - 5) / (1 + q1)
             assert tail <= delta / k
             # and one step tighter would break the guarantee
-            tail_prev = 2 * c.a1 * q1 ** (r - 1) / (1 + q1)
+            tail_prev = 2 * c.w1 * q1 ** (r - 6) / (1 + q1)
             assert tail_prev > delta / k
 
     def test_not_applicable_inside_break(self):

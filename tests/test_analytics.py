@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from pwmix.analytics import geomix_stats, lapmix_stats, standard_stats
-from pwmix.errors import InvalidParameterError, UnsupportedSpecError
+from pwmix.errors import UnsupportedSpecError
 from pwmix.mechanisms import (
     Geometric,
     GeometricMixture,
@@ -112,7 +112,7 @@ class TestLapMixStats:
         assert s.entropy == pytest.approx(entropy, abs=1e-6)
 
     def test_outer_weight_near_overflow(self):
-        # a1 is about 1e306: the outer piece's terms must not pass through a1 / b1
+        # the outer piece's weight at 0 would be about 1e306: its terms are read from c_t
         params = MixtureParams(epsilon=3.4247, ratio=161.38 / 3.4247, break_point=4.5118)
         s = lapmix_stats(params)
         for value, oracle in zip(vars(s).values(), quadrature_oracle(params)):
@@ -135,13 +135,13 @@ class TestLapMixStats:
         params = MixtureParams(epsilon=eps, ratio=ratio, break_point=ct)
         s, c = lapmix_stats(params), LaplaceMixture(params).constants()
         with mp.workdps(40):
-            a1, a2, b1, b2, c_t = map(
-                mp.mpf, (c.a1, c.a2, params.outer_scale, params.inner_scale, ct)
+            w1, a2, b1, b2, c_t = map(
+                mp.mpf, (c.w1, c.a2, params.outer_scale, params.inner_scale, ct)
             )
 
             def moment(n):
                 inner = mp.quad(lambda x: x**n * a2 / b2 * mp.exp(-x / b2), [0, c_t])
-                outer = mp.quad(lambda x: x**n * a1 / b1 * mp.exp(-x / b1), [c_t, mp.inf])
+                outer = mp.quad(lambda x: x**n * w1 / b1 * mp.exp(-(x - c_t) / b1), [c_t, mp.inf])
                 return float(inner + outer)
 
             mean_abs, variance = moment(1), moment(2)
@@ -215,11 +215,6 @@ class TestLatticeStatsAreCellSums:
     @example(eps=0.01, ratio=50.0, ct=1)
     def test_geomix(self, eps, ratio, ct):
         spec = GeometricMixture(MixtureParams(epsilon=eps, ratio=ratio, break_point=float(ct)))
-        try:
-            spec.constants()
-        except InvalidParameterError:  # only where the outer tail underflows
-            assert spec.params.eps_r * ct > 700.0
-            return
         assert_spec_stats_are_cell_sums(spec, ct + math.ceil(60.0 / eps))
 
     @settings(max_examples=200, deadline=None)
@@ -234,9 +229,9 @@ class TestLatticeStatsAreCellSums:
         c = spec.constants()
         with mp.workdps(40):
 
-            def cell(k):
-                a, rate = (c.a2, params.epsilon) if k <= 32 else (c.a1, params.eps_r)
-                return mp.mpf(a) * mp.tanh(mp.mpf(rate) / 2) * mp.exp(-mp.mpf(rate) * k)
+            def cell(k):  # the outer piece read from c_t
+                a, rate, k0 = (c.a2, params.epsilon, 0) if k <= 32 else (c.w1, params.eps_r, 32)
+                return mp.mpf(a) * mp.tanh(mp.mpf(rate) / 2) * mp.exp(-mp.mpf(rate) * (k - k0))
 
             cells = [cell(k) for k in range(400)]  # the rest carry below e^-190
             want = (
@@ -260,11 +255,6 @@ class TestLatticeStatsAreCellSums:
     @example(eps=0.011, ratio=40.0, ct=33.5)  # 33 inner cells under a flat inner piece
     def test_rounded_lapmix(self, eps, ratio, ct):
         spec = LaplaceMixture(MixtureParams(epsilon=eps, ratio=ratio, break_point=ct))
-        try:
-            spec.constants()
-        except InvalidParameterError:  # only where the outer tail underflows
-            assert spec.params.eps_r * ct > 700.0
-            return
         law = spec.rounded_lattice()
         assert_stats_are_cell_sums(law.stats(), law, math.ceil(ct) + math.ceil(60.0 / eps))
 

@@ -2,10 +2,13 @@ import csv
 import io
 import json
 import math
+import re
+import shutil
 import subprocess
 import sys
 import time
 
+import mpmath as mp
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -106,6 +109,44 @@ class TestSpecFromDict:
             spec_from_dict(doc)
 
 
+def _assert_stats_match_the_definition(doc, kind, eps, reps, ct):
+    """A mixture's ``stats`` row against its law from the definition, in 50-digit arithmetic:
+    p(x) proportional to e^(-eps |x|) up to c_t and to e^(-eps c_t - r eps (|x| - c_t)) beyond,
+    on the integers (geomix) or the line (lapmix).  The geomix zeta is the exact unit-shift
+    sum; the lapmix one, the paper's closed form, is only checked to lie in (0, r eps]."""
+    with mp.workdps(50):
+        e, r, c = mp.mpf(eps), mp.mpf(reps), mp.mpf(ct)
+
+        def log_f(x):
+            return -e * x if x <= c else -e * c - r * (x - c)
+
+        if kind == "geomix":
+            cells = [mp.exp(log_f(k)) for k in range(int(ct + 60 / eps + 60 / reps))]
+            norm = 2 * mp.fsum(cells) - cells[0]
+            p = [cell / norm for cell in cells]
+            ks = range(len(p))
+            moments = [2 * mp.fsum(k**n * pk for k, pk in zip(ks, p)) for n in (1, 2)]
+            entropy = -2 * mp.fsum(pk * mp.log(pk) for pk in p) + p[0] * mp.log(p[0])
+            two_sided = p[:0:-1] + p
+            zeta = mp.log(mp.fsum(max(a, b * b / a) for a, b in zip(two_sided, two_sided[1:])))
+            assert doc["zeta"] == pytest.approx(float(zeta), rel=1e-12)
+        else:
+            pieces = [[0, c], [c, c + 200 / r]]
+            norm = 2 * mp.fsum(mp.quad(lambda x: mp.exp(log_f(x)), piece) for piece in pieces)
+
+            def integral(g):
+                return 2 * mp.fsum(
+                    mp.quad(lambda x: g(x) * mp.exp(log_f(x)) / norm, piece) for piece in pieces
+                )
+
+            moments = [integral(lambda x, n=n: x**n) for n in (1, 2)]
+            entropy = integral(lambda x: mp.log(norm) - log_f(x))
+            assert 0.0 < doc["zeta"] <= reps
+    for key, want in zip(("mean_abs_noise", "variance", "entropy"), (*moments, entropy)):
+        assert doc[key] == pytest.approx(float(want), rel=1e-12), key
+    assert doc["worst_case_eps"] == max(eps, reps)
+
+
 class TestStats:
     def test_geomix_row(self, capsys):
         code, out, _ = run_cli(
@@ -165,15 +206,15 @@ class TestStats:
             ),
             (
                 ["lapmix", "--eps", "0.2", "--reps", "1", "--ct", "5"],
-                '{"entropy": 2.536975129652684, "mean_abs_noise": 2.497760793649473, '
-                '"mechanism": "lapmix(eps=0.2,reps=1,ct=5)", "variance": 9.547132830666468, '
-                '"worst_case_eps": 1.0, "zeta": 0.309062728405327}',
+                '{"entropy": 2.5369751296526846, "mean_abs_noise": 2.4977607936494723, '
+                '"mechanism": "lapmix(eps=0.2,reps=1,ct=5)", "variance": 9.547132830666467, '
+                '"worst_case_eps": 1.0, "zeta": 0.3090627284053273}',
             ),
             (
                 ["geomix", "--eps", "0.2", "--reps", "1", "--ct", "5"],
-                '{"entropy": 2.537405131153661, "mean_abs_noise": 2.480046265185277, '
-                '"mechanism": "geomix(eps=0.2,reps=1,ct=5)", "variance": 9.609491315109477, '
-                '"worst_case_eps": 1.0, "zeta": 0.32810599476390334}',
+                '{"entropy": 2.537405131153662, "mean_abs_noise": 2.480046265185278, '
+                '"mechanism": "geomix(eps=0.2,reps=1,ct=5)", "variance": 9.609491315109482, '
+                '"worst_case_eps": 1.0, "zeta": 0.3281059947639035}',
             ),
         ],
     )
@@ -225,29 +266,25 @@ class TestStats:
 
     @pytest.mark.parametrize("mechanism", ["lapmix", "geomix"])
     def test_underflow_exits_2(self, capsys, mechanism):
-        code, out, err = run_cli(
-            ["stats", "--mechanism", mechanism, "--eps", "2", "--reps", "20", "--ct", "40"],
-            capsys,
-        )
-        assert code == 2
-        assert out == ""
-        assert "underflows" in err
-
+        # Named for what it once checked: r eps c_t = 800, where the linear mixture mass
+        # underflowed and the point was refused.  It now works and matches the definition.
+        flags = [mechanism, "--eps", "2", "--reps", "20", "--ct", "40"]
+        code, out, _ = run_cli(["stats", "--format", "json", "--mechanism", *flags], capsys)
+        assert code == 0
+        _assert_stats_match_the_definition(json.loads(out), mechanism, 2.0, 20.0, 40.0)
 
     def test_height_sum_underflow_exits_2(self, capsys):
-        # b1 times the summed heights at c_t rounds to 0
-        code, out, err = run_cli(
-            ["stats", "--mechanism", "lapmix", "--eps", "29.3", "--reps", "849.5", "--ct", "25.31"],
-            capsys,
-        )
-        assert code == 2
-        assert out == ""
-        assert "underflows" in err
+        # Named for what it once checked: b1 times the summed heights at c_t rounded to 0,
+        # and the point was refused.  It now works and matches the definition.
+        flags = ["lapmix", "--eps", "29.3", "--reps", "849.5", "--ct", "25.31"]
+        code, out, _ = run_cli(["stats", "--format", "json", "--mechanism", *flags], capsys)
+        assert code == 0
+        _assert_stats_match_the_definition(json.loads(out), "lapmix", 29.3, 849.5, 25.31)
 
     @pytest.mark.parametrize(
         "flags, inner",
         [
-            # exp(-eps c_t) underflows, so the outer piece's weight a1 is 0
+            # exp(-eps c_t) underflows, so the outer piece's mass w1 is 0 as a double
             (
                 ["geomix", "--eps", "43.88", "--reps", "13.18", "--ct", "18"],
                 Geometric(math.exp(43.88)),
@@ -277,7 +314,7 @@ class TestStats:
         assert "not a finite" in err
 
     def test_outer_weight_near_overflow(self, capsys):
-        # a1 is about 1e306, so a1 / b1 alone overflows; a1 exp(-c_t / b1) is taken through logs
+        # the outer weight at 0 would be about 1e306: the outer piece is read from c_t in logs
         flags = ["lapmix", "--eps", "3.4247", "--reps", "161.38", "--ct", "4.5118"]
         code, out, _ = run_cli(["stats", "--format", "json", "--mechanism", *flags], capsys)
         assert code == 0
@@ -598,6 +635,8 @@ class TestContract:
     )
     # 1 / (r eps) overflowed, the mixture weight a2 read 0 and stats divided by it
     @example(command="stats", kind="lapmix", eps=1.0, reps=1e-310, ct=1.0)
+    # r eps rounded up to inf, and the outer scale 1/(r eps) read 0
+    @example(command="stats", kind="lapmix", eps=3.0, reps=sys.float_info.max, ct=1.0)
     def test_every_point_exits_0_2_or_3(self, capsys, contract_dir, command, kind, eps, reps, ct):
         flags = ["--mechanism", kind, "--eps", repr(eps), "--reps", repr(reps), "--ct", repr(ct)]
         if command == "stats":
@@ -616,6 +655,55 @@ class TestContract:
             json.loads(out, parse_constant=_no_constant)
         else:
             assert out == ""
+
+
+    @settings(
+        max_examples=200, derandomize=True, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        command=st.sampled_from(["sweep --grid", "bench", "audit"]),
+        kind=st.sampled_from([cls.kind for cls in SPECS]),
+        unsafe=st.booleans(),
+        eps=CONTRACT_VALUES,
+        reps=CONTRACT_VALUES,
+        ct=CONTRACT_VALUES,
+    )
+    # r eps c_t = 800, where the linear mixture mass underflowed
+    @example(command="sweep --grid", kind="geomix", unsafe=False, eps=2.0, reps=20.0, ct=40.0)
+    def test_every_config_exits_0_2_or_3(
+        self, capsys, contract_dir, command, kind, unsafe, eps, reps, ct
+    ):
+        # the same points in the files of ``sweep --grid``, ``bench`` and ``audit``, at 200
+        # samples per cell and 200 trials; a value that is not finite goes in as JSON's NaN
+        # or Infinity, which the loaders accept
+        mechanism = {"kind": kind, "eps": eps, "reps": reps, "ct": ct, "unsafe": unsafe}
+        if command == "sweep --grid":
+            doc = [[ct, eps, reps]]
+        elif command == "bench":
+            doc = {"true_counts": [1, 50], "mechanisms": [mechanism], "samples_per_cell": 200,
+                   "c_t_for_metrics": 5}
+        else:
+            doc = {"data": str(contract_dir / "data.csv"), "mechanism": mechanism, "trials": 200,
+                   "n_queries": 3, "max_records": 3, "queries_per_record": 3}
+        config, out = contract_dir / "config.json", contract_dir / "out"
+        config.write_text(json.dumps(doc))
+        shutil.rmtree(out, ignore_errors=True)
+        if command == "sweep --grid":
+            args = ["sweep", "--grid", str(config)]
+        else:
+            args = [command, "--config", str(config), "--out", str(out), "--seed", "1"]
+        code, stdout, err = run_cli(args, capsys)
+        assert code in (0, 2, 3), err
+        assert "Traceback" not in err
+        outputs = {"stdout": stdout, **{path.name: path.read_text() for path in out.glob("*")}}
+        if code != 0:
+            assert outputs == {"stdout": ""}
+        for name, text in outputs.items():
+            if name.endswith(".json"):
+                json.loads(text, parse_constant=_no_constant)
+            else:
+                assert not re.search(r"\b(nan|inf)\b", text, re.IGNORECASE), (name, text)
 
 
 class TestBenchAudit:

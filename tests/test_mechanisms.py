@@ -1,12 +1,14 @@
 import math
 import sys
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+from pwmix.accounting import privacy_loss, zeta_empirical
 from pwmix.cli import spec_from_dict
 from pwmix.data import release, release_to_json
 from pwmix.errors import InvalidParameterError, PwmixError, UnsupportedSpecError
@@ -28,7 +30,7 @@ from pwmix.mechanisms import (
 )
 from pwmix.sampling import SeededStream
 
-from conftest import INT_PARAM_GRID, PARAM_GRID, PRESET_A
+from conftest import INT_PARAM_GRID, PARAM_GRID, PRESET_A, lapmix_definition
 
 
 class TestLaplacePdf:
@@ -47,28 +49,49 @@ class TestLaplacePdf:
             laplace_pdf(0.0, -1.0)
 
 
+def lapmix_weights(params):
+    """(a2, w1, k_c) of the Laplace mixture in 50-digit arithmetic, from its definition
+    (``lapmix_definition``): the inner piece is a2 times the Laplace(1/eps) density, and
+    w1 = P(|X| > c_t)."""
+    with mp.workdps(50):
+        big_a2, t2, eps, reps, _ = lapmix_definition(params)
+        a2, w1 = 2 * big_a2 / eps, 2 * big_a2 * t2 / reps
+        return a2, w1, (w1 - a2 * t2) / 2
+
+
+def geomix_weights(params):
+    """(a2, w1, k_c) of the geometric mixture in 50-digit arithmetic, from its definition:
+    p(k) proportional to e^(-eps |k|) up to c_t, e^(-eps c_t - r eps (|k| - c_t)) beyond.  Cell
+    k of the inner piece is a2 tanh(eps / 2) e^(-eps |k|), and w1 = P(|K| > c_t) + p(c_t)."""
+    with mp.workdps(50):
+        eps, reps, ct = (mp.mpf(v) for v in (params.epsilon, params.eps_r, params.break_point))
+        q1, q2, t2 = mp.exp(-reps), mp.exp(-eps), mp.exp(-eps * ct)
+        norm = 1 + 2 * q2 * (1 - t2) / (1 - q2) + 2 * t2 * q1 / (1 - q1)
+        a2, w1 = 1 / (norm * mp.tanh(eps / 2)), t2 * (1 + q1) / ((1 - q1) * norm)
+        return a2, w1, (w1 - a2 * t2) / 2
+
+
 class TestLapMixtureConstants:
     def test_preset_values(self):
         c = lapmix_constants(PRESET_A)
-        assert c.a1 == pytest.approx(15.473551060200245, rel=1e-12)
-        assert c.a2 == pytest.approx(1.4170398677250882, rel=1e-12)
-        assert c.k_c == pytest.approx(-0.208519933862544, rel=1e-12)
+        assert c.a2 == pytest.approx(1.4170398677250879, rel=1e-12)
+        assert c.w1 == pytest.approx(0.10425996693127197, rel=1e-12)
+        assert c.k_c == pytest.approx(-0.20851993386254394, rel=1e-12)
+        assert [c.a2, c.w1, c.k_c] == pytest.approx(lapmix_weights(PRESET_A), rel=1e-12)
 
     def test_equal_scales_collapse(self):
         c = lapmix_constants(MixtureParams(epsilon=0.3, ratio=1.0, break_point=7.0))
-        assert c.a1 == pytest.approx(1.0, abs=1e-14)
         assert c.a2 == pytest.approx(1.0, abs=1e-14)
+        assert c.w1 == pytest.approx(math.exp(-2.1), rel=1e-14)
         assert c.k_c == pytest.approx(0.0, abs=1e-14)
 
     @pytest.mark.parametrize("params", PARAM_GRID)
     def test_identities(self, params):
         c = lapmix_constants(params)
         b1, b2, ct = params.outer_scale, params.inner_scale, params.break_point
-        mass = c.a1 * math.exp(-ct / b1) + c.a2 * (1 - math.exp(-ct / b2))
-        assert mass == pytest.approx(1.0, abs=1e-12)
-        left = c.a1 / (2 * b1) * math.exp(-ct / b1)
-        right = c.a2 / (2 * b2) * math.exp(-ct / b2)
-        assert left == pytest.approx(right, rel=1e-12)
+        assert c.w1 + c.a2 * (1 - math.exp(-ct / b2)) == pytest.approx(1.0, abs=1e-12)
+        # the heights meet at c_t
+        assert c.w1 / (2 * b1) == pytest.approx(c.a2 / (2 * b2) * math.exp(-ct / b2), rel=1e-12)
         # CDF offset identity: 2 k_c == 1 - a2
         assert 2 * c.k_c == pytest.approx(1 - c.a2, abs=1e-12)
 
@@ -153,13 +176,15 @@ class TestGeometricPmf:
 class TestGeoMixtureConstants:
     def test_preset_values(self):
         c = geomix_constants(PRESET_A)
-        assert c.a1 == pytest.approx(16.551175180428622, rel=1e-12)
-        assert c.a2 == pytest.approx(1.4055531756603794, rel=1e-12)
+        assert c.a2 == pytest.approx(1.4055531756603796, rel=1e-12)
+        assert c.w1 == pytest.approx(0.11152094113830691, rel=1e-12)
+        assert c.k_c == pytest.approx(-0.20277658783018981, rel=1e-12)
+        assert [c.a2, c.w1, c.k_c] == pytest.approx(geomix_weights(PRESET_A), rel=1e-12)
 
     def test_collapse(self):
         c = geomix_constants(MixtureParams(epsilon=0.4, ratio=1.0, break_point=3.0))
-        assert c.a1 == pytest.approx(1.0, abs=1e-14)
         assert c.a2 == pytest.approx(1.0, abs=1e-14)
+        assert c.w1 == pytest.approx(math.exp(-1.2), rel=1e-14)
 
     def test_non_integer_break_point_rejected(self):
         with pytest.raises(InvalidParameterError):
@@ -172,18 +197,79 @@ class TestGeoMixtureConstants:
         c = geomix_constants(params)
         ct = params.integer_break_point()
         q1, q2 = math.exp(-params.eps_r), math.exp(-params.epsilon)
-        assert c.a1 * q1**ct + c.a2 * (1 - q2**ct) == pytest.approx(1.0, abs=1e-12)
+        assert c.w1 + c.a2 * (1 - q2**ct) == pytest.approx(1.0, abs=1e-12)
         # break-point step heights agree between the two pieces
-        lhs = c.a1 * (1 - q1) / (1 + q1) * q1**ct
+        lhs = c.w1 * (1 - q1) / (1 + q1)
         rhs = c.a2 * (1 - q2) / (1 + q2) * q2**ct
         assert lhs == pytest.approx(rhs, rel=1e-12)
         # the printed k_c equals the CDF-offset form
-        alt = c.a1 * q1 ** (ct + 1) / (1 + q1) - c.a2 * q2 ** (ct + 1) / (1 + q2)
+        alt = c.w1 * q1 / (1 + q1) - c.a2 * q2 ** (ct + 1) / (1 + q2)
         assert c.k_c == pytest.approx(alt, rel=1e-10, abs=1e-14)
 
 
+# r eps c_t across [700, 800], where exp(-r eps c_t) goes subnormal and then underflows,
+# and r < 1 with eps c_t beyond 745, where exp(-eps c_t) underflows: as (eps, r eps, c_t)
+FUSED_FAR = st.one_of(
+    st.builds(
+        lambda eps, reps_ct, ct: (eps, reps_ct / ct, ct),
+        st.floats(0.05, 5.0), st.floats(700.0, 800.0), st.integers(2, 80),
+    ),
+    st.builds(
+        lambda eps_ct, ratio, ct: (eps_ct / ct, ratio * eps_ct / ct, ct),
+        st.floats(745.0, 900.0), st.floats(0.05, 0.99), st.integers(2, 80),
+    ),
+)
+
+
+class TestFusedInLogs:
+    """The mixtures where the weights fused in linear doubles lost digits or were refused."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(point=FUSED_FAR, family=st.sampled_from(["geomix", "rounded lapmix"]))
+    @example(point=(3.0, 9.9, 75), family="geomix")
+    @example(point=(43.88, 13.18, 18), family="geomix")
+    def test_losses_budget_and_stats(self, point, family):
+        eps, reps, ct = point
+        params = MixtureParams(epsilon=eps, ratio=reps / eps, break_point=float(ct))
+        if family == "geomix":
+            spec = GeometricMixture(params)
+            law = spec.lattice()
+            assert zeta_empirical(spec) == pytest.approx(spec.zeta(), rel=1e-9)
+            spec.stats()  # refused unless every statistic is finite
+        else:
+            spec = LaplaceMixture(params)
+            law = spec.rounded_lattice()
+            assert math.isfinite(law.zeta(1))
+            assert all(math.isfinite(v) for v in law.stats())
+        log_mass = law.log_mass(np.arange(ct + 12.0))
+        assert np.all(np.isfinite(log_mass))
+        assert np.all(np.abs(np.diff(log_mass)) <= spec.worst_case_eps() * (1 + 1e-12))
+
+    @pytest.mark.parametrize("eps, reps, ct", [(3.0, 9.9, 75), (2.0, 20.0, 37)])
+    def test_the_loss_at_the_break_point_is_the_outer_rate(self, eps, reps, ct):
+        # r eps c_t is 742.5 and 740: exp(-r eps c_t) is subnormal, and the linear weights
+        # read losses of 9.90584 and 20.00258 here, beyond the worst case
+        spec = GeometricMixture(MixtureParams(epsilon=eps, ratio=reps / eps, break_point=ct))
+        law = spec.lattice()
+        assert law.log_mass(ct) - law.log_mass(ct + 1) == pytest.approx(reps, rel=1e-13)
+        assert privacy_loss(spec, ct + 1) == pytest.approx(reps, rel=1e-13)
+
+    def test_outer_piece_beyond_an_underflowed_inner_tail(self):
+        # r < 1 and eps c_t = 790: exp(-eps c_t) underflows, and the linear outer weight was
+        # 0, so an outcome beyond c_t was impossible at one truth and possible at the next
+        spec = GeometricMixture(MixtureParams(epsilon=43.88, ratio=13.18 / 43.88, break_point=18.0))
+        assert spec.zeta() == pytest.approx(43.88, rel=1e-15)
+        assert zeta_empirical(spec) == pytest.approx(43.88, rel=1e-13)
+        assert privacy_loss(spec, 18) == pytest.approx(43.88, rel=1e-13)
+        assert math.isfinite(spec.lattice().log_mass(19))
+
+
 class TestConstantsLimits:
-    @pytest.mark.parametrize("constants", [lapmix_constants, geomix_constants])
+    @pytest.mark.parametrize(
+        "constants, weights",
+        [(lapmix_constants, lapmix_weights), (geomix_constants, geomix_weights)],
+        ids=["lapmix_constants", "geomix_constants"],
+    )
     @pytest.mark.parametrize(
         "params",
         [
@@ -193,9 +279,14 @@ class TestConstantsLimits:
             MixtureParams(epsilon=20.0, ratio=1.0, break_point=40.0),
         ],
     )
-    def test_underflow_is_a_typed_error(self, constants, params):
-        with pytest.raises(InvalidParameterError, match="underflows"):
-            constants(params)
+    def test_underflow_is_a_typed_error(self, constants, weights, params):
+        # Once refused because the linear mass underflowed; the weights are now fused in
+        # logs, so the point works and matches the definition.
+        c = constants(params)
+        a2, w1, k_c = weights(params)
+        assert c.a2 == pytest.approx(float(a2), rel=1e-12)
+        assert c.log_w1 == pytest.approx(float(mp.log(w1)), rel=1e-13)
+        assert c.k_c == pytest.approx(float(k_c), rel=1e-12, abs=1e-300)
 
     @pytest.mark.parametrize("constants", [lapmix_constants, geomix_constants])
     def test_subnormal_outer_tail_still_works(self, constants):
@@ -208,9 +299,8 @@ class TestConstantsLimits:
             geomix_constants(MixtureParams(epsilon=1e-17, ratio=2.0, break_point=3.0))
 
     def test_inner_dominated_geomix_has_no_nan(self):
-        # a1 is about 1e300 and alpha1**-17 underflows, so the direct product
-        # a1 * (alpha1 - 1) * alpha1**-17 is inf * 0 = nan; pmf(17) is
-        # 1.366e-36 in 60-digit arithmetic.
+        # the outer weight at 0 would be about 1e300 and alpha1**-17 underflows, so
+        # their product is inf * 0 = nan; pmf(17) is 1.366e-36 in 60-digit arithmetic.
         params = MixtureParams(epsilon=2.305, ratio=19.74, break_point=16.0)
         ks = np.arange(-400, 401)
         pmf = GeometricMixture(params).prob(ks)
@@ -222,12 +312,12 @@ class TestConstantsLimits:
         assert np.allclose(cdf, np.cumsum(pmf), rtol=0, atol=1e-12)
 
     def test_inner_dominated_lapmix_outer_piece(self):
-        # a1 is 7.2e298 and exp(-17/b1) underflows, so the direct product
-        # a1 * exp(-17/b1) reads 0; the density is 1.92378933344e-36 in
-        # 60-digit arithmetic.
+        # r eps c_t is 728, so the outer piece's weight at 0 would be 7.2e298 and
+        # exp(-r eps c_t) is subnormal.  The values are the definition's (see
+        # ``lapmix_weights``) in 60-digit arithmetic.
         params = MixtureParams(epsilon=2.305, ratio=19.74, break_point=16.0)
-        assert lapmix_pdf(17, params) == pytest.approx(1.92378933343978557e-36, rel=1e-9, abs=0)
-        assert lapmix_cdf(-17, params) == pytest.approx(4.2280433783e-38, rel=1e-9, abs=0)
+        assert lapmix_pdf(17, params) == pytest.approx(1.9237893170488488e-36, rel=1e-9, abs=0)
+        assert lapmix_cdf(-17, params) == pytest.approx(4.228043342297698e-38, rel=1e-9, abs=0)
         xs = np.linspace(-40, 40, 801)
         assert not np.any(np.isnan(lapmix_pdf(xs, params)))
         assert np.all(np.diff(lapmix_cdf(xs, params)) >= 0)
@@ -330,25 +420,25 @@ def rounded_laplace_cdf_oracle(x, scale):
 def _geomix_oracle_pieces(params):
     c = geomix_constants(params)
     q1, q2 = math.exp(-params.eps_r), math.exp(-params.epsilon)
-    log_a1 = math.log(c.a1) if c.a1 else -math.inf
-    return c, q1, q2, log_a1, params.outer_scale, params.inner_scale
+    return c, q1, q2, params.outer_scale, params.inner_scale
 
 
 def geomix_pmf_oracle(k, params):
-    c, q1, q2, log_a1, b1, b2 = _geomix_oracle_pieces(params)
+    c, q1, q2, b1, b2 = _geomix_oracle_pieces(params)
     ct, m = params.break_point, np.abs(k)
     inner = c.a2 * (1.0 - q2) / (1.0 + q2) * np.exp(-m / b2)
-    outer = np.exp(log_a1 - np.maximum(m, ct) / b1) * (1.0 - q1) / (1.0 + q1)
+    outer = np.exp(c.log_w1 - (np.maximum(m, ct) - ct) / b1) * (1.0 - q1) / (1.0 + q1)
     return np.where(m <= ct, inner, outer)
 
 
 def geomix_cdf_oracle(x, params):
-    c, q1, q2, log_a1, b1, b2 = _geomix_oracle_pieces(params)
-    start = params.break_point + 1.0
+    c, q1, q2, b1, b2 = _geomix_oracle_pieces(params)
+    ct = params.break_point
+    start = ct + 1.0
     ks = np.floor(x)
     lower = ks < 0
     m = np.where(lower, -ks, ks + 1.0)
-    outer = np.exp(log_a1 - np.maximum(m, start) / b1) / (1.0 + q1)
+    outer = np.exp(c.log_w1 - (np.maximum(m, start) - ct) / b1) / (1.0 + q1)
     inner = c.a2 / (1.0 + q2) * np.maximum(np.exp(-m / b2) - math.exp(-start / b2), 0.0)
     tail = np.minimum(outer + inner, 0.5)
     return np.where(lower, tail, 1.0 - tail)
@@ -393,12 +483,11 @@ class TestLatticeLaw:
     @settings(max_examples=60, deadline=None)
     @given(eps=st.floats(0.01, 5.0), ratio=st.floats(0.1, 50.0), ct=st.integers(1, 40))
     @example(eps=0.2, ratio=5.0, ct=5)
-    @example(eps=2.305, ratio=19.74, ct=16)  # a1 near 1e300
+    @example(eps=2.305, ratio=19.74, ct=16)  # r eps c_t = 728
+    @example(eps=2.0, ratio=10.0, ct=40)  # r eps c_t = 800
     def test_geometric_mixture(self, eps, ratio, ct):
         params = MixtureParams(epsilon=eps, ratio=ratio, break_point=float(ct))
         spec = GeometricMixture(params)
-        if _or_refused(spec.constants) is None:  # the constants underflow
-            return
         ks, xs = _cells(ct + int(750 / min(eps, params.eps_r)) + 2)
         assert_matches_where_normal(spec.prob(ks), geomix_pmf_oracle(ks, params))
         for x in (ks, xs):
@@ -423,8 +512,8 @@ class TestLatticeLaw:
 
 
 # Rounded Laplace mixtures: c_t below 1/2 (cell 0 straddles it), a half-integer (no
-# cell does), integers and general floats; a1 near 1e301; r eps = 1500, where
-# sinh(r eps / 2) overflows.
+# cell does), integers and general floats; an outer weight at 0 near 1e301; r eps =
+# 1500, where sinh(r eps / 2) overflows.
 ROUNDED_POINTS = [
     PRESET_A,
     MixtureParams(epsilon=0.2, ratio=5.0, break_point=0.25),

@@ -1,6 +1,7 @@
 import hashlib
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -24,7 +25,7 @@ from pwmix.mechanisms import (
 )
 from pwmix.sampling import SeededStream, lattice_uniforms, sample
 
-from conftest import EXACT_ZERO, PRESET_A, PRESET_B, chi_square_pvalue
+from conftest import EXACT_ZERO, PRESET_A, PRESET_B, chi_square_pvalue, lapmix_definition
 
 N = 10**5
 
@@ -33,7 +34,10 @@ N = 10**5
 # ``sample(spec, SeededStream(seed, i), size)``, where ``i`` is the index of
 # ``size`` in GOLDEN_SIZES; a scalar call is hashed as one int64 / float64.
 # Pinned from the four-branch np.select sampler, so any change to the mixture
-# inverse transform that moves a single draw by one ulp fails here.
+# inverse transform that moves a single draw by one ulp fails here.  The lapmix
+# digests moved once on purpose, when the mixture weights began to be fused in
+# logs: 41 of them, each draw by at most 4.3e-16 (1 + |x| + b), b the larger
+# piece scale.
 GOLDEN_PARAMS = {
     "preset_a": PRESET_A,  # also bench_ct5's geomix and lapmix presets
     "bench_ct6": PRESET_B,
@@ -90,54 +94,54 @@ GOLDEN_DIGESTS = {
     ("geomix", "ct10", 2024, 16383): "e148dd4a4572f87f",
     ("geomix", "ct10", 2024, 16385): "4dfee63f1399a373",
     ("geomix", "ct10", 2024, 100000): "e4d5eabd55aea402",
-    ("lapmix", "preset_a", 11, None): "11485c9d44a29847",
-    ("lapmix", "preset_a", 11, 1): "644cf342c065ee7f",
-    ("lapmix", "preset_a", 11, 7): "fa700be6ac48a255",
-    ("lapmix", "preset_a", 11, 16383): "55fad8da771900d6",
-    ("lapmix", "preset_a", 11, 16385): "1e69a426692f91f2",
-    ("lapmix", "preset_a", 11, 100000): "4f7517d48125ae14",
-    ("lapmix", "preset_a", 2024, None): "bfa730ba530d4f88",
-    ("lapmix", "preset_a", 2024, 1): "a2614c91aa5526b5",
-    ("lapmix", "preset_a", 2024, 7): "30863d4c936305fb",
-    ("lapmix", "preset_a", 2024, 16383): "e2027910f3b1fa1e",
-    ("lapmix", "preset_a", 2024, 16385): "29628653a1640b0a",
-    ("lapmix", "preset_a", 2024, 100000): "53620dad32c8b4c6",
+    ("lapmix", "preset_a", 11, None): "bbd669688d78a7fe",
+    ("lapmix", "preset_a", 11, 1): "9034e5bc6dc7fba2",
+    ("lapmix", "preset_a", 11, 7): "12e0f6401c1883da",
+    ("lapmix", "preset_a", 11, 16383): "f06ec07d7075f378",
+    ("lapmix", "preset_a", 11, 16385): "8a80b4c64addcac0",
+    ("lapmix", "preset_a", 11, 100000): "199ca69994d9def1",
+    ("lapmix", "preset_a", 2024, None): "d126a0c8bfe0f7c0",
+    ("lapmix", "preset_a", 2024, 1): "a28ab55f79258e8e",
+    ("lapmix", "preset_a", 2024, 7): "a8215494f750406d",
+    ("lapmix", "preset_a", 2024, 16383): "8da745de099d1551",
+    ("lapmix", "preset_a", 2024, 16385): "d831d940645045e3",
+    ("lapmix", "preset_a", 2024, 100000): "2507027785e6e551",
     ("lapmix", "bench_ct6", 11, None): "1ebdea16f1a6f4ad",
     ("lapmix", "bench_ct6", 11, 1): "82c18cea7407ef09",
     ("lapmix", "bench_ct6", 11, 7): "91b84fe42501a6e9",
-    ("lapmix", "bench_ct6", 11, 16383): "3e1bd61b3e9e0de8",
-    ("lapmix", "bench_ct6", 11, 16385): "bf1540860b1b7dba",
-    ("lapmix", "bench_ct6", 11, 100000): "434784c348e05c24",
+    ("lapmix", "bench_ct6", 11, 16383): "6019923d65c3577b",
+    ("lapmix", "bench_ct6", 11, 16385): "99112cba1f9e2d94",
+    ("lapmix", "bench_ct6", 11, 100000): "c4461d0d2b5a97c7",
     ("lapmix", "bench_ct6", 2024, None): "fb9d6bf41fb1200e",
     ("lapmix", "bench_ct6", 2024, 1): "85b5ef6147a3e562",
     ("lapmix", "bench_ct6", 2024, 7): "158970e9d9b1b5a9",
-    ("lapmix", "bench_ct6", 2024, 16383): "47ac55bf6c5cdf8b",
-    ("lapmix", "bench_ct6", 2024, 16385): "d9d724463b435d06",
-    ("lapmix", "bench_ct6", 2024, 100000): "ea33583a6ae8f9c1",
-    ("lapmix", "ct1", 11, None): "34d7573e7d880323",
-    ("lapmix", "ct1", 11, 1): "f3450bcee24f9a68",
-    ("lapmix", "ct1", 11, 7): "c978c253b14814e0",
-    ("lapmix", "ct1", 11, 16383): "f848743fc7c677be",
-    ("lapmix", "ct1", 11, 16385): "dbcaa2d67781d5ab",
-    ("lapmix", "ct1", 11, 100000): "e3fc86aead53f863",
-    ("lapmix", "ct1", 2024, None): "747f89eab44cc529",
-    ("lapmix", "ct1", 2024, 1): "4a87f92911ba4aba",
-    ("lapmix", "ct1", 2024, 7): "afb33321a4b95674",
-    ("lapmix", "ct1", 2024, 16383): "fae2668d190f989c",
-    ("lapmix", "ct1", 2024, 16385): "2b8cace04d6b25d0",
-    ("lapmix", "ct1", 2024, 100000): "53e79f553dd46bba",
-    ("lapmix", "ct10", 11, None): "60cdb731b842f323",
+    ("lapmix", "bench_ct6", 2024, 16383): "5d5eb1a5b715d952",
+    ("lapmix", "bench_ct6", 2024, 16385): "7357eae873f6748f",
+    ("lapmix", "bench_ct6", 2024, 100000): "11d93ea62d34ce14",
+    ("lapmix", "ct1", 11, None): "66f13ef74f9c8083",
+    ("lapmix", "ct1", 11, 1): "d61d962803cee256",
+    ("lapmix", "ct1", 11, 7): "4e48bf03c0647d27",
+    ("lapmix", "ct1", 11, 16383): "02afb6729a9135ff",
+    ("lapmix", "ct1", 11, 16385): "8fd09414b371d736",
+    ("lapmix", "ct1", 11, 100000): "a2a9346696e285a6",
+    ("lapmix", "ct1", 2024, None): "2bc18a17519cbb6d",
+    ("lapmix", "ct1", 2024, 1): "e65f941744fa59f3",
+    ("lapmix", "ct1", 2024, 7): "cf2c539205111221",
+    ("lapmix", "ct1", 2024, 16383): "ad53ea138fa7c0b3",
+    ("lapmix", "ct1", 2024, 16385): "34dae66ceda8ac87",
+    ("lapmix", "ct1", 2024, 100000): "6efa64dd0d5a0c47",
+    ("lapmix", "ct10", 11, None): "0e477f69b669b2f6",
     ("lapmix", "ct10", 11, 1): "bcc387318d653617",
-    ("lapmix", "ct10", 11, 7): "b10df43b00c32016",
-    ("lapmix", "ct10", 11, 16383): "4a97fe2e4c5ab7d3",
-    ("lapmix", "ct10", 11, 16385): "161998dcc7face29",
-    ("lapmix", "ct10", 11, 100000): "74ff269c818ae358",
-    ("lapmix", "ct10", 2024, None): "47282994c0dc6f8c",
-    ("lapmix", "ct10", 2024, 1): "d83b4b8b70662650",
-    ("lapmix", "ct10", 2024, 7): "cfe5970f648622e9",
-    ("lapmix", "ct10", 2024, 16383): "ed96bf24b3769911",
-    ("lapmix", "ct10", 2024, 16385): "d9cdca5178dab58f",
-    ("lapmix", "ct10", 2024, 100000): "2bc1020565731561",
+    ("lapmix", "ct10", 11, 7): "1e2d64c974411020",
+    ("lapmix", "ct10", 11, 16383): "e82136d1df0f4a5b",
+    ("lapmix", "ct10", 11, 16385): "d7c754058e7e75dd",
+    ("lapmix", "ct10", 11, 100000): "8a826c9970b26d1f",
+    ("lapmix", "ct10", 2024, None): "b421f77f8520ab09",
+    ("lapmix", "ct10", 2024, 1): "0380c535cdc56f7d",
+    ("lapmix", "ct10", 2024, 7): "47a0ebea6e304c28",
+    ("lapmix", "ct10", 2024, 16383): "45ecc8275aaa299a",
+    ("lapmix", "ct10", 2024, 16385): "24aafe17da2fa1d9",
+    ("lapmix", "ct10", 2024, 100000): "89a99055f92c3841",
 }
 
 
@@ -315,22 +319,21 @@ class TestAlgorithmBranches:
 
 
 def _oracle_lapmix_thresholds(params):
-    c = lapmix_constants(params)
-    t_outer = 0.5 * c.a1 * np.exp(-params.break_point / params.outer_scale)
+    t_outer = 0.5 * lapmix_constants(params).w1
     return t_outer, 1.0 - t_outer, 0.5
 
 
 def _oracle_lapmix(u, params):
     c = lapmix_constants(params)
-    b1, b2 = params.outer_scale, params.inner_scale
+    b1, b2, ct = params.outer_scale, params.inner_scale, params.break_point
     t_outer, t_upper, _ = _oracle_lapmix_thresholds(params)
     with np.errstate(invalid="ignore", divide="ignore"):
-        left_outer = b1 * np.log(2.0 * u / c.a1)
-        right_outer = -b1 * np.log(2.0 * (1.0 - u) / c.a1)
+        # the outer piece read from c_t
+        left_outer = b1 * np.log(2.0 * u / c.w1) - ct
+        right_outer = -(b1 * np.log(2.0 * (1.0 - u) / c.w1) - ct)
         left_inner = b2 * np.log(2.0 * (u - c.k_c) / c.a2)
         right_inner = -b2 * np.log(2.0 * (1.0 - u - c.k_c) / c.a2)
     # an inner tail rounded away at the threshold: the draw is the piece's edge
-    ct = params.break_point
     left_inner = np.where(u - c.k_c <= 0.0, -ct, left_inner)
     right_inner = np.where(1.0 - u - c.k_c <= 0.0, ct, right_inner)
     return np.select(
@@ -345,8 +348,8 @@ def _oracle_geomix_thresholds(params):
     ct = params.integer_break_point()
     q1 = math.exp(-params.eps_r)
     q2 = math.exp(-params.epsilon)
-    t_left = c.a1 * q1**ct / (1.0 + q1)
-    t_right = 1.0 - c.a1 * q1 ** (ct + 1) / (1.0 + q1)
+    t_left = c.w1 / (1.0 + q1)
+    t_right = 1.0 - c.w1 * q1 / (1.0 + q1)
     t_mid = c.a2 / (1.0 + q2) + c.k_c
     return t_left, t_right, t_mid
 
@@ -358,13 +361,14 @@ def _oracle_geomix(u, params):
     lam1 = params.eps_r
     lam2 = params.epsilon
     t_left, t_right, t_mid = _oracle_geomix_thresholds(params)
+    ct = params.integer_break_point()
     with np.errstate(invalid="ignore", divide="ignore"):
-        left_outer = np.ceil(np.log((1.0 + q1) * u / c.a1) / lam1)
-        right_outer = np.ceil(-np.log((1.0 - u) * (1.0 + q1) / c.a1) / lam1 - 1.0)
+        # the outer piece read from c_t
+        left_outer = np.ceil(np.log((1.0 + q1) * u / c.w1) / lam1) - ct
+        right_outer = np.ceil(-np.log((1.0 - u) * (1.0 + q1) / c.w1) / lam1 - 1.0) + ct
         left_inner = np.ceil(np.log((1.0 + q2) * (u - c.k_c) / c.a2) / lam2)
         right_inner = np.ceil(-np.log((1.0 - u - c.k_c) * (1.0 + q2) / c.a2) / lam2 - 1.0)
     # an inner tail rounded away at the threshold: the draw is the piece's edge
-    ct = params.integer_break_point()
     left_inner = np.where(u - c.k_c <= 0.0, -ct, left_inner)
     right_inner = np.where(1.0 - u - c.k_c <= 0.0, ct, right_inner)
     out = np.select(
@@ -373,6 +377,21 @@ def _oracle_geomix(u, params):
         default=right_inner,
     )
     return out.astype(np.int64)
+
+
+def _exact_lapmix_inverse(u, params):
+    """The noise at u of the Laplace mixture's CDF from its definition
+    (``lapmix_definition``), in 50-digit arithmetic.  Below 1/2 it inverts the lower tail
+    T(m) = P(noise <= -m); above, it mirrors 1 - u, which is exact there."""
+    with mp.workdps(50):
+        big_a2, t2, eps, reps, ct = lapmix_definition(params)
+        v = mp.mpf(min(u, 1.0 - u))
+        outer = big_a2 * t2 / reps  # T(c_t)
+        if v <= outer:
+            m = ct + mp.log(outer / v) / reps
+        else:
+            m = -mp.log((v - outer) * eps / big_a2 + t2) / eps
+        return float(m if u > 0.5 else -m)
 
 
 def _oracle_uniforms(seed, n_random, thresholds):
@@ -405,10 +424,7 @@ class TestInverseOracle:
     @example(eps=3.7890625, ratio=0.5, ct=9, seed=0, n_random=0)
     def test_geomix_bit_identical(self, eps, ratio, ct, seed, n_random):
         params = MixtureParams(epsilon=eps, ratio=ratio, break_point=float(ct))
-        try:
-            thresholds = _oracle_geomix_thresholds(params)
-        except InvalidParameterError:
-            assume(False)
+        thresholds = _oracle_geomix_thresholds(params)
         law = GeometricMixture(params).lattice()
         u = SeededStream(seed).uniforms(n_random)
         got = law.inverse(u)
@@ -427,14 +443,36 @@ class TestInverseOracle:
     )
     def test_lapmix_bit_identical(self, eps, ratio, ct, seed, n_random):
         params = MixtureParams(epsilon=eps, ratio=ratio, break_point=ct)
-        try:
-            thresholds = _oracle_lapmix_thresholds(params)
-        except InvalidParameterError:
-            assume(False)
+        thresholds = _oracle_lapmix_thresholds(params)
         u = _oracle_uniforms(seed, n_random, thresholds)
         got = LaplaceMixture(params).inverse_cdf(u)
         assert got.dtype == np.float64
         assert got.tobytes() == _oracle_lapmix(u, params).tobytes()
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            PRESET_A,
+            PRESET_B,
+            GOLDEN_PARAMS["ct1"],
+            GOLDEN_PARAMS["ct10"],
+            MixtureParams(epsilon=2.305, ratio=19.74, break_point=16.0),  # r eps c_t = 728
+            MixtureParams(epsilon=2.0, ratio=10.0, break_point=40.0),  # r eps c_t = 800
+            MixtureParams(epsilon=3.0, ratio=0.3, break_point=2.5),  # r < 1
+            MixtureParams(epsilon=43.88, ratio=13.18 / 43.88, break_point=18.0),  # eps c_t = 790
+        ],
+    )
+    def test_lapmix_against_the_exact_inverse(self, params):
+        # the kernel and its oracle, against the inverse of the exact CDF in 50-digit
+        # arithmetic, at the stream's uniforms, its extremes and every threshold
+        u = np.concatenate([
+            _oracle_uniforms(7, 2000, _oracle_lapmix_thresholds(params)),
+            [2.0**-54, 1e-300, 1e-20, 0.25, np.nextafter(0.5, 1.0), 1.0 - 2.0**-53],
+        ])
+        b = max(params.inner_scale, params.outer_scale)
+        want = np.array([_exact_lapmix_inverse(v, params) for v in u])
+        for got in (LaplaceMixture(params).inverse_cdf(u), _oracle_lapmix(u, params)):
+            np.testing.assert_array_less(np.abs(got - want), 1e-14 * (1.0 + np.abs(want) + b))
 
     def test_draw_at_a_rounded_away_inner_tail(self):
         # the stream gives u = t_right here (lattice value 2^53 - 2), where the oracle's
@@ -517,12 +555,13 @@ class TestLatticeInverse:
 
     def test_where_the_runs_and_the_thresholds_part(self):
         # P(K <= 0) is 0.88705640151889878 to 40 digits, below the uniforms of these
-        # lattice values, so the law draws 1; the four-branch thresholds drew 0
+        # lattice values, so the law draws 1; the four-branch threshold, rounded an ulp
+        # above it, draws 0 at the first two
         params = MixtureParams(epsilon=1.924829037709121, ratio=34.617004438047864, break_point=1.0)
         u = lattice_uniforms(np.arange(7989893758674251, 7989893758674255))
         assert np.all(u > 0.88705640151889878)
         assert GeometricMixture(params).lattice().inverse(u).tolist() == [1, 1, 1, 1]
-        assert _oracle_geomix(u, params).tolist() == [0, 0, 0, 0]
+        assert _oracle_geomix(u, params).tolist() == [0, 0, 1, 1]
 
 
 class TestLapMixSampler:

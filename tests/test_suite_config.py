@@ -66,6 +66,22 @@ def test_tracer_targets_and_constant_caches_exist(monkeypatch):
         assert callable(cache.cache_info)
 
 
+def test_an_analytic_sweep_round_passes_its_check(monkeypatch, tmp_path):
+    # One round of the benchmark's analytic-sweep workload (seed 1401, 1,000 points) through
+    # its own run and check, the reference law of perfbench/reference.py: every point passes,
+    # the one in 100 with r eps c_t beyond 745 included.
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import workloads
+
+    sweep = workloads.AnalyticSweep(ROOT, 1401, tmp_path, 0)
+    sweep.setup()
+    sweep.before_round(0)
+    points = sweep.round()
+    assert len(points) == 1000 and sum(op.underflow for op in points) == 10
+    for op in points:
+        sweep.check(op, sweep.run(op))
+
+
 def test_family_names_only_in_mechanisms():
     # The kind switch lives in mechanisms.spec_from_dict; elsewhere a family is
     # asked about itself, not named.  "rounded_laplace" was such a name.
