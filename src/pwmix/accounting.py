@@ -91,19 +91,19 @@ def _zeta_by_segments(spec: MechanismSpec, shift: int) -> float:
     the kinks of ln p(x) and ln q, and x = s/2 where the loss changes sign, the integrand is
     exp of a line: read at 1/4 and 3/4 of its segment, away from the kinks where the pieces
     meet only to rounding, and integrated in closed form.  Beyond +-(c_t + s) the loss is
-    ``s * rate``.  Where the tail mass underflows or a log density is not finite, the budget
-    is inf.
+    ``s * rate`` and the density falls at ``rate``, so both tails hold 2 p(-c_t - s) / rate,
+    taken from the log density.  Where a log density is not finite, the budget is inf.
     """
     ct, rate = spec.loss_tail()
     lo = -ct - shift
-    tail = 2.0 * spec.cdf(lo)  # both tails from the lower one, where 1 - cdf(-lo) cancels
     cuts = np.array(sorted({lo, -ct, shift - ct, 0.0, 0.5 * shift, shift, ct, ct + shift}))
     widths = np.diff(cuts)
     x = cuts[:-1] + np.multiply.outer([0.25, 0.75], widths)
     here, there = spec.log_prob(x), spec.log_prob(x - shift)
-    if tail < sys.float_info.min or not (np.isfinite(here).all() and np.isfinite(there).all()):
+    tail = spec.log_prob(lo) + math.log(2.0) - math.log(rate)
+    if not (math.isfinite(tail) and np.isfinite(here).all() and np.isfinite(there).all()):
         return math.inf
-    logs = [math.log(tail) + shift * rate]
+    logs = [tail + shift * rate]
     for width, g1, g3 in zip(widths.tolist(), *np.maximum(there, 2.0 * here - there).tolist()):
         rise = 2.0 * abs(g3 - g1)  # the line's change across the segment
         shape = -math.expm1(-rise) / rise if rise else 1.0
@@ -117,8 +117,8 @@ def zeta_empirical(spec: MechanismSpec, shift: int = 1) -> float:
 
     An integer family's is the exact sum over its lattice law (constant-loss tails folded
     in analytically); a continuous one's is a sum of closed-form segment integrals, inf
-    where its tail mass underflows.  A mechanism with unbounded worst-case loss has
-    an infinite budget.  A shift must be a positive integer.
+    where a log density it reads is not finite.  A mechanism with unbounded worst-case
+    loss has an infinite budget.  A shift must be a positive integer.
     """
     shift = _require_shift(shift)
     if math.isinf(spec.worst_case_eps()):

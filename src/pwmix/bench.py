@@ -358,16 +358,15 @@ _AUDIT_CHUNK = 1 << 16
 
 # An audit arm counts its draws per bucket of the uniform lattice, a bucket
 # being the top _BUCKET_BITS bits of the 53-bit value, and reads each bucket's
-# binned noise from a table (``_bucket_table``).
-_BUCKET_BITS = 16
+# binned noise from a table (``_bucket_table``).  At the bench_ct5 geomix
+# preset 22 of the 4,096 buckets straddle an integer step.
+_BUCKET_BITS = 12
 _BUCKET_SHIFT = 53 - _BUCKET_BITS
 # How far inside its rounding step each edge's value must lie for the Laplace
 # mixture, per unit of 1 + |x| + the largest offset + the larger piece scale;
 # the float error of ``pre_rounding`` and of adding the offset is about 1e-15
 # of the same.
 _MARGIN = 1e-9
-# Buckets per pass of the table build, so its temporaries stay small.
-_TABLE_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -382,11 +381,11 @@ class _BucketTable:
 
 def _binned_edge(spec, lattice: np.ndarray, base: float):
     """(noise, branch, clear) at bucket edges.  An integer family's noise is its
-    lattice law's exact inverse: one branch, always clear.  The Laplace
+    draw, its lattice law's exact inverse: one branch, always clear.  The Laplace
     mixture's is its value x rounded, with the kernel branch and whether x lies
     the margin, ``_MARGIN (base + |x|)``, inside its rounding step."""
     if spec.integer:
-        return spec.lattice().inverse(lattice_uniforms(lattice)), 0, True
+        return spec.draw(_Drawn(lattice_uniforms(lattice)), lattice.size), 0, True
     x, branch = spec.pre_rounding(lattice_uniforms(lattice))
     with np.errstate(invalid="ignore"):  # an infinite x is never clear of its step
         noise = np.round(x)
@@ -410,15 +409,10 @@ def _bucket_table(spec: MechanismSpec, max_offset: int) -> _BucketTable | None:
         return None
     scale = 0.0 if spec.integer else max(spec.params.inner_scale, spec.params.outer_scale)
     base = 1.0 + abs(max_offset) + scale
-    n = 1 << _BUCKET_BITS
-    noise = np.empty(n)
-    straddles = np.empty(n, dtype=bool)
-    for i in range(0, n, _TABLE_BLOCK):
-        first = np.arange(i, i + _TABLE_BLOCK, dtype=np.int64) << _BUCKET_SHIFT
-        lo, lo_branch, lo_clear = _binned_edge(spec, first, base)
-        hi, hi_branch, hi_clear = _binned_edge(spec, first + ((1 << _BUCKET_SHIFT) - 1), base)
-        noise[i : i + first.size] = lo
-        straddles[i : i + first.size] = ~(lo_clear & hi_clear & (lo_branch == hi_branch) & (lo == hi))
+    first = np.arange(1 << _BUCKET_BITS, dtype=np.int64) << _BUCKET_SHIFT
+    noise, lo_branch, lo_clear = _binned_edge(spec, first, base)
+    hi, hi_branch, hi_clear = _binned_edge(spec, first + ((1 << _BUCKET_SHIFT) - 1), base)
+    straddles = ~(lo_clear & hi_clear & (lo_branch == hi_branch) & (noise == hi))
     covered = np.flatnonzero(~straddles)
     if covered.size == 0:
         return None
@@ -454,10 +448,10 @@ def _outcome_counts(
     time from ``stream``; for a family that takes one uniform per draw the
     stream yields the same draws read in pieces as in one call, so the counts
     do not depend on the chunk size.  With a ``table`` (from ``_bucket_table``
-    for ``spec``, offsets up to at least ``|offset|``) a chunk's lattice values
-    are counted per bucket, and those in straddling buckets are held and drawn
-    together once ``_AUDIT_CHUNK`` of them have collected, and at the end; the
-    counts are the same.
+    for ``spec``, offsets up to at least ``|offset|``) a chunk's raw words are
+    counted per bucket, read from their top bits, and those in straddling
+    buckets are held and drawn together once ``_AUDIT_CHUNK`` of them have
+    collected, and at the end; the counts are the same.
     """
     trials = int(trials)
     counts: Counter = Counter()
@@ -472,14 +466,15 @@ def _outcome_counts(
             tally(sample(spec, stream, size=min(_AUDIT_CHUNK, trials - start)))
         return dict(counts)
     per_bucket = np.zeros(table.straddles.size, dtype=np.int64)
-    held: list[np.ndarray] = []  # straddling lattice values not yet drawn
+    held: list[np.ndarray] = []  # straddling raw words not yet drawn
     for start in range(0, trials, _AUDIT_CHUNK):
-        lattice = stream.lattice(min(_AUDIT_CHUNK, trials - start))
-        buckets = lattice >> _BUCKET_SHIFT
+        # raw Philox words: ``stream.lattice`` gives their top 53 bits
+        words = stream.generator.bit_generator.random_raw(min(_AUDIT_CHUNK, trials - start))
+        buckets = (words >> (64 - _BUCKET_BITS)).view(np.int64)
         per_bucket += np.bincount(buckets, minlength=per_bucket.size)
-        held.append(lattice[table.straddles[buckets]])
+        held.append(words[table.straddles.take(buckets)])
         if sum(map(len, held)) >= _AUDIT_CHUNK or start + _AUDIT_CHUNK >= trials:
-            cut = np.concatenate(held)
+            cut = (np.concatenate(held) >> 11).view(np.int64)
             held.clear()
             tally(sample(spec, _Drawn(lattice_uniforms(cut)), size=cut.size))
     covered = np.add.reduceat(per_bucket[table.order], table.starts)

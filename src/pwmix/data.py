@@ -10,6 +10,7 @@ record changes a count by at most one and histogram bins are disjoint.
 from __future__ import annotations
 
 import csv
+import gc
 import io
 import math
 from collections import defaultdict
@@ -67,35 +68,46 @@ def _encode_columns(
 ) -> tuple[int, tuple[ColumnCodes, ...]]:
     """Row count and per-column encodings of ``records``, read ``_BLOCK`` rows at a time.
 
-    Each column maps the values seen so far to provisional codes in order of
-    first sight, assigned by one lookup pass per block.  At the end the values
-    are trimmed, the sorted distinct trims become the levels (values that trim
-    alike share one), and one array index maps the provisional codes to level
-    codes.
+    Every cell, whatever its column, gets a provisional code for its text in
+    order of first sight, by one lookup pass over each block's cells in row
+    order.  At the end each column reads the codes it used, trims their texts,
+    and makes the sorted distinct trims its levels (texts that trim alike share
+    one); one array index maps its provisional codes to level codes.  The
+    cyclic garbage collector is paused while the rows are read: their lists
+    hold no cycles, and the collections that their count triggers would find
+    nothing to free.
     """
     rows = iter(records)
-    seen = [defaultdict(count().__next__) for _ in range(width)]
-    blocks: list[list[np.ndarray]] = [[] for _ in range(width)]
+    code_of = defaultdict(count().__next__)
+    blocks: list[np.ndarray] = []
     row_count = 0
-    while block := list(islice(rows, _BLOCK)):
-        if any(map(width.__ne__, map(len, block))):
-            i, rec = next((i, rec) for i, rec in enumerate(block, row_count) if len(rec) != width)
-            raise ParseError(f"row {i} has {len(rec)} fields, expected {width}", row_index=i)
-        row_count += len(block)
-        for code_of, coded, column in zip(seen, blocks, zip(*block)):
-            codes = np.fromiter(map(code_of.__getitem__, column), np.int64, len(column))
-            coded.append(codes.astype(np.min_scalar_type(len(code_of))))
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        while block := list(islice(rows, _BLOCK)):
+            if list(map(len, block)).count(width) != len(block):
+                i, rec = next((i, rec) for i, rec in enumerate(block, row_count) if len(rec) != width)
+                raise ParseError(f"row {i} has {len(rec)} fields, expected {width}", row_index=i)
+            row_count += len(block)
+            cells = map(code_of.__getitem__, chain.from_iterable(block))
+            cells = np.fromiter(cells, np.intp, len(block) * width)
+            blocks.append(cells.astype(np.min_scalar_type(len(code_of))))
+    finally:
+        if collecting:
+            gc.enable()
+    texts = list(code_of)
+    if not all(isinstance(text, str) for text in texts):
+        raise ParseError("every cell must be text")
+    table = np.concatenate(blocks or [np.empty(0, np.uint8)]).reshape(row_count, width)
     columns = []
-    for code_of, coded in zip(seen, blocks):
-        if not all(isinstance(value, str) for value in code_of):
-            raise ParseError("every cell must be text")
-        trimmed = [value.strip() for value in code_of]
+    for provisional in table.T:
+        used = np.flatnonzero(np.bincount(provisional))
+        trimmed = [texts[i].strip() for i in used.tolist()]
         levels = tuple(sorted(set(trimmed)))
         index = {v: i for i, v in enumerate(levels)}
-        dtype = np.min_scalar_type(len(levels))
-        level_of = np.fromiter(map(index.__getitem__, trimmed), dtype, len(trimmed))
-        codes = level_of[np.concatenate(coded)] if coded else level_of
-        columns.append(ColumnCodes(levels=levels, index=index, codes=codes))
+        level_of = np.zeros(used[-1] + 1 if used.size else 0, np.min_scalar_type(len(levels)))
+        level_of[used] = np.fromiter(map(index.__getitem__, trimmed), level_of.dtype, len(trimmed))
+        columns.append(ColumnCodes(levels=levels, index=index, codes=level_of[provisional]))
     return row_count, tuple(columns)
 
 

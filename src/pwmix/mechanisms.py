@@ -38,7 +38,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import ClassVar, Protocol
 
 import numpy as np
@@ -311,19 +311,9 @@ class _Lattice:
         tail = self._tail(np.where(lower, -ks, ks + 1.0))
         return _wrap(x, np.where(lower, tail, 1.0 - tail))
 
-    def inverse(self, u) -> np.ndarray:
-        """The noise at each uniform u in (0, 1), int64: ``cdf``'s generalised inverse,
-        mirrored at 1/2.
-
-        u <= 1/2 gives K = -M(u), M(v) = max{m >= 0 : m = 0 or T(m) >= v} with T the tail
-        that ``cdf`` reads; u > 1/2 gives M(1 - u), 1 - u being exact.  T falls with m, so
-        K is non-decreasing in u.  The run that v = min(u, 1 - u) falls in is found from T
-        at the runs' first cells, and its closed form gives a candidate M with one ``log``
-        per draw.  A table of T over the cells that a uniform of the stream (at least
-        2^-54) can reach confirms most candidates; the rest step by one through T, up to
-        cell 2^53, past which doubles do not step by one.
-        """
-        u = np.asarray(u, dtype=float)
+    @cached_property
+    def _inverse_tables(self):
+        """What ``inverse`` reads besides the uniforms, built on its first call and kept."""
         ends = [run[0] for run in self.runs[1:]]
         # d cells past the last run's first, T is at most exp(-rate d): below 2^-54 at d = 38 / rate
         cells = int(min(self.runs[-1][0] + 38.0 / self.runs[-1][2] + 2.0, _TAIL_CELLS))
@@ -335,10 +325,25 @@ class _Lattice:
                 consts.append((first, past, scale, math.exp(-rate * (end - first)), -1.0 / rate))
             else:  # one cell
                 consts.append((first, past, 0.0, 1.0, 0.0))
-        firsts, pasts, scales, q_cells, inv_rates = (np.array(c) for c in zip(*consts))
         # T at a candidate (inf at cell 0, which needs none) and at the cell after it; a
         # candidate past the table fails
         at, after = np.concatenate(([np.inf], tail[:-1], [-np.inf])), np.append(tail, 0.0)
+        return starts.tolist(), cells, at, after, *(np.array(c) for c in zip(*consts))
+
+    def inverse(self, u) -> np.ndarray:
+        """The noise at each uniform u in (0, 1), int64: ``cdf``'s generalised inverse,
+        mirrored at 1/2.
+
+        u <= 1/2 gives K = -M(u), M(v) = max{m >= 0 : m = 0 or T(m) >= v} with T the tail
+        that ``cdf`` reads; u > 1/2 gives M(1 - u), 1 - u being exact.  T falls with m, so
+        K is non-decreasing in u.  The run that v = min(u, 1 - u) falls in is found from T
+        at the runs' first cells, and its closed form gives a candidate M with one ``log``
+        per draw.  A table of T over the cells that a uniform of the stream (at least
+        2^-54) can reach confirms most candidates; the rest step by one through T, up to
+        cell 2^53, past which doubles do not step by one.  The tables are built once per law.
+        """
+        starts, cells, at, after, firsts, pasts, scales, q_cells, inv_rates = self._inverse_tables
+        u = np.asarray(u, dtype=float)
         flat = u.ravel()
         out = np.empty(flat.size, dtype=np.int64)
         for i in range(0, flat.size, _CHUNK):
@@ -436,8 +441,15 @@ class _LatticeFamily(_Law):
     def stats(self) -> MechanismStats:
         return MechanismStats(*self.lattice().stats())
 
+    @cached_property
+    def _law(self) -> _Lattice:
+        """The lattice law that ``draw`` inverts, built on the first draw and kept with its
+        inverse tables; ``lattice()`` itself builds afresh, so a spec that never draws, as a
+        sweep's, keeps nothing."""
+        return self.lattice()
+
     def draw(self, stream, n: int) -> np.ndarray:
-        return self.lattice().inverse(stream.uniforms(n))
+        return self._law.inverse(stream.uniforms(n))
 
 
 def rounded_laplace_zeta(eps: float) -> float:

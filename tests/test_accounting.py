@@ -28,7 +28,7 @@ from pwmix.mechanisms import (
     lapmix_constants,
 )
 
-from conftest import INT_PARAM_GRID, PRESET_A, PRESET_B
+from conftest import INT_PARAM_GRID, PRESET_A, PRESET_B, lapmix_definition
 
 
 class TestPrivacyLoss:
@@ -392,9 +392,32 @@ class TestContinuousZeta:
         assert zeta == pytest.approx(606.04896298346645401, rel=1e-12)
 
     @pytest.mark.parametrize("eps", [710.0, 800.0])
-    def test_laplace_beyond_the_double_range_is_infinite(self, eps):
-        # the tail mass 2 P(noise <= -1) = exp(-eps) underflows
-        assert zeta_empirical(Laplace(scale=1 / eps)) == math.inf
+    def test_laplace_beyond_the_double_range(self, eps):
+        # the tail mass 2 P(noise <= -1) = exp(-eps) underflows, its log does not: the
+        # budget is the closed form of test_laplace_closed_form
+        with mp.workdps(40):
+            u = mp.mpf(eps)
+            exact = float(mp.log(mp.mpf(2) / 3 * mp.exp(u) + 1 - mp.mpf(2) / 3 * mp.exp(-u / 2)))
+        assert zeta_empirical(Laplace(scale=1 / eps)) == pytest.approx(exact, rel=1e-13)
+
+    def test_lapmix_whose_tail_mass_underflows(self):
+        # r < 1 with eps c_t = 790: the tail mass 2 P(noise <= -c_t - 1) underflows, and the
+        # budget read inf.  Against the definition's density (``lapmix_definition``)
+        # integrated in 60-digit arithmetic, split at the kinks
+        params = MixtureParams.from_rates(43.88, 13.18, 18)
+        with mp.workdps(60):
+            big_a2, t2, eps, reps, ct = lapmix_definition(params)
+
+            def p(x):
+                m = abs(x)
+                return big_a2 * (mp.exp(-eps * m) if m <= ct else t2 * mp.exp(-reps * (m - ct)))
+
+            cuts = [-mp.inf, -ct - 1, -ct, 1 - ct, 0, mp.mpf(1) / 2, 1, ct, ct + 1, mp.inf]
+            parts = (mp.quad(lambda x: max(p(x - 1), p(x) ** 2 / p(x - 1)), [a, b])
+                     for a, b in zip(cuts, cuts[1:]))
+            exact = float(mp.log(mp.fsum(parts)))
+        assert exact == pytest.approx(43.474534891891838176, rel=1e-15)
+        assert zeta_empirical(LaplaceMixture(params)) == pytest.approx(exact, rel=1e-13)
 
     def test_laplace_where_its_density_underflows(self):
         # the tail mass exp(-700) is normal, but the density 350 exp(-700 |x|) that the

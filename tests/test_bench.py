@@ -378,6 +378,11 @@ def _bucket_and_draw_counts(spec, trials, offset, clamp, seed=408, stream=None):
     return got, _outcome_counts(spec, stream or SeededStream(seed), trials, offset, clamp)
 
 
+# A Laplace mixture's inner epsilon at which one lattice bucket, 2^-_BUCKET_BITS of
+# mass, spans about a third of an integer near 0, where the density is about eps / 2.
+WIDE_EPS = 6.0 * 2.0**-bench._BUCKET_BITS
+
+
 class TestBucketCounts:
     """An arm counted per lattice bucket has exactly the counts drawn one by one."""
 
@@ -413,16 +418,16 @@ class TestBucketCounts:
     @pytest.mark.parametrize("offset, clamp", [(0, False), (7, True), (1 << 20, True)])
     def test_wide_lapmix(self, offset, clamp):
         # one bucket spans about a third of an integer: thousands straddle a step
-        spec = LaplaceMixture(MixtureParams(epsilon=1e-4, ratio=2.0, break_point=5.0))
+        spec = LaplaceMixture(MixtureParams(epsilon=WIDE_EPS, ratio=2.0, break_point=5.0))
         assert _bucket_table(spec, 0).straddles.sum() > 1000
         got, want = _bucket_and_draw_counts(spec, self.TRIALS, offset, clamp)
         assert got == want
 
     def test_straddlers_beyond_a_chunk(self, monkeypatch):
-        # About 44% of the buckets straddle, so an arm holds more than a chunk
+        # About 47% of the buckets straddle, so an arm holds more than a chunk
         # of straddling values after its third chunk, draws them in one call,
         # and draws the rest at the end of the arm.
-        spec = LaplaceMixture(MixtureParams(epsilon=1e-4, ratio=2.0, break_point=5.0))
+        spec = LaplaceMixture(MixtureParams(epsilon=WIDE_EPS, ratio=2.0, break_point=5.0))
         trials = 5 * (1 << 16) + 17
         table = _bucket_table(spec, 7)
         sizes = []
@@ -458,7 +463,8 @@ class TestBucketCounts:
         table = _bucket_table(spec, 0)
         assert table.straddles[5] and table.straddles.sum() == 1
         stream = SeededStream(0)
-        lattice = [5 << 37, (5 << 37) + (3 << 34), (6 << 37) - 1]
+        shift = bench._BUCKET_SHIFT
+        lattice = [5 << shift, (5 << shift) + (3 << (shift - 3)), (6 << shift) - 1]
         stream._gen = _LatticeEnds(lattice)
         got, want = _bucket_and_draw_counts(spec, 300, 0, False, stream=stream)
         assert got == want == {0: 200, 1: 100}
@@ -512,7 +518,7 @@ class _BucketFiveSpec:
         self.shape = shape
 
     def pre_rounding(self, u):
-        p = u * 2.0**16  # bucket index plus the position inside it
+        p = u * 2.0**bench._BUCKET_BITS  # bucket index plus the position inside it
         if self.shape == "branch_switch":
             x = np.where((p >= 5) & (p < 5.5), 0.2 + 1.6 * (p - 5), 0.2)
             return x, (p >= 5.5).astype(np.int64)

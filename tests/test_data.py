@@ -1,4 +1,5 @@
 import csv
+import gc
 import io
 import json
 import tracemalloc
@@ -6,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import pwmix.data
 from pwmix.data import (
     Dataset,
     QuerySpec,
@@ -187,6 +189,95 @@ class TestEncoding:
         for method in (ds.encoding, ds.levels, ds.column, ds.position):
             with pytest.raises(QueryError):
                 method("salary")
+
+
+def _reference_encoding(rows, width):
+    """Per column, (levels, codes) the plain way: the sorted distinct trimmed values
+    of that column alone, and each record's position among them."""
+    out = []
+    for j in range(width):
+        trimmed = [row[j].strip() for row in rows]
+        levels = tuple(sorted(set(trimmed)))
+        out.append((levels, [levels.index(v) for v in trimmed]))
+    return out
+
+
+class TestEncoderMatchesAPerColumnReference:
+    """One provisional numbering for every cell gives each column what encoding that
+    column alone gives."""
+
+    def assert_matches(self, rows, width):
+        d = Dataset(schema=[f"c{j}" for j in range(width)], records=rows)
+        assert d.row_count == len(rows)
+        for j, (levels, codes) in enumerate(_reference_encoding(rows, width)):
+            enc = d.encoding(f"c{j}")
+            assert enc.levels == levels
+            assert enc.codes.tolist() == codes
+            assert enc.codes.dtype == np.min_scalar_type(len(levels))
+            assert enc.index == {v: i for i, v in enumerate(levels)}
+
+    def test_same_text_in_two_columns(self):
+        rows = [("x", "y"), ("y", "x"), ("y", "z"), ("x", "x")]
+        self.assert_matches(rows, 2)
+
+    def test_values_that_trim_alike_within_and_across_columns(self):
+        rows = [(" a", "a "), ("a", " b"), ("b ", "a"), (" a ", "b"), ("b", " a ")]
+        self.assert_matches(rows, 2)
+
+    def test_many_values_across_block_boundaries(self, monkeypatch):
+        # 300 distinct texts per column, 500 in all, read 7 rows at a time: the
+        # provisional codes outgrow uint8 inside the read, and a column's codes are
+        # uint16 only if it has more than 256 levels
+        monkeypatch.setattr(pwmix.data, "_BLOCK", 7)
+        rows = [(f"v{i % 300:03d}", f"v{(i * 7 + 200) % 300 + 200:03d} ", "k" if i % 2 else " k")
+                for i in range(900)]
+        self.assert_matches(rows, 3)
+
+    def test_zero_rows_and_zero_width(self):
+        self.assert_matches([], 3)
+        d = Dataset(schema=(), records=[(), (), ()])
+        assert d.row_count == 3 and d.records == ((), (), ())
+        d = Dataset(schema=(), records=[])
+        assert d.row_count == 0
+
+    @pytest.mark.parametrize("bad", [0, 6, 7, 20])
+    def test_ragged_row_is_named(self, monkeypatch, bad):
+        monkeypatch.setattr(pwmix.data, "_BLOCK", 7)
+        rows = [("x", "y")] * 21
+        rows[bad] = ("x",)
+        with pytest.raises(ParseError) as exc:
+            Dataset(schema=("a", "b"), records=rows)
+        assert exc.value.row_index == bad
+        assert str(exc.value) == f"row {bad} has 1 fields, expected 2"
+
+
+class TestCollectorState:
+    """A load pauses the cyclic collector and leaves it as the caller had it."""
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_after_success_and_after_a_parse_error(self, enabled):
+        was = gc.isenabled()
+        try:
+            (gc.enable if enabled else gc.disable)()
+            assert load_dataset(io.StringIO(CSV_FIXTURE)).row_count == 5
+            assert gc.isenabled() is enabled
+            with pytest.raises(ParseError):
+                load_dataset(io.StringIO("a,b\n1,2\n3\n"))
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+
+    def test_paused_while_rows_are_read(self):
+        seen = []
+
+        def rows():
+            for i in range(3):
+                seen.append(gc.isenabled())
+                yield (str(i),)
+
+        assert gc.isenabled()
+        Dataset(schema=("a",), records=rows())
+        assert seen == [False] * 3 and gc.isenabled()
 
 
 class TestCountQuery:

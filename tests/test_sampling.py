@@ -8,6 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from pwmix import mechanisms
 from pwmix.analytics import lapmix_stats
 from pwmix.errors import InvalidParameterError, UnsafeMechanismError
 from pwmix.mechanisms import (
@@ -562,6 +563,24 @@ class TestLatticeInverse:
         assert np.all(u > 0.88705640151889878)
         assert GeometricMixture(params).lattice().inverse(u).tolist() == [1, 1, 1, 1]
         assert _oracle_geomix(u, params).tolist() == [0, 0, 1, 1]
+
+    def test_tables_built_once_per_spec(self, monkeypatch):
+        # the spec keeps the law it draws through, and the law keeps its inverse
+        # tables: the second call reads no tail, and the two calls are one call's draws
+        calls = []
+        tail = mechanisms._Lattice._tail
+        monkeypatch.setattr(mechanisms._Lattice, "_tail", lambda law, m: calls.append(1) or tail(law, m))
+        spec = GeometricMixture(PRESET_A)
+        first = sample(spec, SeededStream(11), 5000)
+        assert len(calls) == 1
+        second = sample(spec, SeededStream(11, 1), 5000)
+        assert len(calls) == 1
+        stream = SeededStream(11)
+        pieces = np.concatenate([sample(spec, stream, 2000), sample(spec, stream, 3000)])
+        assert len(calls) == 1
+        assert first.tolist() == pieces.tolist()
+        assert second.tolist() == sample(GeometricMixture(PRESET_A), SeededStream(11, 1), 5000).tolist()
+        assert len(calls) == 2
 
 
 class TestLapMixSampler:
