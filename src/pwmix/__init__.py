@@ -11,6 +11,7 @@ __version__ = "0.1.0"
 
 from .accounting import (
     BudgetLedger,
+    charge_ledger,
     compose,
     equivalent_epsilon,
     privacy_loss,

@@ -5,22 +5,30 @@ the per-outcome log-ratio of output probabilities on neighboring databases.
 It equals epsilon for the plain geometric mechanism, lies between the two
 parameters for the mixtures, and adds under composition.  ``zeta_empirical``
 evaluates the definition exactly: a sum over the runs of an integer law, or
-closed-form integrals over the segments of a continuous one.
+closed-form integrals over the segments of a continuous one.  ``charge_ledger``
+composes releases in a JSON ledger file.
 """
 
 from __future__ import annotations
 
+import fcntl
+import json
 import math
+import os
 import sys
+import tempfile
+import time
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import BudgetRefusedError, InvalidParameterError, PwmixError
 from .mechanisms import MechanismSpec
 
 __all__ = [
     "BudgetLedger",
+    "charge_ledger",
     "privacy_loss",
     "zeta_closed_form",
     "zeta_empirical",
@@ -43,11 +51,87 @@ class BudgetLedger:
         return float(sum(zeta for _, zeta in self.entries))
 
 
-def compose(ledger: BudgetLedger, zeta: float, label: str) -> BudgetLedger:
-    """Append a charge; the total grows by exactly zeta (basic composition)."""
+def _charge(zeta) -> float:
+    """``zeta`` as a charge that composition takes: refused unless positive and finite."""
     if not (zeta > 0 and math.isfinite(zeta)):
         raise InvalidParameterError(f"zeta must be positive and finite, got {zeta!r}")
-    return BudgetLedger(ledger.entries + ((label, float(zeta)),))
+    return float(zeta)
+
+
+def compose(ledger: BudgetLedger, zeta: float, label: str) -> BudgetLedger:
+    """Append a charge; the total grows by exactly zeta (basic composition)."""
+    return BudgetLedger(ledger.entries + ((label, _charge(zeta)),))
+
+
+def _read_ledger(path: Path) -> tuple[list, float]:
+    """The ledger's entries as read, each with a string label and a zeta that ``compose``
+    takes, and the sum of their charges; an absent ledger is empty."""
+    try:
+        entries = json.loads(path.read_text()) if path.exists() else []
+    except (OSError, ValueError) as exc:
+        raise PwmixError(f"unreadable ledger {path}: {exc}") from None
+    if not isinstance(entries, list):
+        raise PwmixError(f"ledger {path} must hold a JSON list of entries")
+    spent = 0.0
+    for i, e in enumerate(entries):
+        try:
+            if not isinstance(e, dict) or not isinstance(e.get("label"), str):
+                raise PwmixError("needs a string 'label'")
+            zeta = e.get("zeta")
+            if isinstance(zeta, bool) or not isinstance(zeta, (int, float)):
+                raise PwmixError(f"needs a numeric 'zeta', got {zeta!r}")
+            spent += _charge(float(zeta))
+        except (PwmixError, OverflowError) as exc:
+            raise PwmixError(f"ledger {path} entry {i}: {exc}") from None
+    return entries, spent
+
+
+def _store_ledger(path: Path, entries: list) -> None:
+    """Replace the ledger through a temporary file, fsynced before the rename, and fsync the
+    directory after it: once this returns, a crash cannot lose the new entries."""
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    try:
+        with open(fd, "w") as fh:
+            if path.exists():
+                os.fchmod(fh.fileno(), path.stat().st_mode & 0o777)
+            fh.write(json.dumps(entries, indent=2, sort_keys=True) + "\n")
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    finally:
+        Path(tmp).unlink(missing_ok=True)  # gone once renamed
+    directory = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(directory)
+    finally:
+        os.close(directory)
+
+
+def charge_ledger(path, zeta: float, mechanism: str, query: str, cap: float | None = None) -> float:
+    """Charge ``zeta`` for ``query`` released by ``mechanism`` (its label) to the JSON ledger
+    at ``path``; return the new total.  Under an exclusive lock on the sidecar ``<path>.lock``
+    it reads and checks the entries, raises ``BudgetRefusedError`` for an unbounded charge or
+    one past ``cap``, appends ``{label, zeta, timestamp}`` and stores the ledger durably."""
+    path = Path(path)
+    try:
+        lock = os.open(path.with_name(path.name + ".lock"), os.O_RDWR | os.O_CREAT, 0o644)
+    except OSError as exc:
+        raise PwmixError(f"cannot lock ledger {path}: {exc}") from None
+    try:
+        fcntl.flock(lock, fcntl.LOCK_EX)
+        entries, spent = _read_ledger(path)
+        if not math.isfinite(zeta):
+            raise BudgetRefusedError(f"{mechanism} has unbounded budget; refusing to charge a ledger")
+        if cap is not None and spent + zeta > cap:
+            raise BudgetRefusedError(
+                f"budget cap {cap} would be exceeded (spent {spent:.6g}, charge {zeta:.6g})"
+            )
+        label = f"{mechanism} {query}"
+        entries.append({"label": label, "zeta": _charge(zeta), "timestamp": time.time()})
+        _store_ledger(path, entries)
+        return spent + zeta
+    finally:
+        os.close(lock)  # releases the lock
 
 
 def _log_ratio_abs(log_shifted: float, log_at: float) -> float:

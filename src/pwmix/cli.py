@@ -10,24 +10,20 @@ reproduced.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
-import fcntl
+import functools
 import hashlib
 import json
-import math
 import os
 import secrets
 import sys
-import tempfile
-import time
 from pathlib import Path
 
 from . import __version__
-from .accounting import BudgetLedger, compose
+from .accounting import charge_ledger
 from .bench import SimulationConfig, SweepRow, audit_privacy, run_simulation, table_sweep
 from .data import QuerySpec, count_query, histogram_query, load_dataset, release, release_to_json
-from .errors import InvalidParameterError, PwmixError, UnsafeMechanismError
+from .errors import BudgetRefusedError, InvalidParameterError, PwmixError, UnsafeMechanismError
 from .mechanisms import SPECS, MechanismSpec, spec_from_dict
 from .sampling import SeededStream
 
@@ -140,66 +136,6 @@ def _parse_query(text: str) -> tuple[tuple[str, str], ...]:
     return tuple(preds)
 
 
-def _load_ledger(path: Path) -> tuple[list[dict], BudgetLedger]:
-    """The ledger file's entries, and their charges, each validated as ``compose`` does;
-    the ledger is built once, so a load takes time linear in its entries."""
-    if not path.exists():
-        return [], BudgetLedger()
-    try:
-        entries = json.loads(path.read_text())
-    except (OSError, ValueError) as exc:
-        raise PwmixError(f"unreadable ledger {path}: {exc}") from None
-    if not isinstance(entries, list):
-        raise PwmixError(f"ledger {path} must hold a JSON list of entries")
-    charges = []
-    for i, e in enumerate(entries):
-        try:
-            if not isinstance(e, dict) or not isinstance(e.get("label"), str):
-                raise PwmixError("needs a string 'label'")
-            zeta = e.get("zeta")
-            if isinstance(zeta, bool) or not isinstance(zeta, (int, float)):
-                raise PwmixError(f"needs a numeric 'zeta', got {zeta!r}")
-            charges += compose(BudgetLedger(), float(zeta), e["label"]).entries
-        except (PwmixError, OverflowError) as exc:
-            raise PwmixError(f"ledger {path} entry {i}: {exc}") from None
-    return entries, BudgetLedger(tuple(charges))
-
-
-@contextlib.contextmanager
-def _ledger_lock(path: Path):
-    """Hold an exclusive lock on the sidecar ``<ledger>.lock`` of a ledger.
-
-    Concurrent charges of one ledger then run one at a time from read to
-    replace, so none is lost.  The sidecar stays: the ledger itself is
-    replaced on every write, so a lock on it would not be shared.
-    """
-    lock = path.with_name(path.name + ".lock")
-    try:
-        fd = os.open(lock, os.O_RDWR | os.O_CREAT, 0o644)
-    except OSError as exc:
-        raise PwmixError(f"cannot lock ledger {path}: {exc}") from None
-    try:
-        fcntl.flock(fd, fcntl.LOCK_EX)
-        yield
-    finally:
-        os.close(fd)  # releases the lock
-
-
-def _store_ledger(path: Path, entries: list[dict]) -> None:
-    """Replace the ledger atomically through a temporary file of this process."""
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
-    try:
-        if path.exists():
-            os.fchmod(fd, path.stat().st_mode & 0o777)
-        with os.fdopen(fd, "w") as fh:
-            fh.write(json.dumps(entries, indent=2, sort_keys=True) + "\n")
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
-        raise
-
-
 def _cmd_release(args) -> int:
     try:
         ds = load_dataset(args.data, header=not args.no_header)
@@ -230,27 +166,8 @@ def _cmd_release(args) -> int:
     doc["seed"] = seed
 
     if args.ledger:
-        path = Path(args.ledger)
-        with _ledger_lock(path):
-            entries, ledger = _load_ledger(path)
-            if not math.isfinite(charge):
-                return _fail(
-                    f"{spec.label} has unbounded budget; refusing to charge a ledger",
-                    POLICY_REFUSAL,
-                )
-            if args.budget_cap is not None and ledger.total + charge > args.budget_cap:
-                return _fail(
-                    f"budget cap {args.budget_cap} would be exceeded "
-                    f"(spent {ledger.total:.6g}, charge {charge:.6g})",
-                    POLICY_REFUSAL,
-                )
-            label = f"{spec.label} {query_desc}"
-            if args.hist:
-                label += f" [{args.charge_mode}]"
-            compose(ledger, charge, label)  # validates the charge
-            entries.append({"label": label, "zeta": charge, "timestamp": time.time()})
-            _store_ledger(path, entries)
-        doc["ledger_total"] = sum(e["zeta"] for e in entries)
+        query = f"{query_desc} [{args.charge_mode}]" if args.hist else query_desc
+        doc["ledger_total"] = charge_ledger(args.ledger, charge, spec.label, query, args.budget_cap)
 
     print(json.dumps(doc, sort_keys=True))
     return 0
@@ -376,7 +293,9 @@ def _cmd_audit(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once; ``main`` runs ``_cmd_<command>`` as this module holds it then."""
     parser = argparse.ArgumentParser(
         prog="pwmix",
         description="Piecewise-mixture differential privacy toolkit",
@@ -387,13 +306,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stats", help="closed-form noise stats and privacy budget")
     _add_mechanism_flags(p)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.set_defaults(func=_cmd_stats)
 
     p = sub.add_parser("sweep", help="metrics sweep over a (ct, eps, r*eps) grid")
     p.add_argument("--table1", action="store_true", help="use the built-in reference grid")
     p.add_argument("--grid", help="JSON file with a list of [ct, eps, reps] triples")
     p.add_argument("--out", help="CSV output path (default stdout)")
-    p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("release", help="noisy count or histogram release")
     p.add_argument("--data", required=True, help="CSV dataset path")
@@ -407,29 +324,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reveal-true", action="store_true", help="include the true value in output")
     p.add_argument("--unsafe", action="store_true", help="allow the non-private trunclap")
     p.add_argument("--charge-mode", choices=["parallel", "sequential"], default="parallel")
-    p.set_defaults(func=_cmd_release)
 
     p = sub.add_parser("bench", help="Monte Carlo utility benchmark")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int)
-    p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("audit", help="empirical privacy-loss audit on a dataset")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int)
-    p.set_defaults(func=_cmd_audit)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        code = args.func(args)
+        code = globals()[f"_cmd_{args.command}"](args)
         sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
         return code
-    except UnsafeMechanismError as exc:
+    except (UnsafeMechanismError, BudgetRefusedError) as exc:
         return _fail(str(exc), POLICY_REFUSAL)
     except PwmixError as exc:
         return _fail(str(exc))

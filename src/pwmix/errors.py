@@ -17,6 +17,10 @@ class UnsafeMechanismError(PwmixError, PermissionError):
     """A non-private mechanism was requested without the unsafe flag."""
 
 
+class BudgetRefusedError(PwmixError, PermissionError):
+    """A ledger charge was refused: its budget is unbounded, or it would pass the cap."""
+
+
 class QueryError(PwmixError, ValueError):
     """A query references an unknown attribute or is otherwise malformed."""
 

@@ -273,10 +273,11 @@ _LAST_CELL = 2.0**53
 class _Lattice:
     """A symmetric law on the integers that does not increase in |k|, as its runs.
 
-    A run ``(first cell, log height, rate)`` holds the cells from its first up to
-    the next run's, cell k having mass exp(log height - rate |k|); the first run
-    starts at 0, and a run of rate 0 holds one cell.  Masses stay in logs, so no
-    far cell underflows before its loss is read.
+    A run ``(first cell m, log mass at m, rate)`` holds the cells from its first up to
+    the next run's, cell k having mass exp(log mass at m - rate (|k| - m)); the first
+    run starts at 0, and a run of rate 0 holds one cell.  Masses stay in logs, so no
+    far cell underflows before its loss is read, and each is anchored at its run's
+    first cell, so rate m, however large, cancels in none of them.
     """
 
     runs: tuple[tuple[int, float, float], ...]
@@ -286,22 +287,22 @@ class _Lattice:
         m = np.abs(np.asarray(x, dtype=float))
         if not np.all(m == np.floor(m)):
             raise InvalidParameterError("a lattice law's mass function takes integers only")
-        firsts, log_h, rates = (np.array(column) for column in zip(*self.runs))
+        firsts, log_first, rates = (np.array(column) for column in zip(*self.runs))
         run = np.searchsorted(firsts, m, side="right") - 1
-        return _wrap(x, log_h[run] - rates[run] * m)
+        return _wrap(x, log_first[run] - rates[run] * (m - firsts[run]))
 
     def _tail(self, m):
         """The tail T(m) = P(K >= m) at integers m >= 1 (as floats): each run's cells from m
         on, a geometric sum in logs that falls with m; capped so as not to pass 1/2."""
         tail, ends = 0.0, [run[0] for run in self.runs[1:]] + [math.inf]
-        for (first, log_h, rate), end in zip(self.runs, ends):
+        for (first, log_first, rate), end in zip(self.runs, ends):
             if end > 1:  # else cell 0 alone, below every m
                 start = np.maximum(m, first)
                 # ln 0 past the run; a decay beyond the double range reads exp(-inf) = 0
                 with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                     cells = np.fmax(end - start, 0.0)  # of equal mass in a run of rate 0
                     log_sum = np.log(np.expm1(-rate * cells) / np.expm1(-rate) if rate else cells)
-                    tail = tail + np.exp(log_h - rate * start + log_sum)
+                    tail = tail + np.exp(log_first - rate * (start - first) + log_sum)
         return np.minimum(tail, 0.5)
 
     def cdf(self, x):
@@ -319,9 +320,9 @@ class _Lattice:
         cells = int(min(self.runs[-1][0] + 38.0 / self.runs[-1][2] + 2.0, _TAIL_CELLS))
         starts, tail = np.split(self._tail(np.append(ends, np.arange(1.0, cells + 1.0))), [len(ends)])
         consts = []  # per run: first cell, T past it, (1 - q) / its first mass, q^cells, -1 / rate
-        for (first, log_h, rate), end, past in zip(self.runs, [*ends, math.inf], [*starts, 0.0]):
+        for (first, log_first, rate), end, past in zip(self.runs, [*ends, math.inf], [*starts, 0.0]):
             if rate:
-                scale = math.exp(min(_log1mexp(rate) - log_h + rate * first, _LOG_MAX))
+                scale = math.exp(min(_log1mexp(rate) - log_first, _LOG_MAX))
                 consts.append((first, past, scale, math.exp(-rate * (end - first)), -1.0 / rate))
             else:  # one cell
                 consts.append((first, past, 0.0, 1.0, 0.0))
@@ -379,8 +380,7 @@ class _Lattice:
         """
         runs, last = self.runs, len(self.runs) - 1
         e_abs = e_sq = entropy = 0.0
-        for i, (m, log_h, rate) in enumerate(runs):
-            log_w = log_h - rate * m
+        for i, (m, log_w, rate) in enumerate(runs):
             w = math.exp(log_w)
             if not w:  # 0 log 0 = 0, and m may be too large to square
                 continue
@@ -407,14 +407,14 @@ class _Lattice:
         every k >= L + shift and k <= -L, L the last run's first cell, so those tails
         add P(K >= L) 2 sinh(shift rate); the cells between are summed one by one.
         """
-        last, log_h, rate = self.runs[-1]
+        last, log_first, rate = self.runs[-1]
         ks = np.arange(1 - last, last + shift)
         here, there = self.log_mass(ks), self.log_mass(ks - shift)
         with np.errstate(divide="ignore"):  # no excess where the loss is 0
             # max(P(k - shift), P(k)^2 / P(k - shift)) (1 - exp -|L(k)|)
             cells = np.fmax(there, 2.0 * here - there) + np.log(-np.expm1(-np.abs(there - here)))
         # ln P(K >= L) 2 sinh(shift rate)
-        tails = log_h - rate * (last - shift) - math.log(-math.expm1(-rate))
+        tails = log_first + rate * shift - math.log(-math.expm1(-rate))
         terms = np.append(cells, tails + math.log(-math.expm1(-2.0 * shift * rate)))
         top = terms.max()
         if top == math.inf:  # a cell of mass whose neighbour has none
@@ -583,7 +583,7 @@ class RoundedLaplace(_LatticeFamily):
     def lattice(self) -> _Lattice:
         """Cell k holds the Laplace mass on [k - 1/2, k + 1/2): sinh(eps/2) e^(-eps |k|) off 0."""
         eps = 1.0 / self.scale
-        return _Lattice(((0, _log1mexp(0.5 * eps), 0.0), (1, _log_sinh_half(eps), eps)))
+        return _Lattice(((0, _log1mexp(0.5 * eps), 0.0), (1, _log_sinh_half(eps) - eps, eps)))
 
     def stats(self) -> MechanismStats:
         """The continuous closed forms of the Laplace law that is rounded."""
@@ -702,14 +702,14 @@ class LaplaceMixture(_Law, _TwoPieceMixture):
         if last_inner >= 0:
             runs.append((0, log_a2 + _log1mexp(0.5 * eps), 0.0))
         if last_inner >= 1:
-            runs.append((1, log_a2 + _log_sinh_half(eps), eps))
+            runs.append((1, log_a2 + _log_sinh_half(eps) - eps, eps))
         if last_inner < k:
             # the mass on [lo, hi) and its mirror; at c_t the outer height is the inner one / r
             lo = max(k - 0.5, 0.0)
             x, y = (ct - lo) * eps, (k + 0.5 - ct) * reps
             log_mass = math.log(-math.expm1(-x) - math.exp(-x) * math.expm1(-y) / p.ratio)
             runs.append((k, log_a2 - lo * eps + log_mass - (_LN2 if k else 0.0), 0.0))
-        runs.append((k + 1, c.log_w1 + reps * ct + _log_sinh_half(reps), reps))
+        runs.append((k + 1, c.log_w1 + _log_sinh_half(reps) - reps * (k + 1 - ct), reps))
         return _Lattice(tuple(runs))
 
     def loss_tail(self) -> tuple[float, float]:
@@ -856,7 +856,7 @@ class GeometricMixture(_LatticeFamily, _TwoPieceMixture):
         c, p = self.constants(), self.params
         ct, reps = int(p.break_point), p.eps_r
         inner = (0, c.log_a2 - _log_coth_half(p.epsilon), p.epsilon)
-        return _Lattice((inner, (ct + 1, c.log_w1 + reps * ct - _log_coth_half(reps), reps)))
+        return _Lattice((inner, (ct + 1, c.log_w1 - _log_coth_half(reps) - reps, reps)))
 
     def _zeta(self, c: MixtureConstants) -> float:
         reps, eps, w1 = self.params.eps_r, self.params.epsilon, c.w1

@@ -5,11 +5,19 @@ from pathlib import Path
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import settings
 from scipy import stats
 
 import pwmix
 from pwmix.data import Dataset
 from pwmix.mechanisms import Geometric, MixtureParams
+
+# Tier-1 draws the same examples on every run, so it cannot fail at random, and replays no
+# stored failure (derandomize implies no example database).  HYPOTHESIS_PROFILE=random
+# searches afresh; a failure it finds is mended and pinned with @example.
+settings.register_profile("tier1", derandomize=True)
+settings.register_profile("random", derandomize=False)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "tier1"))
 
 # Workhorse parameter sets: the two simulation presets plus assorted shapes.
 PRESET_A = MixtureParams(epsilon=0.2, ratio=5.0, break_point=5.0)

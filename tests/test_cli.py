@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import os
 import re
 import shutil
 import subprocess
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from pwmix import cli
 from pwmix.bench import TABLE1_GRID
 from pwmix.cli import main, spec_from_dict
 from pwmix.errors import InvalidParameterError, PwmixError
@@ -503,6 +505,31 @@ class TestRelease:
         assert message in err
         assert ledger.read_text() == content  # nothing charged
 
+    def test_charge_is_durable(self, data_file, capsys, tmp_path, monkeypatch):
+        # the temporary file is synced before it replaces the ledger, the directory after
+        events, fsync, replace = [], os.fsync, os.replace
+
+        def record_fsync(fd):
+            events.append(("fsync", os.fstat(fd).st_ino))
+            fsync(fd)
+
+        def record_replace(*paths):
+            events.append(("replace",))
+            replace(*paths)
+
+        monkeypatch.setattr(os, "fsync", record_fsync)
+        monkeypatch.setattr(os, "replace", record_replace)
+        ledger = tmp_path / "ledger.json"
+        code, _, err = run_cli(
+            ["release", "--data", data_file, "--query", "age=25", "--mechanism", "geomix",
+             "--eps", "0.2", "--reps", "1", "--ct", "5", "--seed", "1", "--ledger", str(ledger)],
+            capsys,
+        )
+        assert code == 0, err
+        assert events == [
+            ("fsync", ledger.stat().st_ino), ("replace",), ("fsync", tmp_path.stat().st_ino)
+        ]
+
     def test_large_ledger_charged_in_linear_time(self, data_file, capsys, tmp_path):
         ledger = tmp_path / "ledger.json"
         n = 100_000
@@ -652,9 +679,14 @@ class TestContract:
         assert code in (0, 2, 3), err
         assert "Traceback" not in err
         if code == 0:
-            json.loads(out, parse_constant=_no_constant)
+            doc = json.loads(out, parse_constant=_no_constant)
+            if command == "release --ledger":  # the one charge is what was printed
+                (entry,) = json.loads(ledger.read_text())
+                assert entry["zeta"] == doc["zeta_charged"] == doc["ledger_total"]
         else:
             assert out == ""
+            if command == "release --ledger":  # a refused release charges nothing
+                assert not ledger.exists()
 
 
     @settings(
@@ -704,6 +736,16 @@ class TestContract:
                 json.loads(text, parse_constant=_no_constant)
             else:
                 assert not re.search(r"\b(nan|inf)\b", text, re.IGNORECASE), (name, text)
+
+
+class TestParser:
+    def test_built_once_and_commands_looked_up_when_run(self, capsys, monkeypatch):
+        cli.build_parser.cache_clear()
+        args = ["stats", "--mechanism", "geometric", "--eps", "1"]
+        assert run_cli(args, capsys)[0] == 0
+        monkeypatch.setattr(cli, "_cmd_stats", lambda parsed: 7)
+        assert run_cli(args, capsys)[0] == 7
+        assert cli.build_parser.cache_info().misses == 1
 
 
 class TestBenchAudit:

@@ -439,7 +439,9 @@ def geomix_cdf_oracle(x, params):
     lower = ks < 0
     m = np.where(lower, -ks, ks + 1.0)
     outer = np.exp(c.log_w1 - (np.maximum(m, start) - ct) / b1) / (1.0 + q1)
-    inner = c.a2 / (1.0 + q2) * np.maximum(np.exp(-m / b2) - math.exp(-start / b2), 0.0)
+    # 0 from the break-point out; within it both exponentials come from np.exp, whose
+    # result can differ from math.exp's by an ulp, which once left a residue at m = start
+    inner = c.a2 / (1.0 + q2) * np.where(m < start, np.exp(-m / b2) - np.exp(-start / b2), 0.0)
     tail = np.minimum(outer + inner, 0.5)
     return np.where(lower, tail, 1.0 - tail)
 
@@ -485,6 +487,9 @@ class TestLatticeLaw:
     @example(eps=0.2, ratio=5.0, ct=5)
     @example(eps=2.305, ratio=19.74, ct=16)  # r eps c_t = 728
     @example(eps=2.0, ratio=10.0, ct=40)  # r eps c_t = 800
+    @example(eps=1.0896258747399452, ratio=9.0, ct=6)  # the oracle left a residue at c_t + 1
+    # the outer run's log height at 0, r eps c_t = 4885 and rounded there, lost 1e-12 at c_t + 1
+    @example(eps=2.794751766876965, ratio=46.0, ct=38)
     def test_geometric_mixture(self, eps, ratio, ct):
         params = MixtureParams(epsilon=eps, ratio=ratio, break_point=float(ct))
         spec = GeometricMixture(params)

@@ -583,6 +583,59 @@ class TestLatticeInverse:
         assert len(calls) == 2
 
 
+# bench_ct5's integer mechanisms
+BENCH_CT5 = {
+    "geomix": GeometricMixture(PRESET_A),
+    "geometric": Geometric(math.exp(0.32810599476390334)),
+    "rlaplace": RoundedLaplace(1.0 / 0.33180903378641224),
+}
+
+
+class TestFiniteSupport:
+    """The sampler maps one of 2^53 lattice values to an outcome, so it reaches a finite
+    range, and near its edges some cells take no lattice value.  A release of truth n then
+    has outputs that its neighbour n +- 1 can never produce: the definitional zeta of what
+    is sampled is infinite, and the sampler's mass on those outputs is a per-release delta.
+    This states the residual; README quotes these figures."""
+
+    @pytest.mark.parametrize(
+        "kind, reach, unmatched, hockey_stick",
+        [
+            ("geomix", (-39, 39), 1, 5.10036450155075e-15),
+            ("geometric", (-112, 110), 9, 8.041424516363476e-15),
+            ("rlaplace", (-111, 109), 6, 8.880999194321912e-15),
+        ],
+    )
+    def test_reach_and_delta(self, kind, reach, unmatched, hockey_stick):
+        spec = BENCH_CT5[kind]
+        law, top = spec.lattice(), 2**53
+
+        def inverse(values):
+            return law.inverse(lattice_uniforms(np.asarray(values, dtype=np.int64)))
+
+        edges = inverse([0, 1, top - 2, top - 1])
+        assert (edges[0], edges[-1]) == reach
+        # the lattice values that reach each cell of the range: the least one reaching k or
+        # beyond, bisected for every k at once (the inverse does not decrease)
+        ks = np.arange(reach[0], reach[1] + 1)
+        lo, hi = np.zeros(ks.size, dtype=np.int64), np.full(ks.size, top, dtype=np.int64)
+        while (lo < hi).any():
+            mid = (lo + hi) // 2
+            reached = inverse(np.minimum(mid, top - 1)) >= ks
+            lo, hi = np.where(reached, lo, mid + 1), np.where(reached, mid, hi)
+        counts = np.diff(np.append(lo, top))
+        assert counts.sum() == top and counts[0] > 0 and counts[-1] > 0
+        # at output n + k the neighbour n + 1 has the count of k - 1, and n - 1 that of k + 1
+        below, above = np.concatenate(([0], counts[:-1])), np.append(counts[1:], 0)
+        delta = max(counts[below == 0].sum(), counts[above == 0].sum()) / top
+        assert delta == unmatched * 2.0**-53 > 0.0
+        # and delta at the worst-case eps, the hockey-stick divergence of the pair
+        p, q = np.append(counts, 0) / top, np.concatenate(([0], counts)) / top
+        bound = math.exp(spec.worst_case_eps())
+        hockey = max(np.maximum(p - bound * q, 0.0).sum(), np.maximum(q - bound * p, 0.0).sum())
+        assert hockey == pytest.approx(hockey_stick, rel=1e-9)
+
+
 class TestLapMixSampler:
     def test_ks_against_cdf(self):
         y = sample(LaplaceMixture(PRESET_A), SeededStream(101), N)
