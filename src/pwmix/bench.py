@@ -347,9 +347,11 @@ def run_simulation(config: SimulationConfig) -> UtilityReport:
 
 
 def _binned(values: np.ndarray) -> np.ndarray:
+    """Each value to its nearest integer, a half up (floor(x + 1/2)): so an integer offset
+    added after binning gives what it gives added before, at the grid's exact halves too."""
     if values.dtype.kind in "iu":
         return values.astype(np.int64, copy=False)
-    return np.round(values).astype(np.int64)
+    return np.floor(values + 0.5).astype(np.int64)
 
 
 # Draws per pass of an audit arm: an arm holds its outcome counts and one
@@ -358,15 +360,10 @@ _AUDIT_CHUNK = 1 << 16
 
 # An audit arm counts its draws per bucket of the uniform lattice, a bucket
 # being the top _BUCKET_BITS bits of the 53-bit value, and reads each bucket's
-# binned noise from a table (``_bucket_table``).  At the bench_ct5 geomix
-# preset 22 of the 4,096 buckets straddle an integer step.
+# binned noise from a table (``_bucket_table``).  At the bench_ct5 presets 22
+# of the 4,096 buckets straddle an integer step, for geomix and lapmix alike.
 _BUCKET_BITS = 12
 _BUCKET_SHIFT = 53 - _BUCKET_BITS
-# How far inside its rounding step each edge's value must lie for the Laplace
-# mixture, per unit of 1 + |x| + the largest offset + the larger piece scale;
-# the float error of ``pre_rounding`` and of adding the offset is about 1e-15
-# of the same.
-_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -379,44 +376,27 @@ class _BucketTable:
     noise: np.ndarray  # the distinct noise values
 
 
-def _binned_edge(spec, lattice: np.ndarray, base: float):
-    """(noise, branch, clear) at bucket edges.  An integer family's noise is its
-    draw, its lattice law's exact inverse: one branch, always clear.  The Laplace
-    mixture's is its value x rounded, with the kernel branch and whether x lies
-    the margin, ``_MARGIN (base + |x|)``, inside its rounding step."""
-    if spec.integer:
-        return spec.draw(_Drawn(lattice_uniforms(lattice)), lattice.size), 0, True
-    x, branch = spec.pre_rounding(lattice_uniforms(lattice))
-    with np.errstate(invalid="ignore"):  # an infinite x is never clear of its step
-        noise = np.round(x)
-        return noise, branch, 0.5 - np.abs(x - noise) >= _MARGIN * (base + np.abs(x))
+def _bucket_table(spec: MechanismSpec) -> _BucketTable | None:
+    """The bucket table of ``spec``; None for a family not released on a grid, or when no
+    bucket is covered.
 
-
-def _bucket_table(spec: MechanismSpec, max_offset: int) -> _BucketTable | None:
-    """The bucket table of ``spec`` for arms offset by at most ``max_offset``.
-
-    An integer family's draw is its lattice law's ``inverse``, exact and
-    non-decreasing in u, so a bucket is covered when the noise at its first
-    lattice value equals the noise at its last.  For the Laplace mixture a
-    bucket is covered when its first and last lattice values take the same
-    branch of the mixture kernel, their values round alike, and each lies at
-    least the margin inside that rounding step; within a branch the value is a
-    non-decreasing function of u, computed with an error far below the margin.
-    Either way every draw of a covered bucket bins to its noise, and so does
-    ``offset + noise``.  None for another family, or when no bucket is covered.
+    A grid family's draw is its cell times its grid law's exact ``inverse``, which does not
+    decrease in u, and neither does binning.  So a bucket is covered when the binned noise
+    at its first lattice value equals the binned noise at its last: every draw of the
+    bucket bins to that noise, and ``offset + noise`` to the offset plus it.
     """
-    if not (spec.integer or hasattr(spec, "pre_rounding")):
+    if not spec.cell:
         return None
-    scale = 0.0 if spec.integer else max(spec.params.inner_scale, spec.params.outer_scale)
-    base = 1.0 + abs(max_offset) + scale
     first = np.arange(1 << _BUCKET_BITS, dtype=np.int64) << _BUCKET_SHIFT
-    noise, lo_branch, lo_clear = _binned_edge(spec, first, base)
-    hi, hi_branch, hi_clear = _binned_edge(spec, first + ((1 << _BUCKET_SHIFT) - 1), base)
-    straddles = ~(lo_clear & hi_clear & (lo_branch == hi_branch) & (noise == hi))
+    noise, last = (
+        _binned(spec.draw(_Drawn(lattice_uniforms(edge)), edge.size))
+        for edge in (first, first + ((1 << _BUCKET_SHIFT) - 1))
+    )
+    straddles = noise != last
     covered = np.flatnonzero(~straddles)
     if covered.size == 0:
         return None
-    values = noise[covered].astype(np.int64)
+    values = noise[covered]
     order = np.argsort(values)
     values = values[order]
     starts = np.concatenate(([0], np.flatnonzero(values[1:] != values[:-1]) + 1))
@@ -448,7 +428,7 @@ def _outcome_counts(
     time from ``stream``; for a family that takes one uniform per draw the
     stream yields the same draws read in pieces as in one call, so the counts
     do not depend on the chunk size.  With a ``table`` (from ``_bucket_table``
-    for ``spec``, offsets up to at least ``|offset|``) a chunk's raw words are
+    for ``spec``) a chunk's raw words are
     counted per bucket, read from their top bits, and those in straddling
     buckets are held and drawn together once ``_AUDIT_CHUNK`` of them have
     collected, and at the end; the counts are the same.
@@ -570,7 +550,7 @@ def audit_mechanism(
 ) -> MechanismAudit:
     """Estimate per-outcome losses between noise laws shifted by ``shift``."""
     _require_sizes(trials=trials, min_count=min_count)
-    table = _bucket_table(spec, shift)
+    table = _bucket_table(spec)
     arms = (stream.derive(0), 0), (stream.derive(1), shift)
     return _two_arm_audit(spec, trials, min_count, False, table, arms)
 
@@ -674,7 +654,7 @@ def audit_privacy(
     n_same = sum(n for (kind, _), n in group_pairs.items() if kind == "same")
     eps_bound = spec.worst_case_eps()
 
-    table = _bucket_table(spec, max(n1 for _, n1 in group_pairs))
+    table = _bucket_table(spec)
     audits = {}  # per group, in the order of its derived streams
     for gi, (kind, n1) in enumerate(sorted(group_pairs)):
         n2 = n1 - 1 if kind == "diff" else n1

@@ -22,7 +22,15 @@ from pathlib import Path
 from . import __version__
 from .accounting import charge_ledger
 from .bench import SimulationConfig, SweepRow, audit_privacy, run_simulation, table_sweep
-from .data import QuerySpec, count_query, histogram_query, load_dataset, release, release_to_json
+from .data import (
+    QuerySpec,
+    count_query,
+    histogram_query,
+    load_dataset,
+    printed_charge,
+    release,
+    release_to_json,
+)
 from .errors import BudgetRefusedError, InvalidParameterError, PwmixError, UnsafeMechanismError
 from .mechanisms import SPECS, MechanismSpec, spec_from_dict
 from .sampling import SeededStream
@@ -81,6 +89,7 @@ def _cmd_stats(args) -> int:
         "variance": stats.variance,
         "entropy": stats.entropy,
         "zeta": spec.zeta(),
+        "zeta_charged": printed_charge(spec.charge()),
         "worst_case_eps": spec.worst_case_eps(),
     }
     if args.format == "json":
@@ -150,7 +159,7 @@ def _cmd_release(args) -> int:
         cells = sorted(hist)
         truth = [hist[c] for c in cells]
         query_desc = f"histogram({args.hist})"
-        zeta_unit = spec.zeta()
+        zeta_unit = spec.charge()
         charge = zeta_unit if args.charge_mode == "parallel" else zeta_unit * len(cells)
         rel = release(truth, spec, stream)
         doc = release_to_json(rel, query=query_desc, zeta_charged=charge, reveal_true=args.reveal_true)
@@ -160,7 +169,7 @@ def _cmd_release(args) -> int:
         q = QuerySpec(predicates=_parse_query(args.query or ""))
         truth = count_query(ds, q)
         query_desc = args.query or "(all rows)"
-        charge = spec.zeta()
+        charge = spec.charge()
         rel = release(truth, spec, stream)
         doc = release_to_json(rel, query=query_desc, zeta_charged=charge, reveal_true=args.reveal_true)
     doc["seed"] = seed

@@ -265,35 +265,30 @@ def release(true_value, spec: MechanismSpec, stream: SeededStream) -> NoisyRelea
     """Add one independent noise draw per cell, clamping negatives to zero.
 
     Accepts a scalar count or a vector of cell counts (histogram).  Integer
-    mechanisms release integers; the continuous families release reals
-    unrounded.  Truncated Laplace is refused without its unsafe flag.
+    mechanisms release integers, and the Laplace families reals on their grid
+    (see ``MechanismSpec.cell``).  Truncated Laplace is refused without its
+    unsafe flag.
     """
-    scalar = np.ndim(true_value) == 0
     truth = np.atleast_1d(np.asarray(true_value))
     if np.any(truth < 0):
         raise InvalidParameterError("true counts must be nonnegative")
-    noise = np.atleast_1d(sample(spec, stream, size=truth.size))
-    raw = truth + noise
+    raw = truth + np.atleast_1d(sample(spec, stream, size=truth.size))
     clamped = raw < 0
-    released = np.where(clamped, 0, raw)
-    if spec.integer:
-        released = released.astype(np.int64)
-    if scalar:
-        rel = released[0]
-        rel = int(rel) if spec.integer else float(rel)
-        return NoisyRelease(
-            true_value=int(truth[0]),
-            released_value=rel,
-            mechanism=spec,
-            clamped=bool(clamped[0]),
-        )
-    rels = [int(v) if spec.integer else float(v) for v in released]
-    return NoisyRelease(
-        true_value=[int(v) for v in truth],
-        released_value=rels,
-        mechanism=spec,
-        clamped=[bool(f) for f in clamped],
+    number = int if spec.integer else float
+    cells = (
+        [int(v) for v in truth.tolist()],
+        [number(v) for v in np.where(clamped, 0, raw).tolist()],
+        clamped.tolist(),
     )
+    if np.ndim(true_value) == 0:  # a count: each list's one cell
+        cells = [values[0] for values in cells]
+    true, released, flags = cells
+    return NoisyRelease(true_value=true, released_value=released, mechanism=spec, clamped=flags)
+
+
+def printed_charge(zeta: float):
+    """A charge as the command line prints it: the number, or "inf" when it is unbounded."""
+    return zeta if math.isfinite(zeta) else "inf"
 
 
 def release_to_json(
@@ -309,7 +304,7 @@ def release_to_json(
         "mechanism": rel.mechanism.label,
         "released": rel.released_value,
         "clamped": rel.clamped,
-        "zeta_charged": zeta_charged if math.isfinite(zeta_charged) else "inf",
+        "zeta_charged": printed_charge(zeta_charged),
     }
     if reveal_true:
         doc["true"] = rel.true_value

@@ -12,12 +12,18 @@ worst-case epsilon, general budget, sampler and noise statistics are members
 of that class, so the rest of the toolkit asks the spec instead of switching
 on its type.
 
-The three integer families are symmetric laws that do not increase in |k|.
-Each states its runs once (``lattice()``, see :class:`_Lattice`), and their
-mass function, CDF, sampler (``_Lattice.inverse``), privacy loss, exact zeta
-and moments are read from them; their ``zeta()`` is the paper's closed form.
-The Laplace mixture rounded to integers states its runs too
-(``rounded_lattice``), for the sweep's moments.
+Every private family releases its noise on a grid: ``cell`` times a draw of its
+``grid_law()``, a :class:`_Lattice` in units of a cell, drawn by that law's
+exact inverse (``_Lattice.inverse``), and it charges that law's exact zeta for
+a unit shift (``charge()``).  The three integer families have a cell of 1 and
+state their runs once (``lattice()``); their mass function, CDF, privacy loss
+and moments are read from them.  The Laplace mechanism and the Laplace mixture
+have a cell of ``GRID`` (1/8): their grid law is the rounded law of their
+noise divided by the cell, and their density, CDF and stats stay the
+continuous law's.  A double drawn from a continuous law would carry low-order
+bits that tell neighbouring truths apart (Mironov, CCS 2012); every output of
+``truth + cell K`` is an exact double that a neighbour reaches too.  Each
+family's ``zeta()`` is the paper's closed form.
 
 The two mixtures are one law: an inner piece with privacy parameter
 ``epsilon`` (for ``|x| <= break_point``; the boundary belongs to it) and an
@@ -27,7 +33,7 @@ meet at the break-point; every reading of the outer piece starts from its mass
 beyond the break-point.  Their label, budgets and usefulness bound are written
 once.  Each mixture states its height divisors (``2 b_i`` or ``coth(rate_i/2)``)
 and the paper's closed forms for zeta and, for the Laplace mixture, stats; the
-Laplace mixture has its own branch-first sampler.
+Laplace mixture rounded to integers states its runs (``rounded_lattice``).
 
 Every sampler is an inverse transform of uniforms from a
 :class:`~pwmix.sampling.SeededStream`, one per draw.
@@ -62,6 +68,7 @@ __all__ = [
     "GeometricMixture",
     "TruncatedLaplace",
     "SPECS",
+    "GRID",
     "spec_from_dict",
     "MixtureConstants",
     "laplace_pdf",
@@ -78,6 +85,8 @@ __all__ = [
 _LOG_MAX = math.log(sys.float_info.max)
 _LN2 = math.log(2.0)
 _REALS = (float, int, np.floating, np.integer)
+# The cell of the grid on which the Laplace mechanism and mixture release their noise.
+GRID = 0.125
 
 
 def _require_positive(name: str, value) -> float:
@@ -314,18 +323,28 @@ class _Lattice:
 
     @cached_property
     def _inverse_tables(self):
-        """What ``inverse`` reads besides the uniforms, built on its first call and kept."""
+        """What ``inverse`` reads besides the uniforms, built on its first call and kept.
+        Refused for a law whose tail at cell 2^53 reaches the least uniform, 2^-54: its
+        draws would pile up on that cell, past which doubles do not step by one."""
         ends = [run[0] for run in self.runs[1:]]
         # d cells past the last run's first, T is at most exp(-rate d): below 2^-54 at d = 38 / rate
         cells = int(min(self.runs[-1][0] + 38.0 / self.runs[-1][2] + 2.0, _TAIL_CELLS))
-        starts, tail = np.split(self._tail(np.append(ends, np.arange(1.0, cells + 1.0))), [len(ends)])
-        consts = []  # per run: first cell, T past it, (1 - q) / its first mass, q^cells, -1 / rate
+        at_cells = np.concatenate((ends, np.arange(1.0, cells + 1.0), [_LAST_CELL]))
+        starts, tail, (beyond,) = np.split(self._tail(at_cells), [len(ends), len(ends) + cells])
+        if beyond >= 2.0**-54:
+            raise InvalidParameterError(
+                f"a law with mass {beyond:.3g} from cell 2^53 on cannot be drawn: its rate is too small"
+            )
+        # per run: first cell, T past it, (1 - q) / its first mass, q^cells, q^cells - 1,
+        # -1 / rate, and whether q^cells > 1/2, where a log of it would lose the digits
+        consts = []
         for (first, log_first, rate), end, past in zip(self.runs, [*ends, math.inf], [*starts, 0.0]):
             if rate:
                 scale = math.exp(min(_log1mexp(rate) - log_first, _LOG_MAX))
-                consts.append((first, past, scale, math.exp(-rate * (end - first)), -1.0 / rate))
+                q_cells, drop = math.exp(-rate * (end - first)), math.expm1(-rate * (end - first))
+                consts.append((first, past, scale, q_cells, drop, -1.0 / rate, q_cells > 0.5))
             else:  # one cell
-                consts.append((first, past, 0.0, 1.0, 0.0))
+                consts.append((first, past, 0.0, 1.0, 0.0, 0.0, False))
         # T at a candidate (inf at cell 0, which needs none) and at the cell after it; a
         # candidate past the table fails
         at, after = np.concatenate(([np.inf], tail[:-1], [-np.inf])), np.append(tail, 0.0)
@@ -339,11 +358,14 @@ class _Lattice:
         that ``cdf`` reads; u > 1/2 gives M(1 - u), 1 - u being exact.  T falls with m, so
         K is non-decreasing in u.  The run that v = min(u, 1 - u) falls in is found from T
         at the runs' first cells, and its closed form gives a candidate M with one ``log``
-        per draw.  A table of T over the cells that a uniform of the stream (at least
-        2^-54) can reach confirms most candidates; the rest step by one through T, up to
-        cell 2^53, past which doubles do not step by one.  The tables are built once per law.
+        per draw; in a run shorter than ln 2 / its rate it is a ``log1p``, since the log of
+        a value near 1 would put the candidate up to 1e-16 / rate cells off.  A table of T
+        over the cells that a uniform of the stream (at least 2^-54) can reach confirms
+        most candidates; the rest step by one through T, up to cell 2^53, past which
+        doubles do not step by one.  The tables are built once per law.
         """
-        starts, cells, at, after, firsts, pasts, scales, q_cells, inv_rates = self._inverse_tables
+        tables = self._inverse_tables
+        starts, cells, at, after, firsts, pasts, scales, q_cells, drops, inv_rates, shorts = tables
         u = np.asarray(u, dtype=float)
         flat = u.ravel()
         out = np.empty(flat.size, dtype=np.int64)
@@ -352,7 +374,11 @@ class _Lattice:
             v = np.minimum(uc, 1.0 - uc)
             run = sum(v <= s for s in starts)  # 0 for a law of one run
             with np.errstate(divide="ignore", invalid="ignore"):
-                m = np.log((v - pasts.take(run)) * scales.take(run) + q_cells.take(run))
+                a = (v - pasts.take(run)) * scales.take(run)
+                m = np.log(a + q_cells.take(run))
+                short = shorts.take(run)
+                if short.any():  # ln(a + q^cells) as log1p(a - (1 - q^cells))
+                    m[short] = np.log1p(a[short] + drops.take(run[short]))
             m = np.fmax(np.floor(m * inv_rates.take(run) + firsts.take(run)), 0.0)  # nan to 0
             cell = np.minimum(m, cells).astype(np.intp)
             off = (at.take(cell) < v) | (after.take(cell) >= v)
@@ -403,19 +429,30 @@ class _Lattice:
         """ln sum_k P(k) exp|ln P(k - shift) / P(k)|, the definitional zeta, exactly.
 
         It is ln(1 + the excess sum_k P(k) (exp|L(k)| - 1)), whose positive terms are
-        taken in logs, so a small zeta keeps its digits.  The loss is shift * rate at
-        every k >= L + shift and k <= -L, L the last run's first cell, so those tails
-        add P(K >= L) 2 sinh(shift rate); the cells between are summed one by one.
+        taken in logs, so a small zeta keeps its digits.  Where k and k - shift lie in one
+        run [m, e) of rate d, the loss is shift d: at k in [m + shift, e), and at k = -j
+        for j in [m, e - shift).  Those two stretches add P(m) 2 sinh(shift d)
+        (1 - q^(e - m - shift)) / (1 - q), q = e^-d, in closed form.  The cells left, in
+        (0, shift) and within shift of a run's first cell, are summed one by one, so the
+        sum takes O(runs x shift) terms however far the runs reach.
         """
-        last, log_first, rate = self.runs[-1]
-        ks = np.arange(1 - last, last + shift)
+        singles, stretches = [], []
+        ends = [run[0] for run in self.runs[1:]] + [math.inf]
+        for (first, log_first, rate), end in zip(self.runs, ends):
+            singles.append(np.arange(max(first, 1), min(first + shift, end)))
+            if end < math.inf:
+                singles.append(-np.arange(max(first, end - shift), end))
+            if rate and end - first > shift:  # a run of rate 0 has no loss inside
+                rest = _log1mexp(rate * (end - first - shift)) if end < math.inf else 0.0
+                two_sinh = shift * rate + _log1mexp(2.0 * shift * rate)
+                stretches.append(log_first + two_sinh + rest - _log1mexp(rate))
+        ks = np.concatenate(singles)
         here, there = self.log_mass(ks), self.log_mass(ks - shift)
-        with np.errstate(divide="ignore"):  # no excess where the loss is 0
+        # no excess where the loss is 0; P(k)^2 of a mass beyond the double range reads 0
+        with np.errstate(divide="ignore", over="ignore"):
             # max(P(k - shift), P(k)^2 / P(k - shift)) (1 - exp -|L(k)|)
             cells = np.fmax(there, 2.0 * here - there) + np.log(-np.expm1(-np.abs(there - here)))
-        # ln P(K >= L) 2 sinh(shift rate)
-        tails = log_first + rate * shift - math.log(-math.expm1(-rate))
-        terms = np.append(cells, tails + math.log(-math.expm1(-2.0 * shift * rate)))
+        terms = np.append(cells, stretches)
         top = terms.max()
         if top == math.inf:  # a cell of mass whose neighbour has none
             return math.inf
@@ -429,8 +466,30 @@ class _Law:
         return _wrap(x, np.exp(self.log_prob(x)))
 
 
-class _LatticeFamily(_Law):
-    """An integer family whose mass function, CDF and stats are read from its ``lattice()``."""
+class _Released(_Law):
+    """A private family: it releases ``cell`` times a draw of its ``grid_law()``, the law of
+    its released noise in units of a cell, and charges that law's exact zeta."""
+
+    @cached_property
+    def _law(self) -> _Lattice:
+        """The grid law that ``draw`` inverts, built on first use and kept with its inverse
+        tables; ``grid_law()`` itself builds afresh, so a spec that never draws or charges,
+        as a sweep's, keeps nothing."""
+        return self.grid_law()
+
+    def draw(self, stream, n: int) -> np.ndarray:
+        return self._law.inverse(stream.uniforms(n)) * self.cell
+
+    def charge(self) -> float:
+        """The definitional zeta of the release for a unit shift, 1 / cell cells of the grid law."""
+        return self._law.zeta(round(1 / self.cell))
+
+
+class _LatticeFamily(_Released):
+    """An integer family whose mass function, CDF and stats are read from its ``lattice()``,
+    which is its grid law."""
+
+    cell: ClassVar[int] = 1
 
     def log_prob(self, x):
         return self.lattice().log_mass(x)
@@ -441,15 +500,8 @@ class _LatticeFamily(_Law):
     def stats(self) -> MechanismStats:
         return MechanismStats(*self.lattice().stats())
 
-    @cached_property
-    def _law(self) -> _Lattice:
-        """The lattice law that ``draw`` inverts, built on the first draw and kept with its
-        inverse tables; ``lattice()`` itself builds afresh, so a spec that never draws, as a
-        sweep's, keeps nothing."""
+    def grid_law(self) -> _Lattice:
         return self.lattice()
-
-    def draw(self, stream, n: int) -> np.ndarray:
-        return self._law.inverse(stream.uniforms(n))
 
 
 def rounded_laplace_zeta(eps: float) -> float:
@@ -478,12 +530,15 @@ class MechanismSpec(Protocol):
     """What every mechanism family states about itself.
 
     ``kind`` names the family on the command line and opens its ``label``;
-    ``integer`` is true when the noise, and so every release, is an integer.
-    Losses and budgets are for unit-shift (count and histogram) queries.
+    ``integer`` is true when the noise, and so every release, is an integer;
+    ``cell`` is the width of the grid the noise is released on, 0 for a family
+    that is not released on one.  Losses and budgets are for unit-shift (count
+    and histogram) queries.
     """
 
     kind: ClassVar[str]
     integer: ClassVar[bool]
+    cell: ClassVar[float]
 
     @property
     def label(self) -> str:
@@ -494,6 +549,9 @@ class MechanismSpec(Protocol):
 
     def zeta(self) -> float:
         """General budget ln E[exp |L|] from the paper's closed form; inf when unbounded."""
+
+    def charge(self) -> float:
+        """What a release is charged: the exact zeta of the released law; inf when unbounded."""
 
     def log_prob(self, x):
         """ln of the mass function (integer output) or density (continuous output) at x;
@@ -513,12 +571,13 @@ class MechanismSpec(Protocol):
 
 
 @dataclass(frozen=True)
-class Laplace(_Law):
-    """Continuous Laplace mechanism with scale b (= 1 / epsilon)."""
+class Laplace(_Released):
+    """Laplace mechanism with scale b (= 1 / epsilon), released on the grid of ``GRID``."""
 
     scale: float
     kind: ClassVar[str] = "laplace"
     integer: ClassVar[bool] = False
+    cell: ClassVar[float] = GRID
 
     def __post_init__(self) -> None:
         _require_positive("scale", self.scale)
@@ -544,9 +603,9 @@ class Laplace(_Law):
     def loss_tail(self) -> tuple[float, float]:
         return 0.0, 1.0 / self.scale
 
-    def draw(self, stream, n: int) -> np.ndarray:
-        u, b = stream.uniforms(n), self.scale
-        return np.where(u < 0.5, b * np.log(2.0 * u), -b * np.log(2.0 * (1.0 - u)))
+    def grid_law(self) -> _Lattice:
+        """The law of a draw divided by the cell and rounded half away from zero."""
+        return RoundedLaplace(self.scale / self.cell).lattice()
 
     def stats(self) -> MechanismStats:
         b = self.scale
@@ -623,7 +682,7 @@ class _TwoPieceMixture:
     """The law both mixtures share: piece i decays as exp(-|x| / b_i), with b_1, b_2 the
     params' ``outer_scale``, ``inner_scale``; the inner piece has weight a2 and the outer
     one mass w1 beyond c_t.  A subclass states its weights (``constants``), its mass
-    function, CDF and sampler, and the paper's closed forms (``_zeta``, ``stats``).
+    function, CDF and grid law, and the paper's closed forms (``_zeta``, ``stats``).
     """
 
     params: MixtureParams
@@ -652,13 +711,14 @@ class _TwoPieceMixture:
         return zeta
 
     def usefulness_bound(self, k: int, delta: float) -> float:
-        """Accuracy radius t with P[max of k i.i.d. |draws| >= t] <= delta.
+        """Accuracy radius t with P[max of k i.i.d. |released draws| >= t] <= delta.
 
-        The radius ``c_t + ln(k w1 / delta) / (r eps)`` inverts the outer tail, so it is
-        tight per coordinate; it holds only where it clears the break-point, and
-        raises BoundNotApplicableError otherwise.  An integer law's radius is raised
-        to the first integer m whose exact two-sided tail mass 2 P(noise <= -m) is at
-        most delta / k, the nearest point at which the guarantee holds.
+        The continuous radius ``c_t + ln(k w1 / delta) / (r eps)`` inverts the outer tail,
+        so it is tight per coordinate; it holds only where it clears the break-point, and
+        raises BoundNotApplicableError otherwise.  A release is on a grid, so the radius is
+        raised to the first grid point m cell whose exact two-sided tail mass under the
+        grid law, 2 P(K <= -m), is at most delta / k: the nearest point at which the
+        guarantee holds for what is released.
         """
         if not (0.0 < delta < 1.0):
             raise InvalidParameterError(f"delta must lie in (0, 1), got {delta!r}")
@@ -670,20 +730,19 @@ class _TwoPieceMixture:
             raise BoundNotApplicableError(
                 f"radius {radius:.4g} does not clear the break-point {ct:g}"
             )
-        if not self.integer:
-            return radius
-        m = math.ceil(radius)
-        while 2.0 * self.cdf(-m) > delta / k:
+        m = math.ceil(radius / self.cell)
+        while 2.0 * self._law.cdf(-m) > delta / k:
             m += 1
-        return float(m)
+        return float(m * self.cell)
 
 
 @dataclass(frozen=True)
-class LaplaceMixture(_Law, _TwoPieceMixture):
-    """Two-piece Laplace mixture mechanism (continuous output)."""
+class LaplaceMixture(_Released, _TwoPieceMixture):
+    """Two-piece Laplace mixture mechanism, released on the grid of ``GRID``."""
 
     kind: ClassVar[str] = "lapmix"
     integer: ClassVar[bool] = False
+    cell: ClassVar[float] = GRID
 
     def constants(self) -> MixtureConstants:
         return lapmix_constants(self.params)
@@ -737,70 +796,15 @@ class LaplaceMixture(_Law, _TwoPieceMixture):
         tail = np.minimum(outer + inner_mass, 0.5)
         return _wrap(x, np.where(xs <= 0.0, tail, 1.0 - tail))
 
-    def _from_uniform(self, uc: np.ndarray):
-        """Branch-first inverse CDF, one ``log`` per draw: ``(x, outer, right, edge)``, the
-        value and per uniform whether it is on the outer piece, on the right side (as 0.0 or
-        1.0), and at the inner piece's edge where ``u - k_c`` has no value.
-
-        A draw lies on the outer piece below ``t_outer`` or above ``1 - t_outer``, and on the
-        right side above ``1 - t_outer`` or, on the inner piece, above 1/2 (first match wins,
-        as in the four-branch form).  A left draw is ``b log(2 (u - k) / a) - e`` with the
-        piece's scale b, CDF offset k, and mass a beyond the edge e that it is read from:
-        ``a2``, ``k_c`` and 0 inner, ``w1``, 0 and ``c_t`` outer.  A right draw is the same of
-        ``1 - u``, negated.  The steps that merge the branches (picking the side as
-        ``f*(1-u) + (1-f)*u``, subtracting 0.0 for k or e, multiplying by +-1) are exact, and
-        every rounded step sees the operands its branch of the four-branch form sees, so the
-        output is bit-identical to that form.
-
-        Where the inner piece's tail beyond ``c_t`` is below half an ulp of the uniform,
-        ``u - k_c`` (or ``1 - u - k_c``) at the threshold rounds to zero or below and the
-        formula has no value; the draw there is the piece's edge, ``-c_t`` on the left and
-        ``c_t`` on the right, as at its float neighbours.
-        """
-        c, b1, b2 = self.constants(), self.params.outer_scale, self.params.inner_scale
-        ct = self.params.break_point
-        t_outer = 0.5 * c.w1
-        lo = uc < t_outer
-        ro = (uc > 1.0 - t_outer) & ~lo
-        of = lo | ro
-        f = (ro | (~of & (uc > 0.5))).astype(float)
-        # 1 - u on the right, u on the left; minus 0.0 on the outer piece is exact
-        x = f * (1.0 - uc) + (1.0 - f) * uc
-        x -= np.array([c.k_c, 0.0]).take(of)
-        edge = x <= 0.0
-        x *= 2.0
-        x /= np.array([c.a2, c.w1]).take(of)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            np.log(x, out=x)
-        x *= np.array([b2, b1]).take(of)
-        x -= np.array([0.0, ct]).take(of)
-        x *= 1.0 - 2.0 * f  # -y on the right, y on the left; both exact
-        if edge.any():
-            x[edge] = ct * (2.0 * f[edge] - 1.0)
-        return x, of, f, edge
-
-    def inverse_cdf(self, u) -> np.ndarray:
-        """Noise at each uniform u in (0, 1), float64."""
-        u = np.asarray(u, dtype=float)
-        flat, out = u.ravel(), np.empty(u.size)
-        for i in range(0, flat.size, _CHUNK):
-            out[i : i + _CHUNK] = self._from_uniform(flat[i : i + _CHUNK])[0]
-        return out.reshape(u.shape)
-
-    def pre_rounding(self, u) -> tuple[np.ndarray, np.ndarray]:
-        """``inverse_cdf`` at each u, and the kernel branch taken.
-
-        The branch is a small int: outer piece, right side, piece edge.  Each
-        branch is taken on an interval of u, and there the value is a
-        non-decreasing function of u computed through a handful of correctly
-        rounded steps and one ``log``, so it is within about 1e-15 (1 + |x| + b)
-        of that function, b the larger piece scale.
-        """
-        x, of, f, edge = self._from_uniform(np.asarray(u, dtype=float))
-        return x, of + 2 * f.astype(np.int64) + 4 * edge
-
-    def draw(self, stream, n: int) -> np.ndarray:
-        return self.inverse_cdf(stream.uniforms(n))
+    def grid_law(self) -> _Lattice:
+        """The law of a draw divided by the cell and rounded half away from zero: the rounded
+        law of the mixture whose rates and break-point are in units of a cell.  Refused where
+        the break-point passes 2^52 cells, beyond which a half cell is not a double."""
+        p, cell = self.params, self.cell
+        if not p.break_point / cell <= _LAST_CELL / 2:
+            raise InvalidParameterError(f"{self.label}: the break-point passes 2^52 cells of {cell:g}")
+        grid = MixtureParams(p.epsilon * cell, p.ratio, p.break_point / cell)
+        return LaplaceMixture(grid).rounded_lattice()
 
     def _zeta(self, c: MixtureConstants) -> float:
         reps, eps, ct = self.params.eps_r, self.params.epsilon, self.params.break_point
@@ -890,6 +894,7 @@ class TruncatedLaplace(_Law):
     allow_unsafe: bool = False
     kind: ClassVar[str] = "trunclap"
     integer: ClassVar[bool] = False
+    cell: ClassVar[float] = 0.0
 
     def __post_init__(self) -> None:
         _require_positive("scale", self.scale)
@@ -905,6 +910,9 @@ class TruncatedLaplace(_Law):
         return math.inf
 
     def zeta(self) -> float:
+        return math.inf
+
+    def charge(self) -> float:
         return math.inf
 
     def log_prob(self, x):

@@ -127,3 +127,38 @@ def chi_square_pvalue(draws, pmf, cdf, lo, hi):
         obs, expected = obs[:-1], expected[:-1]
     expected *= obs.sum() / expected.sum()
     return stats.chisquare(obs, expected).pvalue
+
+
+class GivenUniforms:
+    """Stands in for a stream whose uniforms are already drawn."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=float)
+
+    def uniforms(self, n):
+        return self.u[:n]
+
+
+def grid_chi_square_pvalue(draws, cdf, cell):
+    """Chi-square GoF of draws on the grid cell * Z against the masses that a continuous
+    law puts on each cell: cell k holds cdf((k + 1/2) cell) - cdf((k - 1/2) cell), read
+    from the CDF and so independent of any lattice law.  The cells outside the observed
+    range are pooled into the two end cells; cells with expectation below 5 are folded
+    together, as in ``chi_square_pvalue``.
+    """
+    ks = np.asarray(draws) / cell
+    assert np.array_equal(ks, np.round(ks))  # every draw is on the grid
+    ks = ks.astype(np.int64)
+    lo, hi = int(ks.min()), int(ks.max())
+    edges = np.asarray(cdf((np.arange(lo, hi + 2) - 0.5) * cell), dtype=float)
+    expected = np.diff(edges)
+    expected[0] += edges[0]
+    expected[-1] += 1.0 - edges[-1]
+    obs = np.bincount(ks - lo, minlength=hi - lo + 1).astype(float)
+    keep = expected * ks.size >= 5
+    obs = np.append(obs[keep], obs[~keep].sum())
+    expected = np.append(expected[keep], expected[~keep].sum()) * ks.size
+    if expected[-1] < 1e-9:
+        obs, expected = obs[:-1], expected[:-1]
+    expected *= obs.sum() / expected.sum()
+    return stats.chisquare(obs, expected).pvalue

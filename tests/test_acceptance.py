@@ -29,6 +29,7 @@ from pwmix.bench import (
 from pwmix.cli import _random_queries
 from pwmix.data import count_query, neighbors, record_matches
 from pwmix.mechanisms import (
+    GRID,
     Geometric,
     GeometricMixture,
     Laplace,
@@ -43,7 +44,14 @@ from pwmix.mechanisms import (
 from pwmix.sampling import SeededStream, sample
 
 import conftest
-from conftest import PRESET_A, PRESET_B, chi_square_pvalue, cli_env, make_synthetic_dataset
+from conftest import (
+    PRESET_A,
+    PRESET_B,
+    chi_square_pvalue,
+    cli_env,
+    grid_chi_square_pvalue,
+    make_synthetic_dataset,
+)
 from table1_reference import REFERENCE_ROWS
 
 # Reference tables print zetas to 3 decimals and stats to 2; comparisons get
@@ -204,9 +212,9 @@ class TestCriterion3SamplerFidelity:
         for i, (eps, reps, ct) in enumerate(LAPMIX_SETS):
             params = MixtureParams(epsilon=eps, ratio=reps / eps, break_point=ct)
             y = sample(LaplaceMixture(params), SeededStream(9000, i), self.GOF_N)
-            p = stats.kstest(y, lambda x: lapmix_cdf(x, params)).pvalue
+            p = grid_chi_square_pvalue(y, lambda x: lapmix_cdf(x, params), GRID)
             if p <= self.ALPHA:
-                failures.append(("lapmix-ks", (eps, reps, ct), p))
+                failures.append(("lapmix-chi2", (eps, reps, ct), p))
 
         for i, (eps, reps, ct) in enumerate(GEOMIX_SETS):
             params = MixtureParams(epsilon=eps, ratio=reps / eps, break_point=float(ct))
@@ -224,9 +232,9 @@ class TestCriterion3SamplerFidelity:
 
         for i, eps in enumerate(STANDARD_EPS):
             y = sample(Laplace(scale=1 / eps), SeededStream(9200, i), self.GOF_N)
-            p = stats.kstest(y, lambda x: laplace_cdf(x, 1 / eps)).pvalue
+            p = grid_chi_square_pvalue(y, lambda x: laplace_cdf(x, 1 / eps), GRID)
             if p <= self.ALPHA:
-                failures.append(("laplace-ks", eps, p))
+                failures.append(("laplace-chi2", eps, p))
 
             alpha = math.exp(eps)
             q = 1 / alpha

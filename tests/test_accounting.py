@@ -1,4 +1,5 @@
 import math
+import time
 
 import mpmath as mp
 import numpy as np
@@ -17,6 +18,7 @@ from pwmix.accounting import (
 )
 from pwmix.errors import BoundNotApplicableError, InvalidParameterError
 from pwmix.mechanisms import (
+    GRID,
     Geometric,
     GeometricMixture,
     Laplace,
@@ -441,6 +443,102 @@ class TestContinuousZeta:
         assert zeta_empirical(spec, shift) == pytest.approx(exact, rel=1e-13)
 
 
+def lattice_zeta_by_cells(law, shift):
+    """``_Lattice.zeta`` summed cell by cell out to the last run: every cell k with
+    1 - L <= k < L + shift, L the last run's first cell, one by one, and beyond them the
+    two tails of constant loss shift * rate, P(K >= L) 2 sinh(shift rate), in closed form.
+    Its arrays grow with L, so it is the oracle for laws of a few thousand cells."""
+    last, log_first, rate = law.runs[-1]
+    ks = np.arange(1 - last, last + shift)
+    here, there = law.log_mass(ks), law.log_mass(ks - shift)
+    with np.errstate(divide="ignore", over="ignore"):
+        cells = np.fmax(there, 2.0 * here - there) + np.log(-np.expm1(-np.abs(there - here)))
+    tails = log_first + rate * shift - math.log(-math.expm1(-rate))
+    terms = np.append(cells, tails + math.log(-math.expm1(-2.0 * shift * rate)))
+    top = terms.max()
+    return float(np.logaddexp(0.0, top + math.log(math.fsum(np.exp(terms - top)))))
+
+
+# (eps, r eps, c_t) -> (the paper's closed form, the charge of the release on the 1/8
+# grid, the continuous definitional zeta)
+CHARGE_POINTS = {
+    (0.2, 1.0, 5.0): (0.309063, 0.312396, 0.312615),  # the bench_ct5 preset
+    (4.99, 14.27, 3.0): (3.322931, 4.572814, 4.597853),  # the CLI case
+    (1.0, 3.0, 2.0): (1.147793, 1.247224, 1.249836),
+    (0.9, 9.0, 3.0): (4.095770, 4.169821, 4.209013),
+    (43.88, 13.18, 18.0): (22.856291, 41.951963, 43.474535),  # r < 1
+}
+
+
+def _private_spec(family, eps, ratio, ct):
+    if family == "laplace":
+        return Laplace(scale=1 / eps)
+    if family == "rlaplace":
+        return RoundedLaplace(scale=1 / eps)
+    if family == "geometric":
+        return Geometric(alpha=math.exp(eps))
+    if family == "geomix":
+        return GeometricMixture(MixtureParams(epsilon=eps, ratio=ratio, break_point=float(round(ct))))
+    return LaplaceMixture(MixtureParams(epsilon=eps, ratio=ratio, break_point=ct))
+
+
+class TestCharge:
+    """A release charges the definitional zeta of the law it releases: its grid law's, at a
+    shift of one unit (1 / cell cells), summed exactly with the constant-loss stretches of
+    every run in closed form."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        family=st.sampled_from(["laplace", "rlaplace", "geometric", "geomix", "lapmix"]),
+        eps=st.floats(0.02, 5.0),
+        ratio=st.floats(0.1, 20.0),
+        ct=st.floats(0.6, 30.0),
+    )
+    @example(family="lapmix", eps=43.88, ratio=13.18 / 43.88, ct=18.0)
+    @example(family="lapmix", eps=0.2, ratio=5.0, ct=0.01)  # the break-point inside cell 0
+    def test_matches_the_cell_by_cell_sum(self, family, eps, ratio, ct):
+        try:
+            spec = _private_spec(family, eps, ratio, ct)
+            law = spec.grid_law()
+        except InvalidParameterError:  # constants that underflow
+            assume(False)
+        charge = spec.charge()
+        assert charge == pytest.approx(lattice_zeta_by_cells(law, round(1 / spec.cell)), rel=1e-12)
+        if not spec.integer:  # rounding is post-processing of the continuous release
+            assert charge <= zeta_empirical(spec) * (1 + 1e-9)
+
+    @pytest.mark.parametrize("point", CHARGE_POINTS, ids=str)
+    def test_lapmix_points(self, point):
+        closed, charge, definitional = CHARGE_POINTS[point]
+        spec = LaplaceMixture(MixtureParams.from_rates(*point))
+        assert spec.zeta() == pytest.approx(closed, abs=1e-6)
+        assert spec.charge() == pytest.approx(charge, abs=1e-6)
+        assert zeta_empirical(spec) == pytest.approx(definitional, abs=1e-6)
+
+    def test_laplace(self):
+        spec = Laplace(scale=2.0)
+        assert spec.zeta() == 0.5
+        assert spec.charge() == pytest.approx(0.456798, abs=1e-6)
+        assert zeta_empirical(spec) == pytest.approx(0.457391, abs=1e-6)
+
+    def test_integer_families_charge_their_closed_forms(self):
+        # the exact zeta of the integer laws equals the paper's closed forms, to rounding
+        for spec in (GeometricMixture(PRESET_A), RoundedLaplace(2.0), Geometric(math.exp(0.3))):
+            assert spec.charge() == pytest.approx(spec.zeta(), rel=1e-14)
+        assert RoundedLaplace(2.0).charge() == 0.4523214332286103
+
+    def test_far_break_point_in_closed_form(self):
+        # 2^40 cells between the runs: the sum does not walk them
+        spec = GeometricMixture(MixtureParams(epsilon=0.2, ratio=5.0, break_point=2.0**40))
+        start = time.perf_counter()
+        charge = spec.charge()
+        assert time.perf_counter() - start < 0.01
+        assert charge == pytest.approx(spec.zeta(), rel=1e-12)
+
+    def test_unbounded_family(self):
+        assert TruncatedLaplace(scale=1.0, bound=5.0).charge() == math.inf
+
+
 class TestShiftValidation:
     """A shift must be a positive integer; anything else is refused, not evaluated."""
 
@@ -546,26 +644,36 @@ class TestEquivalentEpsilon:
                 equivalent_epsilon(target)
 
 
+def lapmix_release_tail(params, r):
+    """P(|Y| >= r) for the Laplace mixture released on its grid, r a grid point above c_t:
+    the continuous outer tail w1 exp(-r eps (x - c_t)) from x = r - GRID / 2, the lower edge
+    of the cell that r rounds from."""
+    w1, ct = lapmix_constants(params).w1, params.break_point
+    return w1 * math.exp(-(r - GRID / 2 - ct) * params.eps_r)
+
+
 class TestUsefulnessBound:
     def test_laplace_radius(self):
+        # the continuous radius 7.344302369170264 inverts the outer tail at delta; the
+        # released draws are rounded to the grid, so the guarantee holds from 7.5 on
         r = LaplaceMixture(PRESET_A).usefulness_bound(1, 0.01)
-        assert r == pytest.approx(7.344302369170264, rel=1e-12)
-        # exact tail inversion: P(|Y| >= r) equals delta
-        w1, ct = lapmix_constants(PRESET_A).w1, PRESET_A.break_point
-        assert w1 * math.exp(-(r - ct) * PRESET_A.eps_r) == pytest.approx(0.01, rel=1e-12)
+        assert r == 7.5
+        assert lapmix_release_tail(PRESET_A, r) <= 0.01 < lapmix_release_tail(PRESET_A, r - GRID)
 
     def test_union_bound_scaling(self):
+        # the continuous radii part by ln(10) / (r eps); the released ones by that, rounded
+        # up to the grid, within a cell
         r1 = LaplaceMixture(PRESET_A).usefulness_bound(1, 0.01)
         r10 = LaplaceMixture(PRESET_A).usefulness_bound(10, 0.01)
-        assert r10 - r1 == pytest.approx(math.log(10) / PRESET_A.eps_r, rel=1e-12)
+        assert abs(r10 - r1 - math.log(10) / PRESET_A.eps_r) <= GRID
+        assert lapmix_release_tail(PRESET_A, r10) <= 0.001 < lapmix_release_tail(PRESET_A, r10 - GRID)
 
     def test_admissible_delta_inverts_exactly(self):
-        # delta on the exact outer tail lattice: radius comes back as m / (r eps)
-        w1, ct = lapmix_constants(PRESET_A).w1, PRESET_A.break_point
-        for m in (6, 8, 11):
-            delta = w1 * math.exp(-PRESET_A.eps_r * (m - ct))
+        # delta the released tail at a grid point m: the radius comes back as m
+        for m in (6.5, 8.0, 11.125):
+            delta = lapmix_release_tail(PRESET_A, m) * (1.0 + 1e-12)
             r = LaplaceMixture(PRESET_A).usefulness_bound(1, delta)
-            assert r == pytest.approx(m / PRESET_A.eps_r, rel=1e-12)
+            assert r == m
 
     def test_geometric_radius_is_guaranteed_integer(self):
         from pwmix.mechanisms import geomix_constants
@@ -589,7 +697,9 @@ class TestUsefulnessBound:
     @pytest.mark.parametrize(
         "family, radii",
         [
-            (LaplaceMixture, (7.344302369170264, 9.64688746216431, 9.64688746216431, 11.949472555158355)),
+            # the continuous radii 7.344302369170264, 9.64688746216431 and 11.949472555158355,
+            # raised to the grid
+            (LaplaceMixture, (7.5, 9.75, 9.75, 12.125)),
             (GeometricMixture, (8.0, 11.0, 11.0, 13.0)),
         ],
     )

@@ -359,27 +359,29 @@ class TestOutcomeCounts:
         outcomes = offset + noise
         if clamp:
             outcomes = np.maximum(outcomes, 0)
-        values, counts = np.unique(np.round(outcomes).astype(np.int64), return_counts=True)
+        values, counts = np.unique(np.floor(outcomes + 0.5).astype(np.int64), return_counts=True)
         got = _outcome_counts(spec, SeededStream(408), trials, offset, clamp)
         assert got == dict(zip(values.tolist(), counts.tolist()))
 
     def test_clamp_before_rounding(self):
-        # n + d is clamped, then rounded (halves to even): n + round(d) would
-        # give {0: 1, 1: 2, 3: 1} here
+        # n + d is clamped, then rounded, a half up: round(max(n + d, 0)), which is
+        # max(n + round(d), 0), so an integer offset commutes with binning at the halves
+        # of the 1/8 grid; rounding halves to even would give {0: 2, 2: 2} here
         spec = _FixedNoise([0.5, -1.5, -0.5, 1.5])
-        assert _outcome_counts(spec, SeededStream(0), 4, 1, True) == {0: 2, 2: 2}
+        assert _outcome_counts(spec, SeededStream(0), 4, 1, True) == {2: 1, 0: 1, 1: 1, 3: 1}
 
 
 def _bucket_and_draw_counts(spec, trials, offset, clamp, seed=408, stream=None):
     """(counts through the bucket table, counts drawn one by one) of one arm."""
-    table = _bucket_table(spec, abs(offset))
+    table = _bucket_table(spec)
     assert table is not None
     got = _outcome_counts(spec, stream or SeededStream(seed), trials, offset, clamp, table)
     return got, _outcome_counts(spec, stream or SeededStream(seed), trials, offset, clamp)
 
 
 # A Laplace mixture's inner epsilon at which one lattice bucket, 2^-_BUCKET_BITS of
-# mass, spans about a third of an integer near 0, where the density is about eps / 2.
+# mass, spans about a third of an integer (eight cells of its grid) near 0, where the
+# density is about eps / 2.
 WIDE_EPS = 6.0 * 2.0**-bench._BUCKET_BITS
 
 
@@ -390,7 +392,7 @@ class TestBucketCounts:
     POINTS = [
         # the bench_ct5 preset
         MixtureParams(epsilon=0.2, ratio=5.0, break_point=5.0),
-        # the inner piece's tail beyond c_t is below half an ulp: the kernel's edge case
+        # the inner piece's tail beyond c_t is below half an ulp of the uniforms
         MixtureParams(epsilon=3.7890625, ratio=0.5, break_point=9.0),
     ]
 
@@ -402,8 +404,9 @@ class TestBucketCounts:
             LaplaceMixture,
             lambda p: RoundedLaplace(scale=1.0 / p.epsilon),
             lambda p: Geometric(alpha=math.exp(p.epsilon)),
+            lambda p: Laplace(scale=1.0 / p.epsilon),
         ],
-        ids=["GeometricMixture", "LaplaceMixture", "RoundedLaplace", "Geometric"],
+        ids=["GeometricMixture", "LaplaceMixture", "RoundedLaplace", "Geometric", "Laplace"],
     )
     @pytest.mark.parametrize("offset, clamp", [(0, False), (3, True), (-4, False), (1 << 20, True)])
     def test_matches_draws(self, family, params, offset, clamp):
@@ -411,15 +414,16 @@ class TestBucketCounts:
         assert got == want
 
     def test_preset_straddles_few_buckets(self):
+        # a bucket straddles where its two ends bin apart: 22 of 4,096 for both mixtures
         for family in (GeometricMixture, LaplaceMixture):
-            table = _bucket_table(family(self.POINTS[0]), 64)
-            assert 0 < table.straddles.sum() < 100
+            table = _bucket_table(family(self.POINTS[0]))
+            assert table.straddles.sum() == 22
 
     @pytest.mark.parametrize("offset, clamp", [(0, False), (7, True), (1 << 20, True)])
     def test_wide_lapmix(self, offset, clamp):
         # one bucket spans about a third of an integer: thousands straddle a step
         spec = LaplaceMixture(MixtureParams(epsilon=WIDE_EPS, ratio=2.0, break_point=5.0))
-        assert _bucket_table(spec, 0).straddles.sum() > 1000
+        assert _bucket_table(spec).straddles.sum() > 1000
         got, want = _bucket_and_draw_counts(spec, self.TRIALS, offset, clamp)
         assert got == want
 
@@ -429,7 +433,7 @@ class TestBucketCounts:
         # and draws the rest at the end of the arm.
         spec = LaplaceMixture(MixtureParams(epsilon=WIDE_EPS, ratio=2.0, break_point=5.0))
         trials = 5 * (1 << 16) + 17
-        table = _bucket_table(spec, 7)
+        table = _bucket_table(spec)
         sizes = []
         monkeypatch.setattr(bench, "sample", lambda s, st, size: sizes.append(size) or sample(s, st, size))
         tracemalloc.start()
@@ -454,24 +458,10 @@ class TestBucketCounts:
         got, want = _bucket_and_draw_counts(family(params), 999, 2, True, stream=stream)
         assert got == want and sum(got.values()) == 999
 
-    @pytest.mark.parametrize("shape", ["branch_switch", "rounding_dip"])
-    def test_table_guards(self, shape):
-        # Bucket 5's edges bin to 0 and a draw inside it bins to 1: the bucket
-        # must straddle, once for a branch switch and once for a dip of one ulp
-        # across a rounding step (float error of a monotone value).
-        spec = _BucketFiveSpec(shape)
-        table = _bucket_table(spec, 0)
-        assert table.straddles[5] and table.straddles.sum() == 1
-        stream = SeededStream(0)
-        shift = bench._BUCKET_SHIFT
-        lattice = [5 << shift, (5 << shift) + (3 << (shift - 3)), (6 << shift) - 1]
-        stream._gen = _LatticeEnds(lattice)
-        got, want = _bucket_and_draw_counts(spec, 300, 0, False, stream=stream)
-        assert got == want == {0: 200, 1: 100}
-
     def test_other_families_draw_one_by_one(self):
-        for spec in (Laplace(scale=2.0), TruncatedLaplace(scale=2.0, bound=3.0, allow_unsafe=True)):
-            assert _bucket_table(spec, 0) is None
+        # a family with no grid has no table; every private family has one
+        assert _bucket_table(TruncatedLaplace(scale=2.0, bound=3.0, allow_unsafe=True)) is None
+        assert _bucket_table(Laplace(scale=2.0)) is not None
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -484,7 +474,7 @@ class TestBucketCounts:
     )
     def test_property(self, family, eps, ratio, ct, offset, clamp):
         spec = family(MixtureParams(epsilon=eps, ratio=ratio, break_point=float(ct)))
-        table = _bucket_table(spec, abs(offset))
+        table = _bucket_table(spec)
         stream = SeededStream(ct)
         got = _outcome_counts(spec, stream, (1 << 16) + 9, offset, clamp, table)
         assert got == _outcome_counts(spec, SeededStream(ct), (1 << 16) + 9, offset, clamp)
@@ -500,34 +490,6 @@ class _LatticeEnds:
 
     def random_raw(self, size):
         return np.resize(np.array(self.values, dtype=np.uint64) << 11, size)
-
-
-class _BucketFiveSpec:
-    """A continuous stand-in for a mixture kernel, odd only in lattice bucket 5.
-
-    ``branch_switch``: the value climbs from 0.2 to 1 over the first half of
-    bucket 5 and drops back to 0.2 on a second branch.  ``rounding_dip``: the
-    value sits one ulp below 0.5 at bucket 5's edges and one ulp above it in
-    between, 0.2 before the bucket and 0.8 after it.
-    """
-
-    integer = False
-    params = MixtureParams(epsilon=1.0, ratio=1.0, break_point=1.0)
-
-    def __init__(self, shape):
-        self.shape = shape
-
-    def pre_rounding(self, u):
-        p = u * 2.0**bench._BUCKET_BITS  # bucket index plus the position inside it
-        if self.shape == "branch_switch":
-            x = np.where((p >= 5) & (p < 5.5), 0.2 + 1.6 * (p - 5), 0.2)
-            return x, (p >= 5.5).astype(np.int64)
-        edge, mid = np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0)
-        x = np.where(p < 5, 0.2, np.where(p >= 6, 0.8, np.where(abs(p - 5.5) < 0.25, mid, edge)))
-        return x, np.zeros(x.shape, dtype=np.int64)
-
-    def draw(self, stream, n):
-        return self.pre_rounding(stream.uniforms(n))[0]
 
 
 class _FixedNoise:

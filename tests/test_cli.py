@@ -184,7 +184,9 @@ class TestStats:
             assert mix[key] == pytest.approx(std[key], rel=1e-9)
 
     # The JSON row of each private kind, byte for byte.  rlaplace reports the
-    # continuous closed forms of the Laplace law it rounds.
+    # continuous closed forms of the Laplace law it rounds.  ``zeta`` is the paper's
+    # closed form; ``zeta_charged`` is what a release charges, the exact zeta of the
+    # law it releases.
     @pytest.mark.parametrize(
         "flags, row",
         [
@@ -192,31 +194,33 @@ class TestStats:
                 ["laplace", "--eps", "0.332"],
                 '{"entropy": 2.795767490625594, "mean_abs_noise": 3.012048192771084, '
                 '"mechanism": "laplace(b=3.01205)", "variance": 18.144868631151105, '
-                '"worst_case_eps": 0.332, "zeta": 0.332}',
+                '"worst_case_eps": 0.332, "zeta": 0.332, "zeta_charged": 0.3104634445086862}',
             ),
             (
                 ["rlaplace", "--eps", "0.332"],
                 '{"entropy": 2.795767490625594, "mean_abs_noise": 3.012048192771084, '
                 '"mechanism": "rlaplace(b=3.01205)", "variance": 18.144868631151105, '
-                '"worst_case_eps": 0.332, "zeta": 0.3091669465188472}',
+                '"worst_case_eps": 0.332, "zeta": 0.3091669465188472, '
+                '"zeta_charged": 0.3091669465188472}',
             ),
             (
                 ["geometric", "--eps", "0.332"],
                 '{"entropy": 2.7867570738300276, "mean_abs_noise": 2.957418239017585, '
                 '"mechanism": "geometric(alpha=1.39375)", "variance": 17.97911649562626, '
-                '"worst_case_eps": 0.33199999999999996, "zeta": 0.33199999999999996}',
+                '"worst_case_eps": 0.33199999999999996, "zeta": 0.33199999999999996, '
+                '"zeta_charged": 0.3320000000000001}',
             ),
             (
                 ["lapmix", "--eps", "0.2", "--reps", "1", "--ct", "5"],
                 '{"entropy": 2.5369751296526846, "mean_abs_noise": 2.4977607936494723, '
                 '"mechanism": "lapmix(eps=0.2,reps=1,ct=5)", "variance": 9.547132830666467, '
-                '"worst_case_eps": 1.0, "zeta": 0.3090627284053273}',
+                '"worst_case_eps": 1.0, "zeta": 0.3090627284053273, "zeta_charged": 0.3123962700980893}',
             ),
             (
                 ["geomix", "--eps", "0.2", "--reps", "1", "--ct", "5"],
                 '{"entropy": 2.537405131153662, "mean_abs_noise": 2.480046265185278, '
                 '"mechanism": "geomix(eps=0.2,reps=1,ct=5)", "variance": 9.609491315109482, '
-                '"worst_case_eps": 1.0, "zeta": 0.3281059947639035}',
+                '"worst_case_eps": 1.0, "zeta": 0.3281059947639035, "zeta_charged": 0.3281059947639035}',
             ),
         ],
     )
@@ -407,7 +411,9 @@ class TestRelease:
         assert json.loads(out2)["ledger_total"] == pytest.approx(total)
 
     @pytest.mark.parametrize("flags", NON_FINITE_ZETA)
-    def test_non_finite_zeta_charges_nothing(self, data_file, capsys, tmp_path, flags):
+    def test_exact_charge_where_the_closed_form_is_not_finite(self, data_file, capsys, tmp_path, flags):
+        # ``stats`` refuses these points, whose closed-form zeta is not a finite double; a
+        # release charges the exact zeta of the law it releases, which is finite
         ledger = tmp_path / "ledger.json"
         ledger.write_text("[]")
         code, out, err = run_cli(
@@ -415,10 +421,35 @@ class TestRelease:
              "--ledger", str(ledger), "--mechanism", *flags],
             capsys,
         )
-        assert code == 2
-        assert out == ""
-        assert "not a finite" in err
-        assert ledger.read_text() == "[]"
+        assert code == 0, err
+        kind, values = flags[0], dict(zip(flags[1::2], map(float, flags[2::2])))
+        spec = spec_from_dict({"kind": kind, **{k.lstrip("-"): v for k, v in values.items()}})
+        (entry,) = json.loads(ledger.read_text())
+        assert entry["zeta"] == json.loads(out)["zeta_charged"] == spec.charge()
+        assert 0.0 < spec.charge() < math.inf
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            # rates per cell so small that the law's mass from cell 2^53 on reaches 2^-54
+            (["laplace", "--eps", "1e-15"], "cannot be drawn"),
+            (["rlaplace", "--eps", "1e-15"], "cannot be drawn"),
+            (["geometric", "--eps", "1e-15"], "cannot be drawn"),
+            (["lapmix", "--eps", "1", "--reps", "1e-15", "--ct", "3"], "cannot be drawn"),
+            # a break-point of 2^52 cells of 1/8 and more
+            (["lapmix", "--eps", "0.2", "--reps", "1", "--ct", "1e16"], "passes 2^52 cells"),
+        ],
+    )
+    def test_grid_law_that_cannot_be_drawn_is_refused(self, data_file, capsys, tmp_path, flags, message):
+        ledger = tmp_path / "ledger.json"
+        code, out, err = run_cli(
+            ["release", "--data", data_file, "--query", "age=25", "--seed", "1",
+             "--ledger", str(ledger), "--mechanism", *flags],
+            capsys,
+        )
+        assert (code, out) == (2, "")
+        assert message in err and "Traceback" not in err
+        assert not ledger.exists()
 
     def test_budget_cap_refusal(self, data_file, capsys, tmp_path):
         ledger = tmp_path / "ledger.json"
@@ -647,7 +678,8 @@ CONTRACT_VALUES = st.one_of(
 class TestContract:
     """Every parameter point of ``stats`` and ``release`` exits 0, 2 or 3: it works or is
     refused with a message, never with a traceback, and what it prints is JSON without
-    NaN or Infinity."""
+    NaN or Infinity.  A release charges ``spec.charge()``, and releases a true count plus
+    a whole number of its family's cells, unless it is clamped."""
 
     @settings(
         max_examples=150, derandomize=True, deadline=None,
@@ -670,7 +702,7 @@ class TestContract:
             args = ["stats", "--format", "json", *flags]
         else:
             args = ["release", "--data", str(contract_dir / "data.csv"), "--query", "age=25",
-                    "--seed", "1", *flags]
+                    "--seed", "1", "--reveal-true", *flags]
             if command == "release --ledger":
                 ledger = contract_dir / "ledger.json"
                 ledger.unlink(missing_ok=True)
@@ -680,6 +712,11 @@ class TestContract:
         assert "Traceback" not in err
         if code == 0:
             doc = json.loads(out, parse_constant=_no_constant)
+            if command != "stats":
+                spec = spec_from_dict({"kind": kind, "eps": eps, "reps": reps, "ct": ct})
+                assert doc["zeta_charged"] == spec.charge()
+                steps = (doc["released"] - doc["true"]) / spec.cell
+                assert doc["clamped"] or steps == int(steps), doc
             if command == "release --ledger":  # the one charge is what was printed
                 (entry,) = json.loads(ledger.read_text())
                 assert entry["zeta"] == doc["zeta_charged"] == doc["ledger_total"]

@@ -646,13 +646,17 @@ def _check_mixture(spec):
     draws = _or_refused(lambda: spec.draw(SeededStream(1), 1000))
     if draws is not None:
         assert not np.any(np.isnan(draws))
+        assert np.array_equal(draws / spec.cell, np.round(draws / spec.cell))  # on the grid
     u = SeededStream(2).uniforms(1000)
-    noise = _or_refused(lambda: spec.lattice().inverse(u) if spec.integer else spec.inverse_cdf(u))
-    if noise is not None:
-        if spec.integer:  # the inverse of a step CDF, exactly
-            assert np.all(spec.cdf(noise - 1.0) < u) and np.all(u <= spec.cdf(noise))
-        else:
-            assert np.max(np.abs(spec.cdf(noise) - u)) <= 1e-12
+    law = _or_refused(spec.grid_law)
+    if law is not None:
+        noise = law.inverse(u)  # the inverse of the grid law's step CDF, exactly
+        assert np.all(law.cdf(noise - 1.0) < u) and np.all(u <= law.cdf(noise))
+        # and the grid law is the family's law rounded to the grid
+        rounded = spec.cdf((noise + 0.5) * spec.cell)
+        assert np.max(np.abs(law.cdf(noise) - rounded)) <= 1e-12
+        charge = spec.charge()
+        assert 0.0 < charge < math.inf
 
 
 def _check_one_piece(spec, reach):

@@ -12,6 +12,7 @@ from pwmix import mechanisms
 from pwmix.analytics import lapmix_stats
 from pwmix.errors import InvalidParameterError, UnsafeMechanismError
 from pwmix.mechanisms import (
+    GRID,
     SPECS,
     Geometric,
     GeometricMixture,
@@ -26,7 +27,15 @@ from pwmix.mechanisms import (
 )
 from pwmix.sampling import SeededStream, lattice_uniforms, sample
 
-from conftest import EXACT_ZERO, PRESET_A, PRESET_B, chi_square_pvalue, lapmix_definition
+from conftest import (
+    EXACT_ZERO,
+    PRESET_A,
+    PRESET_B,
+    GivenUniforms,
+    chi_square_pvalue,
+    grid_chi_square_pvalue,
+    lapmix_definition,
+)
 
 N = 10**5
 
@@ -35,10 +44,11 @@ N = 10**5
 # ``sample(spec, SeededStream(seed, i), size)``, where ``i`` is the index of
 # ``size`` in GOLDEN_SIZES; a scalar call is hashed as one int64 / float64.
 # Pinned from the four-branch np.select sampler, so any change to the mixture
-# inverse transform that moves a single draw by one ulp fails here.  The lapmix
-# digests moved once on purpose, when the mixture weights began to be fused in
-# logs: 41 of them, each draw by at most 4.3e-16 (1 + |x| + b), b the larger
-# piece scale.
+# inverse transform that moves a single draw fails here.  The lapmix digests moved
+# on purpose twice: when the mixture weights began to be fused in logs (41 of them,
+# each draw by at most 4.3e-16 (1 + |x| + b), b the larger piece scale), and when
+# lapmix began to release on the 1/8 grid, where every one of these draws is the
+# earlier float draw rounded half away from zero to a multiple of 1/8.
 GOLDEN_PARAMS = {
     "preset_a": PRESET_A,  # also bench_ct5's geomix and lapmix presets
     "bench_ct6": PRESET_B,
@@ -95,54 +105,54 @@ GOLDEN_DIGESTS = {
     ("geomix", "ct10", 2024, 16383): "e148dd4a4572f87f",
     ("geomix", "ct10", 2024, 16385): "4dfee63f1399a373",
     ("geomix", "ct10", 2024, 100000): "e4d5eabd55aea402",
-    ("lapmix", "preset_a", 11, None): "bbd669688d78a7fe",
-    ("lapmix", "preset_a", 11, 1): "9034e5bc6dc7fba2",
-    ("lapmix", "preset_a", 11, 7): "12e0f6401c1883da",
-    ("lapmix", "preset_a", 11, 16383): "f06ec07d7075f378",
-    ("lapmix", "preset_a", 11, 16385): "8a80b4c64addcac0",
-    ("lapmix", "preset_a", 11, 100000): "199ca69994d9def1",
-    ("lapmix", "preset_a", 2024, None): "d126a0c8bfe0f7c0",
-    ("lapmix", "preset_a", 2024, 1): "a28ab55f79258e8e",
-    ("lapmix", "preset_a", 2024, 7): "a8215494f750406d",
-    ("lapmix", "preset_a", 2024, 16383): "8da745de099d1551",
-    ("lapmix", "preset_a", 2024, 16385): "d831d940645045e3",
-    ("lapmix", "preset_a", 2024, 100000): "2507027785e6e551",
-    ("lapmix", "bench_ct6", 11, None): "1ebdea16f1a6f4ad",
-    ("lapmix", "bench_ct6", 11, 1): "82c18cea7407ef09",
-    ("lapmix", "bench_ct6", 11, 7): "91b84fe42501a6e9",
-    ("lapmix", "bench_ct6", 11, 16383): "6019923d65c3577b",
-    ("lapmix", "bench_ct6", 11, 16385): "99112cba1f9e2d94",
-    ("lapmix", "bench_ct6", 11, 100000): "c4461d0d2b5a97c7",
-    ("lapmix", "bench_ct6", 2024, None): "fb9d6bf41fb1200e",
-    ("lapmix", "bench_ct6", 2024, 1): "85b5ef6147a3e562",
-    ("lapmix", "bench_ct6", 2024, 7): "158970e9d9b1b5a9",
-    ("lapmix", "bench_ct6", 2024, 16383): "5d5eb1a5b715d952",
-    ("lapmix", "bench_ct6", 2024, 16385): "7357eae873f6748f",
-    ("lapmix", "bench_ct6", 2024, 100000): "11d93ea62d34ce14",
-    ("lapmix", "ct1", 11, None): "66f13ef74f9c8083",
-    ("lapmix", "ct1", 11, 1): "d61d962803cee256",
-    ("lapmix", "ct1", 11, 7): "4e48bf03c0647d27",
-    ("lapmix", "ct1", 11, 16383): "02afb6729a9135ff",
-    ("lapmix", "ct1", 11, 16385): "8fd09414b371d736",
-    ("lapmix", "ct1", 11, 100000): "a2a9346696e285a6",
-    ("lapmix", "ct1", 2024, None): "2bc18a17519cbb6d",
-    ("lapmix", "ct1", 2024, 1): "e65f941744fa59f3",
-    ("lapmix", "ct1", 2024, 7): "cf2c539205111221",
-    ("lapmix", "ct1", 2024, 16383): "ad53ea138fa7c0b3",
-    ("lapmix", "ct1", 2024, 16385): "34dae66ceda8ac87",
-    ("lapmix", "ct1", 2024, 100000): "6efa64dd0d5a0c47",
-    ("lapmix", "ct10", 11, None): "0e477f69b669b2f6",
-    ("lapmix", "ct10", 11, 1): "bcc387318d653617",
-    ("lapmix", "ct10", 11, 7): "1e2d64c974411020",
-    ("lapmix", "ct10", 11, 16383): "e82136d1df0f4a5b",
-    ("lapmix", "ct10", 11, 16385): "d7c754058e7e75dd",
-    ("lapmix", "ct10", 11, 100000): "8a826c9970b26d1f",
-    ("lapmix", "ct10", 2024, None): "b421f77f8520ab09",
-    ("lapmix", "ct10", 2024, 1): "0380c535cdc56f7d",
-    ("lapmix", "ct10", 2024, 7): "47a0ebea6e304c28",
-    ("lapmix", "ct10", 2024, 16383): "45ecc8275aaa299a",
-    ("lapmix", "ct10", 2024, 16385): "24aafe17da2fa1d9",
-    ("lapmix", "ct10", 2024, 100000): "89a99055f92c3841",
+    ("lapmix", "preset_a", 11, None): "bac5c83aed0fef56",
+    ("lapmix", "preset_a", 11, 1): "ee386ccf9da47a6f",
+    ("lapmix", "preset_a", 11, 7): "afe8a7ddf6554150",
+    ("lapmix", "preset_a", 11, 16383): "eac4da051723562c",
+    ("lapmix", "preset_a", 11, 16385): "a1bcdf423166b3ab",
+    ("lapmix", "preset_a", 11, 100000): "fe35c0a72fa3fdb3",
+    ("lapmix", "preset_a", 2024, None): "a712affd7b05d140",
+    ("lapmix", "preset_a", 2024, 1): "b7ee3c2ee7c05d76",
+    ("lapmix", "preset_a", 2024, 7): "3a5f285cf097f86b",
+    ("lapmix", "preset_a", 2024, 16383): "9dda9dec89e062ad",
+    ("lapmix", "preset_a", 2024, 16385): "7c389af05a908350",
+    ("lapmix", "preset_a", 2024, 100000): "cea0c5a905d4e0dc",
+    ("lapmix", "bench_ct6", 11, None): "dbd4c1a79b2e5210",
+    ("lapmix", "bench_ct6", 11, 1): "f9b78adbce8b8ae1",
+    ("lapmix", "bench_ct6", 11, 7): "d36e6a86d0118602",
+    ("lapmix", "bench_ct6", 11, 16383): "26e7c163e5886d83",
+    ("lapmix", "bench_ct6", 11, 16385): "b3726ada08f56223",
+    ("lapmix", "bench_ct6", 11, 100000): "63990f4368352867",
+    ("lapmix", "bench_ct6", 2024, None): "3014a89e910127bf",
+    ("lapmix", "bench_ct6", 2024, 1): "2fede43de580e02d",
+    ("lapmix", "bench_ct6", 2024, 7): "256b50dc546e8a4d",
+    ("lapmix", "bench_ct6", 2024, 16383): "4d1416aee57abfa4",
+    ("lapmix", "bench_ct6", 2024, 16385): "fd0e202a0c65c84a",
+    ("lapmix", "bench_ct6", 2024, 100000): "a700b875ec22b3ff",
+    ("lapmix", "ct1", 11, None): "272f78036db6721f",
+    ("lapmix", "ct1", 11, 1): "e4ad63791eac4146",
+    ("lapmix", "ct1", 11, 7): "dfb0c4571dfe7cf4",
+    ("lapmix", "ct1", 11, 16383): "695abd233040cb58",
+    ("lapmix", "ct1", 11, 16385): "bac47cd0e67e308a",
+    ("lapmix", "ct1", 11, 100000): "61b78ba3faf42786",
+    ("lapmix", "ct1", 2024, None): "12245c33a3be9ef7",
+    ("lapmix", "ct1", 2024, 1): "1484002011489c8f",
+    ("lapmix", "ct1", 2024, 7): "64ef100a4b7a47b6",
+    ("lapmix", "ct1", 2024, 16383): "72ff3a1ad30a7adc",
+    ("lapmix", "ct1", 2024, 16385): "5e73d028d9574ce3",
+    ("lapmix", "ct1", 2024, 100000): "b0dd2b85de647308",
+    ("lapmix", "ct10", 11, None): "0a8ade4503c3bb56",
+    ("lapmix", "ct10", 11, 1): "39c616169cba821b",
+    ("lapmix", "ct10", 11, 7): "e91b20d36ff3069f",
+    ("lapmix", "ct10", 11, 16383): "42137aa9da503251",
+    ("lapmix", "ct10", 11, 16385): "b1744c8796a31ca3",
+    ("lapmix", "ct10", 11, 100000): "555d90e806bbb9fd",
+    ("lapmix", "ct10", 2024, None): "f8d181a442a2045d",
+    ("lapmix", "ct10", 2024, 1): "ac4080063316084a",
+    ("lapmix", "ct10", 2024, 7): "23b9758522f3cc8b",
+    ("lapmix", "ct10", 2024, 16383): "98f83b027a7e0386",
+    ("lapmix", "ct10", 2024, 16385): "3ca528dea9268ef6",
+    ("lapmix", "ct10", 2024, 100000): "b362de621f848bf5",
 }
 
 
@@ -282,20 +292,38 @@ class TestDrawsInPieces:
         assert [type(spec) for spec in FAMILY_SPECS] == list(SPECS)
 
 
+def _released_noise(spec, u):
+    """The noise that ``spec`` releases at each uniform u."""
+    return spec.draw(GivenUniforms(u), np.size(u))
+
+
+def _rounded_to_grid(x):
+    """x rounded half away from zero to a multiple of GRID (0 with no sign)."""
+    return np.sign(x) * np.floor(np.abs(x) / GRID + 0.5) * GRID + 0.0
+
+
+def _near_a_half_cell(x, tolerance):
+    """Where |x| lies within ``tolerance`` of a half cell k GRID + GRID / 2."""
+    cells = np.abs(x) / GRID
+    return np.abs(cells - np.floor(cells) - 0.5) * GRID <= tolerance
+
+
 class TestAlgorithmBranches:
     def test_lapmix_median_is_zero(self):
-        y = LaplaceMixture(PRESET_A).inverse_cdf(np.array([0.5]))
-        assert abs(y[0]) < 1e-12
+        assert _released_noise(LaplaceMixture(PRESET_A), [0.5]).tolist() == [0.0]
 
     def test_lapmix_median_collapse(self):
         params = MixtureParams(epsilon=0.5, ratio=1.0, break_point=3.0)
-        assert abs(LaplaceMixture(params).inverse_cdf(np.array([0.5]))[0]) < 1e-12
+        assert _released_noise(LaplaceMixture(params), [0.5]).tolist() == [0.0]
 
     def test_lapmix_branch_values_match_cdf_inversion(self):
-        # u chosen inside each of the four branches
+        # u inside each of the continuous law's four branches: the released value's cell,
+        # half a cell either side of it, holds u between the CDF at its edges
         for u in (0.01, 0.2, 0.5, 0.8, 0.99):
-            y = float(LaplaceMixture(PRESET_A).inverse_cdf(np.array([u]))[0])
-            assert float(lapmix_cdf(y, PRESET_A)) == pytest.approx(u, abs=1e-12)
+            y = float(_released_noise(LaplaceMixture(PRESET_A), [u])[0])
+            assert y / GRID == round(y / GRID)
+            below, above = lapmix_cdf(np.array([y - GRID / 2, y + GRID / 2]), PRESET_A)
+            assert below - 1e-12 <= u <= above + 1e-12
 
     def test_geomix_inverse_matches_cdf_steps(self):
         # the inverse transform must reproduce P(Y <= k) exactly at the steps
@@ -312,11 +340,12 @@ class TestAlgorithmBranches:
 
 # Reference oracles: the four-branch inverse transforms that evaluate every
 # branch's formula for every draw and pick one with np.select.  The Laplace
-# mixture's sampler reproduces its oracle bit for bit, including at the branch
-# thresholds.  The geometric mixture draws through its lattice law's exact
-# inverse, which reproduces the oracle on the stream's uniforms; at the oracle's
-# float thresholds, which can part from the law's runs by an ulp, it is the
-# inverse by definition.
+# mixture releases its oracle's value rounded half away from zero to its grid,
+# including at the branch thresholds, wherever that value is not within float
+# error of a half cell.  The geometric mixture draws through its lattice law's
+# exact inverse, which reproduces the oracle on the stream's uniforms; at the
+# oracle's float thresholds, which can part from the law's runs by an ulp, it is
+# the inverse by definition.
 
 
 def _oracle_lapmix_thresholds(params):
@@ -443,12 +472,17 @@ class TestInverseOracle:
         n_random=n_random_values,
     )
     def test_lapmix_bit_identical(self, eps, ratio, ct, seed, n_random):
+        # the released noise is the float oracle's value rounded to the grid, bit for bit,
+        # except where that value lies within the oracle's float error of a half cell
         params = MixtureParams(epsilon=eps, ratio=ratio, break_point=ct)
         thresholds = _oracle_lapmix_thresholds(params)
         u = _oracle_uniforms(seed, n_random, thresholds)
-        got = LaplaceMixture(params).inverse_cdf(u)
+        got = _released_noise(LaplaceMixture(params), u)
         assert got.dtype == np.float64
-        assert got.tobytes() == _oracle_lapmix(u, params).tobytes()
+        x = _oracle_lapmix(u, params)
+        b = max(params.inner_scale, params.outer_scale)
+        clear = ~_near_a_half_cell(x, 1e-12 * (1.0 + np.abs(x) + b))
+        assert got[clear].tobytes() == _rounded_to_grid(x[clear]).tobytes()
 
     @pytest.mark.parametrize(
         "params",
@@ -464,16 +498,20 @@ class TestInverseOracle:
         ],
     )
     def test_lapmix_against_the_exact_inverse(self, params):
-        # the kernel and its oracle, against the inverse of the exact CDF in 50-digit
-        # arithmetic, at the stream's uniforms, its extremes and every threshold
+        # the released noise against the inverse of the exact CDF in 50-digit arithmetic,
+        # rounded half away from zero to the grid, at the stream's uniforms, its extremes
+        # and every threshold; and the float oracle against the exact inverse
         u = np.concatenate([
             _oracle_uniforms(7, 2000, _oracle_lapmix_thresholds(params)),
             [2.0**-54, 1e-300, 1e-20, 0.25, np.nextafter(0.5, 1.0), 1.0 - 2.0**-53],
         ])
         b = max(params.inner_scale, params.outer_scale)
         want = np.array([_exact_lapmix_inverse(v, params) for v in u])
-        for got in (LaplaceMixture(params).inverse_cdf(u), _oracle_lapmix(u, params)):
-            np.testing.assert_array_less(np.abs(got - want), 1e-14 * (1.0 + np.abs(want) + b))
+        tolerance = 1e-14 * (1.0 + np.abs(want) + b)
+        np.testing.assert_array_less(np.abs(_oracle_lapmix(u, params) - want), tolerance)
+        clear = ~_near_a_half_cell(want, tolerance)
+        got = _released_noise(LaplaceMixture(params), u)
+        assert got[clear].tolist() == _rounded_to_grid(want[clear]).tolist()
 
     def test_draw_at_a_rounded_away_inner_tail(self):
         # the stream gives u = t_right here (lattice value 2^53 - 2), where the oracle's
@@ -564,6 +602,29 @@ class TestLatticeInverse:
         assert GeometricMixture(params).lattice().inverse(u).tolist() == [1, 1, 1, 1]
         assert _oracle_geomix(u, params).tolist() == [0, 0, 1, 1]
 
+    @pytest.mark.parametrize(
+        "eps, reps, ct",
+        [
+            (3.041691477278409e-139, 9.301827922597914e30, 474569493.054074),
+            (1.3518807828685601e-29, 7.720699731713476e18, 3263015609917.4126),
+            (1e-20, 1.0, 5.0),
+        ],
+    )
+    def test_runs_far_shorter_than_their_scale(self, eps, reps, ct):
+        # the lapmix grid law's inner run is billions of cells long at a rate near 0, so its
+        # tail is nearly linear in the cell; a candidate read from the log of a value near 1
+        # would be that many cells off, too many to step through
+        law = LaplaceMixture(MixtureParams.from_rates(eps, reps, ct)).grid_law()
+        u = np.concatenate([SeededStream(3).uniforms(500), [2.0**-54, 0.25, 0.5, 1.0 - 2.0**-53]])
+        v = np.minimum(u, 1.0 - u)
+        # M(v), the last m with m = 0 or T(m) = cdf(-m) >= v, bisected over [0, 2^53]
+        lo, hi = np.zeros(u.size, dtype=np.int64), np.full(u.size, 2**53, dtype=np.int64)
+        while (lo < hi).any():
+            mid = (lo + hi + 1) // 2
+            holds = law.cdf(-mid.astype(float)) >= v
+            lo, hi = np.where(holds, mid, lo), np.where(holds, hi, mid - 1)
+        assert law.inverse(u).tolist() == np.where(u > 0.5, lo, -lo).tolist()
+
     def test_tables_built_once_per_spec(self, monkeypatch):
         # the spec keeps the law it draws through, and the law keeps its inverse
         # tables: the second call reads no tail, and the two calls are one call's draws
@@ -583,20 +644,23 @@ class TestLatticeInverse:
         assert len(calls) == 2
 
 
-# bench_ct5's integer mechanisms
+# bench_ct5's mechanisms, and the Laplace mechanism at eps 0.3281
 BENCH_CT5 = {
     "geomix": GeometricMixture(PRESET_A),
     "geometric": Geometric(math.exp(0.32810599476390334)),
     "rlaplace": RoundedLaplace(1.0 / 0.33180903378641224),
+    "lapmix": LaplaceMixture(PRESET_A),
+    "laplace": Laplace(1.0 / 0.3281),
 }
 
 
 class TestFiniteSupport:
-    """The sampler maps one of 2^53 lattice values to an outcome, so it reaches a finite
-    range, and near its edges some cells take no lattice value.  A release of truth n then
-    has outputs that its neighbour n +- 1 can never produce: the definitional zeta of what
-    is sampled is infinite, and the sampler's mass on those outputs is a per-release delta.
-    This states the residual; README quotes these figures."""
+    """The sampler maps one of 2^53 lattice values to a cell of its grid law, so it reaches
+    a finite range, and near its edges some cells take no lattice value.  A release of truth
+    n then has outputs that its neighbour n +- 1, 1 / cell cells away, can never produce:
+    the definitional zeta of what is sampled is infinite, and the sampler's mass on those
+    outputs is a per-release delta.  This states the residual, in cells of each family's
+    grid; README quotes these figures."""
 
     @pytest.mark.parametrize(
         "kind, reach, unmatched, hockey_stick",
@@ -604,11 +668,14 @@ class TestFiniteSupport:
             ("geomix", (-39, 39), 1, 5.10036450155075e-15),
             ("geometric", (-112, 110), 9, 8.041424516363476e-15),
             ("rlaplace", (-111, 109), 6, 8.880999194321912e-15),
+            # in cells of 1/8: lapmix reaches [-39.5, 38.75] and laplace [-112, 109.875]
+            ("lapmix", (-316, 310), 25, 2.652826480710537e-14),
+            ("laplace", (-896, 879), 45, 5.6281834870174926e-14),
         ],
     )
     def test_reach_and_delta(self, kind, reach, unmatched, hockey_stick):
         spec = BENCH_CT5[kind]
-        law, top = spec.lattice(), 2**53
+        law, top, shift = spec.grid_law(), 2**53, round(1 / spec.cell)
 
         def inverse(values):
             return law.inverse(lattice_uniforms(np.asarray(values, dtype=np.int64)))
@@ -625,22 +692,25 @@ class TestFiniteSupport:
             lo, hi = np.where(reached, lo, mid + 1), np.where(reached, mid, hi)
         counts = np.diff(np.append(lo, top))
         assert counts.sum() == top and counts[0] > 0 and counts[-1] > 0
-        # at output n + k the neighbour n + 1 has the count of k - 1, and n - 1 that of k + 1
-        below, above = np.concatenate(([0], counts[:-1])), np.append(counts[1:], 0)
+        # at output n + k cells the neighbour n + 1 has the count of k - shift, and n - 1
+        # that of k + shift
+        none = np.zeros(shift, dtype=np.int64)
+        below, above = np.concatenate((none, counts[:-shift])), np.append(counts[shift:], none)
         delta = max(counts[below == 0].sum(), counts[above == 0].sum()) / top
         assert delta == unmatched * 2.0**-53 > 0.0
         # and delta at the worst-case eps, the hockey-stick divergence of the pair
-        p, q = np.append(counts, 0) / top, np.concatenate(([0], counts)) / top
+        p, q = np.append(counts, none) / top, np.concatenate((none, counts)) / top
         bound = math.exp(spec.worst_case_eps())
         hockey = max(np.maximum(p - bound * q, 0.0).sum(), np.maximum(q - bound * p, 0.0).sum())
         assert hockey == pytest.approx(hockey_stick, rel=1e-9)
 
 
 class TestLapMixSampler:
-    def test_ks_against_cdf(self):
+    def test_chi_square_against_cdf(self):
+        # the released draws, in cells of 1/8, against the masses the continuous CDF puts
+        # on each cell
         y = sample(LaplaceMixture(PRESET_A), SeededStream(101), N)
-        res = stats.kstest(y, lambda x: lapmix_cdf(x, PRESET_A))
-        assert res.pvalue > 1e-3
+        assert grid_chi_square_pvalue(y, lambda x: lapmix_cdf(x, PRESET_A), GRID) > 1e-3
 
     def test_moments(self):
         y = sample(LaplaceMixture(PRESET_A), SeededStream(102), 10**6)
