@@ -207,7 +207,7 @@ def zeta_empirical(spec: MechanismSpec, shift: int = 1) -> float:
     shift = _require_shift(shift)
     if math.isinf(spec.worst_case_eps()):
         return math.inf
-    if spec.integer:
+    if spec.cell == 1:
         return spec.lattice().zeta(shift)
     return _zeta_by_segments(spec, shift)
 

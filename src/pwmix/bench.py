@@ -15,7 +15,7 @@ from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
-from .accounting import equivalent_epsilon, zeta_closed_form
+from .accounting import _require_shift, equivalent_epsilon, zeta_closed_form
 from .analytics import geomix_stats, lapmix_stats, standard_stats
 from .data import Dataset, QuerySpec, count_query, record_matches
 from .errors import InvalidParameterError, UndefinedMetricError
@@ -54,35 +54,39 @@ __all__ = [
 # metrics
 
 
-def _abs_errors(errors, metric: str) -> np.ndarray:
+def _counted_errors(errors, metric: str) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct |errors|, increasing, and how often each occurs."""
     errs = np.abs(np.asarray(errors, dtype=float))
     if errs.size == 0:
         raise InvalidParameterError(f"{metric} needs at least one error")
-    return errs
+    return np.unique(errs, return_counts=True)
 
 
-def _fraction_at_most(ranked: np.ndarray, t) -> float:
-    """Fraction of a sorted array at or below t."""
-    return float(np.searchsorted(ranked, float(t), side="right") / ranked.size)
+def _shares_at_most(errors: np.ndarray, counts: np.ndarray, thresholds) -> list[float]:
+    """The share of the counted ``errors`` (distinct, increasing) at or below each threshold."""
+    thresholds = np.asarray(thresholds, dtype=float)
+    if np.isnan(thresholds).any():
+        raise InvalidParameterError("a metric threshold is nan")
+    at_most = np.concatenate(([0], np.cumsum(counts)))
+    ranks = np.searchsorted(errors, thresholds, side="right")
+    return (at_most[ranks] / at_most[-1]).tolist()
 
 
-def _tail_weight(errs: np.ndarray, n_i: float, c_t: float) -> float:
-    """sum(|errors| beyond c_t) / len / n_i, summed in the order of ``errs``."""
-    tail = errs[errs > c_t]
-    if tail.size == 0:
-        return 0.0
-    return float(tail.sum() / errs.size / n_i)
+def _relative_tail(errors: np.ndarray, counts: np.ndarray, n_i: float, c_t: float) -> float:
+    """The weight of the counted ``errors`` beyond c_t, per error, relative to n_i."""
+    beyond = errors > c_t
+    return math.fsum(errors[beyond] * counts[beyond]) / int(counts.sum()) / n_i
 
 
 def error_cdf(errors, thresholds) -> dict:
     """Fraction of |errors| at or below each threshold."""
-    ranked = np.sort(_abs_errors(errors, "error_cdf"))
-    return {t: _fraction_at_most(ranked, t) for t in thresholds}
+    thresholds = tuple(thresholds)
+    return dict(zip(thresholds, _shares_at_most(*_counted_errors(errors, "error_cdf"), thresholds)))
 
 
 def within_bound_fraction(errors, c_t: float) -> float:
     """Fraction of |errors| within the break-point bound."""
-    return float(np.mean(_abs_errors(errors, "within_bound_fraction") <= c_t))
+    return _shares_at_most(*_counted_errors(errors, "within_bound_fraction"), (c_t,))[0]
 
 
 def mean_relative_error(errors, n_i: float, c_t: float) -> float:
@@ -93,7 +97,7 @@ def mean_relative_error(errors, n_i: float, c_t: float) -> float:
     """
     if not n_i > 0:
         raise UndefinedMetricError(f"mean_relative_error needs a positive true count, got {n_i!r}")
-    return _tail_weight(_abs_errors(errors, "mean_relative_error"), n_i, c_t)
+    return _relative_tail(*_counted_errors(errors, "mean_relative_error"), n_i, c_t)
 
 
 # ---------------------------------------------------------------------------
@@ -228,8 +232,11 @@ class SimulationConfig:
             raise InvalidParameterError("samples_per_cell must be >= 1")
         if not self.mechanisms:
             raise InvalidParameterError("at least one mechanism is required")
-        if any(n < 0 for n in self.true_counts):
-            raise InvalidParameterError("true counts must be nonnegative")
+        counts = self.true_counts
+        if not all(type(n) is not bool and isinstance(n, (int, np.integer)) and 0 <= n <= 2**53 for n in counts):
+            raise InvalidParameterError(f"true counts must be whole numbers in [0, 2^53], got {counts!r}")
+        if not 0.0 <= self.c_t_for_metrics < math.inf:
+            raise InvalidParameterError(f"c_t_for_metrics must be finite and >= 0, got {self.c_t_for_metrics!r}")
 
 
 @dataclass(frozen=True)
@@ -274,30 +281,26 @@ class UtilityReport:
         }
 
 
-def _simulate_cell(config: SimulationConfig, mech_idx: int, count_idx: int) -> CellReport:
+def _simulate_cell(config: SimulationConfig, tables, mech_idx: int, count_idx: int) -> CellReport:
     spec = config.mechanisms[mech_idx]
     n = int(config.true_counts[count_idx])
+    samples = int(config.samples_per_cell)
     stream = SeededStream(config.master_seed).derive(mech_idx, count_idx, 0)
-    # The effective noise max(n + noise, 0) - n, taken in place in one array, and
-    # the share clamped on the way.
-    raw = n + np.atleast_1d(sample(spec, stream, size=config.samples_per_cell))
-    clamped_fraction = float(np.mean(raw < 0))
-    np.maximum(raw, 0, out=raw)
-    raw -= n
-    # One float |errors| array for the three metrics, and one sorted copy: the
-    # tail weight sums in draw order, the fractions count from the sorted copy.
-    errors = np.abs(raw, dtype=float)
-    del raw
-    ranked = np.sort(errors)
+    noise, counts = _noise_counts(spec, stream, samples, tables[mech_idx])
+    # |max(n + noise, 0) - n|: the error of what a release gives, clamped at zero
+    released = n + noise
+    clamped = int(counts[released < 0].sum())
+    errors, counts = _merged(np.abs(np.maximum(released, 0) - n, dtype=float), counts)
     c_t = config.c_t_for_metrics
+    within_bound, *cdf = _shares_at_most(errors, counts, (c_t, *_ERROR_THRESHOLDS))
     return CellReport(
         mechanism=spec.label,
         true_count=n,
-        samples=int(config.samples_per_cell),
-        within_bound=_fraction_at_most(ranked, c_t),
-        mre=_tail_weight(errors, n, c_t) if n > 0 else math.nan,
-        clamped_fraction=clamped_fraction,
-        error_cdf={t: _fraction_at_most(ranked, t) for t in _ERROR_THRESHOLDS},
+        samples=samples,
+        within_bound=within_bound,
+        mre=_relative_tail(errors, counts, n, c_t) if n > 0 else math.nan,
+        clamped_fraction=clamped / samples,
+        error_cdf=dict(zip(_ERROR_THRESHOLDS, cdf)),
     )
 
 
@@ -309,6 +312,7 @@ def run_simulation(config: SimulationConfig) -> UtilityReport:
     cell index, so worker count does not matter.
     """
     workers = _thread_count()
+    tables = [_bucket_table(spec) for spec in config.mechanisms]
     tasks = [
         (i, j) for i in range(len(config.mechanisms)) for j in range(len(config.true_counts))
     ]
@@ -317,9 +321,9 @@ def run_simulation(config: SimulationConfig) -> UtilityReport:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            cells = list(pool.map(lambda t: _simulate_cell(config, *t), tasks))
+            cells = list(pool.map(lambda t: _simulate_cell(config, tables, *t), tasks))
     else:
-        cells = [_simulate_cell(config, *t) for t in tasks]
+        cells = [_simulate_cell(config, tables, *t) for t in tasks]
 
     pooled: dict = {}
     for spec in config.mechanisms:
@@ -354,53 +358,43 @@ def _binned(values: np.ndarray) -> np.ndarray:
     return np.floor(values + 0.5).astype(np.int64)
 
 
-# Draws per pass of an audit arm: an arm holds its outcome counts and one
-# chunk of draws, not all of its draws.
+# Words per pass of a noise tally: a tally holds its counts and one chunk of raw
+# words, not all of its draws.
 _AUDIT_CHUNK = 1 << 16
 
-# An audit arm counts its draws per bucket of the uniform lattice, a bucket
+# A noise tally counts its draws per bucket of the uniform lattice, a bucket
 # being the top _BUCKET_BITS bits of the 53-bit value, and reads each bucket's
-# binned noise from a table (``_bucket_table``).  At the bench_ct5 presets 22
-# of the 4,096 buckets straddle an integer step, for geomix and lapmix alike.
+# noise from a table (``_bucket_table``).  At the bench_ct5 presets 22 of the
+# 4,096 buckets straddle a step of the geometric mixture, and 148 of the Laplace
+# mixture's 1/8 grid.
 _BUCKET_BITS = 12
 _BUCKET_SHIFT = 53 - _BUCKET_BITS
 
 
 @dataclass(frozen=True)
 class _BucketTable:
-    """The binned noise of each lattice bucket that one value covers."""
+    """Per lattice bucket, whether no one value covers it and which of the distinct ``noise``
+    values its first lattice value draws: every draw of a covered bucket gives that one."""
 
-    straddles: np.ndarray  # per bucket: no one value covers it, so its draws go one by one
-    order: np.ndarray  # the covered buckets, sorted by their noise
-    starts: np.ndarray  # where each distinct noise value begins in ``order``
-    noise: np.ndarray  # the distinct noise values
+    straddles: np.ndarray
+    group: np.ndarray
+    noise: np.ndarray
 
 
-def _bucket_table(spec: MechanismSpec) -> _BucketTable | None:
-    """The bucket table of ``spec``; None for a family not released on a grid, or when no
-    bucket is covered.
+def _bucket_table(spec: MechanismSpec) -> _BucketTable:
+    """The bucket table of ``spec``.
 
-    A grid family's draw is its cell times its grid law's exact ``inverse``, which does not
-    decrease in u, and neither does binning.  So a bucket is covered when the binned noise
-    at its first lattice value equals the binned noise at its last: every draw of the
-    bucket bins to that noise, and ``offset + noise`` to the offset plus it.
+    A family's draw is its cell times an integer that does not decrease in u: its grid
+    law's exact ``inverse``, or trunclap's inverse CDF rounded to the grid.  So a bucket
+    is covered when the draw at its first lattice value equals the draw at its last.
     """
-    if not spec.cell:
-        return None
     first = np.arange(1 << _BUCKET_BITS, dtype=np.int64) << _BUCKET_SHIFT
     noise, last = (
-        _binned(spec.draw(_Drawn(lattice_uniforms(edge)), edge.size))
+        spec.draw(_Drawn(lattice_uniforms(edge)), edge.size)
         for edge in (first, first + ((1 << _BUCKET_SHIFT) - 1))
     )
-    straddles = noise != last
-    covered = np.flatnonzero(~straddles)
-    if covered.size == 0:
-        return None
-    values = noise[covered]
-    order = np.argsort(values)
-    values = values[order]
-    starts = np.concatenate(([0], np.flatnonzero(values[1:] != values[:-1]) + 1))
-    return _BucketTable(straddles, covered[order], starts, values[starts])
+    values, group = np.unique(noise, return_inverse=True)
+    return _BucketTable(noise != last, group, values)
 
 
 class _Drawn:
@@ -413,58 +407,64 @@ class _Drawn:
         return self.u[:n]
 
 
+def _merged(values: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct ``values``, increasing, and the sum of the ``counts`` of each."""
+    distinct, inverse = np.unique(values, return_inverse=True)
+    return distinct, np.bincount(inverse, counts, distinct.size).astype(np.int64)
+
+
+def _noise_counts(
+    spec: MechanismSpec, stream: SeededStream, n: int, table: _BucketTable
+) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct noise values of ``n`` draws of ``spec`` from ``stream``, increasing,
+    and how often each was drawn: those of ``sample(spec, stream, n)``.
+
+    The stream's raw words are taken ``_AUDIT_CHUNK`` at a time and counted per bucket of
+    ``table`` (``_bucket_table(spec)``), read from their top bits.  The words of straddling
+    buckets are held and drawn together once ``_AUDIT_CHUNK`` of them have collected, and
+    at the end; every family takes one uniform per draw, so the chunk size does not matter.
+    """
+    per_bucket = np.zeros(table.straddles.size, dtype=np.int64)
+    held: list[np.ndarray] = []  # straddling raw words not yet drawn
+    tallies = []
+    for start in range(0, n, _AUDIT_CHUNK):
+        # raw Philox words: ``stream.lattice`` gives their top 53 bits
+        words = stream.generator.bit_generator.random_raw(min(_AUDIT_CHUNK, n - start))
+        buckets = (words >> (64 - _BUCKET_BITS)).view(np.int64)
+        per_bucket += np.bincount(buckets, minlength=per_bucket.size)
+        held.append(words[table.straddles.take(buckets)])
+        if sum(map(len, held)) >= _AUDIT_CHUNK or start + _AUDIT_CHUNK >= n:
+            cut = (np.concatenate(held) >> 11).view(np.int64)
+            held.clear()
+            drawn = sample(spec, _Drawn(lattice_uniforms(cut)), size=cut.size)
+            tallies.append(np.unique(drawn, return_counts=True))
+    covered = np.bincount(table.group, np.where(table.straddles, 0, per_bucket), table.noise.size)
+    tallies.append((table.noise, covered.astype(np.int64)))
+    values, counts = _merged(*(np.concatenate(column) for column in zip(*tallies)))
+    drawn = counts > 0
+    return values[drawn], counts[drawn]
+
+
 def _outcome_counts(
     spec: MechanismSpec,
     stream: SeededStream,
     trials: int,
     offset: int,
     clamp: bool,
-    table: _BucketTable | None = None,
+    table: _BucketTable,
 ) -> dict[int, int]:
-    """Count each binned outcome of ``offset + noise`` over ``trials`` draws.
+    """Count each binned outcome of ``offset + noise`` over ``trials`` draws, tallied by
+    ``_noise_counts``.
 
     With ``clamp`` an outcome below zero counts as zero, clamped before it is
-    rounded, as a release clamps it.  The draws are taken ``_AUDIT_CHUNK`` at a
-    time from ``stream``; for a family that takes one uniform per draw the
-    stream yields the same draws read in pieces as in one call, so the counts
-    do not depend on the chunk size.  With a ``table`` (from ``_bucket_table``
-    for ``spec``) a chunk's raw words are
-    counted per bucket, read from their top bits, and those in straddling
-    buckets are held and drawn together once ``_AUDIT_CHUNK`` of them have
-    collected, and at the end; the counts are the same.
+    rounded, as a release clamps it.
     """
-    trials = int(trials)
-    counts: Counter = Counter()
-
-    def tally(noise: np.ndarray) -> None:
-        out = _binned(np.maximum(offset + noise, 0) if clamp else offset + noise)
-        values, chunk_counts = np.unique(out, return_counts=True)
-        counts.update(dict(zip(values.tolist(), chunk_counts.tolist())))
-
-    if table is None:
-        for start in range(0, trials, _AUDIT_CHUNK):
-            tally(sample(spec, stream, size=min(_AUDIT_CHUNK, trials - start)))
-        return dict(counts)
-    per_bucket = np.zeros(table.straddles.size, dtype=np.int64)
-    held: list[np.ndarray] = []  # straddling raw words not yet drawn
-    for start in range(0, trials, _AUDIT_CHUNK):
-        # raw Philox words: ``stream.lattice`` gives their top 53 bits
-        words = stream.generator.bit_generator.random_raw(min(_AUDIT_CHUNK, trials - start))
-        buckets = (words >> (64 - _BUCKET_BITS)).view(np.int64)
-        per_bucket += np.bincount(buckets, minlength=per_bucket.size)
-        held.append(words[table.straddles.take(buckets)])
-        if sum(map(len, held)) >= _AUDIT_CHUNK or start + _AUDIT_CHUNK >= trials:
-            cut = (np.concatenate(held) >> 11).view(np.int64)
-            held.clear()
-            tally(sample(spec, _Drawn(lattice_uniforms(cut)), size=cut.size))
-    covered = np.add.reduceat(per_bucket[table.order], table.starts)
-    outcomes = offset + table.noise
+    noise, counts = _noise_counts(spec, stream, int(trials), table)
+    outcomes = offset + noise
     if clamp:
         outcomes = np.maximum(outcomes, 0)
-    for outcome, count in zip(outcomes.tolist(), covered.tolist()):
-        if count:
-            counts[outcome] += count
-    return dict(counts)
+    outcomes, counts = _merged(_binned(outcomes), counts)
+    return dict(zip(outcomes.tolist(), counts.tolist()))
 
 
 def _frequency_losses(counts1: dict, counts2: dict, trials: int, min_count: int):
@@ -548,8 +548,9 @@ def audit_mechanism(
     shift: int = 1,
     min_count: int = 50,
 ) -> MechanismAudit:
-    """Estimate per-outcome losses between noise laws shifted by ``shift``."""
+    """Estimate per-outcome losses between noise laws shifted by ``shift`` (a positive integer)."""
     _require_sizes(trials=trials, min_count=min_count)
+    shift = _require_shift(shift)
     table = _bucket_table(spec)
     arms = (stream.derive(0), 0), (stream.derive(1), shift)
     return _two_arm_audit(spec, trials, min_count, False, table, arms)

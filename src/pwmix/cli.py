@@ -201,9 +201,8 @@ def _write_manifest(out_dir: Path, command: str, config_path: Path, seed: int, o
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def _config_int(doc: dict, key: str, default: int) -> int:
+def _config_int(key: str, value) -> int:
     """A whole-number config value: an int, or an integral float such as 1e6; not a bool."""
-    value = doc.get(key, default)
     if isinstance(value, float) and value.is_integer():
         return int(value)
     if isinstance(value, bool) or not isinstance(value, int):
@@ -216,9 +215,9 @@ def _cmd_bench(args) -> int:
     try:
         doc = json.loads(config_path.read_text())
         mechanisms = tuple(spec_from_dict(m) for m in doc["mechanisms"])
-        samples = _config_int(doc, "samples_per_cell", 10**6)
+        samples = _config_int("samples_per_cell", doc.get("samples_per_cell", 10**6))
         config = SimulationConfig(
-            true_counts=tuple(int(n) for n in doc["true_counts"]),
+            true_counts=tuple(_config_int("true_counts", n) for n in doc["true_counts"]),
             mechanisms=mechanisms,
             samples_per_cell=samples,
             master_seed=_seed_from_args(args),
@@ -272,10 +271,10 @@ def _cmd_audit(args) -> int:
         doc = json.loads(config_path.read_text())
         data_path = doc["data"]
         spec = spec_from_dict(doc["mechanism"])
-        trials = _config_int(doc, "trials", 10**6)
-        n_queries = _config_int(doc, "n_queries", 100)
-        max_records = _config_int(doc, "max_records", 200)
-        queries_per_record = _config_int(doc, "queries_per_record", 100)
+        trials = _config_int("trials", doc.get("trials", 10**6))
+        n_queries = _config_int("n_queries", doc.get("n_queries", 100))
+        max_records = _config_int("max_records", doc.get("max_records", 200))
+        queries_per_record = _config_int("queries_per_record", doc.get("queries_per_record", 100))
         ds = load_dataset(data_path, header=bool(doc.get("header", True)))
     except (OSError, KeyError, ValueError, TypeError, PwmixError) as exc:
         return _fail(f"unreadable audit config: {exc!r}")

@@ -274,7 +274,7 @@ def release(true_value, spec: MechanismSpec, stream: SeededStream) -> NoisyRelea
         raise InvalidParameterError("true counts must be nonnegative")
     raw = truth + np.atleast_1d(sample(spec, stream, size=truth.size))
     clamped = raw < 0
-    number = int if spec.integer else float
+    number = int if spec.cell == 1 else float
     cells = (
         [int(v) for v in truth.tolist()],
         [number(v) for v in np.where(clamped, 0, raw).tolist()],

@@ -4,7 +4,7 @@ Five noise families are supported: the continuous Laplace mechanism, its
 nearest-integer rounding, the symmetric geometric (discrete Laplace)
 mechanism, and the two-piece mixture variants of the Laplace and geometric
 mechanisms.  A truncated Laplace spec exists for audit demonstrations only;
-it is not differentially private.
+it is not differentially private, and it too releases on the grid of ``GRID``.
 
 Each family is one frozen dataclass implementing :class:`MechanismSpec`: its
 mass function or density (stated once, in logs, by ``log_prob``), CDF,
@@ -530,14 +530,12 @@ class MechanismSpec(Protocol):
     """What every mechanism family states about itself.
 
     ``kind`` names the family on the command line and opens its ``label``;
-    ``integer`` is true when the noise, and so every release, is an integer;
-    ``cell`` is the width of the grid the noise is released on, 0 for a family
-    that is not released on one.  Losses and budgets are for unit-shift (count
-    and histogram) queries.
+    ``cell`` is the width of the grid the noise is released on, 1 when the noise,
+    and so every release, is an integer.  Losses and budgets are for unit-shift
+    (count and histogram) queries.
     """
 
     kind: ClassVar[str]
-    integer: ClassVar[bool]
     cell: ClassVar[float]
 
     @property
@@ -564,7 +562,7 @@ class MechanismSpec(Protocol):
         """P(noise <= x); float for scalar x, else an ndarray."""
 
     def draw(self, stream, n: int) -> np.ndarray:
-        """n noise draws from a SeededStream; int64 when ``integer``, else float64."""
+        """n noise draws from a SeededStream; int64 when ``cell`` is 1, else float64."""
 
     def stats(self) -> MechanismStats:
         """E|x|, variance and entropy: closed forms, or sums over an integer law's runs."""
@@ -576,7 +574,6 @@ class Laplace(_Released):
 
     scale: float
     kind: ClassVar[str] = "laplace"
-    integer: ClassVar[bool] = False
     cell: ClassVar[float] = GRID
 
     def __post_init__(self) -> None:
@@ -618,7 +615,6 @@ class RoundedLaplace(_LatticeFamily):
 
     scale: float
     kind: ClassVar[str] = "rlaplace"
-    integer: ClassVar[bool] = True
 
     def __post_init__(self) -> None:
         _require_positive("scale", self.scale)
@@ -655,7 +651,6 @@ class Geometric(_LatticeFamily):
 
     alpha: float
     kind: ClassVar[str] = "geometric"
-    integer: ClassVar[bool] = True
 
     def __post_init__(self) -> None:
         if not (self.alpha > 1 and math.isfinite(self.alpha)):
@@ -687,7 +682,6 @@ class _TwoPieceMixture:
 
     params: MixtureParams
     kind: ClassVar[str]
-    integer: ClassVar[bool]
 
     @property
     def label(self) -> str:
@@ -741,7 +735,6 @@ class LaplaceMixture(_Released, _TwoPieceMixture):
     """Two-piece Laplace mixture mechanism, released on the grid of ``GRID``."""
 
     kind: ClassVar[str] = "lapmix"
-    integer: ClassVar[bool] = False
     cell: ClassVar[float] = GRID
 
     def constants(self) -> MixtureConstants:
@@ -844,7 +837,6 @@ class GeometricMixture(_LatticeFamily, _TwoPieceMixture):
     """Two-piece geometric mixture mechanism (integer output)."""
 
     kind: ClassVar[str] = "geomix"
-    integer: ClassVar[bool] = True
 
     def __post_init__(self) -> None:
         self.params.integer_break_point()
@@ -882,19 +874,19 @@ def lapmix_cdf(x, params: MixtureParams):
 
 @dataclass(frozen=True)
 class TruncatedLaplace(_Law):
-    """Laplace noise conditioned on [-bound, bound].
+    """Laplace noise conditioned on [-bound, bound], released on the grid of ``GRID``.
 
     Not differentially private: neighboring counts can produce outcomes of
     zero probability under one of them, so the loss is unbounded.  Kept for
-    audit demonstrations; drawing requires ``allow_unsafe=True``.
+    audit demonstrations; drawing requires ``allow_unsafe=True``.  Its density,
+    CDF and stats are the continuous law's, as the Laplace mechanism's are.
     """
 
     scale: float
     bound: float
     allow_unsafe: bool = False
     kind: ClassVar[str] = "trunclap"
-    integer: ClassVar[bool] = False
-    cell: ClassVar[float] = 0.0
+    cell: ClassVar[float] = GRID
 
     def __post_init__(self) -> None:
         _require_positive("scale", self.scale)
@@ -931,23 +923,29 @@ class TruncatedLaplace(_Law):
         return _wrap(x, np.where(xs <= 0.0, tail, 1.0 - tail))
 
     def draw(self, stream, n: int) -> np.ndarray:
-        """Inverse CDF of the Laplace law on [-bound, bound]; refused unless ``allow_unsafe``.
+        """The inverse CDF of the Laplace law on [-bound, bound], divided by the cell and
+        rounded half away from zero, as ``Laplace.grid_law`` rounds; refused unless
+        ``allow_unsafe``, and where the bound passes 2^52 cells.
 
         u maps to the Laplace CDF value F(-bound) + u (F(bound) - F(-bound)),
         taken through the tail mass on its side so that both sides keep their
-        precision.
+        precision.  The draw is an int64 K times the cell, so it is never -0.0.
         """
         if not self.allow_unsafe:
             raise UnsafeMechanismError(
                 f"{self.label} has unbounded privacy loss and is not differentially private; "
                 "allow it with the unsafe flag (--unsafe on the command line)"
             )
+        if not self.bound / self.cell <= _LAST_CELL / 2:
+            raise InvalidParameterError(f"{self.label}: the bound passes 2^52 cells of {self.cell:g}")
         below = 0.5 * math.exp(-self.bound / self.scale)  # F(-bound)
         u = stream.uniforms(n)
         right = u >= 0.5
         tail = below + np.where(right, 1.0 - u, u) * (1.0 - 2.0 * below)
         y = self.scale * np.log(2.0 * tail)
-        return np.clip(np.where(right, -y, y), -self.bound, self.bound)
+        cells = np.clip(np.where(right, -y, y), -self.bound, self.bound) / self.cell
+        # |cells| + 1/2 is exact up to 2^52
+        return np.copysign(np.floor(np.abs(cells) + 0.5), cells).astype(np.int64) * self.cell
 
     def stats(self) -> MechanismStats:
         raise UnsupportedSpecError(f"no closed-form stats for {self.label}")

@@ -99,5 +99,5 @@ def sample(spec: MechanismSpec, stream: SeededStream, size: int | None = None):
     """
     y = spec.draw(stream, 1 if size is None else int(size))
     if size is None:
-        return int(y[0]) if spec.integer else float(y[0])
+        return int(y[0]) if spec.cell == 1 else float(y[0])
     return y

@@ -9,6 +9,7 @@ from hypothesis import settings
 from scipy import stats
 
 import pwmix
+from pwmix import bench
 from pwmix.data import Dataset
 from pwmix.mechanisms import Geometric, MixtureParams
 
@@ -38,6 +39,14 @@ INT_PARAM_GRID = [p for p in PARAM_GRID if p.break_point == int(p.break_point)]
 # and both floors are 0.  On the command line: --mechanism geometric --eps 700.
 EXACT_ZERO = Geometric(alpha=math.exp(700))
 EXACT_ZERO_FLAGS = ["geometric", "--eps", "700"]
+
+# A bucket table in which every bucket straddles: a noise tally that reads it draws every
+# value through ``sample``.
+ALL_STRADDLE = bench._BucketTable(
+    straddles=np.ones(1 << bench._BUCKET_BITS, dtype=bool),
+    group=np.zeros(1 << bench._BUCKET_BITS, dtype=np.intp),
+    noise=np.zeros(1, dtype=np.int64),
+)
 
 
 def lapmix_definition(params):

@@ -1,7 +1,9 @@
 import io
+import json
 import math
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 from pwmix import bench
 from pwmix.bench import (
     TABLE1_GRID,
+    CellReport,
     _bucket_table,
     _clamp_free_count,
     _outcome_counts,
@@ -26,8 +29,9 @@ from pwmix.bench import (
 )
 from pwmix.cli import _random_queries, spec_from_dict
 from pwmix.data import QuerySpec, count_query, load_dataset, record_matches
-from pwmix.errors import InvalidParameterError, UndefinedMetricError
+from pwmix.errors import InvalidParameterError, UndefinedMetricError, UnsafeMechanismError
 from pwmix.mechanisms import (
+    GRID,
     Geometric,
     GeometricMixture,
     Laplace,
@@ -42,7 +46,7 @@ from pwmix.mechanisms import (
 )
 from pwmix.sampling import SeededStream, sample
 
-from conftest import EXACT_ZERO, PRESET_A, PRESET_B, make_synthetic_dataset
+from conftest import ALL_STRADDLE, EXACT_ZERO, PRESET_A, PRESET_B, make_synthetic_dataset
 
 
 class TestMetrics:
@@ -64,6 +68,13 @@ class TestMetrics:
     def test_within_bound(self):
         assert within_bound_fraction([0, 0, 6], 5) == pytest.approx(2 / 3)
         assert within_bound_fraction([0.0], 5) == 1.0
+
+    def test_nan_threshold_refused(self):
+        # a nan bound is no bound: the sorted errors would put it past them all
+        with pytest.raises(InvalidParameterError, match="threshold is nan"):
+            within_bound_fraction([0, 6], math.nan)
+        with pytest.raises(InvalidParameterError, match="threshold is nan"):
+            error_cdf([0, 6], [1, math.nan])
 
     def test_mre_zero_when_inside(self):
         assert mean_relative_error([1, 2, 3], 10, 5) == 0.0
@@ -270,6 +281,12 @@ class TestRunSimulation:
         with pytest.raises(Exception):
             self._config(mechanisms=())
 
+    @pytest.mark.parametrize("count", [1.7, True, -1, 2**53 + 1])
+    def test_true_count_not_a_whole_number_in_range(self, count):
+        # a cell read int(1.7) as a true count of 1
+        with pytest.raises(InvalidParameterError, match="true counts must be whole numbers"):
+            self._config(true_counts=(count,))
+
     def test_mre_inflation_between_presets(self):
         # moving to the tighter-budget preset inflates relative error ~1.2x
         ratios = []
@@ -291,6 +308,114 @@ class TestRunSimulation:
         mre_a = run_simulation(cfg_a).cells[0].mre
         mre_b = run_simulation(cfg_b).cells[0].mre
         assert mre_b / mre_a == pytest.approx(analytic_inflation, rel=0.08)
+
+
+def _drawn_and_sorted_cell(config: SimulationConfig, mech_idx: int, count_idx: int) -> CellReport:
+    """One cell's report from all its draws held in one array and sorted: the oracle for
+    the tally that ``run_simulation`` reads its cells from."""
+    spec = config.mechanisms[mech_idx]
+    n = int(config.true_counts[count_idx])
+    stream = SeededStream(config.master_seed).derive(mech_idx, count_idx, 0)
+    raw = n + np.atleast_1d(sample(spec, stream, size=config.samples_per_cell))
+    clamped_fraction = float(np.mean(raw < 0))
+    np.maximum(raw, 0, out=raw)
+    raw -= n
+    errors = np.abs(raw, dtype=float)
+    ranked = np.sort(errors)
+
+    def at_most(t) -> float:
+        return float(np.searchsorted(ranked, float(t), side="right") / ranked.size)
+
+    c_t = config.c_t_for_metrics
+    tail = errors[errors > c_t]
+    mre = math.nan if n == 0 else float(tail.sum() / errors.size / n) if tail.size else 0.0
+    return CellReport(
+        mechanism=spec.label,
+        true_count=n,
+        samples=int(config.samples_per_cell),
+        within_bound=at_most(c_t),
+        mre=mre,
+        clamped_fraction=clamped_fraction,
+        error_cdf={t: at_most(t) for t in bench._ERROR_THRESHOLDS},
+    )
+
+
+# The four families of configs/bench_ct5.json, the Laplace mechanism at the budget
+# rlaplace is matched to, and trunclap.
+SIX_FAMILIES = (
+    GeometricMixture(PRESET_A),
+    LaplaceMixture(PRESET_A),
+    Geometric(alpha=math.exp(0.32810599476390334)),
+    RoundedLaplace(scale=1.0 / 0.33180903378641224),
+    Laplace(scale=1.0 / 0.332),
+    TruncatedLaplace(scale=5.0, bound=5.0, allow_unsafe=True),
+)
+
+
+class TestCellTally:
+    """A cell read from the tally of its noise, against its draws held and sorted."""
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_equals_the_drawn_and_sorted_cell(self, monkeypatch, threads):
+        config = SimulationConfig(
+            true_counts=(0, 1, 3, 50),
+            mechanisms=SIX_FAMILIES,
+            samples_per_cell=2 * (1 << 16) + 17,
+            master_seed=42,
+            c_t_for_metrics=5.0,
+        )
+        monkeypatch.setenv("PWMIX_THREADS", threads)
+        got = run_simulation(config).cells
+        want = [
+            _drawn_and_sorted_cell(config, i, j)
+            for i in range(len(config.mechanisms))
+            for j in range(len(config.true_counts))
+        ]
+        # repr: the floats bit for bit and their types, and nan equal to nan
+        assert list(map(repr, got)) == list(map(repr, want))
+
+    def test_memory_of_a_cell(self, monkeypatch):
+        # 10^6 draws held as floats would take 8 MB an array; a cell keeps their tally
+        monkeypatch.delenv("PWMIX_THREADS", raising=False)
+        config = SimulationConfig(
+            true_counts=(3,),
+            mechanisms=(LaplaceMixture(PRESET_A),),
+            samples_per_cell=10**6,
+            master_seed=42,
+            c_t_for_metrics=5.0,
+        )
+        tracemalloc.start()
+        try:
+            run_simulation(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8_000_000
+
+    def test_bench_ct5_within_five_sigma_of_the_law(self):
+        # within_bound is P(|max(n + noise, 0) - n| <= c): P(noise <= c) for n <= c, where a
+        # clamped error is n, else P(-c <= noise <= c); clamped_fraction is P(noise < -n)
+        doc = json.loads((Path(__file__).parent.parent / "configs" / "bench_ct5.json").read_text())
+        config = SimulationConfig(
+            true_counts=tuple(doc["true_counts"]),
+            mechanisms=tuple(map(spec_from_dict, doc["mechanisms"])),
+            samples_per_cell=10**5,
+            master_seed=42,
+            c_t_for_metrics=float(doc["c_t_for_metrics"]),
+        )
+        for cell, (spec, n) in zip(
+            run_simulation(config).cells,
+            [(spec, n) for spec in config.mechanisms for n in config.true_counts],
+        ):
+            law, c = spec.grid_law(), config.c_t_for_metrics
+
+            def below(x):  # P(noise < x)
+                return float(law.cdf(math.ceil(x / spec.cell) - 1))
+
+            within = float(law.cdf(math.floor(c / spec.cell))) - (below(-c) if n > c else 0.0)
+            for got, p in ((cell.within_bound, within), (cell.clamped_fraction, below(-n))):
+                sigma = math.sqrt(p * (1.0 - p) / cell.samples)
+                assert abs(got - p) <= 5.0 * sigma + 1e-12, (cell.mechanism, n, got, p)
 
 
 class TestAuditMechanism:
@@ -337,6 +462,12 @@ class TestAuditMechanism:
         with pytest.raises(InvalidParameterError, match=f"{key} must be >= 1, got {value}"):
             audit_mechanism(Laplace(2.0), stream=SeededStream(1), **sizes)
 
+    @pytest.mark.parametrize("shift", [0.5, 0, -1, True, 2.0])
+    def test_shift_not_a_positive_integer_refused(self, shift):
+        # a half shift would read the half-integer outcomes as one-sided: a false "unbounded"
+        with pytest.raises(InvalidParameterError, match="shift must be a positive integer"):
+            audit_mechanism(GeometricMixture(PRESET_A), 100, SeededStream(1), shift=shift)
+
 
 class TestOutcomeCounts:
     """An arm counted a chunk at a time matches the counts of one call's draws."""
@@ -355,38 +486,44 @@ class TestOutcomeCounts:
     )
     def test_matches_one_call(self, spec, offset, clamp):
         trials = 2 * (1 << 16) + 17
-        noise = sample(spec, SeededStream(408), size=trials)
-        outcomes = offset + noise
-        if clamp:
-            outcomes = np.maximum(outcomes, 0)
-        values, counts = np.unique(np.floor(outcomes + 0.5).astype(np.int64), return_counts=True)
-        got = _outcome_counts(spec, SeededStream(408), trials, offset, clamp)
-        assert got == dict(zip(values.tolist(), counts.tolist()))
+        got = _outcome_counts(spec, SeededStream(408), trials, offset, clamp, _bucket_table(spec))
+        assert got == _one_call_counts(spec, SeededStream(408), trials, offset, clamp)
 
     def test_clamp_before_rounding(self):
         # n + d is clamped, then rounded, a half up: round(max(n + d, 0)), which is
         # max(n + round(d), 0), so an integer offset commutes with binning at the halves
         # of the 1/8 grid; rounding halves to even would give {0: 2, 2: 2} here
         spec = _FixedNoise([0.5, -1.5, -0.5, 1.5])
-        assert _outcome_counts(spec, SeededStream(0), 4, 1, True) == {2: 1, 0: 1, 1: 1, 3: 1}
+        got = _outcome_counts(spec, SeededStream(0), 4, 1, True, ALL_STRADDLE)
+        assert got == {2: 1, 0: 1, 1: 1, 3: 1}
+
+
+def _one_call_counts(spec, stream, trials, offset, clamp):
+    """The binned outcome counts of one arm, drawn in one call of ``sample``."""
+    outcomes = offset + sample(spec, stream, size=trials)
+    if clamp:
+        outcomes = np.maximum(outcomes, 0)
+    values, counts = np.unique(np.floor(outcomes + 0.5).astype(np.int64), return_counts=True)
+    return dict(zip(values.tolist(), counts.tolist()))
 
 
 def _bucket_and_draw_counts(spec, trials, offset, clamp, seed=408, stream=None):
-    """(counts through the bucket table, counts drawn one by one) of one arm."""
+    """(counts through the bucket table, counts drawn in one call) of one arm."""
     table = _bucket_table(spec)
-    assert table is not None
     got = _outcome_counts(spec, stream or SeededStream(seed), trials, offset, clamp, table)
-    return got, _outcome_counts(spec, stream or SeededStream(seed), trials, offset, clamp)
+    return got, _one_call_counts(spec, stream or SeededStream(seed), trials, offset, clamp)
 
 
 # A Laplace mixture's inner epsilon at which one lattice bucket, 2^-_BUCKET_BITS of
-# mass, spans about a third of an integer (eight cells of its grid) near 0, where the
-# density is about eps / 2.
+# mass, spans about a third of an integer (two and a half cells of its grid) near 0,
+# where the density is about eps / 2: no bucket is covered.  At eight times it, about
+# 47% of the buckets straddle a step of the grid.
 WIDE_EPS = 6.0 * 2.0**-bench._BUCKET_BITS
+HALF_EPS = 8.0 * WIDE_EPS
 
 
 class TestBucketCounts:
-    """An arm counted per lattice bucket has exactly the counts drawn one by one."""
+    """An arm counted per lattice bucket has exactly the counts of one call's draws."""
 
     TRIALS = 2 * (1 << 16) + 17
     POINTS = [
@@ -405,8 +542,10 @@ class TestBucketCounts:
             lambda p: RoundedLaplace(scale=1.0 / p.epsilon),
             lambda p: Geometric(alpha=math.exp(p.epsilon)),
             lambda p: Laplace(scale=1.0 / p.epsilon),
+            lambda p: TruncatedLaplace(1.0 / p.epsilon, p.break_point, allow_unsafe=True),
         ],
-        ids=["GeometricMixture", "LaplaceMixture", "RoundedLaplace", "Geometric", "Laplace"],
+        ids=["GeometricMixture", "LaplaceMixture", "RoundedLaplace", "Geometric", "Laplace",
+             "TruncatedLaplace"],
     )
     @pytest.mark.parametrize("offset, clamp", [(0, False), (3, True), (-4, False), (1 << 20, True)])
     def test_matches_draws(self, family, params, offset, clamp):
@@ -414,16 +553,17 @@ class TestBucketCounts:
         assert got == want
 
     def test_preset_straddles_few_buckets(self):
-        # a bucket straddles where its two ends bin apart: 22 of 4,096 for both mixtures
-        for family in (GeometricMixture, LaplaceMixture):
+        # a bucket straddles where its two ends draw apart: of 4,096, 22 for the geometric
+        # mixture and 148 for the Laplace mixture, whose steps are 1/8 apart
+        for family, straddling in ((GeometricMixture, 22), (LaplaceMixture, 148)):
             table = _bucket_table(family(self.POINTS[0]))
-            assert table.straddles.sum() == 22
+            assert table.straddles.sum() == straddling
 
     @pytest.mark.parametrize("offset, clamp", [(0, False), (7, True), (1 << 20, True)])
     def test_wide_lapmix(self, offset, clamp):
-        # one bucket spans about a third of an integer: thousands straddle a step
+        # one bucket spans two and a half cells of the grid: every bucket straddles a step
         spec = LaplaceMixture(MixtureParams(epsilon=WIDE_EPS, ratio=2.0, break_point=5.0))
-        assert _bucket_table(spec).straddles.sum() > 1000
+        assert _bucket_table(spec).straddles.all()
         got, want = _bucket_and_draw_counts(spec, self.TRIALS, offset, clamp)
         assert got == want
 
@@ -431,7 +571,7 @@ class TestBucketCounts:
         # About 47% of the buckets straddle, so an arm holds more than a chunk
         # of straddling values after its third chunk, draws them in one call,
         # and draws the rest at the end of the arm.
-        spec = LaplaceMixture(MixtureParams(epsilon=WIDE_EPS, ratio=2.0, break_point=5.0))
+        spec = LaplaceMixture(MixtureParams(epsilon=HALF_EPS, ratio=2.0, break_point=5.0))
         trials = 5 * (1 << 16) + 17
         table = _bucket_table(spec)
         sizes = []
@@ -445,7 +585,7 @@ class TestBucketCounts:
         assert len(sizes) == 2 and sizes[0] >= bench._AUDIT_CHUNK and sum(sizes) < trials
         assert peak < 8_000_000
         sizes.clear()
-        assert got == _outcome_counts(spec, SeededStream(408), trials, 7, True)
+        assert got == _outcome_counts(spec, SeededStream(408), trials, 7, True, ALL_STRADDLE)
         assert len(sizes) == 6
 
     @pytest.mark.parametrize("params", POINTS)
@@ -458,10 +598,11 @@ class TestBucketCounts:
         got, want = _bucket_and_draw_counts(family(params), 999, 2, True, stream=stream)
         assert got == want and sum(got.values()) == 999
 
-    def test_other_families_draw_one_by_one(self):
-        # a family with no grid has no table; every private family has one
-        assert _bucket_table(TruncatedLaplace(scale=2.0, bound=3.0, allow_unsafe=True)) is None
-        assert _bucket_table(Laplace(scale=2.0)) is not None
+    def test_unsafe_family_refused(self):
+        # trunclap is on the grid too, so it has a table, but drawing one needs its flag
+        assert not _bucket_table(TruncatedLaplace(scale=2.0, bound=3.0, allow_unsafe=True)).straddles.all()
+        with pytest.raises(UnsafeMechanismError):
+            _bucket_table(TruncatedLaplace(scale=2.0, bound=3.0))
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -474,10 +615,8 @@ class TestBucketCounts:
     )
     def test_property(self, family, eps, ratio, ct, offset, clamp):
         spec = family(MixtureParams(epsilon=eps, ratio=ratio, break_point=float(ct)))
-        table = _bucket_table(spec)
-        stream = SeededStream(ct)
-        got = _outcome_counts(spec, stream, (1 << 16) + 9, offset, clamp, table)
-        assert got == _outcome_counts(spec, SeededStream(ct), (1 << 16) + 9, offset, clamp)
+        got, want = _bucket_and_draw_counts(spec, (1 << 16) + 9, offset, clamp, seed=ct)
+        assert got == want
 
 
 class _LatticeEnds:
@@ -493,9 +632,9 @@ class _LatticeEnds:
 
 
 class _FixedNoise:
-    """A continuous spec whose draws are the given values, in order."""
+    """A spec on the grid of ``GRID`` whose draws are the given values, in order."""
 
-    integer = False
+    cell = GRID
 
     def __init__(self, values):
         self.values = np.array(values, dtype=float)

@@ -955,6 +955,35 @@ class TestBenchAudit:
         )
         assert code == 2 and "samples_per_cell must be a whole number" in err
 
+    @pytest.mark.parametrize(
+        "key, value, named",
+        [
+            # a bound that is not a number read every cell as within it, and wrote NaN
+            ("c_t_for_metrics", float("nan"), "c_t_for_metrics must be finite and >= 0"),
+            ("c_t_for_metrics", float("inf"), "c_t_for_metrics must be finite and >= 0"),
+            ("c_t_for_metrics", -3, "c_t_for_metrics must be finite and >= 0"),
+            # a count was truncated to 1, and true read as 1
+            ("true_counts", [1.7, 10], "true_counts must be a whole number, got 1.7"),
+            ("true_counts", [True], "true_counts must be a whole number, got True"),
+            # a count past the int64 range ended in a traceback from numpy
+            ("true_counts", [1e300], "true counts must be whole numbers in [0, 2^53]"),
+            ("true_counts", [-1], "true counts must be whole numbers in [0, 2^53]"),
+        ],
+    )
+    def test_bench_bad_config_value(self, capsys, tmp_path, key, value, named):
+        cfg = tmp_path / "bench.json"
+        cfg.write_text(json.dumps({
+            "true_counts": [1],
+            "mechanisms": [{"kind": "geometric", "eps": 700}],
+            "samples_per_cell": 10,
+            "c_t_for_metrics": 5,
+            key: value,
+        }))
+        out = tmp_path / "x"
+        code, _, err = run_cli(["bench", "--config", str(cfg), "--out", str(out), "--seed", "5"], capsys)
+        assert code == 2 and not out.exists()
+        assert named in err and "Traceback" not in err
+
 
 class TestOversizedCell:
     """A cell past csv.field_size_limit() is a parse error: exit 2, no traceback."""

@@ -14,7 +14,7 @@ import pytest
 from pwmix import bench
 from pwmix.cli import main
 
-from conftest import make_synthetic_dataset
+from conftest import ALL_STRADDLE, make_synthetic_dataset
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -72,8 +72,8 @@ class TestAuditReport:
     def test_bucket_counts_leave_report_unchanged(
         self, capsys, tmp_path, monkeypatch, data_csv, kind
     ):
-        # The arms count per lattice bucket; forced to draw one by one instead,
-        # by a table builder that returns None, the report is the same bytes.
+        # The arms count per lattice bucket; forced to draw every value instead,
+        # by a table builder in which every bucket straddles, the report is the same bytes.
         cfg = tmp_path / "audit.json"
         cfg.write_text(json.dumps({
             "data": str(data_csv),
@@ -85,12 +85,12 @@ class TestAuditReport:
         tables = []
         build = bench._bucket_table
         reports = []
-        for builder in (lambda *a: tables.append(build(*a)) or tables[-1], lambda *a: None):
+        for builder in (lambda *a: tables.append(build(*a)) or tables[-1], lambda *a: ALL_STRADDLE):
             monkeypatch.setattr(bench, "_bucket_table", builder)
             out = tmp_path / f"out{len(reports)}"
             run_cli(["audit", "--config", str(cfg), "--out", str(out), "--seed", "3"], capsys)
             reports.append((out / "privacy_audit.json").read_bytes())
-        assert len(tables) == 1 and tables[0] is not None
+        assert len(tables) == 1 and not tables[0].straddles.all()
         assert reports[0] == reports[1]
 
 

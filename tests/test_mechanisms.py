@@ -621,7 +621,7 @@ def _check_mixture(spec):
     p = spec.params
     ct = p.break_point
     reach = ct + 40.0 / min(p.epsilon, p.eps_r)
-    if spec.integer:
+    if spec.cell == 1:
         xs = np.arange(-math.ceil(reach), math.ceil(reach) + 1, dtype=float)
     else:
         near_ct = [ct, np.nextafter(ct, 0.0), np.nextafter(ct, np.inf)]
@@ -630,7 +630,7 @@ def _check_mixture(spec):
     prob = _or_refused(lambda: spec.prob(xs))
     if prob is not None:
         assert not np.any(np.isnan(prob)) and np.all(prob >= 0.0)
-        if spec.integer:
+        if spec.cell == 1:
             assert prob.sum() == pytest.approx(1.0, abs=1e-9)
     cdf = _or_refused(lambda: spec.cdf(xs))
     if cdf is not None:
@@ -641,7 +641,7 @@ def _check_mixture(spec):
     zeta = _or_refused(spec.zeta)
     if zeta is not None:
         assert math.isfinite(zeta)
-        if spec.integer:
+        if spec.cell == 1:
             assert min(p.epsilon, p.eps_r) <= zeta <= max(p.epsilon, p.eps_r)
     draws = _or_refused(lambda: spec.draw(SeededStream(1), 1000))
     if draws is not None:
@@ -661,7 +661,7 @@ def _check_mixture(spec):
 
 def _check_one_piece(spec, reach):
     """The mass, CDF and draws of a one-piece family; its mass beyond ``reach`` is below e^-40."""
-    if spec.integer:
+    if spec.cell == 1:
         xs = np.arange(-math.ceil(reach), math.ceil(reach) + 1, dtype=float)
         assert spec.prob(xs).sum() == pytest.approx(1.0, abs=1e-9)
     else:
@@ -670,8 +670,10 @@ def _check_one_piece(spec, reach):
         assert mass == pytest.approx(1.0, abs=1e-9)
     _check_cdf_values(spec.cdf(xs))
     draws = spec.draw(SeededStream(1), 1000)
-    assert draws.dtype == (np.int64 if spec.integer else np.float64)
+    assert draws.dtype == (np.int64 if spec.cell == 1 else np.float64)
     assert not np.any(np.isnan(draws))
+    assert np.array_equal(draws / spec.cell, np.round(draws / spec.cell))  # on the grid
+    assert not np.any(np.signbit(draws) & (draws == 0))  # no -0.0
 
 
 mixture_points = settings(max_examples=200, deadline=None)
