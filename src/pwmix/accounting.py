@@ -4,9 +4,8 @@ The general budget of a mechanism is ``zeta = ln E[exp |L|]`` where ``L`` is
 the per-outcome log-ratio of output probabilities on neighboring databases.
 It equals epsilon for the plain geometric mechanism, lies between the two
 parameters for the mixtures, and adds under composition.  ``zeta_empirical``
-evaluates the definition exactly: a sum over the runs of an integer law, or
-closed-form integrals over the segments of a continuous one.  ``charge_ledger``
-composes releases in a JSON ledger file.
+evaluates the definition exactly, as a sum over the runs of the grid law that a
+mechanism releases.  ``charge_ledger`` composes releases in a JSON ledger file.
 """
 
 from __future__ import annotations
@@ -134,13 +133,6 @@ def charge_ledger(path, zeta: float, mechanism: str, query: str, cap: float | No
         os.close(lock)  # releases the lock
 
 
-def _log_ratio_abs(log_shifted: float, log_at: float) -> float:
-    """|ln(p_shifted / p_at)| from the log probabilities: inf where one is 0, nan if both are."""
-    if -math.inf in (log_shifted, log_at):
-        return math.nan if log_shifted == log_at else math.inf
-    return abs(log_shifted - log_at)
-
-
 def _require_shift(shift) -> int:
     """``shift`` as an int, refused unless it is a positive integer (a bool is not one)."""
     if isinstance(shift, bool) or not isinstance(shift, (int, np.integer)) or shift < 1:
@@ -152,14 +144,16 @@ def privacy_loss(spec: MechanismSpec, outcome_noise, shift: int = 1) -> float:
     """Per-outcome privacy loss |ln P[noise = outcome -+ shift] / P[noise = outcome]|.
 
     Both shift directions are evaluated and the larger magnitude returned, from the log
-    masses or densities, so it stays exact where they underflow.  A zero-probability
-    denominator against a positive numerator reports an infinite loss (the
-    truncated-mechanism pathology); nan means the outcome is impossible under every
-    involved distribution (trunclap beyond its bound).  A shift must be a positive integer.
+    masses of the released law (``spec.log_prob``, at points of its grid), so it stays exact
+    where they underflow.  A zero-probability denominator against a positive numerator
+    reports an infinite loss (the truncated-mechanism pathology); nan means the outcome is
+    impossible under every involved distribution (trunclap beyond its bound).  A shift must
+    be a positive integer.
     """
     shift = _require_shift(shift)
     here = spec.log_prob(outcome_noise)
-    losses = [_log_ratio_abs(spec.log_prob(outcome_noise + s), here) for s in (-shift, shift)]
+    # |ln P - ln P'| as floats: inf where one mass is 0, nan (inf - inf) where both are
+    losses = [abs(spec.log_prob(outcome_noise + s) - here) for s in (-shift, shift)]
     return float(np.fmax(*losses))  # nan only where both are
 
 
@@ -168,48 +162,13 @@ def zeta_closed_form(spec: MechanismSpec) -> float:
     return spec.zeta()
 
 
-def _zeta_by_segments(spec: MechanismSpec, shift: int) -> float:
-    """Definitional zeta of a continuous law, ln of the integral of max(q, p^2 / q), q = p(x - s).
-
-    The density is symmetric, piecewise exponential and does not increase in |x|.  So between
-    the kinks of ln p(x) and ln q, and x = s/2 where the loss changes sign, the integrand is
-    exp of a line: read at 1/4 and 3/4 of its segment, away from the kinks where the pieces
-    meet only to rounding, and integrated in closed form.  Beyond +-(c_t + s) the loss is
-    ``s * rate`` and the density falls at ``rate``, so both tails hold 2 p(-c_t - s) / rate,
-    taken from the log density.  Where a log density is not finite, the budget is inf.
-    """
-    ct, rate = spec.loss_tail()
-    lo = -ct - shift
-    cuts = np.array(sorted({lo, -ct, shift - ct, 0.0, 0.5 * shift, shift, ct, ct + shift}))
-    widths = np.diff(cuts)
-    x = cuts[:-1] + np.multiply.outer([0.25, 0.75], widths)
-    here, there = spec.log_prob(x), spec.log_prob(x - shift)
-    tail = spec.log_prob(lo) + math.log(2.0) - math.log(rate)
-    if not (math.isfinite(tail) and np.isfinite(here).all() and np.isfinite(there).all()):
-        return math.inf
-    logs = [tail + shift * rate]
-    for width, g1, g3 in zip(widths.tolist(), *np.maximum(there, 2.0 * here - there).tolist()):
-        rise = 2.0 * abs(g3 - g1)  # the line's change across the segment
-        shape = -math.expm1(-rise) / rise if rise else 1.0
-        logs.append(max(g1, g3) + 0.25 * rise + math.log(width * shape))
-    top = max(logs)
-    return top + math.log(math.fsum(math.exp(v - top) for v in logs))
-
-
 def zeta_empirical(spec: MechanismSpec, shift: int = 1) -> float:
-    """General budget evaluated from its definition, ln sum exp(|L|) P.
-
-    An integer family's is the exact sum over its lattice law (constant-loss tails folded
-    in analytically); a continuous one's is a sum of closed-form segment integrals, inf
-    where a log density it reads is not finite.  A mechanism with unbounded worst-case
-    loss has an infinite budget.  A shift must be a positive integer.
+    """General budget evaluated from its definition, ln sum exp(|L|) P, for the law that is
+    released: the exact zeta of the grid law at ``shift`` / cell of its cells (``charge()``
+    at shift 1); inf where an outcome of mass has a neighbour with none.  A shift must be a
+    positive integer.
     """
-    shift = _require_shift(shift)
-    if math.isinf(spec.worst_case_eps()):
-        return math.inf
-    if spec.cell == 1:
-        return spec.lattice().zeta(shift)
-    return _zeta_by_segments(spec, shift)
+    return spec.grid_law().zeta(_require_shift(shift) * round(1 / spec.cell))
 
 
 def equivalent_epsilon(target_zeta: float) -> float:

@@ -384,9 +384,9 @@ class _BucketTable:
 def _bucket_table(spec: MechanismSpec) -> _BucketTable:
     """The bucket table of ``spec``.
 
-    A family's draw is its cell times an integer that does not decrease in u: its grid
-    law's exact ``inverse``, or trunclap's inverse CDF rounded to the grid.  So a bucket
-    is covered when the draw at its first lattice value equals the draw at its last.
+    A family's draw is its cell times an integer that does not decrease in u, its grid
+    law's exact ``inverse``.  So a bucket is covered when the draw at its first lattice
+    value equals the draw at its last.
     """
     first = np.arange(1 << _BUCKET_BITS, dtype=np.int64) << _BUCKET_SHIFT
     noise, last = (

@@ -216,14 +216,17 @@ def _cmd_bench(args) -> int:
         doc = json.loads(config_path.read_text())
         mechanisms = tuple(spec_from_dict(m) for m in doc["mechanisms"])
         samples = _config_int("samples_per_cell", doc.get("samples_per_cell", 10**6))
+        c_t = doc["c_t_for_metrics"]
+        if isinstance(c_t, bool) or not isinstance(c_t, (int, float)):
+            raise InvalidParameterError(f"c_t_for_metrics must be a number, got {c_t!r}")
         config = SimulationConfig(
             true_counts=tuple(_config_int("true_counts", n) for n in doc["true_counts"]),
             mechanisms=mechanisms,
             samples_per_cell=samples,
             master_seed=_seed_from_args(args),
-            c_t_for_metrics=float(doc["c_t_for_metrics"]),
+            c_t_for_metrics=float(c_t),
         )
-    except (OSError, KeyError, ValueError, TypeError, PwmixError) as exc:
+    except (OSError, KeyError, ValueError, TypeError, OverflowError, PwmixError) as exc:
         return _fail(f"unreadable bench config: {exc!r}")
     report = run_simulation(config)
     out_dir = Path(args.out)
@@ -275,7 +278,10 @@ def _cmd_audit(args) -> int:
         n_queries = _config_int("n_queries", doc.get("n_queries", 100))
         max_records = _config_int("max_records", doc.get("max_records", 200))
         queries_per_record = _config_int("queries_per_record", doc.get("queries_per_record", 100))
-        ds = load_dataset(data_path, header=bool(doc.get("header", True)))
+        header = doc.get("header", True)
+        if not isinstance(header, bool):
+            raise InvalidParameterError(f"header must be true or false, got {header!r}")
+        ds = load_dataset(data_path, header=header)
     except (OSError, KeyError, ValueError, TypeError, PwmixError) as exc:
         return _fail(f"unreadable audit config: {exc!r}")
     seed = _seed_from_args(args)
@@ -359,6 +365,8 @@ def main(argv=None) -> int:
         # stdout's reader has gone: devnull takes the rest, so the flush at exit cannot raise
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return BROKEN_PIPE
+    except OSError as exc:  # an output path that cannot be written, as --out in a missing directory
+        return _fail(f"cannot write the output: {exc}")
 
 
 if __name__ == "__main__":

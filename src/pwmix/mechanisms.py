@@ -1,29 +1,31 @@
 """Mechanism families: their laws, budgets, samplers and noise statistics.
 
-Five noise families are supported: the continuous Laplace mechanism, its
-nearest-integer rounding, the symmetric geometric (discrete Laplace)
-mechanism, and the two-piece mixture variants of the Laplace and geometric
-mechanisms.  A truncated Laplace spec exists for audit demonstrations only;
-it is not differentially private, and it too releases on the grid of ``GRID``.
+Five noise families are supported: the Laplace mechanism, its nearest-integer
+rounding, the symmetric geometric (discrete Laplace) mechanism, and the
+two-piece mixture variants of the Laplace and geometric mechanisms.  A
+truncated Laplace spec exists for audit demonstrations only; it is not
+differentially private.
 
 Each family is one frozen dataclass implementing :class:`MechanismSpec`: its
-mass function or density (stated once, in logs, by ``log_prob``), CDF,
-worst-case epsilon, general budget, sampler and noise statistics are members
+worst-case epsilon, general budget, grid law and noise statistics are members
 of that class, so the rest of the toolkit asks the spec instead of switching
 on its type.
 
-Every private family releases its noise on a grid: ``cell`` times a draw of its
-``grid_law()``, a :class:`_Lattice` in units of a cell, drawn by that law's
-exact inverse (``_Lattice.inverse``), and it charges that law's exact zeta for
-a unit shift (``charge()``).  The three integer families have a cell of 1 and
-state their runs once (``lattice()``); their mass function, CDF, privacy loss
-and moments are read from them.  The Laplace mechanism and the Laplace mixture
-have a cell of ``GRID`` (1/8): their grid law is the rounded law of their
-noise divided by the cell, and their density, CDF and stats stay the
-continuous law's.  A double drawn from a continuous law would carry low-order
-bits that tell neighbouring truths apart (Mironov, CCS 2012); every output of
-``truth + cell K`` is an exact double that a neighbour reaches too.  Each
-family's ``zeta()`` is the paper's closed form.
+Every family is the law it releases: ``cell`` times a draw of its
+``grid_law()``, a :class:`_Lattice` in units of a cell.  Its mass function
+(``log_prob``, in logs), CDF, sampler (that law's exact inverse at one uniform of
+a :class:`~pwmix.sampling.SeededStream` per draw) and charge (that law's exact
+zeta for a unit shift) are read from that law at x / cell, in :class:`_Released`.
+The three integer families have a cell of 1 and state their runs once
+(``lattice()``).  The Laplace mechanism, the Laplace mixture and the truncated
+Laplace spec have a cell of ``GRID`` (1/8): their grid law is the law of their
+continuous noise divided by the cell and rounded.  A double drawn from a
+continuous law would carry low-order bits that tell neighbouring truths apart
+(Mironov, CCS 2012); every output of ``truth + cell K`` is an exact double
+that a neighbour reaches too.  The paper's formulas stay as formulas: each
+family's ``zeta()`` is its closed form, the Laplace families' ``stats()`` are
+the continuous law's, and ``laplace_pdf``, ``laplace_cdf``, ``lapmix_pdf`` and
+``lapmix_cdf`` state the continuous densities and CDFs.
 
 The two mixtures are one law: an inner piece with privacy parameter
 ``epsilon`` (for ``|x| <= break_point``; the boundary belongs to it) and an
@@ -34,9 +36,6 @@ beyond the break-point.  Their label, budgets and usefulness bound are written
 once.  Each mixture states its height divisors (``2 b_i`` or ``coth(rate_i/2)``)
 and the paper's closed forms for zeta and, for the Laplace mixture, stats; the
 Laplace mixture rounded to integers states its runs (``rounded_lattice``).
-
-Every sampler is an inverse transform of uniforms from a
-:class:`~pwmix.sampling.SeededStream`, one per draw.
 """
 
 from __future__ import annotations
@@ -227,7 +226,8 @@ def _wrap(x, values):
 
 def laplace_pdf(x, b: float):
     """Density of the zero-mean Laplace distribution, (1/2b) exp(-|x|/b)."""
-    return Laplace(b).prob(x)
+    _require_positive("b", b)
+    return _wrap(x, np.exp(-np.abs(np.asarray(x, dtype=float)) / b - (_LN2 + math.log(b))))
 
 
 def laplace_cdf(x, b: float):
@@ -448,34 +448,43 @@ class _Lattice:
                 stretches.append(log_first + two_sinh + rest - _log1mexp(rate))
         ks = np.concatenate(singles)
         here, there = self.log_mass(ks), self.log_mass(ks - shift)
-        # no excess where the loss is 0; P(k)^2 of a mass beyond the double range reads 0
-        with np.errstate(divide="ignore", over="ignore"):
+        # P(k)^2 of a mass beyond the double range reads 0
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             # max(P(k - shift), P(k)^2 / P(k - shift)) (1 - exp -|L(k)|)
             cells = np.fmax(there, 2.0 * here - there) + np.log(-np.expm1(-np.abs(there - here)))
-        terms = np.append(cells, stretches)
+        # no excess where the loss is 0, nor where neither cell has mass
+        terms = np.append(np.where(here == there, -np.inf, cells), stretches)
         top = terms.max()
         if top == math.inf:  # a cell of mass whose neighbour has none
             return math.inf
         return float(np.logaddexp(0.0, top + math.log(math.fsum(np.exp(terms - top)))))
 
 
-class _Law:
-    """A family whose mass function or density is stated once, in logs, by ``log_prob``."""
+class _Released:
+    """A family as the law it releases: ``cell`` times a draw of its ``grid_law()``, the law
+    of its released noise in units of a cell.  Its mass function, CDF, sampler and charge
+    (that law's exact zeta) read that law at x / cell, and so do its stats unless it states
+    the paper's closed forms.  An integer family's grid law is its ``lattice()``."""
+
+    cell: ClassVar[float] = 1
+
+    @cached_property
+    def _law(self) -> _Lattice:
+        """The grid law, built on first use and kept with its inverse tables; ``stats()``
+        builds a fresh one, so a spec asked only for its formulas keeps nothing."""
+        return self.grid_law()
+
+    def grid_law(self) -> _Lattice:
+        return self.lattice()
+
+    def log_prob(self, x):
+        return self._law.log_mass(np.divide(x, self.cell))
 
     def prob(self, x):
         return _wrap(x, np.exp(self.log_prob(x)))
 
-
-class _Released(_Law):
-    """A private family: it releases ``cell`` times a draw of its ``grid_law()``, the law of
-    its released noise in units of a cell, and charges that law's exact zeta."""
-
-    @cached_property
-    def _law(self) -> _Lattice:
-        """The grid law that ``draw`` inverts, built on first use and kept with its inverse
-        tables; ``grid_law()`` itself builds afresh, so a spec that never draws or charges,
-        as a sweep's, keeps nothing."""
-        return self.grid_law()
+    def cdf(self, x):
+        return self._law.cdf(np.divide(x, self.cell))
 
     def draw(self, stream, n: int) -> np.ndarray:
         return self._law.inverse(stream.uniforms(n)) * self.cell
@@ -484,24 +493,14 @@ class _Released(_Law):
         """The definitional zeta of the release for a unit shift, 1 / cell cells of the grid law."""
         return self._law.zeta(round(1 / self.cell))
 
-
-class _LatticeFamily(_Released):
-    """An integer family whose mass function, CDF and stats are read from its ``lattice()``,
-    which is its grid law."""
-
-    cell: ClassVar[int] = 1
-
-    def log_prob(self, x):
-        return self.lattice().log_mass(x)
-
-    def cdf(self, x):
-        return self.lattice().cdf(x)
-
     def stats(self) -> MechanismStats:
-        return MechanismStats(*self.lattice().stats())
+        return MechanismStats(*self.grid_law().stats())
 
-    def grid_law(self) -> _Lattice:
-        return self.lattice()
+
+def _rounded_laplace_runs(eps: float) -> tuple:
+    """The runs of the Laplace law of rate eps rounded half away from zero: cell k holds the
+    mass on [k - 1/2, k + 1/2) and its mirror, sinh(eps/2) e^(-eps |k|) off 0."""
+    return (0, _log1mexp(0.5 * eps), 0.0), (1, _log_sinh_half(eps) - eps, eps)
 
 
 def rounded_laplace_zeta(eps: float) -> float:
@@ -552,20 +551,20 @@ class MechanismSpec(Protocol):
         """What a release is charged: the exact zeta of the released law; inf when unbounded."""
 
     def log_prob(self, x):
-        """ln of the mass function (integer output) or density (continuous output) at x;
-        -inf where it is 0."""
+        """ln of the mass function of the released noise at x, a point of its grid (a
+        multiple of ``cell``); -inf where it is 0."""
 
     def prob(self, x):
         """exp(``log_prob``)."""
 
     def cdf(self, x):
-        """P(noise <= x); float for scalar x, else an ndarray."""
+        """P(released noise <= x); float for scalar x, else an ndarray."""
 
     def draw(self, stream, n: int) -> np.ndarray:
         """n noise draws from a SeededStream; int64 when ``cell`` is 1, else float64."""
 
     def stats(self) -> MechanismStats:
-        """E|x|, variance and entropy: closed forms, or sums over an integer law's runs."""
+        """E|x|, variance and entropy: the paper's closed forms, or sums over a grid law's runs."""
 
 
 @dataclass(frozen=True)
@@ -590,16 +589,6 @@ class Laplace(_Released):
         """epsilon = 1/b: the continuous mechanism has no rounding correction."""
         return 1.0 / self.scale
 
-    def log_prob(self, x):
-        ax = np.abs(np.asarray(x, dtype=float))
-        return _wrap(x, -ax / self.scale - (_LN2 + math.log(self.scale)))
-
-    def cdf(self, x):
-        return laplace_cdf(x, self.scale)
-
-    def loss_tail(self) -> tuple[float, float]:
-        return 0.0, 1.0 / self.scale
-
     def grid_law(self) -> _Lattice:
         """The law of a draw divided by the cell and rounded half away from zero."""
         return RoundedLaplace(self.scale / self.cell).lattice()
@@ -610,7 +599,7 @@ class Laplace(_Released):
 
 
 @dataclass(frozen=True)
-class RoundedLaplace(_LatticeFamily):
+class RoundedLaplace(_Released):
     """Laplace mechanism whose draw is rounded to the nearest integer."""
 
     scale: float
@@ -636,9 +625,7 @@ class RoundedLaplace(_LatticeFamily):
         return rounded_laplace_zeta(eps)
 
     def lattice(self) -> _Lattice:
-        """Cell k holds the Laplace mass on [k - 1/2, k + 1/2): sinh(eps/2) e^(-eps |k|) off 0."""
-        eps = 1.0 / self.scale
-        return _Lattice(((0, _log1mexp(0.5 * eps), 0.0), (1, _log_sinh_half(eps) - eps, eps)))
+        return _Lattice(_rounded_laplace_runs(1.0 / self.scale))
 
     def stats(self) -> MechanismStats:
         """The continuous closed forms of the Laplace law that is rounded."""
@@ -646,7 +633,7 @@ class RoundedLaplace(_LatticeFamily):
 
 
 @dataclass(frozen=True)
-class Geometric(_LatticeFamily):
+class Geometric(_Released):
     """Symmetric geometric mechanism with decay alpha (= exp(epsilon))."""
 
     alpha: float
@@ -676,8 +663,8 @@ class Geometric(_LatticeFamily):
 class _TwoPieceMixture:
     """The law both mixtures share: piece i decays as exp(-|x| / b_i), with b_1, b_2 the
     params' ``outer_scale``, ``inner_scale``; the inner piece has weight a2 and the outer
-    one mass w1 beyond c_t.  A subclass states its weights (``constants``), its mass
-    function, CDF and grid law, and the paper's closed forms (``_zeta``, ``stats``).
+    one mass w1 beyond c_t.  A subclass states its weights (``constants``), its grid law,
+    and the paper's closed forms (``_zeta``, and ``stats`` for the Laplace mixture).
     """
 
     params: MixtureParams
@@ -764,31 +751,6 @@ class LaplaceMixture(_Released, _TwoPieceMixture):
         runs.append((k + 1, c.log_w1 + _log_sinh_half(reps) - reps * (k + 1 - ct), reps))
         return _Lattice(tuple(runs))
 
-    def loss_tail(self) -> tuple[float, float]:
-        """``(c_t, r eps)``: for |x| beyond c_t + shift the loss is ``shift * r eps``."""
-        return self.params.break_point, self.params.eps_r
-
-    def log_prob(self, x):
-        c = self.constants()
-        ct, b1, b2 = self.params.break_point, self.params.outer_scale, self.params.inner_scale
-        m = np.abs(np.asarray(x, dtype=float))
-        inner = c.log_a2 - _LN2 - math.log(b2) - m / b2
-        outer = c.log_w1 - _LN2 - math.log(b1) - (m - ct) / b1
-        return _wrap(x, np.where(m <= ct, inner, outer))
-
-    def cdf(self, x):
-        c = self.constants()
-        ct, b1, b2 = self.params.break_point, self.params.outer_scale, self.params.inner_scale
-        # The lower tail P(noise <= -m) at m = |x|, mirrored above 0: the outer tail from
-        # max(m, c_t) plus the inner mass between.  No rounding lets it rise with m or pass 1/2.
-        xs = np.asarray(x, dtype=float)
-        m = np.abs(xs)
-        with np.errstate(over="ignore"):  # a decay beyond the double range reads exp(-inf) = 0
-            outer = 0.5 * np.exp(c.log_w1 - (np.maximum(m, ct) - ct) / b1)
-            inner_mass = c.a2 / 2.0 * np.maximum(np.exp(m / -b2) - math.exp(-ct / b2), 0.0)
-        tail = np.minimum(outer + inner_mass, 0.5)
-        return _wrap(x, np.where(xs <= 0.0, tail, 1.0 - tail))
-
     def grid_law(self) -> _Lattice:
         """The law of a draw divided by the cell and rounded half away from zero: the rounded
         law of the mixture whose rates and break-point are in units of a cell.  Refused where
@@ -833,7 +795,7 @@ class LaplaceMixture(_Released, _TwoPieceMixture):
 
 
 @dataclass(frozen=True)
-class GeometricMixture(_LatticeFamily, _TwoPieceMixture):
+class GeometricMixture(_Released, _TwoPieceMixture):
     """Two-piece geometric mixture mechanism (integer output)."""
 
     kind: ClassVar[str] = "geomix"
@@ -864,22 +826,38 @@ class GeometricMixture(_LatticeFamily, _TwoPieceMixture):
 
 def lapmix_pdf(x, params: MixtureParams):
     """Density of the Laplace mixture: inner scale b2 up to c_t, outer b1 beyond."""
-    return LaplaceMixture(params).prob(x)
+    c = lapmix_constants(params)
+    ct, b1, b2 = params.break_point, params.outer_scale, params.inner_scale
+    m = np.abs(np.asarray(x, dtype=float))
+    inner = c.log_a2 - _LN2 - math.log(b2) - m / b2
+    outer = c.log_w1 - _LN2 - math.log(b1) - (m - ct) / b1
+    return _wrap(x, np.exp(np.where(m <= ct, inner, outer)))
 
 
 def lapmix_cdf(x, params: MixtureParams):
-    """Closed-form CDF of the Laplace mixture; continuous everywhere."""
-    return LaplaceMixture(params).cdf(x)
+    """Closed-form CDF of the Laplace mixture; continuous everywhere.
+
+    The lower tail P(noise <= -m) at m = |x|, mirrored above 0: the outer tail from
+    max(m, c_t) plus the inner mass between.  No rounding lets it rise with m or pass 1/2.
+    """
+    c = lapmix_constants(params)
+    ct, b1, b2 = params.break_point, params.outer_scale, params.inner_scale
+    xs = np.asarray(x, dtype=float)
+    m = np.abs(xs)
+    with np.errstate(over="ignore"):  # a decay beyond the double range reads exp(-inf) = 0
+        outer = 0.5 * np.exp(c.log_w1 - (np.maximum(m, ct) - ct) / b1)
+        inner_mass = c.a2 / 2.0 * np.maximum(np.exp(m / -b2) - math.exp(-ct / b2), 0.0)
+    tail = np.minimum(outer + inner_mass, 0.5)
+    return _wrap(x, np.where(xs <= 0.0, tail, 1.0 - tail))
 
 
 @dataclass(frozen=True)
-class TruncatedLaplace(_Law):
+class TruncatedLaplace(_Released):
     """Laplace noise conditioned on [-bound, bound], released on the grid of ``GRID``.
 
     Not differentially private: neighboring counts can produce outcomes of
     zero probability under one of them, so the loss is unbounded.  Kept for
-    audit demonstrations; drawing requires ``allow_unsafe=True``.  Its density,
-    CDF and stats are the continuous law's, as the Laplace mechanism's are.
+    audit demonstrations; drawing requires ``allow_unsafe=True``.
     """
 
     scale: float
@@ -904,48 +882,32 @@ class TruncatedLaplace(_Law):
     def zeta(self) -> float:
         return math.inf
 
-    def charge(self) -> float:
-        return math.inf
-
-    def log_prob(self, x):
-        xs = np.asarray(x, dtype=float)
-        inside = Laplace(self.scale).log_prob(xs) - _log1mexp(self.bound / self.scale)
-        return _wrap(x, np.where(np.abs(xs) <= self.bound, inside, -np.inf))
-
-    def cdf(self, x):
-        """The lower tail (e^(-m/b) - e^(-c/b)) / (2 (1 - e^(-c/b))) at m = |x| up to the
-        bound c, mirrored above 0; taken through expm1, so a narrow window keeps its mass."""
-        xs = np.asarray(x, dtype=float)
-        m, b = np.minimum(np.abs(xs), self.bound), self.scale
-        with np.errstate(over="ignore"):  # a decay beyond the double range reads exp(-inf) = 0
-            tail = 0.5 * np.exp(-m / b) * np.expm1((m - self.bound) / b)
-        tail /= math.expm1(-self.bound / b)
-        return _wrap(x, np.where(xs <= 0.0, tail, 1.0 - tail))
+    def grid_law(self) -> _Lattice:
+        """The law of a draw divided by the cell and rounded half away from zero: the rounded
+        Laplace runs, over the mass 1 - e^(-c/b) within the bound c, up to the cell K that
+        holds c / cell.  K holds [K - 1/2, c / cell] and its mirror, a one-cell run; past it a
+        run holds no mass (its rate is immaterial).  Refused where the bound passes 2^52 cells,
+        beyond which a half cell is not a double."""
+        cell, b, c = self.cell, self.scale, self.bound
+        if not c / cell <= _LAST_CELL / 2:
+            raise InvalidParameterError(f"{self.label}: the bound passes 2^52 cells of {cell:g}")
+        k = math.floor(c / cell + 0.5)
+        lo = max(k - 0.5, 0.0) * cell  # the last cell's inner edge
+        width = (c - lo) / b  # 0 where the last cell holds no mass
+        last = -lo / b + (_log1mexp(width) if width else -math.inf) - (_LN2 if k else 0.0)
+        runs = [*_rounded_laplace_runs(cell / b)[: min(k, 2)], (k, last, 0.0)]
+        log_z = _log1mexp(c / b)
+        runs = [(m, log_m - log_z, rate) for m, log_m, rate in runs] + [(k + 1, -math.inf, 1.0)]
+        return _Lattice(tuple(runs))
 
     def draw(self, stream, n: int) -> np.ndarray:
-        """The inverse CDF of the Laplace law on [-bound, bound], divided by the cell and
-        rounded half away from zero, as ``Laplace.grid_law`` rounds; refused unless
-        ``allow_unsafe``, and where the bound passes 2^52 cells.
-
-        u maps to the Laplace CDF value F(-bound) + u (F(bound) - F(-bound)),
-        taken through the tail mass on its side so that both sides keep their
-        precision.  The draw is an int64 K times the cell, so it is never -0.0.
-        """
+        """Refused unless ``allow_unsafe``."""
         if not self.allow_unsafe:
             raise UnsafeMechanismError(
                 f"{self.label} has unbounded privacy loss and is not differentially private; "
                 "allow it with the unsafe flag (--unsafe on the command line)"
             )
-        if not self.bound / self.cell <= _LAST_CELL / 2:
-            raise InvalidParameterError(f"{self.label}: the bound passes 2^52 cells of {self.cell:g}")
-        below = 0.5 * math.exp(-self.bound / self.scale)  # F(-bound)
-        u = stream.uniforms(n)
-        right = u >= 0.5
-        tail = below + np.where(right, 1.0 - u, u) * (1.0 - 2.0 * below)
-        y = self.scale * np.log(2.0 * tail)
-        cells = np.clip(np.where(right, -y, y), -self.bound, self.bound) / self.cell
-        # |cells| + 1/2 is exact up to 2^52
-        return np.copysign(np.floor(np.abs(cells) + 0.5), cells).astype(np.int64) * self.cell
+        return super().draw(stream, n)
 
     def stats(self) -> MechanismStats:
         raise UnsupportedSpecError(f"no closed-form stats for {self.label}")
@@ -977,6 +939,9 @@ def spec_from_dict(doc: dict) -> MechanismSpec:
     unknown = ", ".join(sorted(map(repr, set(doc) - set(_KEYS))))
     if unknown:
         raise PwmixError(f"unknown mechanism key {unknown}; the keys are {', '.join(_KEYS)}")
+    unsafe = doc.get("unsafe", False)
+    if not isinstance(unsafe, bool):
+        raise InvalidParameterError(f"unsafe must be true or false, got {unsafe!r}")
     kind = doc.get("kind")
     kinds = [cls.kind for cls in SPECS]
     if kind not in kinds:
@@ -996,7 +961,7 @@ def spec_from_dict(doc: dict) -> MechanismSpec:
         if doc.get("ct") is None:
             raise PwmixError("trunclap requires --ct as the truncation bound")
         bound = _require_positive("ct", doc["ct"])
-        return TruncatedLaplace(scale=1.0 / eps, bound=bound, allow_unsafe=bool(doc.get("unsafe")))
+        return TruncatedLaplace(scale=1.0 / eps, bound=bound, allow_unsafe=unsafe)
     if doc.get("reps") is None or doc.get("ct") is None:  # lapmix or geomix
         raise PwmixError(f"{kind} requires --reps and --ct")
     params = MixtureParams.from_rates(eps, doc["reps"], doc["ct"])

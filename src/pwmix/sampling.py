@@ -6,9 +6,9 @@ given stream always reproduces the same sequence and distinct stream ids are
 independent.  Uniforms are drawn from the open interval (0, 1) — midpoints
 of a 2**53 lattice, the top one capped below 1 — so logarithms of both u and
 1-u are always finite.  Every family takes exactly one uniform per draw, so a
-stream read in pieces gives the same draws as read in one call.  The private
-families share one sampler, the inverse of their grid law's CDF
-(``mechanisms._Lattice.inverse``), scaled by their grid's cell.
+stream read in pieces gives the same draws as read in one call.  Every family
+shares one sampler, the inverse of its grid law's CDF
+(``mechanisms._Lattice.inverse``), scaled by its grid's cell.
 """
 
 from __future__ import annotations

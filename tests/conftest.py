@@ -34,9 +34,10 @@ PARAM_GRID = [
 INT_PARAM_GRID = [p for p in PARAM_GRID if p.break_point == int(p.break_point)]
 
 # A geometric mechanism whose every draw is exactly 0, for tests that need the
-# release or the simulation to add nothing.  A draw is floor(-ln u1 / 700) -
-# floor(-ln u2 / 700), and a uniform is at least 2^-54, so -ln u <= 54 ln 2 < 37.4
-# and both floors are 0.  On the command line: --mechanism geometric --eps 700.
+# release or the simulation to add nothing.  A draw is the inverse of its lattice law
+# at one uniform, and its mass from cell 1 on, e^-700 / (1 + e^-700), is below the
+# least uniform of a stream, 2^-54, so every uniform maps to cell 0.  On the command
+# line: --mechanism geometric --eps 700.
 EXACT_ZERO = Geometric(alpha=math.exp(700))
 EXACT_ZERO_FLAGS = ["geometric", "--eps", "700"]
 
@@ -146,6 +147,17 @@ class GivenUniforms:
 
     def uniforms(self, n):
         return self.u[:n]
+
+
+def truncated_laplace_cdf(x, b, c):
+    """CDF of the Laplace law of scale b conditioned on [-c, c]: the lower tail
+    (e^(-m/b) - e^(-c/b)) / (2 (1 - e^(-c/b))) at m = |x| up to c, mirrored above 0; taken
+    through expm1, so a narrow window keeps its mass."""
+    xs = np.asarray(x, dtype=float)
+    m = np.minimum(np.abs(xs), c)
+    with np.errstate(over="ignore"):  # a decay beyond the double range reads exp(-inf) = 0
+        tail = 0.5 * np.exp(-m / b) * np.expm1((m - c) / b) / math.expm1(-c / b)
+    return np.where(xs <= 0.0, tail, 1.0 - tail)
 
 
 def grid_chi_square_pvalue(draws, cdf, cell):

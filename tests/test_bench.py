@@ -393,8 +393,12 @@ class TestCellTally:
         assert peak < 8_000_000
 
     def test_bench_ct5_within_five_sigma_of_the_law(self):
-        # within_bound is P(|max(n + noise, 0) - n| <= c): P(noise <= c) for n <= c, where a
-        # clamped error is n, else P(-c <= noise <= c); clamped_fraction is P(noise < -n)
+        # A cell's error at truth n is e = |max(n + noise, 0) - n|: |noise|, or n where the
+        # release clamps (noise < -n).  So P(e <= t) is P(noise <= t) for t >= n, else
+        # P(-t <= noise <= t), for within_bound (t = c) and each error_cdf threshold;
+        # clamped_fraction is P(noise < -n); and mre is E[e 1{e > c}] / n, summed over the
+        # grid's cells from -n out to ``reach``, past which the law holds below 1e-15.
+        reach = 4000.0
         doc = json.loads((Path(__file__).parent.parent / "configs" / "bench_ct5.json").read_text())
         config = SimulationConfig(
             true_counts=tuple(doc["true_counts"]),
@@ -407,15 +411,30 @@ class TestCellTally:
             run_simulation(config).cells,
             [(spec, n) for spec in config.mechanisms for n in config.true_counts],
         ):
-            law, c = spec.grid_law(), config.c_t_for_metrics
+            c = config.c_t_for_metrics
 
             def below(x):  # P(noise < x)
-                return float(law.cdf(math.ceil(x / spec.cell) - 1))
+                return float(spec.cdf(np.nextafter(x, -np.inf)))
 
-            within = float(law.cdf(math.floor(c / spec.cell))) - (below(-c) if n > c else 0.0)
-            for got, p in ((cell.within_bound, within), (cell.clamped_fraction, below(-n))):
+            def at_most(t):  # P(e <= t)
+                return float(spec.cdf(t)) - (below(-t) if t < n else 0.0)
+
+            shares = [(cell.within_bound, at_most(c)), (cell.clamped_fraction, below(-n))]
+            shares += [(got, at_most(t)) for t, got in cell.error_cdf.items()]
+            assert len(shares) == 28
+            for got, p in shares:
                 sigma = math.sqrt(p * (1.0 - p) / cell.samples)
                 assert abs(got - p) <= 5.0 * sigma + 1e-12, (cell.mechanism, n, got, p)
+            if n > 0:
+                assert float(spec.cdf(-reach)) < 1e-15
+                ks = np.arange(-n / spec.cell, reach / spec.cell + 1.0) * spec.cell
+                errors = np.abs(ks)
+                mass = np.where(errors > c, spec.prob(ks), 0.0)
+                clamped = below(-n) if n > c else 0.0
+                mre = (math.fsum(errors * mass) + n * clamped) / n
+                second = (math.fsum(errors * errors * mass) + n * n * clamped) / (n * n)
+                sigma = math.sqrt((second - mre * mre) / cell.samples)
+                assert abs(cell.mre - mre) <= 5.0 * sigma + 1e-12, (cell.mechanism, n, mre)
 
 
 class TestAuditMechanism:

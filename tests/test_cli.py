@@ -378,6 +378,12 @@ class TestSweep:
         assert code == 0
         assert len(out.strip().splitlines()) == 1  # header only
 
+    def test_out_in_a_missing_directory(self, capsys, tmp_path):
+        out = tmp_path / "missing" / "x.csv"
+        code, stdout, err = run_cli(["sweep", "--table1", "--out", str(out)], capsys)
+        assert code == 2 and stdout == "" and "Traceback" not in err
+        assert "cannot write the output" in err and not out.parent.exists()
+
     def test_malformed_grid(self, capsys, tmp_path):
         grid = tmp_path / "grid.json"
         grid.write_text('{"not": "a grid"}')
@@ -888,6 +894,49 @@ class TestBenchAudit:
         assert code == 2 and not (tmp_path / "x").exists()
         assert named in err
 
+    # a flag that is not a JSON boolean: "false" read as true let trunclap run (exit 0, where
+    # without the key it exits 3), and a header of "false" was read as true
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+    @pytest.mark.parametrize("command", ["bench", "audit"])
+    def test_flag_not_a_boolean(self, capsys, tmp_path, data_file, command, value):
+        if command == "bench":
+            doc = {"true_counts": [1], "samples_per_cell": 10, "c_t_for_metrics": 5,
+                   "mechanisms": [{"kind": "trunclap", "eps": 0.5, "ct": 4, "unsafe": value}]}
+        else:
+            doc = {"data": data_file, "trials": 10,
+                   "mechanism": {"kind": "trunclap", "eps": 0.5, "ct": 4, "unsafe": value}}
+        cfg, out = tmp_path / "config.json", tmp_path / "x"
+        cfg.write_text(json.dumps(doc))
+        code, _, err = run_cli([command, "--config", str(cfg), "--out", str(out), "--seed", "5"], capsys)
+        assert code == 2 and not out.exists()
+        assert f"unsafe must be true or false, got {value!r}" in err
+
+    @pytest.mark.parametrize("value", ["false", 0, None])
+    def test_audit_header_not_a_boolean(self, capsys, tmp_path, data_file, value):
+        cfg, out = tmp_path / "audit.json", tmp_path / "x"
+        cfg.write_text(json.dumps({
+            "data": data_file, "header": value, "trials": 10,
+            "mechanism": {"kind": "geomix", "eps": 0.2, "reps": 1, "ct": 5},
+        }))
+        code, _, err = run_cli(["audit", "--config", str(cfg), "--out", str(out), "--seed", "5"], capsys)
+        assert code == 2 and not out.exists()
+        assert f"header must be true or false, got {value!r}" in err
+
+    @pytest.mark.parametrize("command", ["bench", "audit"])
+    def test_out_is_a_file(self, capsys, tmp_path, data_file, command):
+        if command == "bench":
+            doc = {"true_counts": [1], "samples_per_cell": 10, "c_t_for_metrics": 5,
+                   "mechanisms": [{"kind": "geometric", "eps": 700}]}
+        else:
+            doc = {"data": data_file, "trials": 10,
+                   "mechanism": {"kind": "geomix", "eps": 0.2, "reps": 1, "ct": 5}}
+        cfg, out = tmp_path / "config.json", tmp_path / "taken"
+        cfg.write_text(json.dumps(doc))
+        out.write_text("kept")
+        code, stdout, err = run_cli([command, "--config", str(cfg), "--out", str(out), "--seed", "5"], capsys)
+        assert code == 2 and stdout == "" and "Traceback" not in err
+        assert "cannot write the output" in err and out.read_text() == "kept"
+
     def test_audit_outputs(self, capsys, tmp_path, data_file):
         cfg = tmp_path / "audit.json"
         cfg.write_text(json.dumps({
@@ -968,6 +1017,10 @@ class TestBenchAudit:
             # a count past the int64 range ended in a traceback from numpy
             ("true_counts", [1e300], "true counts must be whole numbers in [0, 2^53]"),
             ("true_counts", [-1], "true counts must be whole numbers in [0, 2^53]"),
+            # a string or a bool was read as the number it spells: 5.0, or 1.0 for true
+            ("c_t_for_metrics", "5", "c_t_for_metrics must be a number, got '5'"),
+            ("c_t_for_metrics", True, "c_t_for_metrics must be a number, got True"),
+            pytest.param("c_t_for_metrics", 10**400, "OverflowError", id="c_t_for_metrics-10**400"),
         ],
     )
     def test_bench_bad_config_value(self, capsys, tmp_path, key, value, named):

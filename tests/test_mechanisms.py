@@ -30,7 +30,7 @@ from pwmix.mechanisms import (
 )
 from pwmix.sampling import SeededStream
 
-from conftest import INT_PARAM_GRID, PARAM_GRID, PRESET_A, lapmix_definition
+from conftest import INT_PARAM_GRID, PARAM_GRID, PRESET_A, lapmix_definition, truncated_laplace_cdf
 
 
 class TestLaplacePdf:
@@ -515,6 +515,16 @@ class TestLatticeLaw:
         with pytest.raises(InvalidParameterError, match="integers only"):
             spec.prob(np.array([1.0, math.nan]))
 
+    @pytest.mark.parametrize(
+        "spec", [Laplace(2.0), LaplaceMixture(PRESET_A), TruncatedLaplace(2.0, 3.0)],
+        ids=lambda spec: spec.kind,
+    )
+    def test_grid_points_only(self, spec):
+        # the mass function of what is released, on the grid of 1/8: off it there is no cell
+        assert spec.prob(0.375) == math.exp(spec.grid_law().log_mass(3))
+        with pytest.raises(InvalidParameterError):
+            spec.prob(0.3)
+
 
 # Rounded Laplace mixtures: c_t below 1/2 (cell 0 straddles it), a half-integer (no
 # cell does), integers and general floats; an outer weight at 0 near 1e301; r eps =
@@ -623,10 +633,10 @@ def _check_mixture(spec):
     reach = ct + 40.0 / min(p.epsilon, p.eps_r)
     if spec.cell == 1:
         xs = np.arange(-math.ceil(reach), math.ceil(reach) + 1, dtype=float)
-    else:
-        near_ct = [ct, np.nextafter(ct, 0.0), np.nextafter(ct, np.inf)]
-        near_ct += [-x for x in near_ct]
-        xs = np.union1d(np.linspace(-reach, reach, 4001), near_ct)
+    else:  # points of the grid, with the cells at c_t
+        near_ct = round(ct / spec.cell) + np.array([-1.0, 0.0, 1.0])
+        cells = np.round(np.linspace(-reach, reach, 4001) / spec.cell)
+        xs = np.union1d(cells, np.append(near_ct, -near_ct)) * spec.cell
     prob = _or_refused(lambda: spec.prob(xs))
     if prob is not None:
         assert not np.any(np.isnan(prob)) and np.all(prob >= 0.0)
@@ -652,23 +662,25 @@ def _check_mixture(spec):
     if law is not None:
         noise = law.inverse(u)  # the inverse of the grid law's step CDF, exactly
         assert np.all(law.cdf(noise - 1.0) < u) and np.all(u <= law.cdf(noise))
-        # and the grid law is the family's law rounded to the grid
-        rounded = spec.cdf((noise + 0.5) * spec.cell)
-        assert np.max(np.abs(law.cdf(noise) - rounded)) <= 1e-12
+        assert np.array_equal(spec.cdf(noise * spec.cell), law.cdf(noise))  # the spec's law
+        if spec.cell != 1:  # and it is the continuous mixture rounded to the grid
+            rounded = lapmix_cdf((noise + 0.5) * spec.cell, p)
+            assert np.max(np.abs(law.cdf(noise) - rounded)) <= 1e-12
         charge = spec.charge()
         assert 0.0 < charge < math.inf
 
 
-def _check_one_piece(spec, reach):
-    """The mass, CDF and draws of a one-piece family; its mass beyond ``reach`` is below e^-40."""
-    if spec.cell == 1:
-        xs = np.arange(-math.ceil(reach), math.ceil(reach) + 1, dtype=float)
-        assert spec.prob(xs).sum() == pytest.approx(1.0, abs=1e-9)
-    else:
-        xs = np.linspace(-1.5 * reach, 1.5 * reach, 4001)
-        mass = sum(integrate.quad(spec.prob, a, b, limit=200)[0] for a, b in ((-reach, 0), (0, reach)))
-        assert mass == pytest.approx(1.0, abs=1e-9)
-    _check_cdf_values(spec.cdf(xs))
+def _check_one_piece(spec, reach, continuous_cdf=None):
+    """The mass, CDF and draws of a one-piece family, read at the points of its grid; its mass
+    beyond ``reach`` is below e^-40.  ``continuous_cdf`` is the law that its grid law rounds
+    half away from zero, read at each cell's upper edge."""
+    cells = math.ceil(reach / spec.cell)
+    xs = np.arange(-cells, cells + 1) * spec.cell
+    assert spec.prob(xs).sum() == pytest.approx(1.0, abs=1e-9)
+    cdf = spec.cdf(xs)
+    _check_cdf_values(cdf)
+    if continuous_cdf is not None:
+        assert np.max(np.abs(cdf - continuous_cdf(xs + spec.cell / 2))) <= 1e-12
     draws = spec.draw(SeededStream(1), 1000)
     assert draws.dtype == (np.int64 if spec.cell == 1 else np.float64)
     assert not np.any(np.isnan(draws))
@@ -704,7 +716,8 @@ class TestStandardProperties:
     @given(eps=mixture_eps, kind=st.sampled_from(["laplace", "rlaplace", "geometric"]))
     def test_private_family(self, eps, kind):
         spec = spec_from_dict({"kind": kind, "eps": eps})
-        _check_one_piece(spec, 40.0 / eps + 40.0)
+        continuous = None if kind == "geometric" else (lambda x: laplace_cdf(x, 1.0 / eps))
+        _check_one_piece(spec, 40.0 / eps + 40.0, continuous)
         assert all(math.isfinite(v) for v in vars(spec.stats()).values())
         assert math.isfinite(spec.zeta())
 
@@ -712,7 +725,7 @@ class TestStandardProperties:
     @given(eps=mixture_eps, bound=st.floats(0.1, 40.0))
     def test_truncated_laplace(self, eps, bound):
         spec = TruncatedLaplace(scale=1.0 / eps, bound=bound, allow_unsafe=True)
-        _check_one_piece(spec, bound)
+        _check_one_piece(spec, bound, lambda x: truncated_laplace_cdf(x, 1.0 / eps, bound))
         with pytest.raises(UnsupportedSpecError):
             spec.stats()
 

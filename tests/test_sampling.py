@@ -34,6 +34,7 @@ from conftest import (
     chi_square_pvalue,
     grid_chi_square_pvalue,
     lapmix_definition,
+    truncated_laplace_cdf,
 )
 
 N = 10**5
@@ -294,6 +295,19 @@ class TestDrawsInPieces:
 def _released_noise(spec, u):
     """The noise that ``spec`` releases at each uniform u."""
     return spec.draw(GivenUniforms(u), np.size(u))
+
+
+def truncated_float_draw(spec, u):
+    """The sampler trunclap had before it drew its grid law: the inverse CDF of the Laplace
+    law on [-bound, bound] at each uniform u, divided by the cell and rounded half away from
+    zero.  u maps to the Laplace CDF value F(-bound) + u (F(bound) - F(-bound)), taken through
+    the tail mass on its side so that both sides keep their precision."""
+    below = 0.5 * math.exp(-spec.bound / spec.scale)  # F(-bound)
+    right = u >= 0.5
+    tail = below + np.where(right, 1.0 - u, u) * (1.0 - 2.0 * below)
+    y = spec.scale * np.log(2.0 * tail)
+    cells = np.clip(np.where(right, -y, y), -spec.bound, spec.bound) / spec.cell
+    return np.copysign(np.floor(np.abs(cells) + 0.5), cells).astype(np.int64) * spec.cell
 
 
 def _rounded_to_grid(x):
@@ -808,7 +822,32 @@ class TestStandardSamplers:
         for bound in (0.5, 4.0, 30.0):
             spec = TruncatedLaplace(scale=2.0, bound=bound, allow_unsafe=True)
             y = sample(spec, SeededStream(120, int(bound * 2)), N)
-            assert grid_chi_square_pvalue(y, spec.cdf, GRID) > 1e-3
+            assert grid_chi_square_pvalue(y, lambda x: truncated_laplace_cdf(x, 2.0, bound), GRID) > 1e-3
+
+    def test_truncated_draws_have_mass(self):
+        # A bound that is not a multiple of the cell: the draws of +-1/8 fall in the cell
+        # that holds the bound, [1/16, 0.1], and its mass function says so.  Before trunclap
+        # read its grid law, its density was 0 at +-1/8, where 3,662 of 10,000 draws fell.
+        spec = TruncatedLaplace(scale=2.0, bound=0.1, allow_unsafe=True)
+        y = sample(spec, SeededStream(121), N)
+        assert set(np.unique(y)) == {-GRID, 0.0, GRID}
+        assert np.all(np.isfinite(spec.log_prob(y)))
+        ks = np.arange(-2, 3) * GRID
+        assert np.allclose(np.diff(spec.cdf(np.append(-3 * GRID, ks))), spec.prob(ks), rtol=1e-14, atol=0)
+        assert grid_chi_square_pvalue(y, spec.cdf, GRID) > 1e-3
+
+    def test_truncated_draws_equal_the_float_sampler(self):
+        # The float sampler trunclap had, rounded to the grid, is the inverse of its grid
+        # law at every uniform drawn here: at the edge lattice values and at random (b, c).
+        rng = np.random.default_rng(122)
+        edges = lattice_uniforms(np.array([0, 1, 2, 2**52 - 1, 2**52, 2**53 - 2, 2**53 - 1]))
+        points = [(1.0, 0.0625), (2.0, 0.1), (1.0, 0.1875), (1.0, 0.125), (1e-3, 5.0), (1e3, 0.05)]
+        # b log-uniform in [1e-3, 1e3], c in [1e-2, 1e3]
+        points += [tuple(np.exp(rng.uniform(np.log([1e-3, 1e-2]), np.log(1e3)))) for _ in range(30)]
+        for b, c in points:
+            spec = TruncatedLaplace(scale=b, bound=c, allow_unsafe=True)
+            u = np.concatenate([edges, lattice_uniforms(rng.integers(0, 2**53, 20_000))])
+            assert _released_noise(spec, u).tobytes() == truncated_float_draw(spec, u).tobytes()
 
     def test_zero_noise(self):
         y = sample(EXACT_ZERO, SeededStream(116), 100)

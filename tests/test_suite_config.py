@@ -96,13 +96,19 @@ def test_family_names_only_in_mechanisms():
     assert not found, found
 
 
-def test_integer_families_draw_through_their_lattice():
-    # One sampler for the integer laws: every integer family draws through
-    # _LatticeFamily.draw, the inverse of its lattice law, and states no sampler of its own.
-    integer = [cls for cls in mechanisms.SPECS if cls.cell == 1]
-    assert integer
-    stray = [cls.__name__ for cls in integer if cls.draw is not mechanisms._LatticeFamily.draw]
-    assert not stray, stray
+def test_every_family_is_the_law_it_releases():
+    # One law per family: every family reads its mass function, CDF, draws and charge from
+    # its grid law through _Released, and states none of its own; trunclap's draw only gates
+    # the shared one behind the unsafe flag.
+    base = mechanisms._Released
+    own = {
+        (cls.__name__, name)
+        for cls in mechanisms.SPECS
+        for name in ("log_prob", "prob", "cdf", "draw", "charge")
+        if getattr(cls, name) is not getattr(base, name)
+    }
+    assert own == {("TruncatedLaplace", "draw")}, own
+    assert all(issubclass(cls, base) for cls in mechanisms.SPECS)
 
 
 def _third_party_imports(*dirs: Path) -> set[str]:
