@@ -17,7 +17,7 @@ import numpy as np
 
 from .accounting import _require_shift, equivalent_epsilon, zeta_closed_form
 from .analytics import geomix_stats, lapmix_stats, standard_stats
-from .data import Dataset, QuerySpec, count_query, record_matches
+from .data import Dataset, QuerySpec, count_query, json_float, record_matches
 from .errors import InvalidParameterError, UndefinedMetricError
 from .mechanisms import (
     Geometric,
@@ -126,8 +126,9 @@ class SweepRow:
     the solved equivalent eps of the rounded Laplace mechanism.  E|x| and
     sigma^2 for the two Laplace-family columns are moments of the
     nearest-integer release (the count-query setting), read from the runs of
-    its lattice law (``LaplaceMixture.rounded_lattice``, ``RoundedLaplace.lattice``);
-    entropies come from the continuous closed forms.
+    its law on the integers (``LaplaceMixture.rounded_lattice()``,
+    ``RoundedLaplace.grid_law()``), which refuses a c_t past 2^52, where a half
+    cell is not a double; entropies come from the continuous closed forms.
     """
 
     c_t: float
@@ -169,7 +170,7 @@ def sweep_point(c_t: float, eps: float, r_eps: float) -> SweepRow:
     geo = standard_stats(Geometric(math.exp(zeta_gm)))
     lap = standard_stats(Laplace(1.0 / eps_lap))
     e_abs_lm, var_lm, _ = lapmix.rounded_lattice().stats()
-    e_abs_lap, var_lap, _ = RoundedLaplace(1.0 / eps_lap).lattice().stats()
+    e_abs_lap, var_lap, _ = RoundedLaplace(1.0 / eps_lap).grid_law().stats()
     return SweepRow(
         c_t=c_t,
         eps=eps,
@@ -592,19 +593,11 @@ class PrivacyAuditReport:
             "max_count_difference": self.max_count_difference,
             "same_answer_max_mean_loss": self.same_answer_max_mean_loss,
             "diff_answer_max_mean_loss": self.diff_answer_max_mean_loss,
-            "diff_answer_max_outcome_loss": _json_float(self.diff_answer_max_outcome_loss),
-            "diff_answer_max_excess_vs_eps": _json_float(self.diff_answer_max_excess_vs_eps),
+            "diff_answer_max_outcome_loss": json_float(self.diff_answer_max_outcome_loss),
+            "diff_answer_max_excess_vs_eps": json_float(self.diff_answer_max_excess_vs_eps),
             "unbounded_loss_detected": self.unbounded_loss_detected,
             "groups": [dict(g) for g in self.groups],
         }
-
-
-def _json_float(x: float):
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    if math.isnan(x):
-        return "nan"
-    return x
 
 
 def audit_privacy(
@@ -689,8 +682,8 @@ def audit_privacy(
                 "true_count": int(n1),
                 "canonical_large": bool(n1 == big_n),
                 "pairs": group_pairs[(kind, n1)],
-                "mean_abs_loss": _json_float(audit.mean_abs_loss),
-                "max_outcome_loss": _json_float(max_outcome(audit)),
+                "mean_abs_loss": json_float(audit.mean_abs_loss),
+                "max_outcome_loss": json_float(max_outcome(audit)),
                 "one_sided_mass": sum(audit.one_sided.values()),
             }
             for (kind, n1), audit in audits.items()

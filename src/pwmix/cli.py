@@ -10,6 +10,7 @@ reproduced.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import hashlib
@@ -26,8 +27,8 @@ from .data import (
     QuerySpec,
     count_query,
     histogram_query,
+    json_float,
     load_dataset,
-    printed_charge,
     release,
     release_to_json,
 )
@@ -89,7 +90,7 @@ def _cmd_stats(args) -> int:
         "variance": stats.variance,
         "entropy": stats.entropy,
         "zeta": spec.zeta(),
-        "zeta_charged": printed_charge(spec.charge()),
+        "zeta_charged": json_float(spec.charge()),
         "worst_case_eps": spec.worst_case_eps(),
     }
     if args.format == "json":
@@ -201,6 +202,21 @@ def _write_manifest(out_dir: Path, command: str, config_path: Path, seed: int, o
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
+@contextlib.contextmanager
+def _out_dir(path: str):
+    """The --out directory, made before the work that fills it, so that an unusable path
+    fails at once; the directories made here are removed again if the work fails."""
+    out = Path(path)
+    made = [p for p in (out, *out.parents) if not p.exists()]
+    out.mkdir(parents=True, exist_ok=True)
+    try:
+        yield out
+    except BaseException:
+        for p in made:  # the deepest first
+            p.rmdir()
+        raise
+
+
 def _config_int(key: str, value) -> int:
     """A whole-number config value: an int, or an integral float such as 1e6; not a bool."""
     if isinstance(value, float) and value.is_integer():
@@ -228,9 +244,8 @@ def _cmd_bench(args) -> int:
         )
     except (OSError, KeyError, ValueError, TypeError, OverflowError, PwmixError) as exc:
         return _fail(f"unreadable bench config: {exc!r}")
-    report = run_simulation(config)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    with _out_dir(args.out) as out_dir:
+        report = run_simulation(config)
 
     report_path = out_dir / "utility_report.json"
     report_path.write_text(json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n")
@@ -287,17 +302,16 @@ def _cmd_audit(args) -> int:
     seed = _seed_from_args(args)
     stream = SeededStream(seed)
     queries = _random_queries(ds, n_queries, stream.derive(99).generator)
-    report = audit_privacy(
-        ds,
-        queries,
-        spec,
-        trials,
-        stream,
-        max_records=max_records,
-        queries_per_record=queries_per_record,
-    )
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    with _out_dir(args.out) as out_dir:
+        report = audit_privacy(
+            ds,
+            queries,
+            spec,
+            trials,
+            stream,
+            max_records=max_records,
+            queries_per_record=queries_per_record,
+        )
     report_path = out_dir / "privacy_audit.json"
     report_path.write_text(json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n")
     _write_manifest(out_dir, "audit", config_path, seed, [report_path.name])

@@ -286,9 +286,9 @@ def release(true_value, spec: MechanismSpec, stream: SeededStream) -> NoisyRelea
     return NoisyRelease(true_value=true, released_value=released, mechanism=spec, clamped=flags)
 
 
-def printed_charge(zeta: float):
-    """A charge as the command line prints it: the number, or "inf" when it is unbounded."""
-    return zeta if math.isfinite(zeta) else "inf"
+def json_float(x: float):
+    """A float as the JSON outputs print it: the number, or "inf", "-inf" or "nan"."""
+    return x if math.isfinite(x) else str(x)
 
 
 def release_to_json(
@@ -304,7 +304,7 @@ def release_to_json(
         "mechanism": rel.mechanism.label,
         "released": rel.released_value,
         "clamped": rel.clamped,
-        "zeta_charged": printed_charge(zeta_charged),
+        "zeta_charged": json_float(zeta_charged),
     }
     if reveal_true:
         doc["true"] = rel.true_value

@@ -6,23 +6,24 @@ two-piece mixture variants of the Laplace and geometric mechanisms.  A
 truncated Laplace spec exists for audit demonstrations only; it is not
 differentially private.
 
-Each family is one frozen dataclass implementing :class:`MechanismSpec`: its
-worst-case epsilon, general budget, grid law and noise statistics are members
-of that class, so the rest of the toolkit asks the spec instead of switching
-on its type.
+Each family is one frozen dataclass that subclasses :class:`MechanismSpec`:
+its worst-case epsilon, general budget, grid law and noise statistics are
+members of that class, so the rest of the toolkit asks the spec instead of
+switching on its type.
 
 Every family is the law it releases: ``cell`` times a draw of its
 ``grid_law()``, a :class:`_Lattice` in units of a cell.  Its mass function
 (``log_prob``, in logs), CDF, sampler (that law's exact inverse at one uniform of
 a :class:`~pwmix.sampling.SeededStream` per draw) and charge (that law's exact
-zeta for a unit shift) are read from that law at x / cell, in :class:`_Released`.
-The three integer families have a cell of 1 and state their runs once
-(``lattice()``).  The Laplace mechanism, the Laplace mixture and the truncated
+zeta for a unit shift) are read from that law at x / cell, in
+:class:`MechanismSpec`.  The three integer families have a cell of 1 and state
+their runs once.  The Laplace mechanism, the Laplace mixture and the truncated
 Laplace spec have a cell of ``GRID`` (1/8): their grid law is the law of their
-continuous noise divided by the cell and rounded.  A double drawn from a
-continuous law would carry low-order bits that tell neighbouring truths apart
-(Mironov, CCS 2012); every output of ``truth + cell K`` is an exact double
-that a neighbour reaches too.  The paper's formulas stay as formulas: each
+continuous noise divided by the cell and rounded, whose runs one function
+states (:func:`_rounded_laplace_runs`).  A double drawn from a continuous law
+would carry low-order bits that tell neighbouring truths apart (Mironov, CCS
+2012); every output of ``truth + cell K`` is an exact double that a neighbour
+reaches too.  The paper's formulas stay as formulas: each
 family's ``zeta()`` is its closed form, the Laplace families' ``stats()`` are
 the continuous law's, and ``laplace_pdf``, ``laplace_cdf``, ``lapmix_pdf`` and
 ``lapmix_cdf`` state the continuous densities and CDFs.
@@ -35,7 +36,7 @@ meet at the break-point; every reading of the outer piece starts from its mass
 beyond the break-point.  Their label, budgets and usefulness bound are written
 once.  Each mixture states its height divisors (``2 b_i`` or ``coth(rate_i/2)``)
 and the paper's closed forms for zeta and, for the Laplace mixture, stats; the
-Laplace mixture rounded to integers states its runs (``rounded_lattice``).
+sweep reads the Laplace mixture rounded to integers (``rounded_lattice``).
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import ClassVar, Protocol
+from typing import ClassVar
 
 import numpy as np
 
@@ -294,8 +295,6 @@ class _Lattice:
     def log_mass(self, x):
         """ln P(K = k) at each integer k."""
         m = np.abs(np.asarray(x, dtype=float))
-        if not np.all(m == np.floor(m)):
-            raise InvalidParameterError("a lattice law's mass function takes integers only")
         firsts, log_first, rates = (np.array(column) for column in zip(*self.runs))
         run = np.searchsorted(firsts, m, side="right") - 1
         return _wrap(x, log_first[run] - rates[run] * (m - firsts[run]))
@@ -460,13 +459,37 @@ class _Lattice:
         return float(np.logaddexp(0.0, top + math.log(math.fsum(np.exp(terms - top)))))
 
 
-class _Released:
-    """A family as the law it releases: ``cell`` times a draw of its ``grid_law()``, the law
-    of its released noise in units of a cell.  Its mass function, CDF, sampler and charge
-    (that law's exact zeta) read that law at x / cell, and so do its stats unless it states
-    the paper's closed forms.  An integer family's grid law is its ``lattice()``."""
+class MechanismSpec:
+    """What every mechanism family states about itself, and what it reads from the law it
+    releases: ``cell`` times a draw of its ``grid_law()``, the law of its released noise in
+    units of a cell.
 
+    ``kind`` names the family on the command line and opens its ``label``; ``cell`` is the
+    width of the grid the noise is released on, 1 when the noise, and so every release, is an
+    integer.  A family states its label, budgets and grid law; its mass function, CDF,
+    sampler and charge read that law at x / cell, and so do its stats unless it states the
+    paper's closed forms.  Losses and budgets are for unit-shift (count and histogram) queries.
+    """
+
+    kind: ClassVar[str]
     cell: ClassVar[float] = 1
+
+    @property
+    def label(self) -> str:
+        """Short stable identifier for reports, ledgers and CLI output."""
+        raise NotImplementedError
+
+    def worst_case_eps(self) -> float:
+        """Differential-privacy level; inf when the loss is unbounded."""
+        raise NotImplementedError
+
+    def zeta(self) -> float:
+        """General budget ln E[exp |L|] from the paper's closed form; inf when unbounded."""
+        raise NotImplementedError
+
+    def grid_law(self) -> _Lattice:
+        """The law of the released noise in units of a cell."""
+        raise NotImplementedError
 
     @cached_property
     def _law(self) -> _Lattice:
@@ -474,33 +497,77 @@ class _Released:
         builds a fresh one, so a spec asked only for its formulas keeps nothing."""
         return self.grid_law()
 
-    def grid_law(self) -> _Lattice:
-        return self.lattice()
-
     def log_prob(self, x):
-        return self._law.log_mass(np.divide(x, self.cell))
+        """ln of the mass function of the released noise at x, a point of its grid (a
+        multiple of ``cell``); -inf where it is 0."""
+        k = np.divide(x, self.cell)
+        off = k != np.floor(k)  # nan too
+        if np.any(off):
+            grid = "integers" if self.cell == 1 else f"multiples of the cell {self.cell:g}"
+            bad = float(np.asarray(x, dtype=float)[off].flat[0])
+            raise InvalidParameterError(f"{self.label} releases noise on {grid} only, got x = {bad!r}")
+        return self._law.log_mass(k)
 
     def prob(self, x):
+        """exp(``log_prob``)."""
         return _wrap(x, np.exp(self.log_prob(x)))
 
     def cdf(self, x):
+        """P(released noise <= x); float for scalar x, else an ndarray."""
         return self._law.cdf(np.divide(x, self.cell))
 
     def draw(self, stream, n: int) -> np.ndarray:
+        """n noise draws from a SeededStream; int64 when ``cell`` is 1, else float64."""
         return self._law.inverse(stream.uniforms(n)) * self.cell
 
     def charge(self) -> float:
-        """The definitional zeta of the release for a unit shift, 1 / cell cells of the grid law."""
+        """What a release is charged: the exact zeta of the released law for a unit shift,
+        1 / cell cells of the grid law; inf when unbounded."""
         return self._law.zeta(round(1 / self.cell))
 
     def stats(self) -> MechanismStats:
+        """E|x|, variance and entropy: the paper's closed forms, or sums over the grid law's runs."""
         return MechanismStats(*self.grid_law().stats())
 
 
-def _rounded_laplace_runs(eps: float) -> tuple:
-    """The runs of the Laplace law of rate eps rounded half away from zero: cell k holds the
-    mass on [k - 1/2, k + 1/2) and its mirror, sinh(eps/2) e^(-eps |k|) off 0."""
-    return (0, _log1mexp(0.5 * eps), 0.0), (1, _log_sinh_half(eps) - eps, eps)
+def _rounded_laplace_runs(
+    eps: float, log_a: float = 0.0, ct: float | None = None, outer: tuple[float, float] | None = None
+) -> tuple:
+    """The runs of a Laplace piece of rate eps and weight exp(log_a), in units of a cell,
+    rounded half away from zero: cell k holds the mass on [k - 1/2, k + 1/2) and its mirror,
+    exp(log_a) sinh(eps/2) e^(-eps |k|) off 0.
+
+    With a break-point of ``ct`` cells the piece stops there: its runs are the centre cell,
+    the inner run from cell 1 (k + 1/2 <= c_t), at most one cell of rate 0 that straddles c_t
+    (cell 0 when c_t < 1/2) and the outer run.  ``outer`` = (r, ln w1) is a piece of rate
+    r eps and mass w1 beyond c_t whose height there is the inner one's; without it the outer
+    run holds no mass (its rate is immaterial).  Refused where c_t passes 2^52 cells, beyond
+    which a half cell is not a double.
+    """
+    runs = [(0, log_a + _log1mexp(0.5 * eps), 0.0), (1, log_a + _log_sinh_half(eps) - eps, eps)]
+    if ct is None:
+        return tuple(runs)
+    if not ct <= _LAST_CELL / 2:
+        raise InvalidParameterError(
+            f"ct passes 2^52 cells ({ct:g} cells), where a half cell is not a double"
+        )
+    k = math.ceil(ct + 0.5) - 1  # the last cell that is not outer
+    last_inner = k - (k + 0.5 > ct)  # k straddles c_t unless its edge is c_t
+    runs = runs[: last_inner + 1]
+    ratio, log_w1 = outer or (None, None)
+    if last_inner < k:
+        # the mass on [lo, hi) and its mirror; at c_t the outer height is the inner one / r
+        lo = max(k - 0.5, 0.0)
+        x = (ct - lo) * eps
+        mass = -math.expm1(-x)
+        if ratio:
+            mass -= math.exp(-x) * math.expm1(-(k + 0.5 - ct) * (ratio * eps)) / ratio
+        log_mass = math.log(mass) if mass else -math.inf
+        runs.append((k, log_a - lo * eps + log_mass - (_LN2 if k else 0.0), 0.0))
+    if not ratio:
+        return (*runs, (k + 1, -math.inf, 1.0))
+    reps = ratio * eps
+    return (*runs, (k + 1, log_w1 + _log_sinh_half(reps) - reps * (k + 1 - ct), reps))
 
 
 def rounded_laplace_zeta(eps: float) -> float:
@@ -525,50 +592,8 @@ def _exp_series_from_3(x: float) -> float:
 _CHUNK = 1 << 14
 
 
-class MechanismSpec(Protocol):
-    """What every mechanism family states about itself.
-
-    ``kind`` names the family on the command line and opens its ``label``;
-    ``cell`` is the width of the grid the noise is released on, 1 when the noise,
-    and so every release, is an integer.  Losses and budgets are for unit-shift
-    (count and histogram) queries.
-    """
-
-    kind: ClassVar[str]
-    cell: ClassVar[float]
-
-    @property
-    def label(self) -> str:
-        """Short stable identifier for reports, ledgers and CLI output."""
-
-    def worst_case_eps(self) -> float:
-        """Differential-privacy level; inf when the loss is unbounded."""
-
-    def zeta(self) -> float:
-        """General budget ln E[exp |L|] from the paper's closed form; inf when unbounded."""
-
-    def charge(self) -> float:
-        """What a release is charged: the exact zeta of the released law; inf when unbounded."""
-
-    def log_prob(self, x):
-        """ln of the mass function of the released noise at x, a point of its grid (a
-        multiple of ``cell``); -inf where it is 0."""
-
-    def prob(self, x):
-        """exp(``log_prob``)."""
-
-    def cdf(self, x):
-        """P(released noise <= x); float for scalar x, else an ndarray."""
-
-    def draw(self, stream, n: int) -> np.ndarray:
-        """n noise draws from a SeededStream; int64 when ``cell`` is 1, else float64."""
-
-    def stats(self) -> MechanismStats:
-        """E|x|, variance and entropy: the paper's closed forms, or sums over a grid law's runs."""
-
-
 @dataclass(frozen=True)
-class Laplace(_Released):
+class Laplace(MechanismSpec):
     """Laplace mechanism with scale b (= 1 / epsilon), released on the grid of ``GRID``."""
 
     scale: float
@@ -591,7 +616,7 @@ class Laplace(_Released):
 
     def grid_law(self) -> _Lattice:
         """The law of a draw divided by the cell and rounded half away from zero."""
-        return RoundedLaplace(self.scale / self.cell).lattice()
+        return RoundedLaplace(self.scale / self.cell).grid_law()
 
     def stats(self) -> MechanismStats:
         b = self.scale
@@ -599,7 +624,7 @@ class Laplace(_Released):
 
 
 @dataclass(frozen=True)
-class RoundedLaplace(_Released):
+class RoundedLaplace(MechanismSpec):
     """Laplace mechanism whose draw is rounded to the nearest integer."""
 
     scale: float
@@ -624,7 +649,7 @@ class RoundedLaplace(_Released):
             )
         return rounded_laplace_zeta(eps)
 
-    def lattice(self) -> _Lattice:
+    def grid_law(self) -> _Lattice:
         return _Lattice(_rounded_laplace_runs(1.0 / self.scale))
 
     def stats(self) -> MechanismStats:
@@ -633,7 +658,7 @@ class RoundedLaplace(_Released):
 
 
 @dataclass(frozen=True)
-class Geometric(_Released):
+class Geometric(MechanismSpec):
     """Symmetric geometric mechanism with decay alpha (= exp(epsilon))."""
 
     alpha: float
@@ -653,14 +678,14 @@ class Geometric(_Released):
     def zeta(self) -> float:
         return math.log(self.alpha)
 
-    def lattice(self) -> _Lattice:
+    def grid_law(self) -> _Lattice:
         """One run: cell k holds ((alpha - 1)/(alpha + 1)) alpha^-|k|."""
         rate = math.log(self.alpha)
         return _Lattice(((0, -_log_coth_half(rate), rate),))
 
 
 @dataclass(frozen=True)
-class _TwoPieceMixture:
+class _TwoPieceMixture(MechanismSpec):
     """The law both mixtures share: piece i decays as exp(-|x| / b_i), with b_1, b_2 the
     params' ``outer_scale``, ``inner_scale``; the inner piece has weight a2 and the outer
     one mass w1 beyond c_t.  A subclass states its weights (``constants``), its grid law,
@@ -718,7 +743,7 @@ class _TwoPieceMixture:
 
 
 @dataclass(frozen=True)
-class LaplaceMixture(_Released, _TwoPieceMixture):
+class LaplaceMixture(_TwoPieceMixture):
     """Two-piece Laplace mixture mechanism, released on the grid of ``GRID``."""
 
     kind: ClassVar[str] = "lapmix"
@@ -728,36 +753,14 @@ class LaplaceMixture(_Released, _TwoPieceMixture):
         return lapmix_constants(self.params)
 
     def rounded_lattice(self) -> _Lattice:
-        """The law of a draw rounded half away from zero: cell k >= 1 holds the mass on
-        [k - 1/2, k + 1/2) and its mirror.  Its runs are the centre cell, the inner run
-        from cell 1 (k + 1/2 <= c_t), at most one cell of rate 0 that straddles c_t (cell 0
-        when c_t < 1/2) and the outer run; the weights are taken in logs."""
+        """The law of a draw rounded half away from zero (:func:`_rounded_laplace_runs`)."""
         c, p = self.constants(), self.params
-        eps, reps, ct = p.epsilon, p.eps_r, p.break_point
-        log_a2 = c.log_a2
-        k = math.ceil(ct + 0.5) - 1  # the last cell that is not outer
-        last_inner = k - (k + 0.5 > ct)  # k straddles c_t unless its edge is c_t
-        runs = []
-        if last_inner >= 0:
-            runs.append((0, log_a2 + _log1mexp(0.5 * eps), 0.0))
-        if last_inner >= 1:
-            runs.append((1, log_a2 + _log_sinh_half(eps) - eps, eps))
-        if last_inner < k:
-            # the mass on [lo, hi) and its mirror; at c_t the outer height is the inner one / r
-            lo = max(k - 0.5, 0.0)
-            x, y = (ct - lo) * eps, (k + 0.5 - ct) * reps
-            log_mass = math.log(-math.expm1(-x) - math.exp(-x) * math.expm1(-y) / p.ratio)
-            runs.append((k, log_a2 - lo * eps + log_mass - (_LN2 if k else 0.0), 0.0))
-        runs.append((k + 1, c.log_w1 + _log_sinh_half(reps) - reps * (k + 1 - ct), reps))
-        return _Lattice(tuple(runs))
+        return _Lattice(_rounded_laplace_runs(p.epsilon, c.log_a2, p.break_point, (p.ratio, c.log_w1)))
 
     def grid_law(self) -> _Lattice:
         """The law of a draw divided by the cell and rounded half away from zero: the rounded
-        law of the mixture whose rates and break-point are in units of a cell.  Refused where
-        the break-point passes 2^52 cells, beyond which a half cell is not a double."""
+        law of the mixture whose rates and break-point are in units of a cell."""
         p, cell = self.params, self.cell
-        if not p.break_point / cell <= _LAST_CELL / 2:
-            raise InvalidParameterError(f"{self.label}: the break-point passes 2^52 cells of {cell:g}")
         grid = MixtureParams(p.epsilon * cell, p.ratio, p.break_point / cell)
         return LaplaceMixture(grid).rounded_lattice()
 
@@ -795,7 +798,7 @@ class LaplaceMixture(_Released, _TwoPieceMixture):
 
 
 @dataclass(frozen=True)
-class GeometricMixture(_Released, _TwoPieceMixture):
+class GeometricMixture(_TwoPieceMixture):
     """Two-piece geometric mixture mechanism (integer output)."""
 
     kind: ClassVar[str] = "geomix"
@@ -808,7 +811,7 @@ class GeometricMixture(_Released, _TwoPieceMixture):
     def constants(self) -> MixtureConstants:
         return geomix_constants(self.params)
 
-    def lattice(self) -> _Lattice:
+    def grid_law(self) -> _Lattice:
         """Cells a_2 tanh(eps/2) e^(-eps |k|) up to c_t, then w_1 tanh(r eps/2)
         e^(-r eps (|k| - c_t))."""
         c, p = self.constants(), self.params
@@ -852,7 +855,7 @@ def lapmix_cdf(x, params: MixtureParams):
 
 
 @dataclass(frozen=True)
-class TruncatedLaplace(_Released):
+class TruncatedLaplace(MechanismSpec):
     """Laplace noise conditioned on [-bound, bound], released on the grid of ``GRID``.
 
     Not differentially private: neighboring counts can produce outcomes of
@@ -883,22 +886,10 @@ class TruncatedLaplace(_Released):
         return math.inf
 
     def grid_law(self) -> _Lattice:
-        """The law of a draw divided by the cell and rounded half away from zero: the rounded
-        Laplace runs, over the mass 1 - e^(-c/b) within the bound c, up to the cell K that
-        holds c / cell.  K holds [K - 1/2, c / cell] and its mirror, a one-cell run; past it a
-        run holds no mass (its rate is immaterial).  Refused where the bound passes 2^52 cells,
-        beyond which a half cell is not a double."""
-        cell, b, c = self.cell, self.scale, self.bound
-        if not c / cell <= _LAST_CELL / 2:
-            raise InvalidParameterError(f"{self.label}: the bound passes 2^52 cells of {cell:g}")
-        k = math.floor(c / cell + 0.5)
-        lo = max(k - 0.5, 0.0) * cell  # the last cell's inner edge
-        width = (c - lo) / b  # 0 where the last cell holds no mass
-        last = -lo / b + (_log1mexp(width) if width else -math.inf) - (_LN2 if k else 0.0)
-        runs = [*_rounded_laplace_runs(cell / b)[: min(k, 2)], (k, last, 0.0)]
-        log_z = _log1mexp(c / b)
-        runs = [(m, log_m - log_z, rate) for m, log_m, rate in runs] + [(k + 1, -math.inf, 1.0)]
-        return _Lattice(tuple(runs))
+        """The law of a draw divided by the cell and rounded half away from zero: the Laplace
+        piece over its mass 1 - e^(-c/b) within the bound c, with no mass past it."""
+        ct, eps = self.bound / self.cell, self.cell / self.scale
+        return _Lattice(_rounded_laplace_runs(eps, -_log1mexp(ct * eps), ct))
 
     def draw(self, stream, n: int) -> np.ndarray:
         """Refused unless ``allow_unsafe``."""

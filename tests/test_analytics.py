@@ -202,7 +202,7 @@ def assert_stats_are_cell_sums(stats, law, reach):
 
 
 def assert_spec_stats_are_cell_sums(spec, reach):
-    assert_stats_are_cell_sums(astuple(spec.stats()), spec.lattice(), reach)
+    assert_stats_are_cell_sums(astuple(spec.stats()), spec.grid_law(), reach)
 
 
 class TestLatticeStatsAreCellSums:

@@ -192,7 +192,7 @@ class TestRoundedMoments:
         half = 0.5 * eps
         want = (0.5 / math.sinh(half), 0.5 * math.cosh(half) / math.sinh(half) ** 2)
         one_piece = LaplaceMixture(MixtureParams(epsilon=eps, ratio=1.0, break_point=ct))
-        for law in (one_piece.rounded_lattice(), RoundedLaplace(b).lattice()):
+        for law in (one_piece.rounded_lattice(), RoundedLaplace(b).grid_law()):
             got = law.stats()[:2]
             assert got == pytest.approx(_probe_moments(laplace_cdf, (b,)), rel=1e-12)
             assert got == pytest.approx(want, rel=1e-12)
@@ -214,12 +214,12 @@ class TestRoundedMoments:
 
     def test_no_mass_beyond_the_lattice(self):
         # every cell but the centre underflows
-        assert RoundedLaplace(1e-4).lattice().stats()[:2] == (0.0, 0.0)
+        assert RoundedLaplace(1e-4).grid_law().stats()[:2] == (0.0, 0.0)
         # the outer weight underflows to 0, so the outer run adds nothing (0 log 0 = 0)
         params = MixtureParams(epsilon=48.9, ratio=2.153 / 48.9, break_point=21.56)
         assert lapmix_constants(params).w1 == 0.0
         got = LaplaceMixture(params).rounded_lattice().stats()
-        assert got == pytest.approx(RoundedLaplace(1 / 48.9).lattice().stats(), rel=1e-12)
+        assert got == pytest.approx(RoundedLaplace(1 / 48.9).grid_law().stats(), rel=1e-12)
 
 
 def geometric_series_x(q: float, first: int) -> float:

@@ -384,6 +384,15 @@ class TestSweep:
         assert code == 2 and stdout == "" and "Traceback" not in err
         assert "cannot write the output" in err and not out.parent.exists()
 
+    def test_break_point_past_2_52_is_refused(self, capsys, tmp_path):
+        # the integer law of the lapmix columns: past 2^52 cells a half cell is not a double
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps([[2.0**52 + 2, 0.2, 1.0]]))
+        code, out, err = run_cli(["sweep", "--grid", str(grid)], capsys)
+        assert (code, out) == (2, "") and "passes 2^52 cells" in err and "Traceback" not in err
+        grid.write_text(json.dumps([[2.0**52, 0.2, 1.0]]))
+        assert run_cli(["sweep", "--grid", str(grid)], capsys)[0] == 0
+
     def test_malformed_grid(self, capsys, tmp_path):
         grid = tmp_path / "grid.json"
         grid.write_text('{"not": "a grid"}')
@@ -923,7 +932,13 @@ class TestBenchAudit:
         assert f"header must be true or false, got {value!r}" in err
 
     @pytest.mark.parametrize("command", ["bench", "audit"])
-    def test_out_is_a_file(self, capsys, tmp_path, data_file, command):
+    def test_out_is_a_file(self, capsys, tmp_path, data_file, monkeypatch, command):
+        # an unusable --out fails before the simulation or the audit runs, not after it
+        def refused(*args, **kwargs):
+            raise PwmixError("the work ran")
+
+        monkeypatch.setattr(cli, "run_simulation", refused)
+        monkeypatch.setattr(cli, "audit_privacy", refused)
         if command == "bench":
             doc = {"true_counts": [1], "samples_per_cell": 10, "c_t_for_metrics": 5,
                    "mechanisms": [{"kind": "geometric", "eps": 700}]}
@@ -936,6 +951,10 @@ class TestBenchAudit:
         code, stdout, err = run_cli([command, "--config", str(cfg), "--out", str(out), "--seed", "5"], capsys)
         assert code == 2 and stdout == "" and "Traceback" not in err
         assert "cannot write the output" in err and out.read_text() == "kept"
+        # the directories made for a run that then fails are removed again
+        out = tmp_path / "made" / "out"
+        code, _, err = run_cli([command, "--config", str(cfg), "--out", str(out), "--seed", "5"], capsys)
+        assert code == 2 and "the work ran" in err and not (tmp_path / "made").exists()
 
     def test_audit_outputs(self, capsys, tmp_path, data_file):
         cfg = tmp_path / "audit.json"

@@ -233,7 +233,7 @@ class TestFusedInLogs:
         params = MixtureParams(epsilon=eps, ratio=reps / eps, break_point=float(ct))
         if family == "geomix":
             spec = GeometricMixture(params)
-            law = spec.lattice()
+            law = spec.grid_law()
             assert zeta_empirical(spec) == pytest.approx(spec.zeta(), rel=1e-9)
             spec.stats()  # refused unless every statistic is finite
         else:
@@ -250,7 +250,7 @@ class TestFusedInLogs:
         # r eps c_t is 742.5 and 740: exp(-r eps c_t) is subnormal, and the linear weights
         # read losses of 9.90584 and 20.00258 here, beyond the worst case
         spec = GeometricMixture(MixtureParams(epsilon=eps, ratio=reps / eps, break_point=ct))
-        law = spec.lattice()
+        law = spec.grid_law()
         assert law.log_mass(ct) - law.log_mass(ct + 1) == pytest.approx(reps, rel=1e-13)
         assert privacy_loss(spec, ct + 1) == pytest.approx(reps, rel=1e-13)
 
@@ -261,7 +261,7 @@ class TestFusedInLogs:
         assert spec.zeta() == pytest.approx(43.88, rel=1e-15)
         assert zeta_empirical(spec) == pytest.approx(43.88, rel=1e-13)
         assert privacy_loss(spec, 18) == pytest.approx(43.88, rel=1e-13)
-        assert math.isfinite(spec.lattice().log_mass(19))
+        assert math.isfinite(spec.grid_law().log_mass(19))
 
 
 class TestConstantsLimits:
@@ -504,7 +504,7 @@ class TestLatticeLaw:
         assert spec.prob(0) == 1.0
         assert spec.prob(1) == 0.0
         assert spec.cdf(-1) == 0.0 and spec.cdf(0) == 1.0
-        assert spec.lattice().log_mass(3) == pytest.approx(-3750.0 - math.log(2.0), rel=1e-15)
+        assert spec.grid_law().log_mass(3) == pytest.approx(-3750.0 - math.log(2.0), rel=1e-15)
 
     @pytest.mark.parametrize(
         "spec", [Geometric(1.7), RoundedLaplace(2.0), GeometricMixture(PRESET_A)]
@@ -520,10 +520,15 @@ class TestLatticeLaw:
         ids=lambda spec: spec.kind,
     )
     def test_grid_points_only(self, spec):
-        # the mass function of what is released, on the grid of 1/8: off it there is no cell
+        # the mass function of what is released, on the grid of 1/8: off it there is no cell,
+        # and the refusal names the value given and the cell, not the cell index 2.4
         assert spec.prob(0.375) == math.exp(spec.grid_law().log_mass(3))
-        with pytest.raises(InvalidParameterError):
-            spec.prob(0.3)
+        message = r"multiples of the cell 0\.125 only, got x = 0\.3$"
+        for call in (spec.prob, lambda x: privacy_loss(spec, x)):
+            with pytest.raises(InvalidParameterError, match=message):
+                call(0.3)
+        with pytest.raises(InvalidParameterError, match=r"got x = 0\.3$"):
+            spec.prob(np.array([0.25, 0.3, math.nan]))
 
 
 # Rounded Laplace mixtures: c_t below 1/2 (cell 0 straddles it), a half-integer (no
@@ -723,11 +728,33 @@ class TestStandardProperties:
 
     @mixture_points
     @given(eps=mixture_eps, bound=st.floats(0.1, 40.0))
+    # bounds on a half cell, (k + 1/2) / 8, where the cell past the bound holds no mass
+    @example(eps=1.0, bound=2.5 / 8)
+    @example(eps=0.01, bound=160.5 / 8)
+    @example(eps=50.0, bound=0.0625)
+    # bounds below one cell: in cell 0 alone, and in cells 0 and 1
+    @example(eps=1.0, bound=0.03)
+    @example(eps=40.0, bound=0.1)
+    @example(eps=1e-3, bound=0.1)
     def test_truncated_laplace(self, eps, bound):
         spec = TruncatedLaplace(scale=1.0 / eps, bound=bound, allow_unsafe=True)
         _check_one_piece(spec, bound, lambda x: truncated_laplace_cdf(x, 1.0 / eps, bound))
         with pytest.raises(UnsupportedSpecError):
             spec.stats()
+        # each cell's mass from exponentials: cell k != 0 holds [(|k| - 1/2) h, (|k| + 1/2) h)
+        # within the bound c, cell 0 both sides of 0 up to h / 2, over the mass 1 - e^(-c eps)
+        h, reach = spec.cell, math.ceil(bound / spec.cell) + 2
+        for k in range(-reach, reach + 1):
+            lo = max(abs(k) - 0.5, 0.0) * h
+            hi = min((abs(k) + 0.5) * h, bound)
+            want = 0.0
+            if lo < bound:
+                inside = math.exp(-lo * eps) * math.expm1((lo - hi) * eps) / math.expm1(-bound * eps)
+                want = inside if k == 0 else 0.5 * inside
+            if want > 1e-300:  # normal doubles, whose products keep their digits
+                assert spec.prob(k * h) == pytest.approx(want, rel=1e-12, abs=0.0), k
+            else:
+                assert spec.prob(k * h) <= 1e-300, k
 
 
 class TestSpecValidation:

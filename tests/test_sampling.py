@@ -345,10 +345,10 @@ class TestAlgorithmBranches:
             below = float(spec.cdf(k - 1))
             above = float(spec.cdf(k))
             for u in (below + 1e-9, 0.5 * (below + above), above - 1e-9):
-                assert int(spec.lattice().inverse(np.array([u]))[0]) == k
+                assert int(spec.grid_law().inverse(np.array([u]))[0]) == k
 
     def test_geomix_median(self):
-        assert int(GeometricMixture(PRESET_A).lattice().inverse(np.array([0.5]))[0]) == 0
+        assert int(GeometricMixture(PRESET_A).grid_law().inverse(np.array([0.5]))[0]) == 0
 
 
 # Reference oracles: the four-branch inverse transforms that evaluate every
@@ -468,7 +468,7 @@ class TestInverseOracle:
     def test_geomix_bit_identical(self, eps, ratio, ct, seed, n_random):
         params = MixtureParams(epsilon=eps, ratio=ratio, break_point=float(ct))
         thresholds = _oracle_geomix_thresholds(params)
-        law = GeometricMixture(params).lattice()
+        law = GeometricMixture(params).grid_law()
         u = SeededStream(seed).uniforms(n_random)
         got = law.inverse(u)
         assert got.dtype == np.int64
@@ -535,7 +535,7 @@ class TestInverseOracle:
         assert t_right == (2**53 - 2 + 0.5) * 2.0**-53 == 1.0 - 2.0**-52
         u = np.array([np.nextafter(t_right, 0.0), t_right, np.nextafter(t_right, 1.0)])
         assert _oracle_geomix(u, spec.params).tolist() == [9, 9, 10]
-        law = spec.lattice()
+        law = spec.grid_law()
         assert law.cdf(-10) > 2.0**-52
         assert law.inverse(u).tolist() == _inverse_by_definition(law, u).tolist() == [9, 10, 10]
 
@@ -566,10 +566,10 @@ def _inverse_by_definition(law, u):
 
 def _lattice_law(family, eps, ratio, ct):
     if family == "geomix":
-        return GeometricMixture(MixtureParams(eps, ratio, float(round(ct)))).lattice()
+        return GeometricMixture(MixtureParams(eps, ratio, float(round(ct)))).grid_law()
     if family == "rounded lapmix":
         return LaplaceMixture(MixtureParams(eps, ratio, ct)).rounded_lattice()
-    return RoundedLaplace(1.0 / eps).lattice() if family == "rlaplace" else Geometric(math.exp(eps)).lattice()
+    return RoundedLaplace(1.0 / eps).grid_law() if family == "rlaplace" else Geometric(math.exp(eps)).grid_law()
 
 
 class TestLatticeInverse:
@@ -612,7 +612,7 @@ class TestLatticeInverse:
         params = MixtureParams(epsilon=1.924829037709121, ratio=34.617004438047864, break_point=1.0)
         u = lattice_uniforms(np.arange(7989893758674251, 7989893758674255))
         assert np.all(u > 0.88705640151889878)
-        assert GeometricMixture(params).lattice().inverse(u).tolist() == [1, 1, 1, 1]
+        assert GeometricMixture(params).grid_law().inverse(u).tolist() == [1, 1, 1, 1]
         assert _oracle_geomix(u, params).tolist() == [0, 0, 1, 1]
 
     @pytest.mark.parametrize(

@@ -98,9 +98,9 @@ def test_family_names_only_in_mechanisms():
 
 def test_every_family_is_the_law_it_releases():
     # One law per family: every family reads its mass function, CDF, draws and charge from
-    # its grid law through _Released, and states none of its own; trunclap's draw only gates
-    # the shared one behind the unsafe flag.
-    base = mechanisms._Released
+    # its grid law through MechanismSpec, and states none of its own; trunclap's draw only
+    # gates the shared one behind the unsafe flag.
+    base = mechanisms.MechanismSpec
     own = {
         (cls.__name__, name)
         for cls in mechanisms.SPECS
